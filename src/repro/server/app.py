@@ -630,6 +630,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = f"repro-server/{__version__}"
+    # TCP_NODELAY: the handler sends headers and body in separate
+    # writes, and with Nagle's algorithm a small body would wait for
+    # the client's delayed ACK (40 ms on Linux) on keep-alive.
+    disable_nagle_algorithm = True
 
     # set by _send_bytes for the access log
     _status = 0
@@ -778,6 +782,9 @@ class _Handler(BaseHTTPRequestHandler):
                 raise _HttpError(400, "request body must be a JSON object")
             timeout = server.resolve_timeout(payload.get("timeout"))
             job = server.decode_job(payload)
+            # The parsed body is a list per vote, several times the
+            # size of the job's columns; free it before inference.
+            del payload
             outcome = server.execute_job(job, timeout)
             self._send_json(_STATUS_CODES[outcome.status],
                             job_result_to_payload(outcome))

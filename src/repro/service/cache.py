@@ -4,7 +4,8 @@ Two identical jobs — same canonicalised votes (or scenario), same
 pipeline configuration, same seed — must produce the same ranking, so
 the second one never needs to run.  :func:`fingerprint_job` derives a
 stable SHA-256 key from the job's semantic content (vote *order* is
-irrelevant; dict key order is irrelevant), and :class:`ResultCache`
+irrelevant; dict key order is irrelevant) by hashing the vote columns'
+bytes, never per-vote Python objects, and :class:`ResultCache`
 maps keys to :class:`~repro.types.InferenceResult` values through a
 thread-safe in-memory LRU, optionally spilling every entry to a
 directory of :mod:`repro.io`-schema JSON files so caches survive
@@ -30,6 +31,8 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+import numpy as np
+
 from ..diagnostics import get_logger
 from ..exceptions import ConfigurationError, DataFormatError
 from ..io import result_from_payload, save_result
@@ -43,32 +46,43 @@ _log = get_logger("service.cache")
 _unique_counter = itertools.count()
 
 
+#: Version tag hashed first into every fingerprint.  Bump it whenever
+#: the hashed material changes, so old spill files become misses.
+FINGERPRINT_VERSION = "repro.fp/2"
+
+
 def fingerprint_job(job: RankingJob) -> str:
     """Return the content hash (hex SHA-256) identifying a job's work.
 
-    The hash covers the canonicalised votes (sorted, so collection order
-    does not matter) or the scenario spec, the full pipeline config and
-    the seed.  Jobs without a seed draw fresh entropy on every run, so
-    each call returns a distinct ``unseeded/...`` key that can never
-    collide with a real content hash.
+    The hash covers a canonical JSON header — :data:`FINGERPRINT_VERSION`,
+    the full pipeline config, the seed, and ``n_objects`` or the
+    scenario spec — followed, for vote jobs, by the raw little-endian
+    bytes of the ``worker``, ``winner`` and ``loser`` columns with the
+    rows lexsorted, so collection order does not matter.  Jobs without
+    a seed draw fresh entropy on every run, so each call returns a
+    distinct ``unseeded/...`` key that can never collide with a real
+    content hash.
     """
     if job.seed is None:
         return f"unseeded/{next(_unique_counter)}"
-    material: Dict[str, object] = {
+    header: Dict[str, object] = {
+        "fingerprint": FINGERPRINT_VERSION,
         "config": config_to_payload(job.config),
         "seed": job.seed,
     }
-    if job.votes is not None:
-        material["votes"] = {
-            "n_objects": job.votes.n_objects,
-            "votes": sorted(
-                (v.worker, v.winner, v.loser) for v in job.votes
-            ),
-        }
+    votes = job.votes
+    if votes is not None:
+        header["n_objects"] = votes.n_objects
     if job.scenario is not None:
-        material["scenario"] = dataclasses.asdict(job.scenario)
-    canonical = json.dumps(material, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        header["scenario"] = dataclasses.asdict(job.scenario)
+    digest = hashlib.sha256(json.dumps(
+        header, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8"))
+    if votes is not None:
+        order = np.lexsort((votes.loser, votes.winner, votes.worker))
+        for column in (votes.worker, votes.winner, votes.loser):
+            digest.update(column[order].astype("<i8", copy=False).tobytes())
+    return digest.hexdigest()
 
 
 class ResultCache:

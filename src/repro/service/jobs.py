@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Union
 
+import numpy as np
+
 from ..config import (
     PipelineConfig,
     PropagationConfig,
@@ -40,7 +42,7 @@ from ..config import (
 )
 from ..exceptions import ConfigurationError, DataFormatError
 from ..io import result_from_payload, result_to_payload
-from ..types import InferenceResult, Vote, VoteSet
+from ..types import InferenceResult, VoteSet
 
 #: Schema tag for one job line.
 JOB_SCHEMA = "repro.job/1"
@@ -227,9 +229,12 @@ def job_to_payload(job: RankingJob) -> Dict[str, object]:
     if job.seed is not None:
         payload["seed"] = job.seed
     if job.votes is not None:
+        votes = job.votes
         payload["votes"] = {
-            "n_objects": job.votes.n_objects,
-            "votes": [[v.worker, v.winner, v.loser] for v in job.votes],
+            "n_objects": votes.n_objects,
+            "votes": np.column_stack(
+                (votes.worker, votes.winner, votes.loser)
+            ).tolist(),
         }
     if job.scenario is not None:
         payload["scenario"] = dataclasses.asdict(job.scenario)
@@ -278,16 +283,49 @@ def job_from_payload(payload: object, source: str = "<payload>") -> RankingJob:
 
 
 def _votes_from_payload(raw: object, source: str) -> VoteSet:
+    """Decode ``{"n_objects": n, "votes": [[worker, winner, loser], ...]}``.
+
+    The rows become one int64 array, validated as a whole: ids must be
+    JSON integers (no floats, strings or values beyond int64), every
+    object id must lie in ``[0, n_objects)`` and no vote may compare an
+    object with itself.  Zero votes decode to an empty set; inference
+    rejects it later.
+    """
     if not isinstance(raw, dict):
         raise DataFormatError(f"{source}: votes must be an object")
     try:
-        n_objects = int(raw["n_objects"])
-        votes = [
-            Vote(worker=int(w), winner=int(a), loser=int(b))
-            for w, a, b in raw["votes"]
-        ]
-        return VoteSet.from_votes(n_objects, votes)
-    except (KeyError, TypeError, ValueError, ConfigurationError) as error:
+        n_objects = raw["n_objects"]
+        rows = np.array(raw["votes"])
+    except (KeyError, ValueError) as error:
+        raise DataFormatError(f"{source}: malformed votes ({error})") from None
+    if not isinstance(n_objects, int) or isinstance(n_objects, bool):
+        raise DataFormatError(
+            f"{source}: votes.n_objects must be an integer"
+        )
+    if rows.shape == (0,):
+        rows = rows.astype(np.int64).reshape(0, 3)
+    if rows.dtype != np.int64:
+        raise DataFormatError(
+            f"{source}: vote ids must be integers within int64"
+        )
+    if rows.ndim != 2 or rows.shape[1] != 3:
+        raise DataFormatError(
+            f"{source}: votes must be [worker, winner, loser] rows"
+        )
+    objects = rows[:, 1:]
+    outside = np.flatnonzero(
+        ((objects < 0) | (objects >= n_objects)).any(axis=1)
+    )
+    if outside.size:
+        winner, loser = objects[outside[0]].tolist()
+        raise DataFormatError(
+            f"{source}: vote compares objects ({winner}, {loser}) "
+            f"outside [0, {n_objects})"
+        )
+    try:
+        return VoteSet.from_columns(n_objects, rows[:, 0], rows[:, 1],
+                                    rows[:, 2])
+    except ConfigurationError as error:
         raise DataFormatError(f"{source}: malformed votes ({error})") from None
 
 

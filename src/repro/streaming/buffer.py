@@ -1,8 +1,8 @@
 """Append-only incremental builder over the columnar vote arrays.
 
-:class:`~repro.types.VoteSet` is frozen by contract — its memoized
-derived views (``arrays()``, ``by_pair()``, ...) are sound only because
-the votes tuple never changes.  A live ranking session, however, grows
+:class:`~repro.types.VoteSet` is frozen — its memoized derived views
+(``arrays()``, ``by_pair()``, ...) are sound only because its read-only
+vote columns never change.  A live ranking session, however, grows
 its vote pool one submission at a time, and rebuilding the columnar
 tables from scratch per vote is O(total votes) per ingest.
 
@@ -187,18 +187,11 @@ class VoteBuffer:
     def to_vote_set(self) -> VoteSet:
         """A frozen :class:`~repro.types.VoteSet` of the current votes.
 
-        The snapshot arrays are primed into the vote set's memo cache,
-        so ``vote_set.arrays()`` returns the exact same object — batch
+        Its ``arrays()`` returns the snapshot object itself, so batch
         code running on the frozen set and streaming code running on
         the snapshot consume identical tables.
         """
-        arrays = self.snapshot()
-        vote_set = VoteSet(n_objects=self.n_objects, votes=arrays.to_votes())
-        object.__setattr__(
-            vote_set, "_cache",
-            {"__votes__": vote_set.votes, "arrays": arrays},
-        )
-        return vote_set
+        return self.snapshot().to_vote_set()
 
     def votes(self) -> Tuple[Vote, ...]:
         """Reconstruct the appended votes, in order."""

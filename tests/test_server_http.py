@@ -19,6 +19,8 @@ from repro.session import rank_with_crowd
 from repro.types import InferenceResult, Ranking
 from repro.workers import QualityLevel
 
+from tests.test_service_jobs import HOSTILE_VOTE_ROWS
+
 
 def _get(url):
     """GET returning (status, parsed-or-text body)."""
@@ -178,6 +180,20 @@ class TestRank:
         assert body["status"] == "failed"
         assert "poisoned" in body["error"]
 
+    @pytest.mark.parametrize("case", sorted(HOSTILE_VOTE_ROWS))
+    def test_hostile_votes_are_400(self, server, case):
+        rows, words = HOSTILE_VOTE_ROWS[case]
+        status, body = _post(server.url + "/v1/rank", {
+            "seed": 1, "votes": {"n_objects": 4, "votes": rows}})
+        assert status == 400
+        assert words in body["error"]
+
+    def test_zero_votes_are_422(self, server):
+        status, body = _post(server.url + "/v1/rank", {
+            "seed": 1, "votes": {"n_objects": 4, "votes": []}})
+        assert status == 422
+        assert body["error"].startswith("InferenceError")
+
     def test_deadline_maps_to_504(self, server, monkeypatch):
         def crawl(self, job):
             time.sleep(5.0)
@@ -313,6 +329,25 @@ class TestKeepAlive:
         finally:
             if conn is not None:
                 conn.close()
+
+    def test_small_responses_do_not_wait_for_delayed_ack(self, server):
+        """Headers and body go out in separate writes; with Nagle's
+        algorithm on, each small keep-alive response would wait ~40 ms
+        for the client's delayed ACK."""
+        conn = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=10)
+        try:
+            conn.request("GET", "/healthz")  # connect outside the timing
+            conn.getresponse().read()
+            start = time.perf_counter()
+            for _ in range(5):
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+            assert time.perf_counter() - start < 0.150
+        finally:
+            conn.close()
 
     def test_consumed_body_error_keeps_connection(self, server):
         # 400 for malformed JSON happens after the body left the

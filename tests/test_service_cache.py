@@ -1,13 +1,26 @@
 """Unit tests for the content-addressed result cache."""
 
+import hashlib
+import json
 import os
+import random
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import PipelineConfig, SAPSConfig
 from repro.exceptions import ConfigurationError
-from repro.service import RankingJob, ResultCache, ScenarioSpec, fingerprint_job
+from repro.service import (
+    RankingJob,
+    ResultCache,
+    ScenarioSpec,
+    fingerprint_job,
+    job_from_payload,
+    job_to_payload,
+)
+from repro.service.jobs import config_to_payload
 from repro.types import InferenceResult, Ranking, Vote, VoteSet
 
 
@@ -50,6 +63,120 @@ class TestFingerprint:
     def test_unseeded_jobs_never_collide(self, tiny_votes):
         job = RankingJob(job_id="a", votes=tiny_votes)
         assert fingerprint_job(job) != fingerprint_job(job)
+
+
+@st.composite
+def _vote_jobs(draw):
+    """A seeded vote job with at least one vote (hypothesis strategy)."""
+    n_objects = draw(st.integers(2, 7))
+    obj = st.integers(0, n_objects - 1)
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, 2**40), obj, obj).filter(
+            lambda row: row[1] != row[2]),
+        min_size=1, max_size=25,
+    ))
+    votes = VoteSet.from_votes(n_objects, [Vote(*row) for row in rows])
+    seed = draw(st.integers(0, 2**31))
+    return RankingJob(job_id="p", votes=votes, seed=seed)
+
+
+def _with_votes(job, n_objects, rows):
+    return RankingJob(job_id=job.job_id, seed=job.seed, config=job.config,
+                      votes=VoteSet.from_votes(
+                          n_objects, [Vote(*row) for row in rows]))
+
+
+def _rows(job):
+    return [(v.worker, v.winner, v.loser) for v in job.votes]
+
+
+def _shuffled_dict(value, rng):
+    """``value`` with every nested dict's keys in a random order."""
+    if not isinstance(value, dict):
+        return value
+    keys = list(value)
+    rng.shuffle(keys)
+    return {key: _shuffled_dict(value[key], rng) for key in keys}
+
+
+class TestFingerprintProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_vote_jobs(), st.randoms(use_true_random=False))
+    def test_invariant_under_vote_permutation(self, job, rnd):
+        rows = _rows(job)
+        rnd.shuffle(rows)
+        assert fingerprint_job(_with_votes(job, job.votes.n_objects, rows)) \
+            == fingerprint_job(job)
+
+    @settings(max_examples=30, deadline=None)
+    @given(_vote_jobs(), st.integers(0, 2**32))
+    def test_invariant_under_config_key_order(self, job, shuffle_seed):
+        payload = job_to_payload(job)
+        payload["config"] = _shuffled_dict(payload["config"],
+                                           random.Random(shuffle_seed))
+        assert fingerprint_job(job_from_payload(payload)) \
+            == fingerprint_job(job)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_vote_jobs(), st.data())
+    def test_changes_with_any_single_vote(self, job, data):
+        rows = _rows(job)
+        n_objects = job.votes.n_objects
+        index = data.draw(st.integers(0, len(rows) - 1))
+        worker, winner, loser = rows[index]
+        edits = [(worker + 1, winner, loser), (worker, loser, winner)]
+        if n_objects > 2:
+            other = next(o for o in range(n_objects)
+                         if o not in (winner, loser))
+            edits.append((worker, winner, other))
+        key = fingerprint_job(job)
+        for edit in edits:
+            changed = rows[:index] + [edit] + rows[index + 1:]
+            assert fingerprint_job(_with_votes(job, n_objects, changed)) != key
+        dropped = rows[:index] + rows[index + 1:]
+        assert fingerprint_job(_with_votes(job, n_objects, dropped)) != key
+
+    @settings(max_examples=40, deadline=None)
+    @given(_vote_jobs())
+    def test_changes_with_seed_config_and_n_objects(self, job):
+        key = fingerprint_job(job)
+        other_seed = RankingJob(job_id="p", votes=job.votes,
+                                seed=job.seed + 1)
+        other_config = RankingJob(
+            job_id="p", votes=job.votes, seed=job.seed,
+            config=PipelineConfig(saps=SAPSConfig(iterations=5)))
+        more_objects = _with_votes(job, job.votes.n_objects + 1, _rows(job))
+        assert len({key, fingerprint_job(other_seed),
+                    fingerprint_job(other_config),
+                    fingerprint_job(more_objects)}) == 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(_vote_jobs())
+    def test_payload_round_trip(self, job):
+        clone = job_from_payload(job_to_payload(job))
+        assert clone == job
+        assert config_to_payload(clone.config) == config_to_payload(job.config)
+        assert fingerprint_job(clone) == fingerprint_job(job)
+
+    def test_old_scheme_spill_files_are_misses(self, tiny_votes, tmp_path):
+        """Keys are versioned (``repro.fp/2``): a spill file written
+        under the old JSON-of-sorted-tuples key is never looked up, so
+        it reads as a plain miss, never an error."""
+        job = RankingJob(job_id="a", votes=tiny_votes, seed=5)
+        material = {
+            "config": config_to_payload(job.config),
+            "seed": 5,
+            "votes": {"n_objects": 4, "votes": sorted(_rows(job))},
+        }
+        old_key = hashlib.sha256(json.dumps(
+            material, sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")).hexdigest()
+        ResultCache(persist_dir=tmp_path).put(old_key, _result([0, 1, 2, 3]))
+        fresh = ResultCache(persist_dir=tmp_path)
+        assert fingerprint_job(job) != old_key
+        assert fresh.get(fingerprint_job(job)) is None
+        assert fresh.stats()["misses"] == 1
+        assert fresh.stats()["corrupt_dropped"] == 0
 
 
 class TestResultCache:

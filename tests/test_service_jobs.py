@@ -1,7 +1,9 @@
 """Unit tests for the batch-service job model and JSONL codecs."""
 
 import json
+import re
 
+import numpy as np
 import pytest
 
 from repro.config import PipelineConfig, PropagationConfig, SAPSConfig
@@ -113,6 +115,52 @@ class TestJobCodec:
         payload["seed"] = "soon"
         with pytest.raises(DataFormatError):
             job_from_payload(payload)
+
+
+#: Vote rows a client may send that must never reach inference.  Each
+#: maps to the words the 400's error message carries.
+HOSTILE_VOTE_ROWS = {
+    "negative-object-id": ([[0, -1, 2]], "outside [0, 4)"),
+    "object-id-past-n": ([[0, 1, 4]], "outside [0, 4)"),
+    "float-id": ([[0, 0.7, 1]], "integers"),
+    "string-id": ([[0, "3", 1]], "integers"),
+    "worker-above-int64": ([[2**63, 0, 1]], "integers"),
+    "worker-far-above-int64": ([[2**70, 0, 1]], "integers"),
+    "self-comparison": ([[0, 2, 2]], "with itself"),
+    "short-row": ([[0, 1]], "rows"),
+    "ragged-rows": ([[0, 1, 2], [0, 1]], "malformed votes"),
+    "not-a-list": ("0,1,2", "integers"),
+}
+
+
+def _votes_payload(rows, n_objects=4):
+    return {"schema": "repro.job/1", "job_id": "hostile", "seed": 1,
+            "votes": {"n_objects": n_objects, "votes": rows}}
+
+
+class TestHostileVotes:
+    @pytest.mark.parametrize("case", sorted(HOSTILE_VOTE_ROWS))
+    def test_rejected_at_the_job_boundary(self, case):
+        rows, words = HOSTILE_VOTE_ROWS[case]
+        with pytest.raises(DataFormatError, match=re.escape(words)):
+            job_from_payload(_votes_payload(rows))
+
+    def test_non_integer_n_objects_rejected(self):
+        for n_objects in ("4", 4.0, None, True):
+            with pytest.raises(DataFormatError, match="n_objects"):
+                job_from_payload(_votes_payload([[0, 0, 1]], n_objects))
+
+    def test_zero_votes_decode_to_an_empty_set(self):
+        job = job_from_payload(_votes_payload([]))
+        assert len(job.votes) == 0
+        assert job.votes.n_objects == 4
+
+    def test_valid_rows_decode_to_int64_columns(self):
+        job = job_from_payload(_votes_payload([[9, 0, 3], [2**40, 3, 1]]))
+        assert job.votes.worker.tolist() == [9, 2**40]
+        assert job.votes.winner.tolist() == [0, 3]
+        assert job.votes.loser.tolist() == [3, 1]
+        assert job.votes.worker.dtype == np.int64
 
 
 class TestJsonlStreams:

@@ -1,6 +1,12 @@
 """Unit tests for repro.types."""
 
+import dataclasses
+import pickle
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.types import (
@@ -136,26 +142,94 @@ class TestVoteSet:
         assert len(tiny_votes) == 12
         assert sum(1 for _ in tiny_votes) == 12
 
-    def test_memoization_detects_out_of_band_mutation(self, tiny_votes):
-        """The derived-view caches are sound only because the dataclass
-        is frozen; anything that swaps ``votes`` behind the dataclass's
-        back must fail loudly, not serve stale views.  Incremental
-        accumulation belongs in :class:`repro.streaming.VoteBuffer`."""
+    def test_columns_and_fields_are_immutable(self, tiny_votes):
+        """The derived-view memos are sound only because nothing can
+        change the votes: writes to a column fail at the source, and so
+        does reassigning a field.  Incremental accumulation belongs in
+        :class:`repro.streaming.VoteBuffer`."""
         tiny_votes.arrays()  # build the memo table
-        object.__setattr__(tiny_votes, "votes", tiny_votes.votes[:3])
+        for name in ("worker", "winner", "loser"):
+            with pytest.raises(ValueError):
+                getattr(tiny_votes, name)[0] = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tiny_votes.winner = np.zeros(12, dtype=np.int64)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tiny_votes.n_objects = 99
+
+    def test_from_columns_copies_its_input(self):
+        winner = np.array([0, 1, 2])
+        votes = VoteSet.from_columns(4, [7, 7, 8], winner, [1, 2, 3])
+        winner[0] = 3
+        assert votes.winner.tolist() == [0, 1, 2]
+        assert votes.winner.dtype == np.int64
+
+    @pytest.mark.parametrize("columns", [
+        ([0, 1], [0, 1, 2], [1, 2, 3]),      # lengths differ
+        ([0], [0.5], [1]),                   # float ids
+        ([0], ["1"], [2]),                   # string ids
+        ([0], [2], [2]),                     # self-comparison
+        ([[0]], [[1]], [[2]]),               # not 1-D
+    ])
+    def test_from_columns_rejects_bad_columns(self, columns):
         with pytest.raises(ConfigurationError):
-            tiny_votes.arrays()
-        with pytest.raises(ConfigurationError):
-            tiny_votes.by_pair()
+            VoteSet.from_columns(4, *columns)
 
     def test_memoized_views_are_cached(self, tiny_votes):
         assert tiny_votes.arrays() is tiny_votes.arrays()
         assert tiny_votes.by_worker() is tiny_votes.by_worker()
 
     def test_pickle_drops_memo_table(self, tiny_votes):
-        import pickle
-
         tiny_votes.arrays()
         clone = pickle.loads(pickle.dumps(tiny_votes))
         assert "_cache" not in clone.__dict__
         assert clone.votes == tiny_votes.votes
+
+
+@st.composite
+def _vote_rows(draw):
+    """``(n_objects, [(worker, winner, loser), ...])`` with valid ids."""
+    n_objects = draw(st.integers(2, 8))
+    obj = st.integers(0, n_objects - 1)
+    rows = draw(st.lists(
+        st.tuples(st.integers(-3, 2**40), obj, obj).filter(
+            lambda row: row[1] != row[2]),
+        max_size=30,
+    ))
+    return n_objects, rows
+
+
+class TestVoteSetColumnsProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_vote_rows())
+    def test_from_columns_equals_from_votes(self, case):
+        n_objects, rows = case
+        objects = VoteSet.from_votes(
+            n_objects, [Vote(worker=w, winner=a, loser=b) for w, a, b in rows])
+        columns = VoteSet.from_columns(
+            n_objects, *(np.array([row[k] for row in rows], dtype=np.int64)
+                         for k in range(3)))
+        assert objects == columns
+        assert hash(objects) == hash(columns)
+        left, right = objects.arrays(), columns.arrays()
+        for name in left._FIELDS[1:]:
+            a, b = getattr(left, name), getattr(right, name)
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        # The per-vote loops these views replaced are the reference.
+        assert objects.pairs() == columns.pairs() \
+            == sorted({canonical_pair(a, b) for _, a, b in rows})
+        assert objects.workers() == columns.workers() \
+            == sorted({w for w, _, _ in rows})
+        assert objects.by_pair() == columns.by_pair()
+        assert objects.by_worker() == columns.by_worker()
+        assert columns.votes == tuple(Vote(*row) for row in rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_vote_rows())
+    def test_pickle_round_trip_preserves_equality(self, case):
+        n_objects, rows = case
+        votes = VoteSet.from_votes(n_objects, [Vote(*row) for row in rows])
+        clone = pickle.loads(pickle.dumps(votes))
+        assert clone == votes
+        assert clone.votes == votes.votes
+        assert not clone.winner.flags.writeable
