@@ -3,9 +3,9 @@
 Runs both kernels on the same random complete closures with the same
 seed at several sizes and writes ``BENCH_saps.json`` at the repo root:
 proposals/sec and wall time per kernel, the speedup, and hard equality
-checks (same best ranking, same cost to 1e-9, serial == parallel
-restarts) — so later PRs can track kernel performance and catch any
-divergence between the two implementations.
+checks (same best ranking and accepted-move count, same cost to 1e-9,
+serial == parallel restarts) — so later PRs can track kernel
+performance and catch any divergence between the two implementations.
 
 A second sweep runs one heavy 4-restart workload per size on each
 execution backend (serial / thread / process) and records the
@@ -14,10 +14,17 @@ threads are GIL-bound and the process backend is where parallel
 restarts actually scale.  Rankings must stay bit-identical across
 backends.
 
+Besides the uniform random closures, one row (``"closure":
+"steps_1_3"``) runs the kernels on the closure that Steps 1-3 build
+from a seeded synthetic crowd at the shape cold ``/v1/rank`` traffic
+has (n=100, r=0.3, 20 workers, 5 per task).
+
 ``--smoke`` runs a tiny configuration with ``debug_checks`` on (the
-incremental kernel asserts running-cost == full re-sum after every
-accepted move) and exits non-zero if the kernels disagree or the
-incremental kernel is slower than 1.5x the reference — suitable for CI.
+incremental kernel asserts running-cost == full re-sum and its edge
+lists == the diff table along the path after every accepted move) and
+exits non-zero if the kernels disagree anywhere or the incremental
+kernel is slower than 1.5x the reference on a random closure —
+suitable for CI.
 
 Not collected by pytest (no ``test_`` prefix) — run directly:
 
@@ -37,10 +44,16 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.config import SAPSConfig
+from repro.adaptive import _interim_closure
+from repro.config import PipelineConfig, SAPSConfig
+from repro.datasets import make_scenario
+from repro.experiments.runner import collect_votes
 from repro.inference.saps import saps_search_report
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+
+#: Timed runs per kernel row outside smoke mode; the median is reported.
+REPEATS = 5
 
 
 def random_closure(n: int, seed: int) -> np.ndarray:
@@ -53,11 +66,26 @@ def random_closure(n: int, seed: int) -> np.ndarray:
     return matrix
 
 
-def run_kernel(matrix: np.ndarray, config: SAPSConfig,
-               seed: int) -> Dict[str, object]:
-    start = time.perf_counter()
-    report = saps_search_report(matrix, config, rng=seed)
-    elapsed = time.perf_counter() - start
+def pipeline_closure(n: int, seed: int) -> np.ndarray:
+    """The complete closure default Steps 1-3 build from a seeded crowd
+    (r=0.3, 20 workers, 5 per task): the input cold ``/v1/rank`` hands
+    to Step 4."""
+    scenario = make_scenario(n, 0.3, n_workers=20, workers_per_task=5,
+                             rng=seed)
+    votes = collect_votes(scenario, rng=seed)
+    return _interim_closure(n, list(votes.votes), PipelineConfig(),
+                            np.random.default_rng(seed))
+
+
+def run_kernel(matrix: np.ndarray, config: SAPSConfig, seed: int,
+               repeats: int = 1) -> Dict[str, object]:
+    """Median wall time of ``repeats`` identical seeded runs."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        report = saps_search_report(matrix, config, rng=seed)
+        times.append(time.perf_counter() - start)
+    elapsed = float(np.median(times))
     return {
         "seconds": round(elapsed, 4),
         "proposals_per_s": round(report.proposed_moves / elapsed, 1),
@@ -69,25 +97,29 @@ def run_kernel(matrix: np.ndarray, config: SAPSConfig,
 
 
 def bench_size(n: int, iterations: int, restarts: int, seed: int,
-               debug_checks: bool) -> Dict[str, object]:
-    matrix = random_closure(n, seed=n)
+               debug_checks: bool, closure: str = "random",
+               repeats: int = 1) -> Dict[str, object]:
+    matrix = (pipeline_closure(n, seed) if closure == "steps_1_3"
+              else random_closure(n, seed=n))
     base = dict(iterations=iterations, restarts=restarts,
                 scale_with_objects=False)
     incremental = run_kernel(
         matrix,
         SAPSConfig(**base, kernel="incremental", debug_checks=debug_checks),
-        seed,
+        seed, repeats,
     )
     reference = run_kernel(
-        matrix, SAPSConfig(**base, kernel="reference"), seed
+        matrix, SAPSConfig(**base, kernel="reference"), seed, repeats
     )
     parallel = run_kernel(
         matrix,
         SAPSConfig(**base, kernel="incremental", parallel_restarts=4,
                    debug_checks=debug_checks),
-        seed,
+        seed, repeats,
     )
     same_ranking = incremental["ranking"] == reference["ranking"]
+    same_moves = (incremental["accepted_moves"]
+                  == reference["accepted_moves"])
     cost_gap = abs(incremental["log_preference"]
                    - reference["log_preference"])
     parallel_identical = (
@@ -98,6 +130,7 @@ def bench_size(n: int, iterations: int, restarts: int, seed: int,
                / reference["proposals_per_s"])
     return {
         "n": n,
+        "closure": closure,
         "iterations": iterations,
         "restarts": restarts,
         "incremental": {k: v for k, v in incremental.items()
@@ -107,6 +140,7 @@ def bench_size(n: int, iterations: int, restarts: int, seed: int,
                                 if k != "ranking"},
         "speedup": round(speedup, 2),
         "same_ranking": same_ranking,
+        "same_moves": same_moves,
         "cost_gap": cost_gap,
         "serial_equals_parallel": parallel_identical,
     }
@@ -181,17 +215,21 @@ def main() -> int:
     if args.smoke:
         sizes: List[int] = [20, 40]
         iterations = 500
+        repeats = 1
     else:
         sizes = args.sizes
         iterations = args.iterations
+        repeats = REPEATS
 
     results = []
     failures = []
-    for n in sizes:
+    runs = [(n, "random") for n in sizes] + [(100, "steps_1_3")]
+    for n, closure in runs:
         summary = bench_size(n, iterations, args.restarts, args.seed,
-                             debug_checks=args.smoke)
+                             debug_checks=args.smoke, closure=closure,
+                             repeats=repeats)
         results.append(summary)
-        print(f"n={n}: incremental "
+        print(f"n={n} ({closure}): incremental "
               f"{summary['incremental']['proposals_per_s']:,.0f} p/s, "
               f"reference "
               f"{summary['reference']['proposals_per_s']:,.0f} p/s, "
@@ -199,14 +237,20 @@ def main() -> int:
               f"same_ranking={summary['same_ranking']}, "
               f"cost_gap={summary['cost_gap']:.2e}, "
               f"serial==parallel {summary['serial_equals_parallel']}")
-        if not summary["same_ranking"] or summary["cost_gap"] > 1e-9:
-            failures.append(f"n={n}: kernels disagree")
+        if (not summary["same_ranking"] or not summary["same_moves"]
+                or summary["cost_gap"] > 1e-9):
+            failures.append(f"n={n} ({closure}): kernels disagree")
         if not summary["serial_equals_parallel"]:
-            failures.append(f"n={n}: parallel restarts changed the result")
-        if args.smoke and summary["speedup"] < 1.0 / 1.5:
             failures.append(
-                f"n={n}: incremental kernel slower than 1.5x reference "
-                f"(speedup {summary['speedup']}x)"
+                f"n={n} ({closure}): parallel restarts changed the result")
+        # The Steps 1-3 row is an identity check in smoke mode: early in
+        # a short anneal most moves are accepted there, so the O(n)
+        # debug check after each accept dominates its timing.
+        if (args.smoke and closure == "random"
+                and summary["speedup"] < 1.0 / 1.5):
+            failures.append(
+                f"n={n} ({closure}): incremental kernel slower than "
+                f"1.5x reference (speedup {summary['speedup']}x)"
             )
 
     # The backend sweep needs enough work per restart that pool
@@ -238,6 +282,7 @@ def main() -> int:
             "iterations": iterations,
             "restarts": args.restarts,
             "seed": args.seed,
+            "repeats": repeats,
         },
         "results": results,
         "backend_sweep": sweeps,

@@ -17,10 +17,12 @@ computed from those few edges instead of re-summing all ``n - 1``:
   O(1) per proposal.
 
 * **Reverse(first, last)** — every internal edge flips direction, so
-  the internal contribution is ``sum cost[b, a] - cost[a, b]`` over the
-  old consecutive pairs ``(a, b)``, plus the two boundary swaps.  O(k)
-  for a slice of length ``k`` (the cost matrix is directed, so the
-  internal sum does not cancel).
+  the internal contribution is ``sum diff[a][b]`` with
+  ``diff[a][b] = cost[b, a] - cost[a, b]`` over the old consecutive
+  pairs ``(a, b)``, plus the two boundary swaps.  O(k) for a slice of
+  length ``k`` (the cost matrix is directed, so the internal sum does
+  not cancel).  The SAPS kernel keeps ``diff`` of every path edge in a
+  list beside the path, so its internal sum is one C-level slice sum.
 
 * **Swap(i, j)** — at most four edges change (three when ``i``/``j``
   are adjacent, zero when equal).  O(1) per proposal.
@@ -30,11 +32,15 @@ to slot ``s < k`` is ``Rotate(s, k, k+1)``; to slot ``s > k`` it is
 ``Rotate(k, k+1, s+1)``.
 
 The delta functions take the cost matrix as a *row-indexable* table —
-``rows[a][b]`` — so the annealing hot loop can pass a nested Python
-list (scalar lookups into a list-of-lists are several times faster than
+``rows[a][b]`` — so hot loops can pass a nested Python list (scalar
+lookups into a list-of-lists are several times faster than
 ``ndarray[a, b]``) while casual callers pass the ndarray itself.  The
 ``apply_*`` helpers mutate the path (Python list or ndarray) in place;
-no per-proposal copies.
+no per-proposal copies.  This module is the single statement of the
+formulas: :func:`repro.inference.local_search.polish_ranking` and the
+tests call it, and the SAPS annealing kernel
+(:func:`repro.inference.saps._anneal_incremental`) inlines the same
+arithmetic in the same order.
 
 Infinite edges: deltas are computed with ordinary float arithmetic, so
 they are exact whenever the edges *removed* from the path are finite
@@ -46,7 +52,7 @@ incomplete closure — must fall back to full re-evaluation, as
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -113,39 +119,24 @@ def rotate_delta(
     return delta
 
 
-#: Segment length above which :func:`reverse_delta` gathers the internal
-#: sum with numpy instead of a scalar loop.  The list-to-ndarray
-#: conversion plus fancy-indexing overhead only amortises on long
-#: segments; the crossover measured ~180 internal edges.
-_REVERSE_VECTOR_THRESHOLD = 192
-
-
 def reverse_delta(
     rows: Sequence[Sequence[float]],
     diff: Sequence[Sequence[float]],
     path: Sequence[int],
     first: int,
     last: int,
-    diff_matrix: Optional[np.ndarray] = None,
 ) -> float:
     """``d(P') - d(P)`` for Reverse(first, last); O(last - first).
 
     ``diff`` must come from :func:`reverse_diff_rows` of the same cost
-    matrix as ``rows``.  When ``diff_matrix`` (the same table as an
-    ndarray) is given, long segments switch to a vectorised gather —
-    the scalar loop wins below ~190 internal edges, numpy above.
+    matrix as ``rows``.
     """
-    if (diff_matrix is not None
-            and last - first > _REVERSE_VECTOR_THRESHOLD):
-        seg = np.asarray(path[first:last], dtype=np.intp)
-        delta = float(diff_matrix[seg[:-1], seg[1:]].sum())
-    else:
-        delta = 0.0
-        prev = path[first]
-        for index in range(first + 1, last):
-            nxt = path[index]
-            delta += diff[prev][nxt]
-            prev = nxt
+    delta = 0.0
+    prev = path[first]
+    for index in range(first + 1, last):
+        nxt = path[index]
+        delta += diff[prev][nxt]
+        prev = nxt
     if first > 0:
         p = path[first - 1]
         delta += rows[p][path[last - 1]] - rows[p][path[first]]

@@ -84,10 +84,6 @@ def polish_ranking(
     return Ranking(path), -path_cost(cost, path)
 
 
-def _path_cost(cost: np.ndarray, path) -> float:
-    return path_cost(cost, path)
-
-
 def _swap_sweep(rows: List[List[float]], path: List[int]) -> bool:
     """One pass of first-improvement adjacent swaps (in place)."""
     improved = False

@@ -17,10 +17,13 @@ already reaches the plateau the paper reports.
 Two move-evaluation kernels share the proposal machinery:
 
 * the **incremental** kernel (default) scores each proposal by the
-  ``d(P') - d(P)`` of the few edges the move actually changes
-  (:mod:`repro.inference.delta`), applies accepted moves in place, and
-  re-syncs the running cost against a full re-sum every
-  ``resync_every`` accepted moves to bound float drift;
+  ``d(P') - d(P)`` of the few edges the move actually changes (the
+  formulas of :mod:`repro.inference.delta`, inlined).  It keeps the
+  flip cost ``cost[b, a] - cost[a, b]`` of every path edge in a list
+  beside the path, so a Reverse's O(k) internal sum is one C-level
+  slice ``sum``; accepted moves update path and edge lists with slice
+  assignments, and the running cost is re-synced against a full re-sum
+  every ``resync_every`` accepted moves to bound float drift;
 * the **reference** kernel copies the path and re-sums all ``n - 1``
   edges per proposal — the pre-optimisation cost model, kept as the
   benchmark baseline (``benchmarks/bench_saps.py``), as the cross-check
@@ -60,10 +63,7 @@ from .delta import (
     apply_swap,
     cost_rows,
     path_cost,
-    reverse_delta,
-    reverse_diff_matrix,
-    rotate_delta,
-    swap_delta,
+    reverse_diff_rows,
 )
 from .taps import _as_matrix
 
@@ -279,11 +279,6 @@ def _initial_path(
     return np.array(path, dtype=np.int64)
 
 
-def _path_cost(cost: np.ndarray, path) -> float:
-    """``d(P) = sum -log w`` along consecutive pairs (vectorised)."""
-    return path_cost(cost, path)
-
-
 # ---------------------------------------------------------------------------
 # Restart task (module-level so every execution backend can dispatch it)
 # ---------------------------------------------------------------------------
@@ -312,16 +307,14 @@ class _RestartShared:
         self._tables = None
 
     def tables(self):
-        """(rows, diff, diff_matrix) for the incremental kernel.
+        """(rows, diff) for the incremental kernel.
 
         Built on first use; the single-attribute assignment keeps the
         lazy initialisation safe under concurrent restart threads.
         """
         tables = self._tables
         if tables is None:
-            diff_matrix = reverse_diff_matrix(self.cost)
-            tables = (cost_rows(self.cost), diff_matrix.tolist(),
-                      diff_matrix)
+            tables = (cost_rows(self.cost), reverse_diff_rows(self.cost))
             self._tables = tables
         return tables
 
@@ -355,9 +348,9 @@ def _run_restart(task) -> Tuple[float, List[int], int, int]:
     if shared.kernel == "reference":
         return _anneal_reference(shared.cost, initial, shared.iterations,
                                  config, stream)
-    rows, diff, diff_matrix = shared.tables()
-    return _anneal_incremental(shared.cost, rows, diff, diff_matrix,
-                               initial, shared.iterations, config, stream)
+    rows, diff = shared.tables()
+    return _anneal_incremental(shared.cost, rows, diff, initial,
+                               shared.iterations, config, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +361,6 @@ def _anneal_incremental(
     cost: np.ndarray,
     rows: List[List[float]],
     diff: List[List[float]],
-    diff_matrix: np.ndarray,
     initial: np.ndarray,
     iterations: int,
     config: SAPSConfig,
@@ -376,90 +368,195 @@ def _anneal_incremental(
 ) -> Tuple[float, List[int], int, int]:
     """One restart with incremental move evaluation (the hot path).
 
-    The path lives in a Python list (scalar list-of-lists lookups beat
-    ``ndarray[a, b]`` severalfold in this loop); proposals cost
-    O(1)-O(k) boundary-edge lookups via :mod:`repro.inference.delta`;
-    accepted moves mutate the path in place; random draws come in
-    pre-fetched blocks (bit-identical to the reference kernel's scalar
-    draws).  Requires every off-diagonal cost to be finite — the caller
-    guarantees it.
+    The path is a Python list (scalar list-of-lists lookups beat
+    ``ndarray[a, b]`` severalfold here) kept beside two edge lists:
+    ``forward[i] = diff[p_i][p_{i+1}]``, the change in ``d(P)`` from
+    flipping edge ``i``, and its mirror ``backward[i] = -forward[i]``.
+    Rotate and RandomSwap cost O(1) boundary lookups; a Reverse's
+    internal change is a C-level ``sum`` over a slice of ``forward``.
+    The deltas are those of :mod:`repro.inference.delta`, inlined.
+    Move indices are decoded per block of draws with the reference
+    kernel's float products and truncation, so they are identical.
+    Requires every off-diagonal cost to be finite (the caller checks).
     """
     n = len(initial)
     path: List[int] = [int(v) for v in initial]
+    forward = [diff[a][b] for a, b in zip(path, path[1:])]
+    backward = [diff[b][a] for a, b in zip(path, path[1:])]
     current = path_cost(cost, path)
     best_cost = current
-    best_path = list(path)
+    best_path = path[:]
     accepted = 0
-    since_resync = 0
     temperature = config.temperature
     cooling = config.cooling_rate
     resync_every = config.resync_every
     debug = config.debug_checks
     exp = math.exp
 
-    def after_accept(delta: float) -> None:
-        nonlocal current, best_cost, best_path, accepted, since_resync
-        current += delta
-        accepted += 1
-        since_resync += 1
-        if debug:
-            resummed = path_cost(cost, path)
-            assert abs(resummed - current) <= 1e-9 * max(1.0, abs(resummed)), (
-                f"incremental cost drifted: running={current!r} "
-                f"recomputed={resummed!r}"
-            )
-        if since_resync >= resync_every:
-            current = path_cost(cost, path)
-            since_resync = 0
-        if current < best_cost:
-            best_cost = current
-            best_path = list(path)
-
     done = 0
     while done < iterations:
         todo = min(iterations - done, _RNG_BLOCK)
         done += todo
+        block = stream.random(_DRAWS_PER_ITERATION * todo).reshape(
+            todo, _DRAWS_PER_ITERATION)
+        # Every array op below runs over one column of at most 256
+        # values: numpy drops the GIL on loops over 500 elements, and
+        # each drop hands it to a concurrent request's thread (measured
+        # 1.7-2x slower with two concurrent searches on 2 vCPUs).
+        rot_first, rot_last = _slice_bounds(block[:, 0], block[:, 1], n)
+        rot_middle = rot_first + 1 + (
+            block[:, 2] * (rot_last - rot_first - 1)).astype(np.int64)
+        rev_first, rev_last = _slice_bounds(block[:, 4], block[:, 5], n)
+        # A swap is symmetric in (i, j); order them once here.
+        swap_a = (block[:, 7] * n).astype(np.int64)
+        swap_b = (block[:, 8] * n).astype(np.int64)
+        swap_i = np.minimum(swap_a, swap_b)
+        swap_j = np.maximum(swap_a, swap_b)
         # .tolist(): scalar reads from a Python list are ~3x cheaper
-        # than ndarray item access, and this loop reads 10 per iteration.
-        block = stream.random(_DRAWS_PER_ITERATION * todo).tolist()
-        c = 0
-        for _ in range(todo):
-            # Rotate(first, middle, last)
-            first = int(block[c] * (n - 1))
-            last = first + 2 + int(block[c + 1] * (n - first - 1))
-            middle = first + 1 + int(block[c + 2] * (last - first - 1))
-            u = block[c + 3]
-            c += 4
-            delta = rotate_delta(rows, path, first, middle, last)
+        # than ndarray item access.
+        for (first, middle, last, u, rfirst, rlast, v, i, j, w) in zip(
+                rot_first.tolist(), rot_middle.tolist(), rot_last.tolist(),
+                block[:, 3].tolist(), rev_first.tolist(), rev_last.tolist(),
+                block[:, 6].tolist(), swap_i.tolist(), swap_j.tolist(),
+                block[:, 9].tolist()):
+            # Rotate(first, middle, last): P[first:last] becomes
+            # P[middle:last] + P[first:middle].
+            a = path[first]
+            b = path[middle - 1]
+            m = path[middle]
+            e = path[last - 1]
+            delta = rows[e][a] - rows[b][m]
+            if first > 0:
+                p = path[first - 1]
+                delta += rows[p][m] - rows[p][a]
+            if last < n:
+                q = path[last]
+                delta += rows[b][q] - rows[e][q]
             if delta < 0.0 or u < exp(-delta / temperature):
                 path[first:last] = path[middle:last] + path[first:middle]
-                after_accept(delta)
+                forward[first:last - 1] = (forward[middle:last - 1]
+                                           + [diff[e][a]]
+                                           + forward[first:middle - 1])
+                backward[first:last - 1] = (backward[middle:last - 1]
+                                            + [diff[a][e]]
+                                            + backward[first:middle - 1])
+                if first > 0:
+                    forward[first - 1] = diff[p][m]
+                    backward[first - 1] = diff[m][p]
+                if last < n:
+                    forward[last - 1] = diff[b][q]
+                    backward[last - 1] = diff[q][b]
+                current += delta
+                accepted += 1
+                if debug:
+                    _check_running(cost, diff, path, forward, backward,
+                                   current)
+                if accepted % resync_every == 0:
+                    current = path_cost(cost, path)
+                if current < best_cost:
+                    best_cost, best_path = current, path[:]
 
-            # Reverse(first, last)
-            first = int(block[c] * (n - 1))
-            last = first + 2 + int(block[c + 1] * (n - first - 1))
-            u = block[c + 2]
-            c += 3
-            delta = reverse_delta(rows, diff, path, first, last,
-                                  diff_matrix=diff_matrix)
-            if delta < 0.0 or u < exp(-delta / temperature):
+            # Reverse(first, last): every internal edge flips.
+            first, last = rfirst, rlast
+            a = path[first]
+            e = path[last - 1]
+            delta = sum(forward[first:last - 1])
+            if first > 0:
+                p = path[first - 1]
+                delta += rows[p][e] - rows[p][a]
+            if last < n:
+                q = path[last]
+                delta += rows[a][q] - rows[e][q]
+            if delta < 0.0 or v < exp(-delta / temperature):
                 path[first:last] = path[first:last][::-1]
-                after_accept(delta)
+                forward[first:last - 1], backward[first:last - 1] = (
+                    backward[first:last - 1][::-1],
+                    forward[first:last - 1][::-1])
+                if first > 0:
+                    forward[first - 1] = diff[p][e]
+                    backward[first - 1] = diff[e][p]
+                if last < n:
+                    forward[last - 1] = diff[a][q]
+                    backward[last - 1] = diff[q][a]
+                current += delta
+                accepted += 1
+                if debug:
+                    _check_running(cost, diff, path, forward, backward,
+                                   current)
+                if accepted % resync_every == 0:
+                    current = path_cost(cost, path)
+                if current < best_cost:
+                    best_cost, best_path = current, path[:]
 
-            # RandomSwap(i, j)
-            i = int(block[c] * n)
-            j = int(block[c + 1] * n)
-            u = block[c + 2]
-            c += 3
-            delta = swap_delta(rows, path, i, j)
-            if delta < 0.0 or u < exp(-delta / temperature):
-                path[i], path[j] = path[j], path[i]
-                after_accept(delta)
+            # RandomSwap(i, j), i <= j: at most four edges change.
+            delta = 0.0
+            if i != j:
+                a = path[i]
+                b = path[j]
+                if j == i + 1:
+                    delta = rows[b][a] - rows[a][b]
+                if i > 0:
+                    p = path[i - 1]
+                    delta += rows[p][b] - rows[p][a]
+                if j > i + 1:
+                    s = path[i + 1]
+                    delta += rows[b][s] - rows[a][s]
+                    t = path[j - 1]
+                    delta += rows[t][a] - rows[t][b]
+                if j < n - 1:
+                    q = path[j + 1]
+                    delta += rows[a][q] - rows[b][q]
+            if delta < 0.0 or w < exp(-delta / temperature):
+                if i != j:
+                    path[i], path[j] = path[j], path[i]
+                    for k in (i - 1, i, j - 1, j):
+                        if 0 <= k < n - 1:
+                            forward[k] = diff[path[k]][path[k + 1]]
+                            backward[k] = diff[path[k + 1]][path[k]]
+                current += delta
+                accepted += 1
+                if debug:
+                    _check_running(cost, diff, path, forward, backward,
+                                   current)
+                if accepted % resync_every == 0:
+                    current = path_cost(cost, path)
+                if current < best_cost:
+                    best_cost, best_path = current, path[:]
 
             temperature *= cooling
             if temperature < 1e-300:
                 temperature = 1e-300
     return best_cost, best_path, accepted, 3 * iterations
+
+
+def _slice_bounds(
+    first_draws: np.ndarray, last_draws: np.ndarray, n: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`_two_indices` for a block of draws: the same float
+    products and truncation, so the bounds are identical."""
+    first = (first_draws * (n - 1)).astype(np.int64)
+    return first, first + 2 + (last_draws * (n - first - 1)).astype(np.int64)
+
+
+def _check_running(
+    cost: np.ndarray,
+    diff: List[List[float]],
+    path: List[int],
+    forward: List[float],
+    backward: List[float],
+    current: float,
+) -> None:
+    """``debug_checks``: the running cost matches a full re-sum and both
+    edge lists match ``diff`` along the path."""
+    resummed = path_cost(cost, path)
+    assert abs(resummed - current) <= 1e-9 * max(1.0, abs(resummed)), (
+        f"incremental cost drifted: running={current!r} "
+        f"recomputed={resummed!r}"
+    )
+    assert forward == [diff[a][b] for a, b in zip(path, path[1:])], \
+        "forward edge list out of sync with the path"
+    assert backward == [diff[b][a] for a, b in zip(path, path[1:])], \
+        "backward edge list out of sync with the path"
 
 
 def _anneal_reference(

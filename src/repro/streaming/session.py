@@ -370,11 +370,21 @@ def session_config_from_payload(
         ) from None
 
 
+_INT64_MIN, _INT64_MAX = -(2 ** 63), 2 ** 63 - 1
+
+
 def votes_from_payload(
     payload: object, source: str = "<payload>"
 ) -> List[Vote]:
     """Decode a votes array: ``[worker, winner, loser]`` triples (or
-    equivalent objects with those keys)."""
+    equivalent objects with those keys).
+
+    Every id must be a JSON integer within int64 (no floats, bools or
+    strings) and no vote may compare an object with itself; anything
+    else is a :class:`DataFormatError`, never a silent ``int()``
+    truncation.  Object ids are checked against the session's
+    ``n_objects`` on ingest.
+    """
     if not isinstance(payload, list):
         raise DataFormatError(
             f"{source}: votes must be a JSON array"
@@ -383,19 +393,28 @@ def votes_from_payload(
     for index, item in enumerate(payload):
         try:
             if isinstance(item, dict):
-                vote = Vote(worker=int(item["worker"]),
-                            winner=int(item["winner"]),
-                            loser=int(item["loser"]))
+                fields = (item["worker"], item["winner"], item["loser"])
             else:
                 worker, winner, loser = item
-                vote = Vote(worker=int(worker), winner=int(winner),
-                            loser=int(loser))
-        except (KeyError, ValueError, TypeError,
-                ConfigurationError) as error:
+                fields = (worker, winner, loser)
+        except (KeyError, ValueError, TypeError) as error:
             raise DataFormatError(
                 f"{source}: votes[{index}] malformed ({error})"
             ) from None
-        votes.append(vote)
+        for value in fields:
+            # An exact type check: bool is an int subclass.
+            if type(value) is not int or \
+                    not _INT64_MIN <= value <= _INT64_MAX:
+                raise DataFormatError(
+                    f"{source}: votes[{index}] ids must be integers "
+                    f"within int64, got {value!r}"
+                )
+        try:
+            votes.append(Vote(*fields))
+        except ConfigurationError as error:
+            raise DataFormatError(
+                f"{source}: votes[{index}] malformed ({error})"
+            ) from None
     return votes
 
 

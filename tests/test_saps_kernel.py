@@ -5,15 +5,26 @@ in-place moves, pre-fetched RNG blocks) is *observationally identical*
 to the reference kernel (full re-sum per proposal, scalar RNG draws)
 for any seed — same accepted moves, same best ranking, same cost to
 float precision — while being several times faster (benchmarked by
-``benchmarks/bench_saps.py``, not here).
+``benchmarks/bench_saps.py``, not here).  ``TestGoldenReports`` pins
+the kernel's answers on Steps 1-3 closures to recorded values, so a
+kernel rewrite cannot drift from the answers of the kernel it replaces.
+
+Costs are compared to 1e-9, never exactly: from Python 3.12 ``sum()``
+of floats is compensated, so the kernel's Reverse sums may differ in
+the last bits between interpreter versions.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.config import SAPSConfig
+from repro.adaptive import _interim_closure
+from repro.config import PipelineConfig, SAPSConfig
 from repro.exceptions import ConfigurationError, InferenceError
 from repro.inference.delta import (
     apply_reverse,
@@ -27,8 +38,17 @@ from repro.inference.delta import (
     rotate_delta,
     swap_delta,
 )
-from repro.inference.saps import saps_search, saps_search_report
+from repro.inference.saps import (
+    _check_running,
+    saps_search,
+    saps_search_report,
+)
+from repro.types import VoteSet
 from repro.workers import parallel_map
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "saps_golden.json").read_text()
+)
 
 
 def random_closure(n, seed):
@@ -40,6 +60,39 @@ def random_closure(n, seed):
             matrix[i, j] = p
             matrix[j, i] = 1.0 - p
     return matrix
+
+
+def synthetic_votes(n, seed, ratio=0.3, n_workers=20, per_task=5):
+    """A seeded crowd: ``ratio`` of all pairs (plus a random Hamiltonian
+    path, so the comparison graph is connected), ``per_task`` workers
+    each, worker quality ~ U(0.6, 0.95)."""
+    rng = np.random.default_rng(seed)
+    truth = rng.permutation(n)
+    position = np.empty(n, dtype=np.int64)
+    position[truth] = np.arange(n)
+    quality = rng.uniform(0.6, 0.95, n_workers)
+    lo, hi = np.triu_indices(n, 1)
+    keep = rng.random(len(lo)) < ratio
+    path = rng.permutation(n)
+    a = np.minimum(path[:-1], path[1:])
+    b = np.maximum(path[:-1], path[1:])
+    keep[(a * (2 * n - a - 1)) // 2 + b - a - 1] = True
+    lo, hi = lo[keep], hi[keep]
+    workers = np.argsort(rng.random((len(lo), n_workers)),
+                         axis=1)[:, :per_task]
+    correct = rng.random((len(lo), per_task)) < quality[workers]
+    better = np.where(position[lo] < position[hi], lo, hi)[:, None]
+    worse = (lo + hi)[:, None] - better
+    return VoteSet.from_columns(
+        n, workers.ravel(), np.where(correct, better, worse).ravel(),
+        np.where(correct, worse, better).ravel(),
+    )
+
+
+def steps_1_to_3(votes, seed):
+    """The complete closure the default pipeline hands to Step 4."""
+    return _interim_closure(votes.n_objects, list(votes.votes),
+                            PipelineConfig(), np.random.default_rng(seed))
 
 
 def random_cost(n, seed):
@@ -84,21 +137,48 @@ class TestDeltas:
             assert delta == pytest.approx(path_cost(cost, path) - before,
                                           abs=1e-9)
 
-    def test_reverse_delta_vectorised_path_agrees(self):
-        """Above the segment-length threshold the numpy gather must give
-        the same delta as the scalar loop."""
+    def test_edge_list_slice_sum_is_reverse_delta(self):
+        """The kernel prices a Reverse as a slice sum over the edge list
+        ``diff[p_i][p_{i+1}]`` plus the two boundary swaps; on long
+        segments that must equal :func:`reverse_delta` and the re-sum."""
         n = 300
         cost = random_cost(n, seed=0)
         rows = cost_rows(cost)
-        diff_matrix = reverse_diff_matrix(cost)
-        diff = diff_matrix.tolist()
+        diff = reverse_diff_rows(cost)
         rng = np.random.default_rng(1)
-        path = list(rng.permutation(n))
-        for first, last in [(0, n), (3, n - 2), (10, 280)]:
-            scalar = reverse_delta(rows, diff, path, first, last)
-            vector = reverse_delta(rows, diff, path, first, last,
-                                   diff_matrix=diff_matrix)
-            assert vector == pytest.approx(scalar, abs=1e-9)
+        path = [int(v) for v in rng.permutation(n)]
+        forward = [diff[a][b] for a, b in zip(path, path[1:])]
+        mirror = [diff[b][a] for a, b in zip(path, path[1:])]
+        assert mirror == [-value for value in forward]
+        for first, last in [(0, n), (3, n - 2), (10, 280), (150, 152)]:
+            sliced = sum(forward[first:last - 1])
+            if first > 0:
+                p = path[first - 1]
+                sliced += rows[p][path[last - 1]] - rows[p][path[first]]
+            if last < n:
+                q = path[last]
+                sliced += rows[path[first]][q] - rows[path[last - 1]][q]
+            assert sliced == pytest.approx(
+                reverse_delta(rows, diff, path, first, last), abs=1e-9)
+            moved = list(path)
+            apply_reverse(moved, first, last)
+            assert sliced == pytest.approx(
+                path_cost(cost, moved) - path_cost(cost, path), abs=1e-9)
+
+    def test_debug_check_catches_stale_edge_list(self):
+        cost = random_cost(6, seed=4)
+        diff = reverse_diff_rows(cost)
+        path = [3, 0, 5, 1, 4, 2]
+        forward = [diff[a][b] for a, b in zip(path, path[1:])]
+        mirror = [diff[b][a] for a, b in zip(path, path[1:])]
+        current = path_cost(cost, path)
+        _check_running(cost, diff, path, forward, mirror, current)
+        with pytest.raises(AssertionError, match="edge list"):
+            _check_running(cost, diff, path, forward[::-1], mirror, current)
+        with pytest.raises(AssertionError, match="edge list"):
+            _check_running(cost, diff, path, forward, mirror[::-1], current)
+        with pytest.raises(AssertionError, match="drifted"):
+            _check_running(cost, diff, path, forward, mirror, current + 1.0)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 10, 30])
     def test_swap_delta_matches_resum(self, n):
@@ -157,6 +237,36 @@ class TestKernelEquivalence:
         )
         assert report.proposed_moves == 600 * 3
 
+    def test_long_reverses_keep_edge_lists_in_sync(self):
+        """n=300 proposes Reverses over hundreds of edges; ``debug_checks``
+        asserts the edge lists against ``diff`` after every accept."""
+        matrix = random_closure(300, seed=8)
+        config = dict(iterations=300, restarts=1, scale_with_objects=False)
+        inc = saps_search_report(
+            matrix, SAPSConfig(**config, debug_checks=True), rng=2)
+        ref = saps_search_report(
+            matrix, SAPSConfig(**config, kernel="reference"), rng=2)
+        assert inc.ranking == ref.ranking
+        assert inc.accepted_moves == ref.accepted_moves > 0
+        assert inc.log_preference == pytest.approx(ref.log_preference,
+                                                   abs=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+           closure_seed=st.integers(0, 2**16))
+    def test_kernels_agree_on_random_closures(self, n, seed, closure_seed):
+        matrix = random_closure(n, seed=closure_seed)
+        base = dict(iterations=150, restarts=2, resync_every=37)
+        inc = saps_search_report(
+            matrix, SAPSConfig(**base, debug_checks=True), rng=seed)
+        ref = saps_search_report(
+            matrix, SAPSConfig(**base, kernel="reference"), rng=seed)
+        assert inc.ranking == ref.ranking
+        assert inc.accepted_moves == ref.accepted_moves
+        assert inc.proposed_moves == ref.proposed_moves
+        assert inc.log_preference == pytest.approx(ref.log_preference,
+                                                   abs=1e-9)
+
     def test_incomplete_closure_falls_back_to_reference(self):
         """Any missing edge forces the reference kernel (inf-safe); the
         result must match an explicit reference run exactly."""
@@ -177,6 +287,34 @@ class TestKernelEquivalence:
         matrix[0, 1] = 0.9
         with pytest.raises(InferenceError):
             saps_search(matrix, SAPSConfig(iterations=50, restarts=1), rng=0)
+
+
+class TestGoldenReports:
+    """Default-config SAPS on Steps 1-3 closures of seeded crowds.
+
+    The recorded reports (``data/saps_golden.json``) came from the
+    incremental kernel before its edge-list rewrite; rankings and move
+    counts must match exactly, the objective to 1e-9.
+    """
+
+    @pytest.mark.parametrize("golden", GOLDEN,
+                             ids=[f"n{g['n']}" for g in GOLDEN])
+    def test_report_matches_recorded(self, golden):
+        n = golden["n"]
+        closure = steps_1_to_3(synthetic_votes(n, seed=n), seed=n)
+        report = saps_search_report(closure, SAPSConfig(), rng=n + 1)
+        assert list(report.ranking.order) == golden["ranking"]
+        assert report.accepted_moves == golden["accepted_moves"]
+        assert report.proposed_moves == golden["proposed_moves"]
+        assert report.log_preference == pytest.approx(
+            golden["log_preference"], abs=1e-9)
+
+    def test_closures_are_complete(self):
+        """Steps 1-3 closures take the incremental kernel, not the
+        reference fallback for incomplete graphs."""
+        closure = steps_1_to_3(synthetic_votes(16, seed=16), seed=16)
+        off_diagonal = ~np.eye(16, dtype=bool)
+        assert (closure[off_diagonal] > 0.0).all()
 
 
 class TestParallelRestarts:

@@ -166,6 +166,25 @@ class TestSessionErrors:
         status, _ = _request(url, "POST", {"votes": [[0, 0, 9]]})
         assert status == 400
 
+    @pytest.mark.parametrize("votes", [
+        [[0, 1.7, 2]],
+        [["3", True, 0.2]],
+        [{"worker": 1e0, "winner": "4", "loser": False}],
+        [[0, 1, 1]],
+    ])
+    def test_non_integer_vote_ids_400(self, server, client, votes):
+        """Floats, bools and strings are rejected, not truncated into
+        a vote on the wrong objects, and nothing is ingested."""
+        view = client.create_session(5)
+        url = f"{server.url}/v1/sessions/{view['session_id']}/votes"
+        status, decoded = _request(url, "POST", {"votes": votes})
+        assert status == 400
+        assert "error" in decoded
+        status, ranking = _request(
+            f"{server.url}/v1/sessions/{view['session_id']}/ranking", "GET")
+        assert status == 200
+        assert ranking == view
+
 
 class TestDrainWaitsForSessions:
     def test_stop_reports_clean_drain(self, votes):

@@ -259,6 +259,27 @@ class TestPayloadCodecs:
         with pytest.raises(DataFormatError):
             votes_from_payload(payload)
 
+    @pytest.mark.parametrize("payload", [
+        [[0, 1.7, 2]],                                    # was winner 1
+        [["3", True, 0.2]],                               # was Vote(3, 1, 0)
+        [{"worker": 1e0, "winner": "4", "loser": False}],  # was Vote(1, 4, 0)
+        [[0, 2.0, 1]],                                    # integral float
+        [[True, 0, 1]],                                   # bool worker
+        [[0, 1, 2 ** 63]],                                # beyond int64
+        [[1, 2, 2]],                                      # self-comparison
+        [[0, 1, 2], [0, 1, None]],                        # later row bad
+        ["abc"],                                          # unpacks to chars
+    ])
+    def test_votes_from_payload_never_truncates(self, payload):
+        """Ids are JSON integers only: no ``int()`` coercion of floats,
+        bools or numeric strings."""
+        with pytest.raises(DataFormatError):
+            votes_from_payload(payload)
+
+    def test_votes_from_payload_int64_bounds(self):
+        votes = votes_from_payload([[2 ** 63 - 1, 0, 1], [-(2 ** 63), 1, 0]])
+        assert [v.worker for v in votes] == [2 ** 63 - 1, -(2 ** 63)]
+
     def test_session_config_defaults_and_overrides(self):
         assert session_config_from_payload(None) == SessionConfig()
         config = session_config_from_payload({
