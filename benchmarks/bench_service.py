@@ -28,7 +28,8 @@ no timing thresholds, nothing written): a 2-process group must return
 bit-identical results to the serial oracle, and a result computed by
 one server process must be served from the shared spill cache by a
 *different* process (a fresh single-child generation over the same
-cache directory).
+cache directory), with a response body equal to the cold one except
+for ``attempts``, ``from_cache`` and ``seconds``.
 
 Not collected by pytest (no ``test_`` prefix) — run directly:
 
@@ -46,6 +47,7 @@ import socket
 import tempfile
 import threading
 import time
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -58,6 +60,7 @@ from repro.service import (
     RankingJob,
     ResultCache,
     ScenarioSpec,
+    job_to_payload,
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -193,6 +196,31 @@ def bench_closed_loop(
         o.job_id: list(o.result.ranking.order) for o, _ in results
     }
     return summary, rankings
+
+
+def rank_bodies(url: str,
+                jobs: List[RankingJob]) -> Dict[str, Dict[str, object]]:
+    """Each job's decoded ``/v1/rank`` response body, one at a time."""
+    bodies = {}
+    for job in jobs:
+        request = urllib.request.Request(
+            url + "/v1/rank", method="POST",
+            data=json.dumps(job_to_payload(job)).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        with urllib.request.urlopen(request, timeout=300.0) as response:
+            bodies[job.job_id] = json.loads(response.read())
+    return bodies
+
+
+#: Response members that legitimately differ between a cold answer and
+#: a cache hit of the same job.
+PER_REQUEST_MEMBERS = ("attempts", "from_cache", "seconds")
+
+
+def _answer(body: Dict[str, object]) -> Dict[str, object]:
+    return {key: value for key, value in body.items()
+            if key not in PER_REQUEST_MEMBERS}
 
 
 def bench_open_loop(
@@ -342,7 +370,8 @@ def run_smoke() -> int:
     3. A *fresh* single-child generation over the same cache directory
        serves every job ``from_cache`` — the serving process never
        computed them, so the hits crossed a process boundary through
-       the shared spill tier.
+       the shared spill tier — and each body equals the cold one
+       except for :data:`PER_REQUEST_MEMBERS`.
     """
     if not HAVE_REUSEPORT:
         print("smoke: skipped (platform lacks SO_REUSEPORT)")
@@ -355,7 +384,8 @@ def run_smoke() -> int:
             processes=2, workers=1, clients=2, cache_dir=cache_dir))
         supervisor.start()
         try:
-            _, first = bench_closed_loop(supervisor.url, jobs, clients=2)
+            cold = rank_bodies(supervisor.url, jobs)
+            first = {job_id: body["ranking"] for job_id, body in cold.items()}
             if first != oracle:
                 print("smoke: FAIL — 2-process results diverged from "
                       "the serial oracle")
@@ -380,19 +410,25 @@ def run_smoke() -> int:
             processes=1, workers=1, clients=2, cache_dir=cache_dir))
         generation.start()
         try:
-            summary, rankings = bench_closed_loop(
-                generation.url, jobs, clients=2)
+            shared = rank_bodies(generation.url, jobs)
         finally:
             if not generation.stop():
                 print("smoke: FAIL — fresh generation did not drain "
                       "cleanly")
                 return 1
-        if rankings != oracle or summary["from_cache"] != len(jobs):
+        hits = sum(1 for body in shared.values() if body["from_cache"])
+        if hits != len(jobs):
             print("smoke: FAIL — fresh generation recomputed "
-                  f"({summary['from_cache']}/{len(jobs)} from cache)")
+                  f"({hits}/{len(jobs)} from cache)")
+            return 1
+        differing = [job_id for job_id in cold
+                     if _answer(shared[job_id]) != _answer(cold[job_id])]
+        if differing:
+            print("smoke: FAIL — shared-spill hits differ from the cold "
+                  f"answers beyond {PER_REQUEST_MEMBERS}: {differing}")
             return 1
         print("smoke: fresh process generation served every job from "
-              "the shared spill cache")
+              "the shared spill cache, bodies equal to the cold answers")
     print("smoke: multi-process serving contract OK")
     return 0
 

@@ -511,6 +511,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import threading
 
     from .server import RankingServer, ServerConfig
+    from .server.app import freeze_startup_heap
 
     config = ServerConfig(
         host=args.host,
@@ -539,6 +540,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return _serve_prefork(config, stop)
     server = RankingServer(config)
     server.start()
+    freeze_startup_heap()
     # Operational one-liner on stderr (stdout stays clean/machine-free);
     # `repro serve --port 0` consumers parse this line for the real port.
     print(f"serving on {server.url} "

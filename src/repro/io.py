@@ -19,7 +19,10 @@ library upgrades:
 The payload codecs (:func:`result_to_payload` / :func:`result_from_payload`)
 are exposed separately from the file helpers so that other transports —
 the batch service's JSONL streams and its on-disk result cache — reuse
-the exact same versioned schema.
+the exact same versioned schema.  :class:`EncodedResult` pairs a result
+with its canonical JSON encoding (compact, sorted keys), so a result the
+service caches or sends is encoded once and then spliced into larger
+documents by :func:`splice_json` without being decoded again.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Dict, Union
+from typing import Dict, Optional, Union
 
 from .exceptions import ConfigurationError, DataFormatError
 from .types import InferenceResult, Ranking
@@ -50,14 +53,24 @@ def atomic_write_text(path: Union[str, Path], text: str) -> None:
     failure, so crashes never leave partial writes under the final
     name.
     """
+    _write_atomically(path, text, "w")
+
+
+def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
+    """The bytes form of :func:`atomic_write_text`."""
+    _write_atomically(path, data, "wb")
+
+
+def _write_atomically(path: Union[str, Path], data: Union[str, bytes],
+                      mode: str) -> None:
     path = Path(path)
     handle = tempfile.NamedTemporaryFile(
-        mode="w", dir=str(path.parent), prefix=f".{path.name}.",
+        mode=mode, dir=str(path.parent), prefix=f".{path.name}.",
         suffix=".tmp", delete=False,
     )
     try:
         with handle:
-            handle.write(text)
+            handle.write(data)
             handle.flush()
         os.replace(handle.name, path)
     except BaseException:
@@ -66,6 +79,14 @@ def atomic_write_text(path: Union[str, Path], text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def json_scalars(mapping: Dict[str, object]) -> Dict[str, object]:
+    """The members of ``mapping`` whose values are JSON scalars."""
+    return {
+        key: value for key, value in mapping.items()
+        if isinstance(value, (int, float, str, bool, type(None)))
+    }
 
 
 def result_to_payload(result: InferenceResult) -> Dict[str, object]:
@@ -83,10 +104,7 @@ def result_to_payload(result: InferenceResult) -> Dict[str, object]:
             for (i, j), value in sorted(result.direct_preferences.items())
         },
         "step_seconds": dict(result.step_seconds),
-        "metadata": {
-            key: value for key, value in result.metadata.items()
-            if isinstance(value, (int, float, str, bool, type(None)))
-        },
+        "metadata": json_scalars(result.metadata),
     }
 
 
@@ -137,6 +155,87 @@ def result_from_payload(
         )
     except (KeyError, ValueError, TypeError, ConfigurationError) as error:
         raise DataFormatError(f"{source}: malformed field ({error})") from None
+
+
+class EncodedResult:
+    """An inference result together with its canonical JSON encoding.
+
+    ``result_json`` is ``json.dumps(result_to_payload(result),
+    sort_keys=True)`` as UTF-8 bytes and ``ranking_json`` the encoding
+    of ``list(result.ranking.order)``: the two sub-documents of a
+    ``repro.job_result/1`` line, ready for :func:`splice_json`.  Built
+    from a result, each encoding is computed on first use; built from
+    the two encodings, the result is decoded on first use.  Either way
+    each side is computed at most once per instance.
+    """
+
+    __slots__ = ("_result", "_result_json", "_ranking_json")
+
+    def __init__(
+        self,
+        result: Optional[InferenceResult] = None,
+        *,
+        result_json: Optional[bytes] = None,
+        ranking_json: Optional[bytes] = None,
+    ):
+        if result is None and (result_json is None or ranking_json is None):
+            raise ConfigurationError(
+                "EncodedResult needs a result or both of its encodings"
+            )
+        self._result = result
+        self._result_json = result_json
+        self._ranking_json = ranking_json
+
+    @property
+    def result(self) -> InferenceResult:
+        """The decoded result (decoded from ``result_json`` if needed)."""
+        if self._result is None:
+            self._result = result_from_payload(
+                json.loads(self._result_json), source="<encoded result>"
+            )
+        return self._result
+
+    @property
+    def result_json(self) -> bytes:
+        """The canonical encoding of :func:`result_to_payload`."""
+        if self._result_json is None:
+            self._result_json = json.dumps(
+                result_to_payload(self._result), sort_keys=True
+            ).encode("utf-8")
+        return self._result_json
+
+    @property
+    def ranking_json(self) -> bytes:
+        """The encoding of the ranking as a JSON list of object ids."""
+        if self._ranking_json is None:
+            self._ranking_json = json.dumps(
+                list(self._result.ranking.order)
+            ).encode("utf-8")
+        return self._ranking_json
+
+
+def splice_json(payload: Dict[str, object],
+                encoded: Dict[str, bytes]) -> bytes:
+    """Encode an object whose members are partly already-encoded JSON.
+
+    Returns the UTF-8 bytes of ``json.dumps(merged, sort_keys=True)``,
+    where ``merged`` holds ``payload``'s values plus ``encoded``'s
+    values as the documents they encode (each written the way
+    ``json.dumps(value, sort_keys=True)`` would write it).  The object
+    is assembled member by member in sorted key order with ``json``'s
+    default separators, so the pre-encoded members are copied verbatim
+    at their sorted positions: nothing is searched or substituted, and
+    no key or value can shift where a splice lands.
+    """
+    members = {
+        key: json.dumps(value, sort_keys=True).encode("utf-8")
+        for key, value in payload.items()
+    }
+    members.update(encoded)
+    return b"{" + b", ".join(
+        json.dumps(key).encode("utf-8") + b": " + members[key]
+        for key in sorted(members)
+    ) + b"}"
 
 
 def save_payload(payload: Dict[str, object], path: Union[str, Path]) -> None:

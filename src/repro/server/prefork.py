@@ -54,7 +54,7 @@ from typing import Callable, Dict, List, Optional
 from ..diagnostics import get_logger
 from ..exceptions import ConfigurationError, WorkerCrashedError
 from ..workers.backends import get_mp_context
-from .app import RankingServer, ServerConfig
+from .app import RankingServer, ServerConfig, freeze_startup_heap
 
 _log = get_logger("server.prefork")
 
@@ -68,7 +68,9 @@ def _child_main(config: ServerConfig, ready_event) -> None:
     """Entry point of one serving child (module-level for spawn).
 
     Runs a complete :class:`RankingServer` on the group's shared port
-    and blocks until SIGTERM, then drains and exits — code 0 when
+    (its startup heap frozen out of the GC, see
+    :func:`~repro.server.app.freeze_startup_heap`) and blocks until
+    SIGTERM, then drains and exits — code 0 when
     everything in flight finished inside the grace period, 3 when the
     drain timed out.  SIGINT is ignored: an interactive Ctrl-C reaches
     the whole foreground process group, and the supervisor (not the
@@ -79,6 +81,7 @@ def _child_main(config: ServerConfig, ready_event) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     server = RankingServer(config)
     server.start()
+    freeze_startup_heap()
     ready_event.set()
     stop.wait()
     drained = server.stop()

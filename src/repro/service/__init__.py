@@ -23,7 +23,7 @@ The CLI exposes the same machinery as ``repro batch`` (JSONL in,
 JSONL out); see :mod:`repro.service.jobs` for the line formats.
 """
 
-from .cache import ResultCache, fingerprint_job
+from .cache import CACHE_ENTRY_SCHEMA, CacheEntry, ResultCache, fingerprint_job
 from .executor import BatchExecutor, BatchReport, JobTimeoutError, run_batch
 from .shared_cache import HAVE_FCNTL, FileLock, SpillIndex
 from .jobs import (
@@ -35,6 +35,7 @@ from .jobs import (
     RankingJob,
     ScenarioSpec,
     dump_results_jsonl,
+    encode_job_result,
     iter_jobs_jsonl,
     job_from_payload,
     job_result_from_payload,
@@ -55,10 +56,12 @@ from .retry import (
 
 __all__ = [
     "BATCH_METRICS_SCHEMA",
+    "CACHE_ENTRY_SCHEMA",
     "JOB_RESULT_SCHEMA",
     "JOB_SCHEMA",
     "BatchExecutor",
     "BatchReport",
+    "CacheEntry",
     "FileLock",
     "HAVE_FCNTL",
     "JobResult",
@@ -78,6 +81,7 @@ __all__ = [
     "call_with_retry",
     "default_is_transient",
     "dump_results_jsonl",
+    "encode_job_result",
     "fingerprint_job",
     "iter_jobs_jsonl",
     "job_from_payload",

@@ -6,11 +6,17 @@ the second one never needs to run.  :func:`fingerprint_job` derives a
 stable SHA-256 key from the job's semantic content (vote *order* is
 irrelevant; dict key order is irrelevant) by hashing the vote columns'
 bytes, never per-vote Python objects, and :class:`ResultCache`
-maps keys to :class:`~repro.types.InferenceResult` values through a
-thread-safe in-memory LRU, optionally spilling every entry to a
-directory of :mod:`repro.io`-schema JSON files so caches survive
-process restarts.  Spill writes are atomic and journaled in an on-disk
-index (:mod:`repro.service.shared_cache`), so one spill directory can
+maps keys to inference results through a thread-safe in-memory LRU,
+optionally spilling every entry to a directory of :mod:`repro.io`-schema
+JSON files so caches survive process restarts.  Both tiers hold each
+result as its canonical JSON encoding (compact, sorted keys), the bytes
+the service sends: a hit is answered by splicing them into the response,
+and an entry costs about its encoded size in memory rather than a
+decoded object graph several times larger.  An entry also keeps the
+job's JSON-scalar ``extras`` (a scenario job's ``accuracy``), so a hit
+answers exactly what the cold run did.  Spill writes are atomic and
+journaled in an on-disk index (:mod:`repro.service.shared_cache`), so
+one spill directory can
 be shared by N processes — each process's memory tier misses fall
 through to the common disk tier, which is how the pre-fork server
 shares cache hits across its children.
@@ -29,13 +35,19 @@ import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from ..diagnostics import get_logger
 from ..exceptions import ConfigurationError, DataFormatError
-from ..io import result_from_payload, save_result
+from ..io import (
+    EncodedResult,
+    atomic_write_bytes,
+    json_scalars,
+    result_from_payload,
+    splice_json,
+)
 from ..types import InferenceResult
 from .jobs import RankingJob, config_to_payload
 from .shared_cache import SpillIndex, spill_index_for
@@ -45,6 +57,10 @@ _log = get_logger("service.cache")
 #: Monotonic source for the fingerprints of uncacheable (seedless) jobs.
 _unique_counter = itertools.count()
 
+
+#: Schema tag of a spill file that carries extras next to its result;
+#: a spill file without extras is the bare :mod:`repro.io` result.
+CACHE_ENTRY_SCHEMA = "repro.cache_entry/1"
 
 #: Version tag hashed first into every fingerprint.  Bump it whenever
 #: the hashed material changes, so old spill files become misses.
@@ -85,8 +101,27 @@ def fingerprint_job(job: RankingJob) -> str:
     return digest.hexdigest()
 
 
+#: A memory-tier entry: ``(result_json, ranking_json, extras)``.
+_Entry = Tuple[bytes, bytes, Dict[str, object]]
+
+
+class CacheEntry(NamedTuple):
+    """What a cache hit hands back: the result and the job's extras."""
+
+    encoded: EncodedResult
+    extras: Dict[str, object]
+
+
 class ResultCache:
     """Thread-safe LRU cache of inference results, keyed by content hash.
+
+    Entries are stored as encodings only — an
+    :class:`~repro.io.EncodedResult`'s ``result_json`` and
+    ``ranking_json`` bytes, plus the job's JSON-scalar extras — never as
+    decoded objects.  :meth:`get_entry` hands out a fresh
+    :class:`~repro.io.EncodedResult` over those bytes (the serving path
+    splices them into its response); :meth:`get` decodes one for
+    library callers that want the :class:`~repro.types.InferenceResult`.
 
     Parameters
     ----------
@@ -95,8 +130,11 @@ class ResultCache:
         first.  Persisted files are never evicted by the memory tier.
     persist_dir:
         Optional directory for JSON spill files (created on demand).
-        Every stored entry is written **atomically** as ``<key>.json``
-        in the :mod:`repro.io` schema and journaled in the directory's
+        Every stored entry is written **atomically** as ``<key>.json``,
+        compact with sorted keys: the result's canonical encoding in the
+        :mod:`repro.io` schema, the same bytes the memory tier holds,
+        wrapped in a :data:`CACHE_ENTRY_SCHEMA` object when the job
+        reported extras.  Files are journaled in the directory's
         :class:`~repro.service.shared_cache.SpillIndex`; in-memory
         misses fall back to the directory.  Because writes are atomic,
         the directory is safe to share between processes — N caches
@@ -136,7 +174,7 @@ class ResultCache:
         self._persist_dir = Path(persist_dir) if persist_dir else None
         self._max_spill_files = max_spill_files
         self._index: Optional[SpillIndex] = spill_index_for(self._persist_dir)
-        self._entries: "OrderedDict[str, InferenceResult]" = OrderedDict()
+        self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -154,46 +192,71 @@ class ResultCache:
         return self._max_entries
 
     def get(self, key: str) -> Optional[InferenceResult]:
+        """Look up a fingerprint and decode the hit; ``None`` on a miss.
+
+        Same lookup as :meth:`get_entry`, for callers that want the
+        :class:`~repro.types.InferenceResult` itself.
+        """
+        entry = self.get_entry(key)
+        return None if entry is None else entry.encoded.result
+
+    def get_entry(self, key: str) -> Optional[CacheEntry]:
         """Look up a fingerprint; returns ``None`` on a miss.
 
         Unseeded fingerprints (``unseeded/...``) always miss.  A hit
-        refreshes the entry's LRU recency.  When a persistence directory
-        is configured, an in-memory miss consults it and re-warms the
-        memory tier on success.
+        refreshes the entry's LRU recency and returns a new
+        :class:`~repro.io.EncodedResult` over the stored bytes, so a
+        caller that decodes it never attaches the decoded object to the
+        cache.  When a persistence directory is configured, an in-memory
+        miss consults it and re-warms the memory tier on success.
         """
         if key.startswith("unseeded/"):
             with self._lock:
                 self._misses += 1
             return None
         with self._lock:
-            if key in self._entries:
+            entry = self._entries.get(key)
+            if entry is not None:
                 self._entries.move_to_end(key)
                 self._hits += 1
-                return self._entries[key]
-        result = self._load_persisted(key)
-        with self._lock:
-            if result is not None:
+        if entry is None:
+            entry = self._load_persisted(key)
+            with self._lock:
+                if entry is None:
+                    self._misses += 1
+                    return None
                 self._hits += 1
                 self._disk_loads += 1
-                self._store(key, result)
-            else:
-                self._misses += 1
-        return result
+                self._store(key, entry)
+        result_json, ranking_json, extras = entry
+        return CacheEntry(EncodedResult(result_json=result_json,
+                                        ranking_json=ranking_json),
+                          dict(extras))
 
-    def put(self, key: str, result: InferenceResult) -> None:
+    def put(self, key: str, result: Union[InferenceResult, EncodedResult],
+            extras: Optional[Dict[str, object]] = None) -> None:
         """Store a result under its fingerprint (and persist if enabled).
 
-        Unseeded fingerprints are not stored — the work they label is
-        not reproducible.
+        ``result`` may be an :class:`~repro.io.EncodedResult`, whose
+        encoding is then reused for the memory entry and the spill file
+        alike.  ``extras`` are the job's additions to its result line;
+        their JSON-scalar members are kept.  Unseeded fingerprints are
+        not stored — the work they label is not reproducible.
         """
         if key.startswith("unseeded/"):
             return
+        if not isinstance(result, EncodedResult):
+            result = EncodedResult(result)
+        # Encode (if not done yet) before taking the lock.
+        entry = (result.result_json, result.ranking_json,
+                 json_scalars(extras or {}))
         with self._lock:
-            self._store(key, result)
+            self._store(key, entry)
         if self._persist_dir is not None:
             try:
                 self._persist_dir.mkdir(parents=True, exist_ok=True)
-                save_result(result, self._persist_dir / f"{key}.json")
+                atomic_write_bytes(self._persist_dir / f"{key}.json",
+                                   _spill_bytes(entry))
                 self._index.record(key)
                 if self._max_spill_files is not None:
                     self._index.prune(self._max_spill_files)
@@ -242,11 +305,11 @@ class ResultCache:
         # Oldest-to-newest over the newest `budget` keys, so the most
         # recent write ends up most-recent in the LRU as well.
         for key in self.persisted_keys()[-budget:]:
-            result = self._load_persisted(key)
-            if result is None:
+            entry = self._load_persisted(key)
+            if entry is None:
                 continue
             with self._lock:
-                self._store(key, result)
+                self._store(key, entry)
             loaded += 1
         if loaded:
             _log.debug("warmed %d entr%s from %s", loaded,
@@ -274,16 +337,22 @@ class ResultCache:
 
     # -- internals ----------------------------------------------------------
 
-    def _store(self, key: str, result: InferenceResult) -> None:
+    def _store(self, key: str, entry: _Entry) -> None:
         # Caller holds the lock.
-        self._entries[key] = result
+        self._entries[key] = entry
         self._entries.move_to_end(key)
         while len(self._entries) > self._max_entries:
             evicted, _ = self._entries.popitem(last=False)
             self._evictions += 1
             _log.debug("evicted cache entry %s", evicted)
 
-    def _load_persisted(self, key: str) -> Optional[InferenceResult]:
+    def _load_persisted(self, key: str) -> Optional[_Entry]:
+        """Decode and validate a spill file, then re-encode it.
+
+        Files in any JSON layout load, including the indented one older
+        versions wrote; the entry's encoding is canonical whatever the
+        file's layout.
+        """
         if self._persist_dir is None:
             return None
         path = self._persist_dir / f"{key}.json"
@@ -300,16 +369,25 @@ class ResultCache:
             return None
         try:
             payload = json.loads(raw.decode("utf-8"))
-            return result_from_payload(payload, source=str(path))
+            extras: object = {}
+            if isinstance(payload, dict) and \
+                    payload.get("schema") == CACHE_ENTRY_SCHEMA:
+                extras = payload.get("extras")
+                payload = payload.get("result")
+            if not isinstance(extras, dict):
+                raise DataFormatError(f"{path}: extras must be an object")
+            result = result_from_payload(payload, source=str(path))
         except (UnicodeDecodeError, json.JSONDecodeError,
                 DataFormatError) as error:
-            # Spill writes are atomic (repro.io.atomic_write_text), so a
+            # Spill writes are atomic (repro.io.atomic_write_bytes), so a
             # file that opened but does not decode is genuinely corrupt
             # (disk fault, schema drift) — never a torn in-progress
             # write.  Drop it so the failed parse is paid once, not on
             # every future lookup.
             self._drop_corrupt(path, read_stat, error)
             return None
+        encoded = EncodedResult(result)
+        return encoded.result_json, encoded.ranking_json, json_scalars(extras)
 
     def _drop_corrupt(self, path: Path, read_stat: os.stat_result,
                       error: Exception) -> None:
@@ -344,3 +422,14 @@ class ResultCache:
         _log.warning("dropped corrupt cache file %s: %s", path, error)
         with self._lock:
             self._corrupt_dropped += 1
+
+
+def _spill_bytes(entry: _Entry) -> bytes:
+    """A spill file's content: the bare result, or a wrapper with extras."""
+    result_json, _, extras = entry
+    if extras:
+        result_json = splice_json(
+            {"schema": CACHE_ENTRY_SCHEMA, "extras": extras},
+            {"result": result_json},
+        )
+    return result_json + b"\n"

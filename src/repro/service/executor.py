@@ -5,7 +5,11 @@ through the inference pipeline over a thread pool, with:
 
 * **caching** — each job is fingerprinted
   (:func:`~repro.service.cache.fingerprint_job`) and looked up before
-  any work happens; results of seeded jobs are stored back;
+  any work happens; results of seeded jobs are stored back.  A result
+  is encoded once (:class:`~repro.io.EncodedResult`): the cache entry,
+  its spill file and the caller's response all reuse that encoding,
+  and a hit's result is decoded only if a caller reads it.  The job's
+  extras (a scenario job's ``accuracy``) are cached with it;
 * **robustness** — a per-job wall-clock timeout, bounded
   exponential-backoff retries for transient failures, and full
   isolation: a poisoned job yields a ``FAILED``/``TIMED_OUT``
@@ -51,6 +55,7 @@ from ..config import PipelineConfig
 from ..diagnostics import get_logger
 from ..exceptions import ConfigurationError, ReproError, TaskTimeoutError
 from ..inference import RankingPipeline
+from ..io import EncodedResult
 from ..types import InferenceResult
 from ..workers import QualityLevel
 from ..workers.backends import ExecutionBackend, resolve_backend
@@ -240,7 +245,7 @@ class BatchExecutor:
     def _execute_guarded(self, job: RankingJob, start: float) -> JobResult:
         key = fingerprint_job(job) if self._cache is not None else None
         if key is not None:
-            cached = self._cache.get(key)
+            cached = self._cache.get_entry(key)
             self._metrics.increment(
                 "cache.hits" if cached is not None else "cache.misses"
             )
@@ -249,10 +254,11 @@ class BatchExecutor:
                 return JobResult(
                     job_id=job.job_id,
                     status=JobStatus.SUCCEEDED,
-                    result=cached,
+                    result=cached.encoded,
                     attempts=0,
                     from_cache=True,
                     seconds=time.perf_counter() - start,
+                    extras=cached.extras,
                 )
 
         attempt_count = [0]
@@ -301,12 +307,13 @@ class BatchExecutor:
         result, extras = retried.value
         if retried.attempts > 1:
             self._metrics.increment("retry.recovered")
+        encoded = EncodedResult(result)
         if key is not None:
-            self._cache.put(key, result)
+            self._cache.put(key, encoded, extras)
         return JobResult(
             job_id=job.job_id,
             status=JobStatus.SUCCEEDED,
-            result=result,
+            result=encoded,
             attempts=retried.attempts,
             seconds=time.perf_counter() - start,
             extras=extras,
@@ -318,7 +325,8 @@ class BatchExecutor:
         if outcome.attempts > 1:
             self._metrics.increment("retry.attempts", outcome.attempts - 1)
         self._metrics.observe("job.seconds", outcome.seconds)
-        if outcome.result is not None and not outcome.from_cache:
+        # from_cache first: reading a hit's result would decode it.
+        if not outcome.from_cache and outcome.result is not None:
             self._metrics.observe_steps(outcome.result.step_seconds)
 
     def _backoff_sleep(self, delay: float) -> None:

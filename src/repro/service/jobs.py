@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import itertools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,7 +42,13 @@ from ..config import (
     TruthDiscoveryConfig,
 )
 from ..exceptions import ConfigurationError, DataFormatError
-from ..io import result_from_payload, result_to_payload
+from ..io import (
+    EncodedResult,
+    json_scalars,
+    result_from_payload,
+    result_to_payload,
+    splice_json,
+)
 from ..types import InferenceResult, VoteSet
 
 #: Schema tag for one job line.
@@ -122,6 +129,29 @@ class RankingJob:
             )
 
 
+class _ResultField:
+    """The descriptor behind :attr:`JobResult.result`.
+
+    A result given to the constructor is kept as an
+    :class:`~repro.io.EncodedResult`; reading the field returns its
+    decoded side, which for a result built from cached bytes is decoded
+    on that first read.
+    """
+
+    def __get__(self, outcome: Optional["JobResult"],
+                owner: object = None) -> Optional[InferenceResult]:
+        if outcome is None:
+            return None  # the dataclass field's default
+        encoded = outcome.encoded
+        return None if encoded is None else encoded.result
+
+    def __set__(self, outcome: "JobResult",
+                result: Union[InferenceResult, EncodedResult, None]) -> None:
+        if result is not None and not isinstance(result, EncodedResult):
+            result = EncodedResult(result)
+        outcome.__dict__["_encoded"] = result
+
+
 @dataclass(frozen=True)
 class JobResult:
     """Terminal outcome of one job, cache- and retry-aware.
@@ -133,7 +163,11 @@ class JobResult:
     status:
         Terminal :class:`JobStatus`.
     result:
-        The inference output when ``status`` is ``SUCCEEDED``.
+        The inference output when ``status`` is ``SUCCEEDED``.  The
+        constructor also takes an :class:`~repro.io.EncodedResult` —
+        what the executor passes on a cache hit — and then the result
+        is decoded from its bytes on first access, so only callers that
+        read it pay for the decode.
     error:
         ``"ExceptionType: message"`` when the job failed or timed out.
     attempts:
@@ -150,7 +184,7 @@ class JobResult:
 
     job_id: str
     status: JobStatus
-    result: Optional[InferenceResult] = None
+    result: Optional[InferenceResult] = _ResultField()  # type: ignore[assignment]
     error: Optional[str] = None
     attempts: int = 0
     from_cache: bool = False
@@ -161,6 +195,13 @@ class JobResult:
     def ok(self) -> bool:
         """True iff the job produced a ranking."""
         return self.status is JobStatus.SUCCEEDED
+
+    @property
+    def encoded(self) -> Optional[EncodedResult]:
+        """The result with its canonical JSON encoding (``None`` when
+        the job produced no result); :func:`encode_job_result` splices
+        it into the response without re-encoding."""
+        return self.__dict__.get("_encoded")
 
 
 # ---------------------------------------------------------------------------
@@ -286,32 +327,42 @@ def _votes_from_payload(raw: object, source: str) -> VoteSet:
     """Decode ``{"n_objects": n, "votes": [[worker, winner, loser], ...]}``.
 
     The rows become one int64 array, validated as a whole: ids must be
-    JSON integers (no floats, strings or values beyond int64), every
-    object id must lie in ``[0, n_objects)`` and no vote may compare an
-    object with itself.  Zero votes decode to an empty set; inference
+    JSON integers (no booleans, floats, strings or values beyond
+    int64), every object id must lie in ``[0, n_objects)`` and no vote
+    may compare an object with itself.  Zero votes decode to an empty set; inference
     rejects it later.
     """
     if not isinstance(raw, dict):
         raise DataFormatError(f"{source}: votes must be an object")
     try:
         n_objects = raw["n_objects"]
-        rows = np.array(raw["votes"])
-    except (KeyError, ValueError) as error:
+        rows = raw["votes"]
+    except KeyError as error:
         raise DataFormatError(f"{source}: malformed votes ({error})") from None
     if not isinstance(n_objects, int) or isinstance(n_objects, bool):
         raise DataFormatError(
             f"{source}: votes.n_objects must be an integer"
         )
-    if rows.shape == (0,):
-        rows = rows.astype(np.int64).reshape(0, 3)
-    if rows.dtype != np.int64:
+    if type(rows) is not list or not (
+        set(map(type, rows)) <= {list} and set(map(len, rows)) <= {3}
+    ):
+        raise DataFormatError(
+            f"{source}: malformed votes: expected a list of "
+            "[worker, winner, loser] rows of integers"
+        )
+    flat = list(itertools.chain.from_iterable(rows))
+    # Exact types: bool is an int subclass, and np.array would read a
+    # JSON true/false as 1/0.
+    if not set(map(type, flat)) <= {int}:
         raise DataFormatError(
             f"{source}: vote ids must be integers within int64"
         )
-    if rows.ndim != 2 or rows.shape[1] != 3:
+    try:
+        rows = np.fromiter(flat, dtype=np.int64, count=len(flat)).reshape(-1, 3)
+    except OverflowError:
         raise DataFormatError(
-            f"{source}: votes must be [worker, winner, loser] rows"
-        )
+            f"{source}: vote ids must be integers within int64"
+        ) from None
     objects = rows[:, 1:]
     outside = np.flatnonzero(
         ((objects < 0) | (objects >= n_objects)).any(axis=1)
@@ -329,13 +380,8 @@ def _votes_from_payload(raw: object, source: str) -> VoteSet:
         raise DataFormatError(f"{source}: malformed votes ({error})") from None
 
 
-def job_result_to_payload(outcome: JobResult) -> Dict[str, object]:
-    """Encode a job outcome as a JSON-ready dict for the result stream.
-
-    Successful jobs inline the full :mod:`repro.io` result payload under
-    ``"result"``, so a batch line round-trips through
-    :func:`repro.io.result_from_payload` unchanged.
-    """
+def _job_result_envelope(outcome: JobResult) -> Dict[str, object]:
+    """Every member of a result line except ``ranking`` and ``result``."""
     payload: Dict[str, object] = {
         "schema": JOB_RESULT_SCHEMA,
         "job_id": outcome.job_id,
@@ -344,17 +390,45 @@ def job_result_to_payload(outcome: JobResult) -> Dict[str, object]:
         "from_cache": outcome.from_cache,
         "seconds": round(outcome.seconds, 6),
     }
-    if outcome.result is not None:
-        payload["ranking"] = list(outcome.result.ranking.order)
-        payload["result"] = result_to_payload(outcome.result)
     if outcome.error is not None:
         payload["error"] = outcome.error
     if outcome.extras:
-        payload["extras"] = {
-            key: value for key, value in outcome.extras.items()
-            if isinstance(value, (int, float, str, bool, type(None)))
-        }
+        payload["extras"] = json_scalars(outcome.extras)
     return payload
+
+
+def job_result_to_payload(outcome: JobResult) -> Dict[str, object]:
+    """Encode a job outcome as a JSON-ready dict for the result stream.
+
+    Successful jobs inline the full :mod:`repro.io` result payload under
+    ``"result"``, so a batch line round-trips through
+    :func:`repro.io.result_from_payload` unchanged.  The service writes
+    lines with :func:`encode_job_result`, which produces this dict's
+    encoding without decoding the result.
+    """
+    payload = _job_result_envelope(outcome)
+    if outcome.result is not None:
+        payload["ranking"] = list(outcome.result.ranking.order)
+        payload["result"] = result_to_payload(outcome.result)
+    return payload
+
+
+def encode_job_result(outcome: JobResult) -> bytes:
+    """A job outcome as one JSON document, in UTF-8 bytes.
+
+    Byte-identical to ``json.dumps(job_result_to_payload(outcome),
+    sort_keys=True)``, but the ``ranking`` and ``result`` members are
+    the outcome's cached encodings (:attr:`JobResult.encoded`) spliced
+    in verbatim (:func:`repro.io.splice_json`): a cache hit is answered
+    without decoding or re-encoding its result.  ``/v1/rank``,
+    ``/v1/batch`` and :func:`dump_results_jsonl` all write through it.
+    """
+    encoded = outcome.encoded
+    members = {} if encoded is None else {
+        "ranking": encoded.ranking_json,
+        "result": encoded.result_json,
+    }
+    return splice_json(_job_result_envelope(outcome), members)
 
 
 def job_result_from_payload(
@@ -451,6 +525,6 @@ def load_jobs_jsonl(path: Union[str, Path]) -> List[RankingJob]:
 def dump_results_jsonl(outcomes: Iterable[JobResult]) -> str:
     """Serialise job outcomes as a JSONL string (one line per job)."""
     return "".join(
-        json.dumps(job_result_to_payload(outcome), sort_keys=True) + "\n"
+        encode_job_result(outcome).decode("utf-8") + "\n"
         for outcome in outcomes
     )

@@ -1,5 +1,6 @@
 """End-to-end tests for the HTTP ranking service (ephemeral ports)."""
 
+import gc
 import http.client
 import json
 import threading
@@ -203,6 +204,53 @@ class TestRank:
                              dict(SCENARIO_REQUEST, timeout=0.1))
         assert status == 504
         assert body["status"] == "timed_out"
+
+
+VOTES_REQUEST = {
+    "job_id": "cached",
+    "seed": 5,
+    "votes": {"n_objects": 5, "votes": [
+        [w, i, j] for w in range(4)
+        for i in range(5) for j in range(i + 1, 5)
+        if (i + j + w) % 3
+    ]},
+}
+
+
+class TestCachedResponses:
+    def test_hit_repeats_the_cold_ranking_and_result(self, server):
+        status, cold = _post(server.url + "/v1/rank", VOTES_REQUEST)
+        assert status == 200 and not cold["from_cache"]
+        status, hit = _post(server.url + "/v1/rank", VOTES_REQUEST)
+        assert status == 200 and hit["from_cache"]
+        assert hit["ranking"] == cold["ranking"]
+        assert hit["result"] == cold["result"]
+
+    def test_indented_spill_file_warms_and_is_served(self, tmp_path):
+        from repro.io import result_to_payload, save_result
+        from repro.service import fingerprint_job, job_from_payload
+
+        job = job_from_payload({"schema": "repro.job/1", **VOTES_REQUEST})
+        (outcome,) = BatchExecutor().run([job]).results
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        # save_result writes indent=2, the spill layout of older versions.
+        save_result(outcome.result, cache_dir / f"{fingerprint_job(job)}.json")
+        ranking_server = RankingServer(ServerConfig(
+            port=0, workers=1, cache_dir=str(cache_dir)))
+        ranking_server.start()
+        try:
+            assert ranking_server.cache.stats()["size"] == 1
+            status, body = _post(ranking_server.url + "/v1/rank",
+                                 VOTES_REQUEST)
+            stats = ranking_server.cache.stats()
+        finally:
+            ranking_server.stop(drain_timeout=5.0)
+        assert status == 200 and body["from_cache"]
+        assert stats["hits"] == 1 and stats["disk_loads"] == 0
+        assert body["ranking"] == list(outcome.result.ranking.order)
+        assert body["result"] == json.loads(
+            json.dumps(result_to_payload(outcome.result)))
 
 
 class TestBatch:
@@ -564,6 +612,14 @@ class TestGracefulDrain:
         server.start()
         assert server.stop() is True
         assert server.stop() is True
+
+    def test_embedded_server_leaves_gc_state_alone(self):
+        # Only the `repro serve` entry points freeze the startup heap.
+        frozen = gc.get_freeze_count()
+        server = RankingServer(ServerConfig(port=0, no_cache=True))
+        server.start()
+        server.stop()
+        assert gc.get_freeze_count() == frozen
 
     def test_stop_before_start_returns_promptly(self):
         # shutdown() handshakes with serve_forever(); a never-started

@@ -1,18 +1,30 @@
 """Unit tests for the content-addressed result cache."""
 
+import gc
 import hashlib
 import json
 import os
 import random
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from repro.config import PipelineConfig, SAPSConfig
 from repro.exceptions import ConfigurationError
+from repro.inference import RankingPipeline
+from repro.io import (
+    EncodedResult,
+    load_result,
+    result_from_payload,
+    result_to_payload,
+)
 from repro.service import (
+    CACHE_ENTRY_SCHEMA,
     RankingJob,
     ResultCache,
     ScenarioSpec,
@@ -277,6 +289,36 @@ class TestCachePersistence:
         assert cache.get("k1") is not None  # reloaded from disk
 
 
+class TestSpillFormat:
+    def test_entry_without_extras_spills_the_canonical_result(self, tmp_path):
+        ResultCache(persist_dir=tmp_path).put("k", _result([1, 0]))
+        raw = (tmp_path / "k.json").read_bytes()
+        assert raw == json.dumps(result_to_payload(_result([1, 0])),
+                                 sort_keys=True).encode() + b"\n"
+        assert load_result(tmp_path / "k.json").ranking == Ranking([1, 0])
+
+    def test_extras_survive_memory_and_spill_tiers(self, tmp_path):
+        cache = ResultCache(persist_dir=tmp_path)
+        cache.put("k", _result([1, 0]), {"accuracy": 0.75, "blob": object()})
+        assert cache.get_entry("k").extras == {"accuracy": 0.75}
+        raw = (tmp_path / "k.json").read_bytes()
+        payload = json.loads(raw)
+        assert payload["schema"] == CACHE_ENTRY_SCHEMA
+        assert raw == json.dumps(payload, sort_keys=True).encode() + b"\n"
+        entry = ResultCache(persist_dir=tmp_path).get_entry("k")
+        assert entry.extras == {"accuracy": 0.75}
+        assert entry.encoded.result.ranking == Ranking([1, 0])
+
+    def test_malformed_extras_are_dropped_as_corrupt(self, tmp_path):
+        (tmp_path / "k.json").write_text(json.dumps({
+            "schema": CACHE_ENTRY_SCHEMA, "extras": [1],
+            "result": result_to_payload(_result([0, 1])),
+        }))
+        cache = ResultCache(persist_dir=tmp_path)
+        assert cache.get("k") is None
+        assert cache.stats()["corrupt_dropped"] == 1
+
+
 class TestSharedPersistDir:
     """Two cache instances over one ``persist_dir`` — the in-process
     simulation of two server processes sharing the spill tier."""
@@ -429,3 +471,44 @@ class TestSharedPersistDir:
             ResultCache(persist_dir=tmp_path, max_spill_files=0)
         with pytest.raises(ConfigurationError):
             ResultCache(max_spill_files=4)
+
+
+def _hodge_result(seed, n=1000, pairs=5000, per_pair=5):
+    """A sparse HodgeRank result at n=1000 from random crowd votes."""
+    rng = np.random.default_rng(seed)
+    path = rng.permutation(n)
+    lo = np.concatenate([path[:-1], rng.integers(0, n, pairs)])
+    hi = np.concatenate([path[1:], rng.integers(0, n, pairs)])
+    keep = lo != hi
+    lo, hi = np.repeat(lo[keep], per_pair), np.repeat(hi[keep], per_pair)
+    flip = rng.random(lo.size) < 0.3
+    votes = VoteSet.from_columns(n, rng.integers(0, 50, lo.size),
+                                 np.where(flip, hi, lo),
+                                 np.where(flip, lo, hi))
+    return RankingPipeline(PipelineConfig(engine="hodge")).run(votes, rng)
+
+
+class TestMemoryPerEntry:
+    def test_entries_cost_about_their_encoded_size(self):
+        """A decoded n=1000 result is several times its encoding; the
+        memory tier must keep only the encoding, or a server's RSS grows
+        with every cold request it caches."""
+        encodings = [EncodedResult(_hodge_result(seed)).result_json
+                     for seed in range(20)]
+        encoded_bytes = sum(map(len, encodings))
+        cache = ResultCache()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for index, raw in enumerate(encodings):
+                # A fresh object graph, as inference would have built it.
+                result = result_from_payload(json.loads(raw))
+                cache.put(f"k{index}", result)
+                del result
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(cache) == 20
+        assert grown < 2 * encoded_bytes, (grown, encoded_bytes)

@@ -96,6 +96,23 @@ class TestCaching:
         assert [r.result.ranking for r in first.results] == \
                [r.result.ranking for r in second.results]
 
+    def test_hits_repeat_the_cold_extras(self, tmp_path):
+        """A scenario job's accuracy is part of its answer: a hit from
+        memory or from another process's spill file carries it too."""
+        jobs = scenario_jobs(2)
+        cold = BatchExecutor(
+            cache=ResultCache(persist_dir=tmp_path)).run(jobs)
+        executor = BatchExecutor(cache=ResultCache())
+        executor.run(jobs)
+        memory = executor.run(jobs)
+        spill = BatchExecutor(
+            cache=ResultCache(persist_dir=tmp_path)).run(jobs)
+        assert all(r.from_cache for r in memory.results + spill.results)
+        expected = [r.extras for r in cold.results]
+        assert all("accuracy" in extras for extras in expected)
+        assert [r.extras for r in memory.results] == expected
+        assert [r.extras for r in spill.results] == expected
+
     def test_duplicate_content_within_one_serial_batch(self):
         job = scenario_jobs(1)[0]
         twin = RankingJob(job_id="twin", scenario=job.scenario,

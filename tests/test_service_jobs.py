@@ -130,6 +130,10 @@ HOSTILE_VOTE_ROWS = {
     "short-row": ([[0, 1]], "rows"),
     "ragged-rows": ([[0, 1, 2], [0, 1]], "malformed votes"),
     "not-a-list": ("0,1,2", "integers"),
+    "bool-object-id": ([[0, True, 2]], "integers"),
+    "bool-worker-id": ([[False, 0, 1]], "integers"),
+    "all-bool-row": ([[True, False, True]], "integers"),
+    "object-row": ([{"worker": 0, "winner": 1, "loser": 2}], "rows"),
 }
 
 
@@ -154,6 +158,13 @@ class TestHostileVotes:
         job = job_from_payload(_votes_payload([]))
         assert len(job.votes) == 0
         assert job.votes.n_objects == 4
+
+    def test_booleans_are_not_read_as_ids(self):
+        # np.array([[0, True, 2], [1, 0, 1]]) is a valid int64 array,
+        # so a bool in any row must be caught before the conversion.
+        rows = [[0, 0, 1]] * 50 + [[1, True, 0]] + [[2, 1, 0]] * 50
+        with pytest.raises(DataFormatError, match="integers"):
+            job_from_payload(_votes_payload(rows))
 
     def test_valid_rows_decode_to_int64_columns(self):
         job = job_from_payload(_votes_payload([[9, 0, 3], [2**40, 3, 1]]))
