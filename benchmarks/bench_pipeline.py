@@ -1,14 +1,15 @@
-"""Benchmark: columnar vs object vote path through pipeline Steps 1-3.
+"""Benchmark: the columnar pipeline vs the object oracle through Steps 1-3.
 
-Runs the full inference pipeline twice on identical vote sets — once
-with ``vote_path="columnar"`` (dense matrices end to end) and once with
-``vote_path="object"`` (the per-edge ``PreferenceGraph`` compatibility
-path) — and writes ``BENCH_pipeline.json`` at the repo root with
-per-step wall times for both paths at each size.
+Runs full inference twice on identical vote sets — once through
+:class:`~repro.inference.RankingPipeline` (the ``columnar`` column:
+dense matrices end to end) and once through the object-graph oracle
+``tests/oracles/pipeline.py`` (the ``object`` column: per-edge
+``PreferenceGraph`` smoothing) — and writes ``BENCH_pipeline.json`` at
+the repo root with per-step wall times for both at each size.
 
 The speedup metric is the Steps 1-3 sum (truth discovery + smoothing +
 propagation); Step 4's search is excluded — it consumes the same dense
-closure matrix on both paths and its cost is a function of the annealing
+closure matrix on both and its cost is a function of the annealing
 budget, not the vote representation.  Every run also hard-checks the
 fast path's contract: the ranking and ``log_preference`` must be
 *bit-identical* to the object path for every benched seed.
@@ -29,6 +30,7 @@ import datetime
 import json
 import os
 import platform
+import sys
 from pathlib import Path
 from typing import Dict, List
 
@@ -39,6 +41,10 @@ from repro.inference import RankingPipeline
 from repro.types import VoteSet
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+# The object path is a test oracle: importable as tests.oracles once
+# the repo root is on the path.
+sys.path.insert(0, str(REPO_ROOT))
+from tests.oracles import object_pipeline  # noqa: E402
 
 #: Votes per compared pair.  Kept <= 8 on purpose: per-edge vote means
 #: in the columnar smoothing kernel accumulate via ``np.bincount``,
@@ -65,9 +71,11 @@ def run_path(votes: VoteSet, vote_path: str, seed: int,
     config = PipelineConfig(
         saps=SAPSConfig(iterations=iterations, restarts=1,
                         scale_with_objects=False),
-        vote_path=vote_path,
     )
-    result = RankingPipeline(config).run(fresh, rng=seed)
+    if vote_path == "columnar":
+        result = RankingPipeline(config).run(fresh, rng=seed)
+    else:
+        result = object_pipeline(fresh, config, rng=seed)
     return {
         "step_seconds": {k: round(v, 4)
                          for k, v in result.step_seconds.items()},

@@ -1,11 +1,12 @@
-"""Benchmark: SAPS annealing kernels and execution backends.
+"""Benchmark: the SAPS annealing kernel and execution backends.
 
-Runs both kernels on the same random complete closures with the same
-seed at several sizes and writes ``BENCH_saps.json`` at the repo root:
-proposals/sec and wall time per kernel, the speedup, and hard equality
-checks (same best ranking and accepted-move count, same cost to 1e-9,
-serial == parallel restarts) — so later PRs can track kernel
-performance and catch any divergence between the two implementations.
+Runs the production (incremental) kernel and the full-re-sum reference
+oracle (``tests/oracles/saps.py``) on the same random complete closures
+with the same seed at several sizes and writes ``BENCH_saps.json`` at
+the repo root: proposals/sec and wall time per kernel, the speedup, and
+hard equality checks (same best ranking and accepted-move count, same
+cost to 1e-9, serial == parallel restarts) — so later PRs can track
+kernel performance and catch any divergence from the oracle.
 
 A second sweep runs one heavy 4-restart workload per size on each
 execution backend (serial / thread / process) and records the
@@ -38,9 +39,10 @@ import datetime
 import json
 import os
 import platform
+import sys
 import time
 from pathlib import Path
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -48,9 +50,13 @@ from repro.adaptive import _interim_closure
 from repro.config import PipelineConfig, SAPSConfig
 from repro.datasets import make_scenario
 from repro.experiments.runner import collect_votes
-from repro.inference.saps import saps_search_report
+from repro.inference.saps import SAPSReport, saps_search_report
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+# The reference kernel is a test oracle: importable as tests.oracles
+# once the repo root is on the path.
+sys.path.insert(0, str(REPO_ROOT))
+from tests.oracles import reference_search_report  # noqa: E402
 
 #: Timed runs per kernel row outside smoke mode; the median is reported.
 REPEATS = 5
@@ -78,12 +84,14 @@ def pipeline_closure(n: int, seed: int) -> np.ndarray:
 
 
 def run_kernel(matrix: np.ndarray, config: SAPSConfig, seed: int,
-               repeats: int = 1) -> Dict[str, object]:
+               repeats: int = 1,
+               search: Callable[..., SAPSReport] = saps_search_report,
+               ) -> Dict[str, object]:
     """Median wall time of ``repeats`` identical seeded runs."""
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
-        report = saps_search_report(matrix, config, rng=seed)
+        report = search(matrix, config, rng=seed)
         times.append(time.perf_counter() - start)
     elapsed = float(np.median(times))
     return {
@@ -104,17 +112,15 @@ def bench_size(n: int, iterations: int, restarts: int, seed: int,
     base = dict(iterations=iterations, restarts=restarts,
                 scale_with_objects=False)
     incremental = run_kernel(
-        matrix,
-        SAPSConfig(**base, kernel="incremental", debug_checks=debug_checks),
-        seed, repeats,
+        matrix, SAPSConfig(**base, debug_checks=debug_checks), seed, repeats,
     )
     reference = run_kernel(
-        matrix, SAPSConfig(**base, kernel="reference"), seed, repeats
+        matrix, SAPSConfig(**base), seed, repeats,
+        search=reference_search_report,
     )
     parallel = run_kernel(
         matrix,
-        SAPSConfig(**base, kernel="incremental", parallel_restarts=4,
-                   debug_checks=debug_checks),
+        SAPSConfig(**base, parallel_restarts=4, debug_checks=debug_checks),
         seed, repeats,
     )
     same_ranking = incremental["ranking"] == reference["ranking"]
@@ -160,7 +166,7 @@ def backend_sweep(n: int, iterations: int, seed: int) -> Dict[str, object]:
     for backend in ("serial", "thread", "process"):
         config = SAPSConfig(
             iterations=iterations, restarts=4, scale_with_objects=False,
-            kernel="incremental", parallel_restarts=4, backend=backend,
+            parallel_restarts=4, backend=backend,
         )
         runs[backend] = run_kernel(matrix, config, seed)
     identical = all(

@@ -14,9 +14,8 @@ from repro.config import PipelineConfig, PropagationConfig
 from repro.datasets import make_scenario
 from repro.experiments.reporting import format_records
 from repro.experiments.runner import ExperimentRecord, collect_votes
-from repro.graphs import PreferenceGraph
 from repro.inference.propagation import propagate_matrix
-from repro.inference.smoothing import smooth_preferences
+from repro.inference.smoothing import direct_preference_matrix, smooth_matrix
 from repro.metrics import topk_precision
 from repro.topk import topk_exact, topk_ranking
 from repro.truth import discover_truth
@@ -43,11 +42,12 @@ def _run_grid():
                                  workers_per_task=5, rng=seed)
         votes = collect_votes(scenario, rng=seed)
         truth_result = discover_truth(votes)
-        graph = PreferenceGraph.from_direct_preferences(
-            N_OBJECTS, truth_result.preferences)
-        smoothing = smooth_preferences(graph, votes,
-                                       truth_result.worker_quality)
-        closure = propagate_matrix(smoothing.graph,
+        arrays = votes.arrays()
+        direct = direct_preference_matrix(arrays,
+                                          truth_result.preference_vector)
+        smoothing = smooth_matrix(direct, truth_result.preference_vector,
+                                  arrays, truth_result.quality_vector)
+        closure = propagate_matrix(smoothing.matrix,
                                    PropagationConfig(max_hops=8))
 
         arms = {

@@ -16,8 +16,7 @@ from repro.config import FAST_PIPELINE, PipelineConfig, PropagationConfig
 from repro.datasets import make_scenario
 from repro.experiments.runner import collect_votes
 from repro.inference.propagation import propagate_matrix
-from repro.inference.smoothing import smooth_preferences
-from repro.graphs import PreferenceGraph
+from repro.inference.smoothing import direct_preference_matrix, smooth_matrix
 from repro.metrics import topk_precision
 from repro.truth import discover_truth
 from repro.topk import topk_exact, topk_ranking
@@ -35,10 +34,11 @@ def topk_demo() -> None:
 
     # Exact: build the Steps-1-3 closure, then subset DP.
     truth_result = discover_truth(votes)
-    graph = PreferenceGraph.from_direct_preferences(
-        15, truth_result.preferences)
-    smoothing = smooth_preferences(graph, votes, truth_result.worker_quality)
-    closure = propagate_matrix(smoothing.graph, PropagationConfig(max_hops=6))
+    arrays = votes.arrays()
+    direct = direct_preference_matrix(arrays, truth_result.preference_vector)
+    smoothing = smooth_matrix(direct, truth_result.preference_vector, arrays,
+                              truth_result.quality_vector)
+    closure = propagate_matrix(smoothing.matrix, PropagationConfig(max_hops=6))
     exact_top5, score = topk_exact(closure, k=5)
 
     # Heuristic: head of the full SAPS ranking.

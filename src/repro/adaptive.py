@@ -28,13 +28,8 @@ import numpy as np
 
 from .config import PipelineConfig
 from .exceptions import ConfigurationError, InferenceError
-from .graphs.preference_graph import PreferenceGraph
 from .inference.propagation import propagate_matrix
-from .inference.smoothing import (
-    direct_preference_matrix,
-    smooth_matrix,
-    smooth_preferences,
-)
+from .inference.smoothing import direct_preference_matrix, smooth_matrix
 from .platform.interactive import InteractivePlatform
 from .rng import SeedLike, ensure_rng
 from .truth.crh import discover_truth
@@ -205,34 +200,18 @@ def _fair_seed_pairs(n: int, budget: int, generator) -> List[Tuple[int, int]]:
 def _interim_inference(
     n: int, votes: List[Vote], config: PipelineConfig, generator
 ) -> Tuple[np.ndarray, object]:
-    """Steps 1-3 on the votes collected so far: ``(closure, truth)``.
-
-    Follows ``config.vote_path``: the columnar matrix kernels
-    (``direct_preference_matrix`` / ``smooth_matrix``) on the default
-    path, the historical object-graph path
-    (``PreferenceGraph`` / ``smooth_preferences``) when configured —
-    both produce the same closure (differential-tested).
-    """
+    """Steps 1-3 on the votes collected so far: ``(closure, truth)``."""
     vote_set = VoteSet.from_votes(n, votes)
     discover = (discover_truth_em if config.truth_engine == "em"
                 else discover_truth)
     truth = discover(vote_set, config.truth)
-    if config.vote_path == "columnar":
-        arrays = vote_set.arrays()
-        direct = direct_preference_matrix(arrays, truth.preference_vector)
-        smoothing = smooth_matrix(
-            direct, truth.preference_vector, arrays,
-            truth.quality_vector, config.smoothing, generator,
-        )
-        smoothed = smoothing.matrix
-    else:
-        graph = PreferenceGraph.from_direct_preferences(n, truth.preferences)
-        smoothing = smooth_preferences(
-            graph, vote_set, truth.worker_quality, config.smoothing,
-            generator,
-        )
-        smoothed = smoothing.graph
-    return propagate_matrix(smoothed, config.propagation), truth
+    arrays = vote_set.arrays()
+    direct = direct_preference_matrix(arrays, truth.preference_vector)
+    smoothing = smooth_matrix(
+        direct, truth.preference_vector, arrays,
+        truth.quality_vector, config.smoothing, generator,
+    )
+    return propagate_matrix(smoothing.matrix, config.propagation), truth
 
 
 def _interim_closure(

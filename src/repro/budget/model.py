@@ -65,8 +65,16 @@ class BudgetModel:
         return n_comparisons * self.cost_per_comparison
 
     def can_afford(self, n_comparisons: int) -> bool:
-        """Whether the budget covers ``n_comparisons`` unique comparisons."""
-        return self.cost_of(n_comparisons) <= self.total + 1e-12
+        """Whether the budget covers ``n_comparisons`` unique comparisons.
+
+        Decided by :meth:`affordable_comparisons`, so the two agree even
+        where ``B / (w * r)`` lands within float error of an integer
+        (e.g. ``B = 999999``, ``w * r = 0.013``: that count's
+        ``cost_of`` exceeds ``B`` by one ulp).
+        """
+        if n_comparisons < 0:
+            raise BudgetError(f"n_comparisons must be >= 0, got {n_comparisons}")
+        return n_comparisons <= self.affordable_comparisons()
 
     @staticmethod
     def required_budget(

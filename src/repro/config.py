@@ -202,25 +202,14 @@ class SAPSConfig:
         The annealing kernel is pure Python, so only ``"process"``
         escapes the GIL and uses multiple cores; results are
         bit-identical across all three for the same seed.
-    kernel:
-        Move-evaluation strategy: ``"incremental"`` (default) computes
-        each proposal's ``d(P') - d(P)`` from the O(1)-O(k) boundary
-        edges and applies accepted moves in place;  ``"reference"``
-        re-sums all ``n - 1`` edges per proposal (the pre-optimisation
-        behaviour, kept as the benchmark baseline and cross-check
-        oracle).  Both kernels consume the random stream identically,
-        so for a fixed seed they accept the same moves and return the
-        same ranking.  Incomplete closures (any missing edge) always
-        use the reference kernel — +inf edge costs make deltas
-        ill-defined.
     resync_every:
-        Accepted moves between full re-summations of the incremental
+        Accepted moves between full re-summations of the anneal's
         running cost.  The resync bounds float drift from accumulated
         deltas; each one is O(n), so the amortised overhead is
         negligible.
     debug_checks:
-        When true, the incremental kernel asserts after *every*
-        accepted move that the running cost matches a full
+        When true, the anneal asserts after *every* accepted move
+        that the running cost matches a full
         :func:`~repro.inference.delta.path_cost` re-computation (1e-9
         relative).  For tests and debugging — O(n) per accepted move.
     """
@@ -234,7 +223,6 @@ class SAPSConfig:
     polish: bool = False
     parallel_restarts: int = 1
     backend: Optional[str] = None
-    kernel: str = "incremental"
     resync_every: int = 512
     debug_checks: bool = False
 
@@ -258,11 +246,6 @@ class SAPSConfig:
             raise ConfigurationError(
                 f"backend must be 'serial', 'thread', 'process' or None, "
                 f"got {self.backend!r}"
-            )
-        if self.kernel not in ("incremental", "reference"):
-            raise ConfigurationError(
-                f"kernel must be 'incremental' or 'reference', got "
-                f"{self.kernel!r}"
             )
         if self.resync_every < 1:
             raise ConfigurationError("resync_every must be >= 1")
@@ -345,20 +328,12 @@ class PipelineConfig:
     family (Sec. VII), which additionally exploits systematically
     inverted workers.
 
-    ``vote_path`` selects the Steps 1-3 implementation: ``"columnar"``
-    (default) hands dense matrices straight through
-    truth vector -> direct matrix -> smoothed matrix -> closure, never
-    materialising a :class:`~repro.graphs.preference_graph.PreferenceGraph`;
-    ``"object"`` is the per-edge graph-object compatibility path.  Both
-    produce bit-identical results (rankings, log-preference, smoothing
-    adjustments) — the object path exists as a cross-check oracle and
-    for callers that want the intermediate graphs.
-
-    ``engine`` selects the Step 1-3 *strategy* one level above
-    ``vote_path``: ``"crh_saps"`` (default) is the paper's dense
-    pipeline (truth discovery -> smoothing -> propagation -> path
-    search, on whichever ``vote_path``); ``"hodge"`` and ``"lsq"`` are
-    the sparse least-squares engines of
+    ``engine`` selects the Step 1-3 *strategy*: ``"crh_saps"``
+    (default) is the paper's dense pipeline (truth discovery ->
+    smoothing -> propagation -> path search), which hands dense
+    matrices straight through truth vector -> direct matrix ->
+    smoothed matrix -> closure; ``"hodge"`` and ``"lsq"`` are the
+    sparse least-squares engines of
     :mod:`repro.inference.engines`, which replace Steps 2-4 with one
     sparse solve over the comparison graph and scale to ``n`` in the
     thousands (see :data:`LARGE_N_PIPELINE`).  For the sparse engines,
@@ -375,7 +350,6 @@ class PipelineConfig:
     sparse: SparseEngineConfig = field(default_factory=SparseEngineConfig)
     search: str = "saps"
     truth_engine: str = "crh"
-    vote_path: str = "columnar"
     engine: str = "crh_saps"
 
     def __post_init__(self) -> None:
@@ -388,11 +362,6 @@ class PipelineConfig:
             raise ConfigurationError(
                 f"truth_engine must be 'crh' or 'em', got "
                 f"{self.truth_engine!r}"
-            )
-        if self.vote_path not in ("columnar", "object"):
-            raise ConfigurationError(
-                f"vote_path must be 'columnar' or 'object', got "
-                f"{self.vote_path!r}"
             )
         if self.engine not in ("crh_saps", "hodge", "lsq"):
             raise ConfigurationError(

@@ -27,10 +27,8 @@ from .engines import (
 from .incidence import SparseIncidence, build_incidence, quality_edge_weights
 from .smoothing import (
     MatrixSmoothingResult,
-    SmoothingResult,
     direct_preference_matrix,
     smooth_matrix,
-    smooth_preferences,
 )
 from .propagation import propagate_matrix, propagate_preferences
 from .taps import taps_search, branch_and_bound_search
@@ -48,10 +46,8 @@ __all__ = [
     "hodge_rank",
     "graph_lsq_rank",
     "MatrixSmoothingResult",
-    "SmoothingResult",
     "direct_preference_matrix",
     "smooth_matrix",
-    "smooth_preferences",
     "propagate_matrix",
     "propagate_preferences",
     "taps_search",

@@ -46,8 +46,8 @@ Infinite edges: deltas are computed with ordinary float arithmetic, so
 they are exact whenever the edges *removed* from the path are finite
 (``+inf - finite = +inf`` rejects a candidate naturally; ``inf - inf``
 would be NaN).  Callers that may hold a path with infinite edges — an
-incomplete closure — must fall back to full re-evaluation, as
-:func:`repro.inference.saps.saps_search_report` does.
+incomplete closure — must re-evaluate in full instead;
+:func:`repro.inference.saps.saps_search_report` refuses such input.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def rotate_delta(
 
     Contract: ``0 <= first < middle < last <= len(path)`` (both blocks
     non-empty), as guaranteed by
-    :func:`repro.inference.saps._two_indices` plus the middle draw.
+    :func:`repro.inference.saps._slice_bounds` plus the middle draw.
     """
     a = path[first]          # head of the left block
     b = path[middle - 1]     # tail of the left block

@@ -17,14 +17,13 @@ from typing import Optional
 from ..config import PipelineConfig
 from ..diagnostics import get_logger
 from ..exceptions import InferenceError
-from ..graphs.preference_graph import PreferenceGraph
 from ..rng import SeedLike, ensure_rng
 from ..types import InferenceResult, VoteSet
 from ..truth.crh import discover_truth
 from ..truth.dawid_skene import discover_truth_em
 from .propagation import propagate_matrix
 from .saps import saps_search_report
-from .smoothing import direct_preference_matrix, smooth_matrix, smooth_preferences
+from .smoothing import direct_preference_matrix, smooth_matrix
 from .taps import branch_and_bound_search, taps_search
 
 _log = get_logger("inference.pipeline")
@@ -75,41 +74,26 @@ class RankingPipeline:
             )
         step_seconds = {}
 
-        columnar = config.vote_path == "columnar"
-
         # Step 1: truth discovery of direct preferences.
         start = time.perf_counter()
         discover = (discover_truth_em if config.truth_engine == "em"
                     else discover_truth)
         truth = discover(votes, config.truth)
-        if columnar:
-            arrays = votes.arrays()
-            direct = direct_preference_matrix(arrays, truth.preference_vector)
-        else:
-            direct_graph = PreferenceGraph.from_direct_preferences(
-                votes.n_objects, truth.preferences
-            )
+        arrays = votes.arrays()
+        direct = direct_preference_matrix(arrays, truth.preference_vector)
         step_seconds["truth_discovery"] = time.perf_counter() - start
 
         # Step 2: smoothing of unanimous edges.
         start = time.perf_counter()
-        if columnar:
-            smoothing = smooth_matrix(
-                direct, truth.preference_vector, arrays,
-                truth.quality_vector, config.smoothing, generator,
-            )
-            smoothed = smoothing.matrix
-        else:
-            smoothing = smooth_preferences(
-                direct_graph, votes, truth.worker_quality, config.smoothing,
-                generator,
-            )
-            smoothed = smoothing.graph
+        smoothing = smooth_matrix(
+            direct, truth.preference_vector, arrays,
+            truth.quality_vector, config.smoothing, generator,
+        )
         step_seconds["smoothing"] = time.perf_counter() - start
 
         # Step 3: indirect preferences and normalised complete closure.
         start = time.perf_counter()
-        closure = propagate_matrix(smoothed, config.propagation)
+        closure = propagate_matrix(smoothing.matrix, config.propagation)
         step_seconds["propagation"] = time.perf_counter() - start
 
         # Step 4: best-ranking search.

@@ -40,8 +40,8 @@ def propagate_matrix(
     ----------
     smoothed:
         The Step-2 output, either as a :class:`PreferenceGraph` or as
-        its dense weight matrix (the columnar fast path's
-        representation; zero entries mean "no edge").  Both forms
+        its dense weight matrix (the pipeline's representation; zero
+        entries mean "no edge").  Both forms
         produce bit-identical results: the walk kernel operates on the
         dense matrix either way, and the exact kernel's accumulation
         order is weight-determined (see
@@ -139,10 +139,12 @@ def _normalise_matrix(combined: np.ndarray) -> np.ndarray:
     (0.5 when both are zero — no evidence either way), clipped away from
     {0, 1} so both directed edges exist.
     """
-    n = combined.shape[0]
     total = combined + combined.T
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p = np.where(total > 0.0, combined / np.maximum(total, 1e-300), 0.5)
+    # Divide by the true total even when it is subnormal (a tiny alpha
+    # on a pair without indirect evidence): flooring it would push both
+    # directions to the clip and break w_ij + w_ji = 1.
+    p = np.divide(combined, total, out=np.full_like(combined, 0.5),
+                  where=total > 0.0)
     p = np.clip(p, _MIN_CLIP, 1.0 - _MIN_CLIP)
     np.fill_diagonal(p, 0.0)
     return p

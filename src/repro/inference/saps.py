@@ -14,34 +14,27 @@ the difference of their out-/in- edge weights"); the config can cap the
 restart count, since on large complete closures a handful of restarts
 already reaches the plateau the paper reports.
 
-Two move-evaluation kernels share the proposal machinery:
+The anneal scores each proposal by the ``d(P') - d(P)`` of the few
+edges the move actually changes (the formulas of
+:mod:`repro.inference.delta`, inlined).  It keeps the flip cost
+``cost[b, a] - cost[a, b]`` of every path edge in a list beside the
+path, so a Reverse's O(k) internal sum is one C-level slice ``sum``;
+accepted moves update path and edge lists with slice assignments, and
+the running cost is re-synced against a full re-sum every
+``resync_every`` accepted moves to bound float drift.  Deltas need a
+finite cost on every edge, so the input must be a complete closure:
+every off-diagonal weight positive, as Step 3 guarantees (Theorem 5.1).
+An incomplete matrix raises :class:`InferenceError` up front.
 
-* the **incremental** kernel (default) scores each proposal by the
-  ``d(P') - d(P)`` of the few edges the move actually changes (the
-  formulas of :mod:`repro.inference.delta`, inlined).  It keeps the
-  flip cost ``cost[b, a] - cost[a, b]`` of every path edge in a list
-  beside the path, so a Reverse's O(k) internal sum is one C-level
-  slice ``sum``; accepted moves update path and edge lists with slice
-  assignments, and the running cost is re-synced against a full re-sum
-  every ``resync_every`` accepted moves to bound float drift;
-* the **reference** kernel copies the path and re-sums all ``n - 1``
-  edges per proposal — the pre-optimisation cost model, kept as the
-  benchmark baseline (``benchmarks/bench_saps.py``), as the cross-check
-  oracle in tests, and as the automatic fallback on incomplete closures
-  where ``+inf`` edge costs make deltas ill-defined.
-
-Both kernels draw from the restart's random stream in exactly the same
-order (three index floats + one acceptance float per Rotate, two + one
-per Reverse/RandomSwap), so a fixed seed accepts the same move sequence
-under either kernel.  Restarts each get their own child stream spawned
-from the run RNG up front, which makes the restart loop embarrassingly
-parallel (``SAPSConfig.parallel_restarts``) without changing results:
-serial and parallel runs reduce the same per-restart outcomes in the
-same order.  The restart loop dispatches through
-:mod:`repro.workers.backends` (``SAPSConfig.backend``), so the same
-guarantee extends across the serial, thread and process backends — the
-anneal is pure Python and GIL-bound, which makes the process backend
-the only one that actually uses multiple cores.
+Restarts each get their own child stream spawned from the run RNG up
+front, which makes the restart loop embarrassingly parallel
+(``SAPSConfig.parallel_restarts``) without changing results: serial and
+parallel runs reduce the same per-restart outcomes in the same order.
+The restart loop dispatches through :mod:`repro.workers.backends`
+(``SAPSConfig.backend``), so the same guarantee extends across the
+serial, thread and process backends — the anneal is pure Python and
+GIL-bound, which makes the process backend the only one that actually
+uses multiple cores.
 """
 
 from __future__ import annotations
@@ -58,17 +51,11 @@ from ..graphs.digraph import WeightedDigraph
 from ..rng import SeedLike, ensure_rng, spawn_rngs
 from ..types import Ranking
 from ..workers.pool import parallel_map
-from .delta import (
-    apply_rotate,
-    apply_swap,
-    cost_rows,
-    path_cost,
-    reverse_diff_rows,
-)
+from .delta import cost_rows, path_cost, reverse_diff_rows
 from .taps import _as_matrix
 
 #: Iterations' worth of random draws pre-fetched per block by the
-#: incremental kernel (10 floats per iteration: 4 + 3 + 3).
+#: anneal (10 floats per iteration: 4 + 3 + 3).
 _RNG_BLOCK = 256
 
 #: Floats consumed per iteration (Rotate 4, Reverse 3, RandomSwap 3).
@@ -116,10 +103,9 @@ def saps_search(
 ) -> Tuple[Ranking, float]:
     """Find a high-preference HP; returns ``(ranking, log_probability)``.
 
-    The input is expected to be the complete Step-3 closure (every
-    ordered pair has a positive weight); on incomplete graphs SAPS still
-    runs but treats missing edges as cost ``+inf`` and raises
-    :class:`InferenceError` if no finite-cost path is ever found.
+    The input must be a complete closure — every off-diagonal weight
+    positive and finite, as the Step-3 output always is (Theorem 5.1);
+    anything else raises :class:`InferenceError`.
     """
     report = saps_search_report(weights, config, rng)
     return report.ranking, report.log_preference
@@ -146,15 +132,12 @@ def saps_search_report(
     config = config if config is not None else SAPSConfig()
     matrix = _as_matrix(weights)
     n = matrix.shape[0]
+    if n == 0:
+        raise InferenceError("SAPS needs at least one object")
     if n == 1:
         return SAPSReport(Ranking([0]), 0.0, 0, config.iterations, 0, 0)
+    cost = _cost_matrix(matrix)
     generator = ensure_rng(rng)
-
-    # Cost matrix: d(P) sums cost[u, v] = -log w_uv; +inf for no edge.
-    with np.errstate(divide="ignore"):
-        cost = np.where(matrix > 0.0, -np.log(np.maximum(matrix, 1e-300)),
-                        np.inf)
-    np.fill_diagonal(cost, np.inf)
 
     start_vertices: List[Union[int, np.ndarray]] = \
         _restart_vertices(matrix, config, n, generator)
@@ -171,13 +154,7 @@ def saps_search_report(
     if config.scale_with_objects and n > 100:
         iterations = int(config.iterations * n / 100)
 
-    # Incremental deltas need finite edge costs everywhere a move could
-    # look; any missing edge (incomplete closure) falls back to the
-    # full-re-sum reference kernel, which handles +inf exactly.
-    off_diagonal = ~np.eye(n, dtype=bool)
-    complete = bool(np.isfinite(cost[off_diagonal]).all())
-    kernel = config.kernel if complete else "reference"
-    shared = _RestartShared(matrix=matrix, cost=cost, kernel=kernel,
+    shared = _RestartShared(matrix=matrix, cost=cost,
                             iterations=iterations, config=config)
 
     # One child stream per restart: restarts become order-independent
@@ -193,7 +170,7 @@ def saps_search_report(
                             backend=config.backend)
 
     best_cost = math.inf
-    best_order: Optional[List[int]] = None
+    best_order: List[int] = []
     accepted = 0
     proposed = 0
     for restart_cost, restart_path, restart_accepted, restart_proposed \
@@ -206,11 +183,6 @@ def saps_search_report(
             best_cost = restart_cost
             best_order = restart_path
 
-    if best_order is None or math.isinf(best_cost):
-        raise InferenceError(
-            "SAPS found no finite-cost Hamiltonian path; run Steps 2-3 "
-            "first so the closure is complete"
-        )
     ranking = Ranking([int(v) for v in best_order])
     polish_improved = False
     polish_delta = 0.0
@@ -231,6 +203,27 @@ def saps_search_report(
         polish_improved=polish_improved,
         polish_delta=polish_delta,
     )
+
+
+def _cost_matrix(matrix: np.ndarray) -> np.ndarray:
+    """``cost[u, v] = -log w_uv`` (``+inf`` on the diagonal), so ``d(P)``
+    sums edge costs.
+
+    Raises :class:`InferenceError` unless every off-diagonal weight is
+    positive and finite: the incremental deltas are undefined on a
+    missing edge, and Step 3 never hands one over.
+    """
+    n = matrix.shape[0]
+    off_diagonal = matrix[~np.eye(n, dtype=bool)]
+    if not ((off_diagonal > 0.0) & (off_diagonal < np.inf)).all():
+        raise InferenceError(
+            "SAPS needs a complete closure: every off-diagonal weight "
+            "must be positive and finite (Theorem 5.1); run Steps 2-3 "
+            "first"
+        )
+    cost = -np.log(np.maximum(matrix, 1e-300))
+    np.fill_diagonal(cost, np.inf)
+    return cost
 
 
 def _restart_vertices(
@@ -270,9 +263,6 @@ def _initial_path(
     for _ in range(n - 1):
         row = np.where(visited, np.inf, cost[current])
         nxt = int(np.argmin(row))
-        if math.isinf(row[nxt]):
-            # Dead end on an incomplete graph: fill with any unvisited.
-            nxt = int(np.flatnonzero(~visited)[0])
         visited[nxt] = True
         path.append(nxt)
         current = nxt
@@ -287,27 +277,24 @@ class _RestartShared:
     """Read-only per-run state shared by every restart task.
 
     One instance is referenced by all restart tasks: the thread and
-    serial backends share it (and its lazily built incremental-kernel
-    tables) in memory, while the process backend pickles only the raw
-    matrices — the derived tables are rebuilt once per worker process
-    (O(n^2), negligible next to the anneal) rather than shipped over
-    the pipe.
+    serial backends share it (and its lazily built kernel tables) in
+    memory, while the process backend pickles only the raw matrices —
+    the derived tables are rebuilt once per worker process (O(n^2),
+    negligible next to the anneal) rather than shipped over the pipe.
     """
 
-    __slots__ = ("matrix", "cost", "kernel", "iterations", "config",
-                 "_tables")
+    __slots__ = ("matrix", "cost", "iterations", "config", "_tables")
 
-    def __init__(self, matrix: np.ndarray, cost: np.ndarray, kernel: str,
+    def __init__(self, matrix: np.ndarray, cost: np.ndarray,
                  iterations: int, config: SAPSConfig):
         self.matrix = matrix
         self.cost = cost
-        self.kernel = kernel
         self.iterations = iterations
         self.config = config
         self._tables = None
 
     def tables(self):
-        """(rows, diff) for the incremental kernel.
+        """(rows, diff) for the anneal.
 
         Built on first use; the single-attribute assignment keeps the
         lazy initialisation safe under concurrent restart threads.
@@ -319,12 +306,10 @@ class _RestartShared:
         return tables
 
     def __getstate__(self):
-        return (self.matrix, self.cost, self.kernel, self.iterations,
-                self.config)
+        return (self.matrix, self.cost, self.iterations, self.config)
 
     def __setstate__(self, state):
-        (self.matrix, self.cost, self.kernel, self.iterations,
-         self.config) = state
+        (self.matrix, self.cost, self.iterations, self.config) = state
         self._tables = None
 
 
@@ -333,9 +318,8 @@ def _run_restart(task) -> Tuple[float, List[int], int, int]:
     ``(best_cost, best_path, accepted, proposed)`` out.
 
     Module-level (not a closure) so the process backend can pickle it
-    by reference; both kernels consume ``stream`` identically, so the
-    outcome depends only on the task — never on which backend or worker
-    ran it.
+    by reference; the outcome depends only on the task — never on which
+    backend or worker ran it.
     """
     shared, start, stream = task
     config = shared.config
@@ -345,16 +329,13 @@ def _run_restart(task) -> Tuple[float, List[int], int, int]:
     else:
         initial = _initial_path(shared.matrix, shared.cost, start, config,
                                 stream)
-    if shared.kernel == "reference":
-        return _anneal_reference(shared.cost, initial, shared.iterations,
-                                 config, stream)
     rows, diff = shared.tables()
     return _anneal_incremental(shared.cost, rows, diff, initial,
                                shared.iterations, config, stream)
 
 
 # ---------------------------------------------------------------------------
-# Annealing kernels
+# Annealing kernel
 # ---------------------------------------------------------------------------
 
 def _anneal_incremental(
@@ -366,7 +347,7 @@ def _anneal_incremental(
     config: SAPSConfig,
     stream: np.random.Generator,
 ) -> Tuple[float, List[int], int, int]:
-    """One restart with incremental move evaluation (the hot path).
+    """One restart with incremental move evaluation.
 
     The path is a Python list (scalar list-of-lists lookups beat
     ``ndarray[a, b]`` severalfold here) kept beside two edge lists:
@@ -375,9 +356,9 @@ def _anneal_incremental(
     Rotate and RandomSwap cost O(1) boundary lookups; a Reverse's
     internal change is a C-level ``sum`` over a slice of ``forward``.
     The deltas are those of :mod:`repro.inference.delta`, inlined.
-    Move indices are decoded per block of draws with the reference
-    kernel's float products and truncation, so they are identical.
-    Requires every off-diagonal cost to be finite (the caller checks).
+    Move indices are decoded per block of draws (:func:`_slice_bounds`).
+    Requires every off-diagonal cost to be finite (:func:`_cost_matrix`
+    checks).
     """
     n = len(initial)
     path: List[int] = [int(v) for v in initial]
@@ -532,8 +513,13 @@ def _anneal_incremental(
 def _slice_bounds(
     first_draws: np.ndarray, last_draws: np.ndarray, n: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`_two_indices` for a block of draws: the same float
-    products and truncation, so the bounds are identical."""
+    """Slice bounds ``(first, last)`` for a block of draws.
+
+    For any ``n >= 2``: ``0 <= first < last <= n`` and
+    ``last - first >= 2`` — ``first`` uniform on ``[0, n-2]``, ``last``
+    uniform on ``[first+2, n]``.  Each bound is one float product
+    truncated to an int, so a fixed seed gives fixed moves.
+    """
     first = (first_draws * (n - 1)).astype(np.int64)
     return first, first + 2 + (last_draws * (n - first - 1)).astype(np.int64)
 
@@ -558,103 +544,3 @@ def _check_running(
     assert backward == [diff[b][a] for a, b in zip(path, path[1:])], \
         "backward edge list out of sync with the path"
 
-
-def _anneal_reference(
-    cost: np.ndarray,
-    initial: np.ndarray,
-    iterations: int,
-    config: SAPSConfig,
-    stream: np.random.Generator,
-) -> Tuple[float, List[int], int, int]:
-    """One restart with full re-evaluation per proposal.
-
-    Every proposal copies the path and re-sums all ``n - 1`` edges —
-    the pre-optimisation cost model.  Kept as the benchmark baseline,
-    the cross-check oracle, and the only kernel that handles ``+inf``
-    edges (incomplete closures) exactly.
-    """
-    path = initial
-    current = path_cost(cost, path)
-    best_cost = current
-    best_path = path.copy()
-    accepted = 0
-    proposed = 0
-    temperature = config.temperature
-    for _ in range(iterations):
-        for move in (_rotate, _reverse, _random_swap):
-            candidate = move(path, stream)
-            cand_cost = path_cost(cost, candidate)
-            proposed += 1
-            # The acceptance draw is always consumed so both kernels
-            # walk the random stream identically.
-            u = stream.random()
-            if cand_cost < current:
-                accept = True
-            elif math.isinf(cand_cost):
-                accept = False
-            else:
-                accept = bool(
-                    u < math.exp(-(cand_cost - current) / temperature)
-                )
-            if accept:
-                path, current = candidate, cand_cost
-                accepted += 1
-                if current < best_cost:
-                    best_cost = current
-                    best_path = path.copy()
-        temperature *= config.cooling_rate
-        if temperature < 1e-300:
-            temperature = 1e-300
-    return best_cost, [int(v) for v in best_path], accepted, proposed
-
-
-# ---------------------------------------------------------------------------
-# Moves (pure forms: copy, then apply — used by the reference kernel)
-# ---------------------------------------------------------------------------
-
-def _rotate(path: np.ndarray, generator) -> np.ndarray:
-    """Rotate(P, first, middle, last): std::rotate semantics on a slice.
-
-    ``_two_indices`` guarantees ``last - first >= 2``, so both blocks
-    are non-empty and no degenerate-span guard is needed.
-    """
-    n = len(path)
-    first, last = _two_indices(n, generator)
-    middle = first + 1 + int(generator.random() * (last - first - 1))
-    out = path.copy()
-    apply_rotate(out, first, middle, last)
-    return out
-
-
-def _reverse(path: np.ndarray, generator) -> np.ndarray:
-    """Reverse(P, first, last): reverse the slice between two indices."""
-    n = len(path)
-    first, last = _two_indices(n, generator)
-    out = path.copy()
-    out[first:last] = path[first:last][::-1]
-    return out
-
-
-def _random_swap(path: np.ndarray, generator) -> np.ndarray:
-    """RandomSwap(P, first, last): swap two random positions."""
-    n = len(path)
-    i = int(generator.random() * n)
-    j = int(generator.random() * n)
-    out = path.copy()
-    apply_swap(out, i, j)
-    return out
-
-
-def _two_indices(n: int, generator) -> Tuple[int, int]:
-    """Two slice bounds spanning at least two elements.
-
-    Contract (relied on by every move kernel, checked by the property
-    suite): for any ``n >= 2``, returns ``(first, last)`` with
-    ``0 <= first < last <= n`` and ``last - first >= 2`` — ``first``
-    uniform on ``[0, n-2]``, ``last`` uniform on ``[first+2, n]``.
-    Exactly two floats are consumed from ``generator`` so the
-    incremental kernel can pre-fetch draws in fixed-size blocks.
-    """
-    first = int(generator.random() * (n - 1))
-    last = first + 2 + int(generator.random() * (n - first - 1))
-    return first, last

@@ -15,74 +15,53 @@ a sampled draw (the paper's stochastic phrasing).  Only 1-edges are
 touched — the paper smooths nothing else, "aiming to minimize the amounts
 of errors introduced by estimation".
 
-Two implementations are provided:
+:func:`smooth_matrix` works on the columnar vote arrays
+(:class:`~repro.types.VoteArrays`): it identifies 1-edges from the
+Step-1 truth vector, computes ``sigma_k`` once per distinct worker, and
+applies every shift with ``np.bincount``; :func:`resmooth_pairs` is the
+streaming session's per-pair refresh of the same arithmetic.
 
-* :func:`smooth_preferences` — the original object path over a
-  :class:`~repro.graphs.preference_graph.PreferenceGraph`; kept as the
-  compatibility API and as the oracle the fast path is differenced
-  against;
-* :func:`smooth_matrix` — the columnar fast path: identifies 1-edges
-  from the Step-1 truth vector, computes ``sigma_k`` once per distinct
-  worker, and applies every shift with ``np.bincount`` over the
-  pre-flattened vote arrays (:class:`~repro.types.VoteArrays`).
-
-**Sampled-mode RNG draw-order contract.**  Both implementations consume
-exactly one ``|N(0, sigma_k^2)|`` draw per (1-edge, vote) in the same
-order: 1-edges in lexicographic ``(source, target)`` order, and votes
-within an edge in original vote-set order.  ``numpy``'s vectorized
-``Generator.normal(0, sigma_array)`` draws element-wise from the same
-bit stream as the equivalent sequence of scalar calls, so for a fixed
-seed the two paths produce bit-identical shifts.  (The object path
-iterates ``graph.one_edges()``, which for Step-1 graphs built by
-:meth:`PreferenceGraph.from_direct_preferences` over the sorted pair
-table is exactly lexicographic ``(source, target)`` order — pinned by a
-regression test.)
+**Sampled-mode RNG draw-order contract.**  One ``|N(0, sigma_k^2)|``
+draw is consumed per (1-edge, vote): 1-edges in lexicographic
+``(source, target)`` order, and votes within an edge in original
+vote-set order.  ``numpy``'s vectorized ``Generator.normal(0,
+sigma_array)`` draws element-wise from the same bit stream as the
+equivalent sequence of scalar calls, so the shifts are bit-identical to
+a per-edge scalar loop in that order — which is how the per-edge
+object-graph oracle under ``tests/oracles/`` computes them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
 from ..config import SmoothingConfig
 from ..exceptions import InferenceError
-from ..graphs.preference_graph import ONE_EDGE_TOLERANCE, PreferenceGraph
+from ..graphs.preference_graph import ONE_EDGE_TOLERANCE
 from ..rng import SeedLike, ensure_rng
-from ..types import VoteArrays, VoteSet, WorkerId, canonical_pair
+from ..types import VoteArrays, WorkerId
 
 
 @dataclass(frozen=True)
-class SmoothingResult:
-    """Output of Step 2 (object path).
+class MatrixSmoothingResult:
+    """Output of Step 2.
 
     Attributes
     ----------
-    graph:
-        The smoothed preference graph (both directions present for every
-        compared pair, weights summing to 1 per pair).
+    matrix:
+        The smoothed dense weight matrix (both directions present for
+        every compared pair, weights summing to 1 per pair) — the
+        representation Steps 3-4 consume directly.
     n_one_edges:
         How many unanimous edges were smoothed (the quantity the paper's
         Fig. 4 discussion ties to the Gaussian-vs-Uniform runtime gap).
     adjustments:
         Per smoothed directed edge, the amount moved to the reverse
         direction.
-    """
-
-    graph: PreferenceGraph
-    n_one_edges: int
-    adjustments: Dict[Tuple[int, int], float]
-
-
-@dataclass(frozen=True)
-class MatrixSmoothingResult:
-    """Output of Step 2 (columnar fast path).
-
-    Same information as :class:`SmoothingResult` with the graph replaced
-    by its dense weight matrix — the representation Steps 3-4 consume
-    directly.
     """
 
     matrix: np.ndarray
@@ -103,105 +82,15 @@ def worker_sigma(quality: float, config: SmoothingConfig) -> float:
     return float(min(max(sigma, config.sigma_floor), config.sigma_cap))
 
 
-def _worker_error(
-    sigma: float, config: SmoothingConfig, rng: np.random.Generator
-) -> float:
-    """One worker's estimated error mass ``err_k`` on a unanimous edge."""
-    if config.mode == "expected":
-        return sigma * math.sqrt(2.0 / math.pi)
-    return float(abs(rng.normal(0.0, sigma)))
-
-
-def smooth_preferences(
-    graph: PreferenceGraph,
-    votes: VoteSet,
-    worker_quality: Mapping[WorkerId, float],
-    config: Optional[SmoothingConfig] = None,
-    rng: SeedLike = None,
-) -> SmoothingResult:
-    """Smooth every 1-edge of ``graph`` using the answering workers' quality.
-
-    Parameters
-    ----------
-    graph:
-        The direct preference graph from Step 1
-        (:meth:`PreferenceGraph.from_direct_preferences`).
-    votes:
-        The raw votes — needed to find *which* workers answered each
-        unanimous pair.
-    worker_quality:
-        Step 1's estimated ``q_k``.
-    config:
-        Smoothing configuration.
-    rng:
-        Only used in ``mode="sampled"``.
-
-    Raises
-    ------
-    InferenceError
-        If a 1-edge has no recorded votes (inconsistent inputs) or a
-        quality is missing for an answering worker.
-    """
-    config = config if config is not None else SmoothingConfig()
-    generator = ensure_rng(rng)
-    votes_by_pair = votes.by_pair()
-    smoothed = graph.copy()
-    adjustments: Dict[Tuple[int, int], float] = {}
-    # sigma_k is a pure function of the worker's quality — compute it
-    # once per distinct worker, not once per (edge, vote).
-    sigma_cache: Dict[WorkerId, float] = {}
-
-    one_edges = graph.one_edges()
-    for u, v in one_edges:
-        pair = canonical_pair(u, v)
-        pair_votes = votes_by_pair.get(pair)
-        if not pair_votes:
-            raise InferenceError(
-                f"1-edge ({u} -> {v}) has no recorded votes; the vote set "
-                "does not match the preference graph"
-            )
-        errors: List[float] = []
-        for vote in pair_votes:
-            sigma = sigma_cache.get(vote.worker)
-            if sigma is None:
-                if vote.worker not in worker_quality:
-                    raise InferenceError(
-                        f"no quality estimate for worker {vote.worker} "
-                        f"answering pair {pair}"
-                    )
-                sigma = worker_sigma(worker_quality[vote.worker], config)
-                sigma_cache[vote.worker] = sigma
-            errors.append(_worker_error(sigma, config, generator))
-        shift = float(np.mean(errors))
-        # A unanimous edge may become uninformative (0.5/0.5) under very
-        # unreliable workers but must never *invert*: the crowd said
-        # i ≺ j, so the smoothed w_ij stays >= 0.5.  The lower clip keeps
-        # both directions strictly positive (strong connectivity).
-        shift = min(max(shift, config.min_weight), 0.5)
-
-        smoothed.remove_edge(u, v)
-        smoothed.add_edge(u, v, 1.0 - shift)
-        if smoothed.has_edge(v, u):  # pragma: no cover - 1-edge => absent
-            smoothed.remove_edge(v, u)
-        smoothed.add_edge(v, u, shift)
-        adjustments[(u, v)] = shift
-
-    return SmoothingResult(
-        graph=smoothed,
-        n_one_edges=len(one_edges),
-        adjustments=adjustments,
-    )
-
-
 def direct_preference_matrix(
     arrays: VoteArrays, truth_vector: np.ndarray
 ) -> np.ndarray:
-    """Step-1 output as a dense weight matrix (fast-path ``G_P``).
+    """Step-1 output as a dense weight matrix (``G_P``).
 
-    The matrix analogue of
-    :meth:`PreferenceGraph.from_direct_preferences`: for each compared
-    pair ``(i, j)`` (canonical ``i < j``) with estimated preference
-    ``x_ij``, entry ``[i, j] = x_ij`` when positive and
+    The matrix analogue of :meth:`PreferenceGraph.from_direct_preferences
+    <repro.graphs.preference_graph.PreferenceGraph.from_direct_preferences>`:
+    for each compared pair ``(i, j)`` (canonical ``i < j``) with
+    estimated preference ``x_ij``, entry ``[i, j] = x_ij`` when positive and
     ``[j, i] = 1 - x_ij`` when ``x_ij < 1``; absent edges stay 0.
     """
     x = np.asarray(truth_vector, dtype=np.float64)
@@ -232,11 +121,10 @@ def smooth_matrix(
 ) -> MatrixSmoothingResult:
     """Vectorized Step 2 over the columnar vote arrays.
 
-    Numerically identical to running :func:`smooth_preferences` on the
-    graph built from the same truth vector (see the module docstring for
-    the sampled-mode draw-order contract; per-edge means via
-    ``np.bincount`` accumulate in the same sequential order as the
-    object path's ``np.mean`` for the realistic <= 8 votes per pair).
+    Per-edge means via ``np.bincount`` accumulate in the same sequential
+    order as a per-edge ``np.mean`` for the realistic <= 8 votes per
+    pair, so the shifts match a scalar per-edge loop bit for bit (see
+    the module docstring for the sampled-mode draw-order contract).
 
     Parameters
     ----------
@@ -250,13 +138,10 @@ def smooth_matrix(
         ``hi -> lo`` edge).
     arrays:
         Columnar vote view; every pair in the table carries at least one
-        vote by construction, so the object path's "1-edge without
-        votes" failure mode cannot occur here.
+        vote by construction, so a 1-edge always has votes.
     worker_quality:
         Either a quality vector aligned with ``arrays.worker_ids`` or a
-        mapping that must cover every voting worker (the object path
-        only requires quality for workers on unanimous pairs; the fast
-        path checks all of them up front).
+        mapping that must cover every voting worker (checked up front).
     """
     config = config if config is not None else SmoothingConfig()
     generator = ensure_rng(rng)
@@ -356,9 +241,8 @@ def _sigma_vector(
     worker_quality: Union[Mapping[WorkerId, float], np.ndarray],
     config: SmoothingConfig,
 ) -> np.ndarray:
-    """Per-distinct-worker sigma, through the same scalar
-    :func:`worker_sigma` as the object path (bit-identical clipping and
-    log)."""
+    """Per-distinct-worker sigma through the scalar :func:`worker_sigma`
+    (the same clipping and log for every caller)."""
     if isinstance(worker_quality, np.ndarray):
         qualities = worker_quality.tolist()
     else:
@@ -383,7 +267,7 @@ def _one_edge_table(
     arrays: VoteArrays,
     pair_mask: Optional[np.ndarray] = None,
 ) -> tuple:
-    """1-edges from the truth vector, in the object path's draw order:
+    """1-edges from the truth vector, in the documented draw order:
     lexicographic ``(source, target)``.  ``pair_mask`` restricts the
     table to a subset of pairs (the incremental path)."""
     one_forward = x >= 1.0 - ONE_EDGE_TOLERANCE

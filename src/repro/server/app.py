@@ -22,6 +22,12 @@ wait, every job attempt, and retry backoff all draw from the same
 budget (the executor's ``deadline`` machinery), so a request cannot
 hold its slots much past the deadline the client asked for.
 
+A request cannot widen its own fan-out: a job or session config that
+sets ``saps.backend`` or a ``saps.parallel_restarts`` other than 1 is
+answered ``400``.  Where work runs is the operator's choice
+(``workers``/``backend``), and per-request SAPS restart pools would
+run outside the execution slots.
+
 Backpressure responses (and any other error sent before the request
 body has been read) carry ``Connection: close`` so a keep-alive
 client never has its unread body misparsed as the next request.
@@ -77,6 +83,7 @@ from typing import Dict, List, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from .._version import __version__
+from ..config import PipelineConfig
 from ..diagnostics import get_logger
 from ..exceptions import (
     ConfigurationError,
@@ -303,6 +310,19 @@ class _HttpError(Exception):
         self.message = message
         self.headers = headers or {}
         self.close = close
+
+
+def _reject_request_fanout(config: PipelineConfig, source: str) -> None:
+    """400 unless the config leaves SAPS restarts serial on the
+    default backend: a request-chosen restart pool would start workers
+    that the execution slots do not count."""
+    saps = config.saps
+    if saps.backend is not None or saps.parallel_restarts != 1:
+        raise _HttpError(
+            400, f"{source}: config.saps.backend and "
+                 "config.saps.parallel_restarts are set by the server "
+                 "operator (--backend, --workers); omit them"
+        )
 
 
 class _Server(ThreadingHTTPServer):
@@ -545,9 +565,11 @@ class RankingServer:
         payload.setdefault("schema", JOB_SCHEMA)
         payload.setdefault("job_id", f"req-{next(self._request_ids)}")
         try:
-            return job_from_payload(payload, source=source)
+            job = job_from_payload(payload, source=source)
         except DataFormatError as error:
             raise _HttpError(400, str(error)) from None
+        _reject_request_fanout(job.config, source)
+        return job
 
     # -- execution ----------------------------------------------------------
 
@@ -884,6 +906,7 @@ class _Handler(BaseHTTPRequestHandler):
                 config = session_config_from_payload(
                     payload.get("config"), source="config"
                 )
+                _reject_request_fanout(config.pipeline, "config.pipeline")
                 session = server.sessions.create(n_objects, config)
             except (DataFormatError, ConfigurationError,
                     SessionLimitError) as error:

@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import itertools
 import json
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Union
@@ -228,9 +230,10 @@ def config_from_payload(
 ) -> PipelineConfig:
     """Decode a (possibly partial) config dict.
 
-    Unknown keys and invalid values raise :class:`DataFormatError`;
-    omitted keys fall back to the library defaults, so a job line may
-    specify only the knobs it cares about.
+    Unknown keys, values whose JSON type does not fit the field's
+    declared type (:func:`_check_json_fields`) and invalid values raise
+    :class:`DataFormatError`; omitted keys fall back to the library
+    defaults, so a job line may specify only the knobs it cares about.
     """
     if payload is None:
         return PipelineConfig()
@@ -244,8 +247,12 @@ def config_from_payload(
                     raise DataFormatError(
                         f"{source}: config.{key} must be an object"
                     )
+                _check_json_fields(_SUBCONFIGS[key], value, source,
+                                   f"config.{key}")
                 kwargs[key] = _SUBCONFIGS[key](**value)
-            elif key in ("search", "truth_engine", "vote_path", "engine"):
+            elif key in ("search", "truth_engine", "engine"):
+                _check_json_fields(PipelineConfig, {key: value}, source,
+                                   "config")
                 kwargs[key] = value
             else:
                 raise DataFormatError(
@@ -254,6 +261,42 @@ def config_from_payload(
         return PipelineConfig(**kwargs)
     except (ConfigurationError, TypeError) as error:
         raise DataFormatError(f"{source}: invalid config ({error})") from None
+
+
+@functools.lru_cache(maxsize=None)
+def _field_types(cls) -> Dict[str, object]:
+    """``cls``'s resolved field annotations (resolving costs ~0.1 ms)."""
+    return typing.get_type_hints(cls)
+
+
+def _check_json_fields(cls, values: Dict[str, object], source: str,
+                       prefix: str) -> None:
+    """Match decoded JSON values against ``cls``'s declared field types.
+
+    Stricter than the dataclasses, which trust their (numpy-int
+    passing) library callers: ``int`` fields take JSON integers only,
+    float fields any number, bool and str fields only their own type,
+    and ``null`` only ``Optional`` fields.  A boolean is never a number.
+    """
+    hints = _field_types(cls)
+    for name, value in values.items():
+        if name not in hints:
+            raise DataFormatError(
+                f"{source}: unknown config field '{prefix}.{name}'"
+            )
+        optional = typing.get_args(hints[name])  # Optional[X]: (X, None)
+        base = optional[0] if optional else hints[name]
+        if value is None:
+            fits = bool(optional)
+        elif isinstance(value, bool):
+            fits = base is bool
+        else:
+            fits = isinstance(value, (int, float) if base is float else base)
+        if not fits:
+            raise DataFormatError(
+                f"{source}: {prefix}.{name} must be {base.__name__}"
+                f"{' or null' if optional else ''}, got {value!r}"
+            )
 
 
 # ---------------------------------------------------------------------------

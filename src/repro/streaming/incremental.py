@@ -36,7 +36,7 @@ every entry.
 
 The very first update (no previous state) is a **full** update: cold
 truth discovery, full smoothing, full-schedule SAPS — identical to the
-batch pipeline's columnar path.
+batch pipeline.
 """
 
 from __future__ import annotations
@@ -149,10 +149,6 @@ class IncrementalEngine:
             raise InferenceError(
                 "incremental sessions require search='saps' (warm "
                 f"restarts are undefined for {config.search!r})"
-            )
-        if config.vote_path != "columnar":
-            raise InferenceError(
-                "incremental sessions require vote_path='columnar'"
             )
         self.config = config
         self.warm_iterations = int(warm_iterations)

@@ -61,8 +61,8 @@ class SessionConfig:
     Attributes
     ----------
     pipeline:
-        The Steps 1-4 configuration; sessions require the columnar vote
-        path and the SAPS search (warm restarts are SAPS-specific).
+        The Steps 1-4 configuration; sessions require the SAPS search
+        (warm restarts are SAPS-specific).
     seed:
         Seed of the session's long-lived RNG; also the seed
         :meth:`RankingSession.recompute` hands the batch pipeline, so a

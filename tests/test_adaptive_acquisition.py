@@ -1,22 +1,16 @@
 """Integration tests for the ``policy=`` seam of ``adaptive_rank``:
-acquisition-driven rounds, the columnar interim-inference path, and the
-tie-breaking regressions of the legacy heuristic."""
-
-import dataclasses
+acquisition-driven rounds and the tie-breaking regressions of the
+legacy heuristic."""
 
 import numpy as np
 import pytest
 
 from repro.acquisition import AcquisitionPolicy, BudgetLedger
-from repro.adaptive import (
-    _interim_closure,
-    _most_uncertain_pairs,
-    adaptive_rank,
-)
+from repro.adaptive import _most_uncertain_pairs, adaptive_rank
 from repro.config import FAST_PIPELINE
 from repro.exceptions import ConfigurationError
 from repro.platform import InteractivePlatform
-from repro.types import Ranking, Vote
+from repro.types import Ranking
 from repro.workers import QualityLevel, WorkerPool, gaussian_preset
 
 
@@ -77,31 +71,6 @@ class TestPolicySeam:
             )
             accuracies.append(list(result.ranking.order))
         assert accuracies[0] == accuracies[1]
-
-
-class TestColumnarInterim:
-    """Satellite: interim inference rides the columnar vote path."""
-
-    def test_columnar_matches_object_path(self):
-        rng = np.random.default_rng(0)
-        n = 10
-        votes = [
-            Vote(worker=int(k % 6), winner=int(i), loser=int(j))
-            for k, (i, j) in enumerate(
-                rng.choice(n, size=2, replace=False) for _ in range(150)
-            )
-        ]
-        columnar = dataclasses.replace(FAST_PIPELINE,
-                                       vote_path="columnar")
-        objects = dataclasses.replace(FAST_PIPELINE, vote_path="object")
-        closure_col = _interim_closure(
-            n, votes, columnar, np.random.default_rng(5)
-        )
-        closure_obj = _interim_closure(
-            n, votes, objects, np.random.default_rng(5)
-        )
-        np.testing.assert_allclose(closure_col, closure_obj,
-                                   atol=1e-12)
 
 
 class TestHeuristicTieBreak:

@@ -43,6 +43,22 @@ class TestZeroBudget:
         assert policy.should_stop()
 
 
+class TestFloatBoundary:
+    def test_affordable_count_is_affordable_at_an_ulp_boundary(self):
+        """13 * 0.001 * 76923000 exceeds 999999.0 by one ulp; the
+        affordable count must still be affordable."""
+        model = BudgetModel(total=999999.0, workers_per_task=13,
+                            reward=0.001)
+        count = model.affordable_comparisons()
+        assert count == 76923000
+        assert model.can_afford(count)
+        assert not model.can_afford(count + 1)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(BudgetError):
+            BudgetModel(total=1.0, workers_per_task=1).can_afford(-1)
+
+
 class TestSinglePairUniverse:
     """n=2: the spanning minimum, the maximum and the only pair agree."""
 

@@ -88,6 +88,18 @@ class TestPropagateMatrix:
         assert matrix[0, 2] == pytest.approx(0.5)
         assert matrix[1, 3] == pytest.approx(0.5)
 
+    def test_subnormal_pair_total_stays_normalised(self):
+        """A subnormal alpha on a pair with no indirect evidence leaves
+        a subnormal pair total; normalising must still give
+        w_ij + w_ji = 1 in the evidence's direction (found by the
+        Theorem 5.1 property: both directions used to hit the clip)."""
+        smoothed = np.array([[0.0, 0.9504637], [0.14415961, 0.0]])
+        closure = propagate_matrix(
+            smoothed, PropagationConfig(alpha=5e-324, method="walks")
+        )
+        assert closure[0, 1] + closure[1, 0] == pytest.approx(1.0, abs=1e-12)
+        assert closure[0, 1] > closure[1, 0]
+
 
 class TestPropagatePreferences:
     def test_returns_complete_graph(self, smoothed_chain):

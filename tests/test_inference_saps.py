@@ -7,15 +7,11 @@ import pytest
 
 from repro.config import SAPSConfig
 from repro.exceptions import InferenceError
-from repro.inference.saps import (
-    _random_swap,
-    _reverse,
-    _rotate,
-    saps_search,
-    saps_search_report,
-)
+from repro.inference.saps import saps_search, saps_search_report
 from repro.inference.taps import branch_and_bound_search
 from repro.types import Ranking
+
+from tests.oracles.saps import _random_swap, _reverse, _rotate
 
 
 def sharp_matrix(n, forward=0.9):
@@ -39,6 +35,8 @@ def random_closure(n, seed):
 
 
 class TestMoves:
+    """The reference oracle's pure moves (copy, then apply)."""
+
     @pytest.mark.parametrize("move", [_rotate, _reverse, _random_swap])
     def test_moves_preserve_permutation(self, move):
         rng = np.random.default_rng(0)
@@ -108,6 +106,10 @@ class TestSAPSSearch:
         ranking, _ = saps_search(matrix, SAPSConfig(iterations=10, restarts=1),
                                  rng=0)
         assert ranking == Ranking([0, 1])
+
+    def test_empty_matrix_raises(self):
+        with pytest.raises(InferenceError):
+            saps_search(np.zeros((0, 0)), SAPSConfig(iterations=10), rng=0)
 
     def test_incomplete_graph_without_path_raises(self):
         matrix = np.zeros((4, 4))

@@ -1,4 +1,5 @@
-"""Unit tests for repro.inference.smoothing (Step 2)."""
+"""Unit tests for Step 2: repro.inference.smoothing and its per-edge
+object-graph oracle (``tests/oracles/smoothing.py``)."""
 
 import math
 
@@ -8,15 +9,16 @@ import pytest
 from repro.config import SmoothingConfig
 from repro.exceptions import InferenceError
 from repro.graphs import PreferenceGraph
-from repro.inference import smoothing as smoothing_mod
 from repro.inference.smoothing import (
     direct_preference_matrix,
     resmooth_pairs,
     smooth_matrix,
-    smooth_preferences,
     worker_sigma,
 )
 from repro.types import Vote, VoteSet
+
+from tests.oracles import smoothing as smoothing_mod
+from tests.oracles.smoothing import smooth_preferences
 
 
 @pytest.fixture

@@ -15,8 +15,7 @@ from repro.experiments.runner import collect_votes
 from repro.inference import infer_ranking
 from repro.inference.taps import branch_and_bound_search, taps_search
 from repro.inference.propagation import propagate_matrix
-from repro.inference.smoothing import smooth_preferences
-from repro.graphs import PreferenceGraph
+from repro.inference.smoothing import direct_preference_matrix, smooth_matrix
 from repro.truth import discover_truth
 from repro.metrics import ranking_accuracy
 from repro.types import Ranking
@@ -108,12 +107,12 @@ class TestExactVsHeuristic:
         pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
         votes = study.collect_votes(pairs, n_workers=25, rng=56)
         truth_result = discover_truth(votes)
-        graph = PreferenceGraph.from_direct_preferences(
-            7, truth_result.preferences
-        )
-        smoothing = smooth_preferences(graph, votes,
-                                       truth_result.worker_quality)
-        closure = propagate_matrix(smoothing.graph,
+        arrays = votes.arrays()
+        direct = direct_preference_matrix(arrays,
+                                          truth_result.preference_vector)
+        smoothing = smooth_matrix(direct, truth_result.preference_vector,
+                                  arrays, truth_result.quality_vector)
+        closure = propagate_matrix(smoothing.matrix,
                                    PropagationConfig(max_hops=5))
         taps_paths, taps_prob = taps_search(closure)
         saps_config = SAPSConfig(iterations=4000, restarts=3)

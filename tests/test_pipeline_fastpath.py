@@ -1,11 +1,12 @@
-"""Differential suite: the columnar fast path vs the object path.
+"""Differential suite: the columnar pipeline vs the object-graph oracle.
 
-The contract under test (ISSUE: columnar vote path): for every vote set,
-seed and backend, ``vote_path="columnar"`` must produce results
-*bit-identical* to ``vote_path="object"`` — same ranking, same
-``log_preference`` float, same worker qualities, same smoothing
-adjustments.  This is what lets the pipeline default to the fast path
-without a behaviour flag day.
+The contract under test: for every vote set, seed and backend,
+:class:`~repro.inference.RankingPipeline` (dense matrices through
+Steps 1-3) must produce results *bit-identical* to the object-graph
+oracle in ``tests/oracles`` (``PreferenceGraph`` plus per-edge
+smoothing) — same ranking, same ``log_preference`` float, same worker
+qualities, same metadata, and at Steps 1-3 the same closure and the
+same smoothing adjustments.
 
 Also hosts the :class:`~repro.types.VoteArrays` round-trip and property
 tests (empty, single-vote, duplicate-pair vote sets).
@@ -23,17 +24,14 @@ from repro.config import (
     SmoothingConfig,
 )
 from repro.datasets import make_scenario
-from repro.exceptions import ConfigurationError
 from repro.experiments.runner import collect_votes
-from repro.graphs import PreferenceGraph
 from repro.inference import RankingPipeline
-from repro.inference.smoothing import (
-    direct_preference_matrix,
-    smooth_matrix,
-    smooth_preferences,
-)
-from repro.truth.crh import discover_truth
+from repro.inference.propagation import propagate_matrix
+from repro.inference.smoothing import direct_preference_matrix, smooth_matrix
+from repro.truth import discover_truth, discover_truth_em
 from repro.types import Vote, VoteArrays, VoteSet
+
+from tests.oracles import object_closure, object_pipeline
 
 SIZES = (2, 3, 10, 50)
 SEEDS = (0, 1, 2, 3, 4)
@@ -62,58 +60,37 @@ def _assert_identical(columnar, obj):
     assert columnar.metadata == obj.metadata
 
 
+def _run_both(votes, config, seed):
+    columnar = RankingPipeline(config).run(votes, rng=seed)
+    return columnar, object_pipeline(votes, config, rng=seed)
+
+
 class TestColumnarVsObjectPipeline:
     @pytest.mark.parametrize("n", SIZES)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_bit_identical_results(self, n, seed):
         votes = _votes_for(n, seed)
-        config = _config()
-        columnar = RankingPipeline(config.with_(vote_path="columnar")).run(
-            votes, rng=seed
-        )
-        obj = RankingPipeline(config.with_(vote_path="object")).run(
-            votes, rng=seed
-        )
-        _assert_identical(columnar, obj)
+        _assert_identical(*_run_both(votes, _config(), seed))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_sampled_mode_shares_the_rng_stream(self, seed):
         """Sampled smoothing draws from the generator; both paths must
         consume it in the same order for identical downstream results."""
         votes = _votes_for(10, seed)
-        config = _config(mode="sampled")
-        columnar = RankingPipeline(config.with_(vote_path="columnar")).run(
-            votes, rng=seed
-        )
-        obj = RankingPipeline(config.with_(vote_path="object")).run(
-            votes, rng=seed
-        )
-        _assert_identical(columnar, obj)
+        _assert_identical(*_run_both(votes, _config(mode="sampled"), seed))
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     def test_every_backend(self, backend, hang_guard):
-        """The vote path and the execution backend are orthogonal knobs."""
+        """The Steps 1-3 representation and the execution backend are
+        orthogonal."""
         votes = _votes_for(10, 1)
-        config = _config(backend=backend)
-        columnar = RankingPipeline(config.with_(vote_path="columnar")).run(
-            votes, rng=1
-        )
-        obj = RankingPipeline(config.with_(vote_path="object")).run(
-            votes, rng=1
-        )
-        _assert_identical(columnar, obj)
+        _assert_identical(*_run_both(votes, _config(backend=backend), 1))
 
     @pytest.mark.parametrize("engine", ["crh", "em"])
     def test_both_truth_engines(self, engine):
         votes = _votes_for(10, 2)
         config = _config().with_(truth_engine=engine)
-        columnar = RankingPipeline(config.with_(vote_path="columnar")).run(
-            votes, rng=2
-        )
-        obj = RankingPipeline(config.with_(vote_path="object")).run(
-            votes, rng=2
-        )
-        _assert_identical(columnar, obj)
+        _assert_identical(*_run_both(votes, config, 2))
 
     def test_exact_propagation_identical(self):
         """The exact-paths kernel must agree too (n below the auto
@@ -122,44 +99,36 @@ class TestColumnarVsObjectPipeline:
         config = _config().with_(
             propagation=PropagationConfig(method="exact")
         )
-        columnar = RankingPipeline(config.with_(vote_path="columnar")).run(
-            votes, rng=3
-        )
-        obj = RankingPipeline(config.with_(vote_path="object")).run(
-            votes, rng=3
-        )
-        _assert_identical(columnar, obj)
-
-    def test_unknown_vote_path_rejected(self):
-        with pytest.raises(ConfigurationError):
-            PipelineConfig(vote_path="sparse")
+        _assert_identical(*_run_both(votes, config, 3))
 
 
 class TestSmoothingAdjustmentsIdentical:
+    @pytest.mark.parametrize("engine", ["crh", "em"])
     @pytest.mark.parametrize("mode", ["expected", "sampled"])
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_adjustments_dict_bit_identical(self, mode, seed):
-        """Direct Step-2 differential: same adjustments, same floats."""
+    def test_adjustments_dict_bit_identical(self, mode, seed, engine):
+        """Steps 1-3 differential: same 1-edge count, same adjustments,
+        same smoothed matrix and same closure, float for float."""
         votes = _votes_for(12, seed)
-        truth = discover_truth(votes)
-        config = SmoothingConfig(mode=mode)
+        config = PipelineConfig(smoothing=SmoothingConfig(mode=mode),
+                                truth_engine=engine)
+        discover = discover_truth_em if engine == "em" else discover_truth
+        truth = discover(votes, config.truth)
         arrays = votes.arrays()
 
-        graph = PreferenceGraph.from_direct_preferences(
-            votes.n_objects, truth.preferences
-        )
-        obj = smooth_preferences(
-            graph, votes, truth.worker_quality, config, rng=seed
-        )
+        obj = object_closure(votes, config, rng=seed)
         direct = direct_preference_matrix(arrays, truth.preference_vector)
         fast = smooth_matrix(
             direct, truth.preference_vector, arrays, truth.quality_vector,
-            config, rng=seed,
+            config.smoothing, rng=seed,
         )
 
-        assert fast.n_one_edges == obj.n_one_edges
-        assert fast.adjustments == obj.adjustments  # keys AND floats
-        assert np.array_equal(fast.matrix, obj.graph.weight_matrix())
+        assert fast.n_one_edges == obj.smoothing.n_one_edges
+        assert fast.adjustments == obj.smoothing.adjustments  # keys AND floats
+        assert np.array_equal(fast.matrix, obj.smoothing.graph.weight_matrix())
+        assert np.array_equal(
+            propagate_matrix(fast.matrix, config.propagation), obj.closure
+        )
 
 
 class TestVoteArraysRoundTrip:

@@ -11,7 +11,6 @@ from repro.graphs.analysis import hp_likelihood_lower_bound, prob_in_or_out_node
 from repro.graphs.closure import propagate_exact_paths, propagate_walks
 from repro.graphs.generators import near_regular_task_graph
 from repro.inference.propagation import propagate_matrix
-from repro.inference.saps import _random_swap, _reverse, _rotate
 from repro.metrics import (
     kendall_tau_distance,
     normalized_kendall_tau_distance,
@@ -20,6 +19,8 @@ from repro.metrics import (
 )
 from repro.truth import discover_truth, majority_vote
 from repro.types import Ranking, Vote, VoteSet
+
+from tests.oracles.saps import _random_swap, _reverse, _rotate
 
 
 # -- strategies ----------------------------------------------------------------

@@ -1,18 +1,21 @@
 """Property-based tests for the inference layer (both truth engines,
-smoothing, the adaptive propagation depth and the SAPS move kernel)."""
+smoothing, the adaptive propagation depth, Theorem 5.1's complete
+closure and the SAPS moves)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.config import SmoothingConfig
+from repro.config import PropagationConfig, SAPSConfig, SmoothingConfig
 from repro.graphs import PreferenceGraph
-from repro.inference.propagation import _adaptive_hops
-from repro.inference.saps import _random_swap, _reverse, _rotate, _two_indices
-from repro.inference.smoothing import smooth_preferences
+from repro.inference.propagation import _adaptive_hops, propagate_matrix
+from repro.inference.saps import _slice_bounds, saps_search_report
 from repro.truth import discover_truth, discover_truth_em
 from repro.types import Vote, VoteSet
 from repro.workers import parallel_map
+
+from tests.oracles.saps import _random_swap, _reverse, _rotate, _two_indices
+from tests.oracles.smoothing import smooth_preferences
 
 
 @st.composite
@@ -72,7 +75,7 @@ class TestSmoothingProperties:
 
 
 class TestSAPSMoveProperties:
-    """The index/move contract every SAPS kernel relies on."""
+    """The index/move contract of the SAPS anneal and its oracle."""
 
     @given(st.integers(2, 200), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -84,6 +87,22 @@ class TestSAPSMoveProperties:
             first, last = _two_indices(n, generator)
             assert 0 <= first < last <= n
             assert last - first >= 2
+
+    @given(st.integers(2, 200), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_slice_bounds_match_two_indices(self, n, seed):
+        """The kernel's block decode gives the oracle's scalar bounds
+        from the same draws — the reason both accept the same moves."""
+        draws = np.random.default_rng(seed).random((16, 2))
+        first, last = _slice_bounds(draws[:, 0], draws[:, 1], n)
+        replay = iter(draws.ravel().tolist())
+
+        class _Replay:
+            def random(self):
+                return next(replay)
+
+        expected = [_two_indices(n, _Replay()) for _ in range(16)]
+        assert list(zip(first.tolist(), last.tolist())) == expected
 
     @given(st.integers(2, 60), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -181,3 +200,49 @@ class TestParallelMapProperties:
                             backend=backend) == []
         assert parallel_map(_negate, [4], max_workers=3,
                             backend=backend) == [-4]
+
+
+@st.composite
+def step2_matrices(draw):
+    """Non-negative weight matrices with zero diagonal (no self-loops,
+    like every Step-2 output), n in 2..25: sparse, with isolated
+    vertices and disconnected blocks drawn in."""
+    n = draw(st.integers(2, 25))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    matrix = rng.random((n, n))
+    matrix[rng.random((n, n)) < draw(st.floats(0.0, 1.0))] = 0.0
+    blocks = rng.integers(0, draw(st.integers(1, 4)), size=n)
+    matrix[blocks[:, None] != blocks[None, :]] = 0.0
+    isolated = rng.random(n) < draw(st.floats(0.0, 0.5))
+    matrix[isolated, :] = 0.0
+    matrix[:, isolated] = 0.0
+    np.fill_diagonal(matrix, 0.0)
+    return matrix
+
+
+class TestTheorem51Closure:
+    """Theorem 5.1: Step 3 turns any Step-2 graph into a complete
+    closure, which is why SAPS may refuse incomplete input."""
+
+    @given(step2_matrices(), st.floats(0.0, 1.0),
+           st.sampled_from(["walks", "exact"]))
+    @settings(max_examples=80, deadline=None)
+    def test_closure_is_complete_and_pair_normalised(self, matrix, alpha,
+                                                     method):
+        n = matrix.shape[0]
+        if method == "exact" and n > 9:
+            method = "walks"
+        closure = propagate_matrix(
+            matrix, PropagationConfig(alpha=alpha, method=method)
+        )
+        off = ~np.eye(n, dtype=bool)
+        assert (np.diagonal(closure) == 0.0).all()
+        assert (closure[off] >= 1e-9).all()
+        assert (closure[off] <= 1.0 - 1e-9).all()
+        np.testing.assert_allclose((closure + closure.T)[off], 1.0,
+                                   rtol=0.0, atol=1e-12)
+        report = saps_search_report(
+            closure, SAPSConfig(iterations=50, restarts=1), rng=0
+        )
+        assert sorted(report.ranking.order) == list(range(n))

@@ -2,12 +2,13 @@
 
 The contract under test: the incremental kernel (delta evaluation,
 in-place moves, pre-fetched RNG blocks) is *observationally identical*
-to the reference kernel (full re-sum per proposal, scalar RNG draws)
-for any seed — same accepted moves, same best ranking, same cost to
-float precision — while being several times faster (benchmarked by
-``benchmarks/bench_saps.py``, not here).  ``TestGoldenReports`` pins
-the kernel's answers on Steps 1-3 closures to recorded values, so a
-kernel rewrite cannot drift from the answers of the kernel it replaces.
+to the reference anneal in ``tests/oracles`` (full re-sum per proposal,
+scalar RNG draws) for any seed — same accepted moves, same best
+ranking, same cost to float precision — while being several times
+faster (benchmarked by ``benchmarks/bench_saps.py``, not here).
+``TestGoldenReports`` pins the kernel's answers on Steps 1-3 closures
+to recorded values, so a kernel rewrite cannot drift from the answers
+of the kernel it replaces.
 
 Costs are compared to 1e-9, never exactly: from Python 3.12 ``sum()``
 of floats is compensated, so the kernel's Reverse sums may differ in
@@ -15,7 +16,6 @@ the last bits between interpreter versions.
 """
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,8 @@ from repro.inference.saps import (
 )
 from repro.types import VoteSet
 from repro.workers import parallel_map
+
+from tests.oracles import reference_search_report
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "saps_golden.json").read_text()
@@ -210,13 +212,10 @@ class TestKernelEquivalence:
         base = dict(iterations=400, restarts=2)
         inc = saps_search_report(
             matrix,
-            SAPSConfig(**base, kernel="incremental", debug_checks=True,
-                       resync_every=64),
+            SAPSConfig(**base, debug_checks=True, resync_every=64),
             rng=7,
         )
-        ref = saps_search_report(
-            matrix, SAPSConfig(**base, kernel="reference"), rng=7
-        )
+        ref = reference_search_report(matrix, SAPSConfig(**base), rng=7)
         assert inc.ranking == ref.ranking
         assert inc.log_preference == pytest.approx(ref.log_preference,
                                                    abs=1e-9)
@@ -231,8 +230,8 @@ class TestKernelEquivalence:
         matrix = random_closure(n, seed=n + 100)
         report = saps_search_report(
             matrix,
-            SAPSConfig(iterations=600, restarts=1, kernel="incremental",
-                       debug_checks=True, resync_every=10**9),
+            SAPSConfig(iterations=600, restarts=1, debug_checks=True,
+                       resync_every=10**9),
             rng=3,
         )
         assert report.proposed_moves == 600 * 3
@@ -244,8 +243,7 @@ class TestKernelEquivalence:
         config = dict(iterations=300, restarts=1, scale_with_objects=False)
         inc = saps_search_report(
             matrix, SAPSConfig(**config, debug_checks=True), rng=2)
-        ref = saps_search_report(
-            matrix, SAPSConfig(**config, kernel="reference"), rng=2)
+        ref = reference_search_report(matrix, SAPSConfig(**config), rng=2)
         assert inc.ranking == ref.ranking
         assert inc.accepted_moves == ref.accepted_moves > 0
         assert inc.log_preference == pytest.approx(ref.log_preference,
@@ -259,28 +257,25 @@ class TestKernelEquivalence:
         base = dict(iterations=150, restarts=2, resync_every=37)
         inc = saps_search_report(
             matrix, SAPSConfig(**base, debug_checks=True), rng=seed)
-        ref = saps_search_report(
-            matrix, SAPSConfig(**base, kernel="reference"), rng=seed)
+        ref = reference_search_report(matrix, SAPSConfig(**base), rng=seed)
         assert inc.ranking == ref.ranking
         assert inc.accepted_moves == ref.accepted_moves
         assert inc.proposed_moves == ref.proposed_moves
         assert inc.log_preference == pytest.approx(ref.log_preference,
                                                    abs=1e-9)
 
-    def test_incomplete_closure_falls_back_to_reference(self):
-        """Any missing edge forces the reference kernel (inf-safe); the
-        result must match an explicit reference run exactly."""
+    @pytest.mark.parametrize("init", ["greedy", "degree", "random"])
+    @pytest.mark.parametrize("bad", [0.0, float("nan")])
+    def test_incomplete_closure_raises_typed_error(self, init, bad):
+        """One missing (or NaN) off-diagonal weight is not a Step-3
+        closure: SAPS refuses it up front, under every init."""
         matrix = random_closure(8, seed=5)
-        matrix[2, 6] = 0.0  # knock out one direction
-        config_inc = SAPSConfig(iterations=300, restarts=2,
-                                kernel="incremental")
-        config_ref = SAPSConfig(iterations=300, restarts=2,
-                                kernel="reference")
-        inc = saps_search_report(matrix, config_inc, rng=11)
-        ref = saps_search_report(matrix, config_ref, rng=11)
-        assert inc.ranking == ref.ranking
-        assert inc.log_preference == ref.log_preference
-        assert math.isfinite(inc.log_preference)
+        matrix[2, 6] = bad
+        with pytest.raises(InferenceError, match="Theorem 5.1"):
+            saps_search_report(
+                matrix, SAPSConfig(iterations=300, restarts=2, init=init),
+                rng=11,
+            )
 
     def test_incomplete_graph_still_raises_without_path(self):
         matrix = np.zeros((4, 4))
@@ -294,7 +289,8 @@ class TestGoldenReports:
 
     The recorded reports (``data/saps_golden.json``) came from the
     incremental kernel before its edge-list rewrite; rankings and move
-    counts must match exactly, the objective to 1e-9.
+    counts must match exactly, the objective to 1e-9 — for the kernel
+    and for the reference oracle alike.
     """
 
     @pytest.mark.parametrize("golden", GOLDEN,
@@ -309,9 +305,23 @@ class TestGoldenReports:
         assert report.log_preference == pytest.approx(
             golden["log_preference"], abs=1e-9)
 
+    @pytest.mark.parametrize("golden", GOLDEN[:2],
+                             ids=[f"n{g['n']}" for g in GOLDEN[:2]])
+    def test_reference_oracle_matches_recorded(self, golden):
+        """The two smallest goldens: the full-re-sum anneal needs
+        seconds per report from n=100 up."""
+        n = golden["n"]
+        closure = steps_1_to_3(synthetic_votes(n, seed=n), seed=n)
+        report = reference_search_report(closure, SAPSConfig(), rng=n + 1)
+        assert list(report.ranking.order) == golden["ranking"]
+        assert report.accepted_moves == golden["accepted_moves"]
+        assert report.proposed_moves == golden["proposed_moves"]
+        assert report.log_preference == pytest.approx(
+            golden["log_preference"], abs=1e-9)
+
     def test_closures_are_complete(self):
-        """Steps 1-3 closures take the incremental kernel, not the
-        reference fallback for incomplete graphs."""
+        """Steps 1-3 closures are complete (Theorem 5.1), so SAPS
+        accepts them."""
         closure = steps_1_to_3(synthetic_votes(16, seed=16), seed=16)
         off_diagonal = ~np.eye(16, dtype=bool)
         assert (closure[off_diagonal] > 0.0).all()
@@ -336,11 +346,11 @@ class TestParallelRestarts:
 
     def test_serial_equals_parallel_reference_kernel(self):
         matrix = random_closure(10, seed=77)
-        base = dict(iterations=150, restarts=3, kernel="reference")
-        serial = saps_search_report(
+        base = dict(iterations=150, restarts=3)
+        serial = reference_search_report(
             matrix, SAPSConfig(**base, parallel_restarts=1), rng=5
         )
-        parallel = saps_search_report(
+        parallel = reference_search_report(
             matrix, SAPSConfig(**base, parallel_restarts=3), rng=5
         )
         assert serial.ranking == parallel.ranking

@@ -3,6 +3,7 @@
 import gc
 import http.client
 import json
+import multiprocessing
 import threading
 import time
 import urllib.error
@@ -282,6 +283,84 @@ class TestBatch:
                              {"jobs": [SCENARIO_REQUEST, {"job_id": ""}]})
         assert status == 400
         assert "jobs[1]" in body["error"]
+
+
+#: A request that would pick its own fan-out: one SAPS restart per
+#: object, 16 of them at once on the process backend.
+FANOUT_SAPS = {"restarts": None, "parallel_restarts": 16,
+               "backend": "process"}
+
+
+@pytest.fixture
+def process_starts(monkeypatch):
+    """Records every child process started in this (server) process."""
+    started = []
+    original = multiprocessing.process.BaseProcess.start
+
+    def start(self):
+        started.append(self)
+        return original(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+    return started
+
+
+class TestRequestFanout:
+    """Where work runs is the operator's choice: a request body may not
+    set ``saps.backend`` or widen ``saps.parallel_restarts``."""
+
+    def test_rank_rejects_request_fanout(self, server, process_starts):
+        request = dict(SCENARIO_REQUEST, config={"saps": FANOUT_SAPS})
+        status, body = _post(server.url + "/v1/rank", request)
+        assert status == 400
+        assert "config.saps.parallel_restarts" in body["error"]
+        assert process_starts == []
+
+    @pytest.mark.parametrize("saps", [{"backend": "serial"},
+                                      {"parallel_restarts": 2}],
+                             ids=["backend", "parallel_restarts"])
+    def test_batch_rejects_request_fanout(self, server, process_starts,
+                                          saps):
+        jobs = [SCENARIO_REQUEST,
+                dict(SCENARIO_REQUEST, config={"saps": saps})]
+        status, body = _post(server.url + "/v1/batch", {"jobs": jobs})
+        assert status == 400
+        assert "jobs[1]" in body["error"]
+        assert process_starts == []
+
+    def test_session_create_rejects_request_fanout(self, server,
+                                                   process_starts):
+        status, body = _post(server.url + "/v1/sessions", {
+            "n_objects": 30,
+            "config": {"pipeline": {"saps": FANOUT_SAPS}},
+        })
+        assert status == 400
+        assert "config.saps.backend" in body["error"]
+        assert process_starts == []
+
+    def test_default_fanout_values_are_accepted(self, server):
+        request = dict(SCENARIO_REQUEST, config={
+            "saps": {"backend": None, "parallel_restarts": 1,
+                     "iterations": 300}})
+        status, body = _post(server.url + "/v1/rank", request)
+        assert status == 200
+
+
+class TestConfigFieldTypes:
+    def test_rank_rejects_float_iterations(self, server):
+        request = dict(SCENARIO_REQUEST,
+                       config={"saps": {"iterations": 1.5}})
+        status, body = _post(server.url + "/v1/rank", request)
+        assert status == 400
+        assert "config.saps.iterations" in body["error"]
+
+    def test_session_create_rejects_bool_iterations(self, server):
+        status, body = _post(server.url + "/v1/sessions", {
+            "n_objects": 8,
+            "config": {"pipeline": {"saps": {"iterations": True}}},
+        })
+        assert status == 400
+        assert "config.saps.iterations" in body["error"]
 
 
 class TestLimits:

@@ -77,6 +77,71 @@ class TestConfigCodec:
         with pytest.raises(DataFormatError):
             config_from_payload({"saps": {"iterations": -1}})
 
+    @pytest.mark.parametrize("payload", [
+        {"vote_path": "object"},
+        {"saps": {"kernel": "reference"}},
+    ], ids=["vote_path", "saps.kernel"])
+    def test_retired_fields_are_unknown(self, payload):
+        with pytest.raises(DataFormatError, match="unknown config field"):
+            config_from_payload(payload)
+
+
+#: (config payload, the field the error must name): JSON values whose
+#: type does not fit the field's declared type.
+MISTYPED_CONFIGS = {
+    "float-int": ({"saps": {"iterations": 1.5}}, "config.saps.iterations"),
+    "float-optional-int": ({"saps": {"restarts": 2.5}},
+                           "config.saps.restarts"),
+    "float-truth-int": ({"truth": {"max_iterations": 2.5}},
+                        "config.truth.max_iterations"),
+    "bool-int": ({"saps": {"iterations": True}}, "config.saps.iterations"),
+    "float-hops": ({"propagation": {"max_hops": 3.5}},
+                   "config.propagation.max_hops"),
+    "string-int": ({"taps": {"max_objects": "9"}},
+                   "config.taps.max_objects"),
+    "null-int": ({"sparse": {"max_solver_iterations": None}},
+                 "config.sparse.max_solver_iterations"),
+    "bool-float": ({"smoothing": {"min_weight": False}},
+                   "config.smoothing.min_weight"),
+    "string-float": ({"truth": {"tolerance": "0.1"}},
+                     "config.truth.tolerance"),
+    "int-bool": ({"saps": {"polish": 1}}, "config.saps.polish"),
+    "string-bool": ({"truth": {"strict": "yes"}}, "config.truth.strict"),
+    "int-str": ({"propagation": {"method": 1}},
+                "config.propagation.method"),
+    "int-optional-str": ({"saps": {"backend": 0}}, "config.saps.backend"),
+    "list-top-level-str": ({"search": ["saps"]}, "config.search"),
+    "bool-top-level-str": ({"engine": True}, "config.engine"),
+}
+
+
+class TestConfigFieldTypes:
+    @pytest.mark.parametrize("case", sorted(MISTYPED_CONFIGS))
+    def test_mistyped_value_names_the_field(self, case):
+        payload, field_name = MISTYPED_CONFIGS[case]
+        with pytest.raises(DataFormatError, match=re.escape(field_name)):
+            config_from_payload(payload)
+
+    def test_fitting_values_decode(self):
+        config = config_from_payload({
+            "saps": {"iterations": 7, "restarts": None, "backend": None,
+                     "temperature": 1, "polish": True},
+            "propagation": {"max_hops": 3, "alpha": 0},
+            "truth": {"tolerance": 0.01, "strict": False},
+            "search": "saps",
+        })
+        assert config.saps.iterations == 7
+        assert config.saps.restarts is None
+        assert config.saps.temperature == 1
+        assert config.propagation.max_hops == 3
+        assert config.truth.strict is False
+
+    def test_library_callers_keep_numpy_ints(self):
+        """The dataclasses themselves stay permissive: only the JSON
+        codec checks types."""
+        config = SAPSConfig(iterations=np.int64(5), restarts=np.int64(1))
+        assert config.iterations == 5
+
 
 class TestJobCodec:
     def test_votes_job_round_trip(self, tiny_votes):

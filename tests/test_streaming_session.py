@@ -295,10 +295,8 @@ class TestPayloadCodecs:
 
 
 class TestEngineGuards:
-    def test_requires_saps_and_columnar(self):
+    def test_requires_saps(self):
         from repro.streaming import IncrementalEngine
 
         with pytest.raises(InferenceError):
             IncrementalEngine(PipelineConfig(search="taps"))
-        with pytest.raises(InferenceError):
-            IncrementalEngine(PipelineConfig(vote_path="object"))
