@@ -22,43 +22,51 @@ Quickstart
 True
 """
 
+from ._lazy import lazy_exports
 from ._version import __version__
-from .config import (
-    FAST_PIPELINE,
-    PipelineConfig,
-    PropagationConfig,
-    SAPSConfig,
-    SmoothingConfig,
-    TAPSConfig,
-    TruthDiscoveryConfig,
-)
-from .types import HIT, InferenceResult, Ranking, Vote, VoteSet
-from .budget import BudgetModel, BudgetPlan, plan_for_budget, plan_for_selection_ratio
-from .assignment import assign_hits, generate_assignment, verify_assignment
-from .inference import RankingPipeline, infer_ranking
-from .session import CrowdRankingOutcome, rank_with_crowd
-from .diagnostics import configure_logging, get_logger
-from .service import (
-    BatchExecutor,
-    BatchReport,
-    JobResult,
-    JobStatus,
-    MetricsRegistry,
-    RankingJob,
-    ResultCache,
-    RetryPolicy,
-    ScenarioSpec,
-    run_batch,
-)
-from .server import RankingServer, ServerConfig
-from .client import RankingClient, ServerError, ServerUnavailableError
-from .streaming import (
-    RankingSession,
-    SessionConfig,
-    SessionManager,
-    StabilityMonitor,
-    VoteBuffer,
-)
+
+# Every other name loads its module on first access, so that importing
+# one submodule (``repro.server``, ``repro.cli``) runs only what it uses.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".config": (
+        "FAST_PIPELINE",
+        "PipelineConfig",
+        "PropagationConfig",
+        "SAPSConfig",
+        "SmoothingConfig",
+        "TAPSConfig",
+        "TruthDiscoveryConfig",
+    ),
+    ".types": ("HIT", "InferenceResult", "Ranking", "Vote", "VoteSet"),
+    ".budget": ("BudgetModel", "BudgetPlan", "plan_for_budget",
+                "plan_for_selection_ratio"),
+    ".assignment": ("assign_hits", "generate_assignment",
+                    "verify_assignment"),
+    ".inference": ("RankingPipeline", "infer_ranking"),
+    ".session": ("CrowdRankingOutcome", "rank_with_crowd"),
+    ".diagnostics": ("configure_logging", "get_logger"),
+    ".service": (
+        "BatchExecutor",
+        "BatchReport",
+        "JobResult",
+        "JobStatus",
+        "MetricsRegistry",
+        "RankingJob",
+        "ResultCache",
+        "RetryPolicy",
+        "ScenarioSpec",
+        "run_batch",
+    ),
+    ".server": ("RankingServer", "ServerConfig"),
+    ".client": ("RankingClient", "ServerError", "ServerUnavailableError"),
+    ".streaming": (
+        "RankingSession",
+        "SessionConfig",
+        "SessionManager",
+        "StabilityMonitor",
+        "VoteBuffer",
+    ),
+})
 
 __all__ = [
     "__version__",

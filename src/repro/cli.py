@@ -51,20 +51,15 @@ import sys
 from typing import List, Optional
 
 from . import __version__
-from .assignment import generate_assignment, verify_assignment
-from .budget import BudgetModel, plan_for_budget, plan_for_selection_ratio
 from .config import (
     LARGE_N_PIPELINE,
     PipelineConfig,
     PropagationConfig,
     SAPSConfig,
 )
-from .datasets import load_votes_csv, make_scenario
 from .diagnostics import configure_logging
 from .exceptions import ReproError
-from .experiments import run_pipeline_arm
-from .inference import infer_ranking
-from .workers import BACKEND_CHOICES, QualityLevel
+from .workers.backends import BACKEND_CHOICES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -348,6 +343,9 @@ def _resolve_engine(args: argparse.Namespace) -> str:
 
 
 def _cmd_rank(args: argparse.Namespace) -> int:
+    from .datasets import load_votes_csv
+    from .inference import infer_ranking
+
     votes = load_votes_csv(args.votes_csv, n_objects=args.n_objects)
     config = PipelineConfig(
         search=args.search,
@@ -391,6 +389,9 @@ def _cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    from .assignment import generate_assignment, verify_assignment
+    from .budget import BudgetModel, plan_for_budget, plan_for_selection_ratio
+
     if args.budget is not None:
         budget = BudgetModel(total=args.budget,
                              workers_per_task=args.workers_per_task,
@@ -427,6 +428,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .datasets import make_scenario
+    from .experiments import run_pipeline_arm
+    from .workers import QualityLevel
+
     scenario = make_scenario(
         args.n_objects, args.ratio,
         n_workers=args.workers, workers_per_task=args.workers_per_task,
@@ -599,7 +604,7 @@ def _read_vote_log(path: str) -> list:
                 continue
             try:
                 item = json.loads(line)
-            except json.JSONDecodeError as error:
+            except (json.JSONDecodeError, RecursionError) as error:
                 raise DataFormatError(
                     f"{name}:{lineno}: invalid JSON ({error})"
                 ) from None
@@ -852,6 +857,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
+    from .datasets import make_scenario
     from .experiments import (
         export_records_csv,
         format_records,

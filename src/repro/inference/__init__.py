@@ -17,14 +17,7 @@
 * :mod:`~repro.inference.pipeline` — the end-to-end inference pipeline.
 """
 
-from .engines import (
-    SPARSE_ENGINES,
-    EngineReport,
-    graph_lsq_rank,
-    hodge_rank,
-    solve_sparse_engine,
-)
-from .incidence import SparseIncidence, build_incidence, quality_edge_weights
+from .._lazy import lazy_exports
 from .smoothing import (
     MatrixSmoothingResult,
     direct_preference_matrix,
@@ -35,6 +28,14 @@ from .taps import taps_search, branch_and_bound_search
 from .saps import saps_search
 from .local_search import polish_ranking
 from .pipeline import RankingPipeline, infer_ranking
+
+# The sparse engines (and scipy.sparse behind them) load on first use.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".engines": ("SPARSE_ENGINES", "EngineReport", "graph_lsq_rank",
+                 "hodge_rank", "solve_sparse_engine"),
+    ".incidence": ("SparseIncidence", "build_incidence",
+                   "quality_edge_weights"),
+})
 
 __all__ = [
     "SPARSE_ENGINES",

@@ -271,7 +271,7 @@ def load_payload(
         raise DataFormatError(f"{path}: cannot read ({error})") from None
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as error:
+    except (json.JSONDecodeError, RecursionError) as error:
         raise DataFormatError(f"{path}: invalid JSON ({error})") from None
     if not isinstance(payload, dict) or payload.get("schema") != schema:
         raise DataFormatError(
@@ -309,6 +309,6 @@ def load_result(path: Union[str, Path]) -> InferenceResult:
         raise DataFormatError(f"{path}: cannot read ({error})") from None
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as error:
+    except (json.JSONDecodeError, RecursionError) as error:
         raise DataFormatError(f"{path}: invalid JSON ({error})") from None
     return result_from_payload(payload, source=str(path))

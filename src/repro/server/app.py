@@ -676,8 +676,11 @@ def freeze_startup_heap() -> None:
     lists trigger — walks all of them again.  No collection runs first:
     a default server holds a handful of unreachable objects at this
     point, not worth the full collection's tens of milliseconds of
-    start-up.  A :class:`RankingServer` embedded in an application
-    never calls this: the GC state is the application's.
+    start-up.  Modules loaded on first use after this call (the sparse
+    engines, acquisition; see the import-hygiene rule in
+    ``docs/DEVELOPMENT.md``) are not frozen.  A :class:`RankingServer`
+    embedded in an application never calls this: the GC state is the
+    application's.
     """
     gc.freeze()
 
@@ -1027,7 +1030,9 @@ class _Handler(BaseHTTPRequestHandler):
         self._body_consumed = True
         try:
             return json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        # RecursionError: nesting deeper than the decoder's stack.
+        except (UnicodeDecodeError, json.JSONDecodeError,
+                RecursionError) as error:
             raise _HttpError(400, f"invalid JSON body ({error})") from None
 
     def _drain_body(self, length: int, *, budget: int) -> None:

@@ -544,7 +544,7 @@ def iter_jobs_jsonl(lines: Iterable[str], source: str = "<stream>") -> Iterator[
         where = f"{source}:{lineno}"
         try:
             payload = json.loads(text)
-        except json.JSONDecodeError as error:
+        except (json.JSONDecodeError, RecursionError) as error:
             raise DataFormatError(f"{where}: invalid JSON ({error})") from None
         yield job_from_payload(payload, source=where)
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Union
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from ..config import TruthDiscoveryConfig
 from ..exceptions import ConvergenceError, InferenceError
@@ -147,7 +147,7 @@ def discover_truth(
     tasks_per_worker = np.bincount(vote_worker, minlength=n_workers)
     # Eq. 5's chi-square numerator depends only on the task count, so it
     # is a per-worker constant across iterations.
-    chi2_scale = stats.chi2.ppf(config.alpha / 2.0, df=tasks_per_worker)
+    chi2_scale = _chi2_ppf(config.alpha / 2.0, tasks_per_worker)
     chi2_scale = np.maximum(chi2_scale, 1e-12)
 
     quality, truth = _initial_state(warm_start, n_pairs, n_workers)
@@ -227,3 +227,14 @@ def _initial_state(
         )
     # Copies: the iteration must never mutate the caller's state.
     return weights.copy(), truth.copy()
+
+
+def _chi2_ppf(q: float, df: np.ndarray) -> np.ndarray:
+    """Chi-square percent point ``chi2_ppf(q, df)``, elementwise in *df*.
+
+    This is ``2 * gammaincinv(df / 2, q)``: the formula
+    ``scipy.stats.chi2.ppf`` itself evaluates, bit for bit.  Calling
+    :mod:`scipy.special` directly keeps ``scipy.stats`` (most of a cold
+    ``import repro``) out of every process that runs truth discovery.
+    """
+    return 2.0 * special.gammaincinv(df / 2.0, q)

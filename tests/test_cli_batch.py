@@ -102,6 +102,12 @@ class TestBatchCommand:
         assert main(["batch", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_deeply_nested_line_reports_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.jsonl"
+        deep.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+        assert main(["batch", str(deep)]) == 2
+        assert "deep.jsonl:1: invalid JSON" in capsys.readouterr().err
+
     def test_missing_jobs_file_reports_error(self, tmp_path, capsys):
         assert main(["batch", str(tmp_path / "absent.jsonl")]) == 2
         assert "error:" in capsys.readouterr().err

@@ -94,6 +94,12 @@ class TestStreamErrors:
         assert main(["stream", str(path), "--n-objects", "5"]) == 2
         assert "bad.jsonl:2" in capsys.readouterr().err
 
+    def test_deeply_nested_line(self, tmp_path, capsys):
+        path = tmp_path / "deep.jsonl"
+        path.write_text("[0, 1, 2]\n" + "[" * 100_000 + "]" * 100_000 + "\n")
+        assert main(["stream", str(path), "--n-objects", "5"]) == 2
+        assert "deep.jsonl:2: invalid JSON" in capsys.readouterr().err
+
     def test_empty_log(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text("\n")

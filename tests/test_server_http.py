@@ -153,6 +153,21 @@ class TestRank:
         assert status == 400
         assert "invalid JSON" in body["error"]
 
+    def test_deeply_nested_json_is_400(self, server):
+        # Nesting past the decoder's recursion limit is a client error,
+        # and the worker thread that hit it stays usable.
+        nested = b"[" * 100_000 + b"]" * 100_000
+        status, created = _post(server.url + "/v1/sessions",
+                                {"n_objects": 5})
+        assert status == 201
+        paths = ["/v1/rank", "/v1/batch", "/v1/sessions",
+                 f"/v1/sessions/{created['session_id']}/votes"]
+        for path in paths:
+            status, body = _post(server.url + path, nested)
+            assert status == 400, path
+            assert "invalid JSON" in body["error"]
+            assert _get(server.url + "/readyz")[0] == 200
+
     def test_bad_job_payload_is_400(self, server):
         status, body = _post(server.url + "/v1/rank",
                              {"job_id": "x", "seed": 1,

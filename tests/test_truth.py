@@ -11,6 +11,7 @@ from repro.truth import (
     majority_vote,
     weighted_majority_vote,
 )
+from repro.truth.crh import _chi2_ppf
 from repro.types import Vote, VoteSet
 
 
@@ -130,6 +131,17 @@ class TestDiscoverTruth:
         majority = majority_vote(VoteSet.from_votes(6, votes))
         majority_correct = sum(1 for pair in pairs if majority[pair] > 0.5)
         assert correct >= majority_correct
+
+
+def test_chi2_ppf_matches_scipy_stats_bit_for_bit():
+    """Eq. 5's percentile is computed without scipy.stats; it must equal
+    ``stats.chi2.ppf`` exactly, so rankings do not move."""
+    from scipy import stats
+
+    df = np.arange(1, 5001)
+    for alpha in (1e-6, 0.01, 0.05, 0.1, 0.5, 0.9, 0.999):
+        expected = stats.chi2.ppf(alpha / 2.0, df=df)
+        assert np.array_equal(_chi2_ppf(alpha / 2.0, df), expected), alpha
 
 
 class TestConvergenceTrace:
