@@ -21,7 +21,7 @@ Two experiments over an interactive crowd simulation, written to
 
 Every run also hard-checks the differential contract
 (:class:`BDPScorer` must match the loop oracle
-:func:`~repro.acquisition.bdp_scores_reference` to float tolerance) and
+:func:`tests.oracles.bdp_scores_reference` to float tolerance) and
 the determinism contract (identical policy state + seed => identical
 ``suggest`` batches).
 
@@ -44,18 +44,14 @@ import json
 import os
 import platform
 import statistics
+import sys
 import time
 from pathlib import Path
 from typing import Dict, List
 
 import numpy as np
 
-from repro.acquisition import (
-    AcquisitionPolicy,
-    BDPScorer,
-    PairPosterior,
-    bdp_scores_reference,
-)
+from repro.acquisition import AcquisitionPolicy, BDPScorer, PairPosterior
 from repro.adaptive import adaptive_rank
 from repro.config import FAST_PIPELINE
 from repro.metrics import ranking_accuracy
@@ -64,6 +60,10 @@ from repro.types import Ranking
 from repro.workers import QualityLevel, WorkerPool, gaussian_preset
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+# The loop-form BDP scorer is a test oracle: importable as tests.oracles
+# once the repo root is on the path.
+sys.path.insert(0, str(REPO_ROOT))
+from tests.oracles import bdp_scores_reference  # noqa: E402
 
 #: Scorer arms routed through the ``policy=`` seam, plus the legacy
 #: closure-uncertainty round loop (``policy=None``).

@@ -43,6 +43,7 @@ import json
 import multiprocessing
 import os
 import platform
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -61,6 +62,10 @@ from repro.metrics import normalized_kendall_tau_distance
 from repro.types import Vote, VoteSet
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
+# The dense Rank Centrality chain is a test oracle: importable as
+# tests.oracles once the repo root is on the path.
+sys.path.insert(0, str(REPO_ROOT))
+from tests.oracles import dense_rank_centrality  # noqa: E402
 
 ENGINES = ("hodge", "lsq")
 
@@ -346,8 +351,8 @@ def run_smoke_contracts() -> List[str]:
 
     # 5. Sparse Rank Centrality matches its dense oracle bit-for-bit
     #    on the ranking (scores to 1e-10).
-    rank_d, scores_d = rank_centrality(votes, method="dense")
-    rank_s, scores_s = rank_centrality(votes, method="sparse")
+    rank_d, scores_d = dense_rank_centrality(votes)
+    rank_s, scores_s = rank_centrality(votes)
     if list(rank_d.order) != list(rank_s.order):
         failures.append("smoke rank_centrality: sparse ranking != dense")
     if not np.allclose(scores_s, scores_d, atol=1e-10):

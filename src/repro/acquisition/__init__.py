@@ -19,7 +19,7 @@ comparison, and a policy that turns prices into budgeted query batches.
   suggest/observe/stop loop drivers embed.
 """
 
-from .bdp import BDPScorer, bdp_scores_reference
+from .bdp import BDPScorer
 from .ledger import BudgetLedger
 from .policy import AcquisitionPolicy
 from .posterior import PairPosterior
@@ -44,6 +44,5 @@ __all__ = [
     "RandomScorer",
     "SCORER_CHOICES",
     "UncertaintyScorer",
-    "bdp_scores_reference",
     "make_scorer",
 ]

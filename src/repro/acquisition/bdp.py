@@ -59,9 +59,9 @@ measurably worse than random selection at n=100 in the acquisition
 benchmark.  It remains available for small-batch regimes where the
 global functional's preference for separating contenders helps.
 
-:func:`bdp_scores_reference` keeps the literal loops — the O(K^4)
-quadruple loop for the strength term, the per-pair loop for the
-resolution term — as the differential oracle for small K.
+The literal loops — the O(K^4) quadruple loop for the strength term,
+the per-pair loop for the resolution term — live in ``tests/oracles/``
+as the differential oracle for small K.
 """
 
 from __future__ import annotations
@@ -176,62 +176,3 @@ class BDPScorer:
             ) / normaliser
         return scores
 
-
-def bdp_scores_reference(
-    posterior: PairPosterior,
-    update_weight: float = 1.0,
-    preference: np.ndarray = None,
-    *,
-    kappa: float = 6.0,
-    strength_weight: float = 0.0,
-) -> np.ndarray:
-    """Literal loop-based BDP scoring — the differential oracle.
-
-    The pair-resolution term walks every pair and evaluates both
-    simulated outcomes scalar-by-scalar; the strength term (when
-    weighted in) re-sums the full separation functional per candidate
-    and outcome, exactly as the textbook formulation (and the exemplar's
-    O(K^4) loop) does.  Small universes only; the vectorized
-    :class:`BDPScorer` must match it to float tolerance (pinned by a
-    regression test).
-    """
-    alpha = posterior.strength.copy()
-    n = posterior.n_objects
-    p = posterior.mean() if preference is None else preference
-    w = update_weight
-    normaliser = n * (n - 1) / 2.0
-
-    def f(x: float, y: float) -> float:
-        return float(special.betainc(min(x, y), max(x, y), 0.5))
-
-    def quality(strengths: np.ndarray) -> float:
-        total = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                total += f(strengths[i], strengths[j])
-        return total / normaliser
-
-    pair_alpha = posterior.alpha()
-    pair_beta = posterior.beta()
-    base_quality = quality(alpha) if strength_weight else 0.0
-    scores = np.zeros(posterior.n_pairs, dtype=np.float64)
-    for index in range(posterior.n_pairs):
-        a = float(pair_alpha[index]) + kappa * float(p[index])
-        b = float(pair_beta[index]) + kappa * (1.0 - float(p[index]))
-        base = f(a, b)
-        p_hat = a / (a + b)
-        scores[index] = (
-            p_hat * (f(a + w, b) - base)
-            + (1.0 - p_hat) * (f(a, b + w) - base)
-        )
-        if strength_weight:
-            lo, hi = posterior.pair_at(index)
-            lo_wins = alpha.copy()
-            lo_wins[lo] += w
-            hi_wins = alpha.copy()
-            hi_wins[hi] += w
-            scores[index] += strength_weight * (
-                p_hat * (quality(lo_wins) - base_quality)
-                + (1.0 - p_hat) * (quality(hi_wins) - base_quality)
-            )
-    return scores

@@ -8,24 +8,11 @@ walk moves from ``i`` to ``j`` proportionally to the fraction of votes
 extra baseline for the ablation benches — under the BTL worker model its
 scores are consistent, so it is a strong score-based reference.
 
-Two transition-chain representations are provided behind one public
-function:
-
-* ``method="dense"`` — the original ``n x n`` construction, kept as the
-  small-``n`` differential oracle;
-* ``method="sparse"`` — the same chain assembled as a ``scipy.sparse``
-  CSR matrix from the shared edge table
-  (:func:`repro.inference.incidence.build_incidence`), with power
-  iteration as sparse mat-vecs.  Memory and per-iteration cost are
-  O(observed pairs) instead of O(n^2), so the baseline scales to the
-  same large ``n`` as the sparse inference engines.
-
-``method="auto"`` (default) picks dense below
-:data:`SPARSE_THRESHOLD` objects — bit-compatible with the historical
-behaviour on every committed benchmark — and sparse above it.  The two
-paths compute identical transition entries; only float summation order
-differs in the mat-vec, so scores agree to ~1e-12 (checked by the
-differential suite).
+The chain is assembled as a ``scipy.sparse`` CSR matrix from the shared
+edge table (:func:`repro.inference.incidence.build_incidence`), with
+power iteration as sparse mat-vecs: memory and per-iteration cost are
+O(observed pairs), so the baseline scales to the same large ``n`` as the
+sparse inference engines.
 """
 
 from __future__ import annotations
@@ -35,13 +22,9 @@ from typing import Tuple
 import numpy as np
 from scipy import sparse
 
-from ..exceptions import ConfigurationError, InferenceError
+from ..exceptions import InferenceError
 from ..inference.incidence import build_incidence
 from ..types import Ranking, VoteSet
-
-#: ``method="auto"`` crossover: below this many objects the dense oracle
-#: runs (unchanged historical behaviour), at or above it the CSR chain.
-SPARSE_THRESHOLD = 128
 
 
 def rank_centrality(
@@ -50,7 +33,6 @@ def rank_centrality(
     max_iterations: int = 10_000,
     tolerance: float = 1e-10,
     regularization: float = 0.1,
-    method: str = "auto",
 ) -> Tuple[Ranking, np.ndarray]:
     """Rank objects by the stationary distribution of the vote walk.
 
@@ -64,10 +46,6 @@ def rank_centrality(
     regularization:
         Pseudo-votes added in both directions of every *observed* pair,
         keeping the chain irreducible on its comparison graph.
-    method:
-        ``"dense"`` (n x n oracle), ``"sparse"`` (CSR chain over
-        observed pairs only), or ``"auto"`` (default; dense below
-        :data:`SPARSE_THRESHOLD` objects, sparse at or above).
 
     Returns
     -------
@@ -79,27 +57,14 @@ def rank_centrality(
     ------
     InferenceError
         On an empty vote set.
-    ConfigurationError
-        On an unknown ``method``.
     """
-    if method not in ("auto", "dense", "sparse"):
-        raise ConfigurationError(
-            f"method must be 'auto', 'dense' or 'sparse', got {method!r}"
-        )
     if len(votes) == 0:
         raise InferenceError("Rank Centrality needs at least one vote")
     n = votes.n_objects
-    if method == "auto":
-        method = "sparse" if n >= SPARSE_THRESHOLD else "dense"
-
-    if method == "dense":
-        transition = _dense_transition(votes, regularization)
-        pi = _power_iteration_dense(transition, max_iterations, tolerance)
-    else:
-        transition, self_loop = _sparse_transition(votes, regularization)
-        pi = _power_iteration_sparse(
-            transition, self_loop, max_iterations, tolerance
-        )
+    transition, self_loop = _sparse_transition(votes, regularization)
+    pi = _power_iteration_sparse(
+        transition, self_loop, max_iterations, tolerance
+    )
 
     pi = np.maximum(pi, 0.0)
     pi = pi / pi.sum() if pi.sum() > 0 else np.full(n, 1.0 / n)
@@ -107,52 +72,12 @@ def rank_centrality(
     return Ranking(order.tolist()), pi
 
 
-def _dense_transition(
-    votes: VoteSet, regularization: float
-) -> np.ndarray:
-    """The original ``n x n`` chain (the small-``n`` oracle)."""
-    n = votes.n_objects
-    arrays = votes.arrays()
-    wins = np.zeros((n, n), dtype=np.float64)  # wins[i, j] = #(i beat j)
-    np.add.at(wins, (arrays.winner, arrays.loser), 1.0)
-    observed = (wins + wins.T) > 0
-    wins = wins + regularization * observed
-
-    totals = wins + wins.T
-    with np.errstate(invalid="ignore", divide="ignore"):
-        # Transition i -> j proportional to j's win share against i.
-        share = np.where(totals > 0, wins.T / np.maximum(totals, 1e-300), 0.0)
-    # Normalise by the maximum degree so rows sum to <= 1; the remainder
-    # is a self-loop (the standard Rank Centrality construction).
-    degree = np.count_nonzero(totals, axis=1)
-    d_max = max(int(degree.max()), 1)
-    transition = share / d_max
-    np.fill_diagonal(transition, 0.0)
-    self_loop = 1.0 - transition.sum(axis=1)
-    return transition + np.diag(self_loop)
-
-
-def _power_iteration_dense(
-    transition: np.ndarray, max_iterations: int, tolerance: float
-) -> np.ndarray:
-    n = transition.shape[0]
-    pi = np.full(n, 1.0 / n)
-    for _ in range(max_iterations):
-        new_pi = pi @ transition
-        if float(np.abs(new_pi - pi).sum()) < tolerance:
-            pi = new_pi
-            break
-        pi = new_pi
-    return pi
-
-
 def _sparse_transition(
     votes: VoteSet, regularization: float
 ) -> Tuple[sparse.csr_matrix, np.ndarray]:
-    """The same chain on the shared edge table, as CSR + self-loop vector.
+    """The Rank Centrality chain as CSR + self-loop vector.
 
-    Entry for entry, the arithmetic matches the dense construction:
-    win counts aggregate per observed pair, the regulariser is added in
+    Win counts aggregate per observed pair, the regulariser is added in
     both directions of observed pairs only, and rows are normalised by
     the maximum comparison degree.  The self-loop mass is returned as a
     separate vector so the matrix stays at 2 entries per observed pair.

@@ -9,7 +9,7 @@ preference closure stays Hamiltonian-path-friendly.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from ..exceptions import GraphError
 from .task_graph import TaskGraph
@@ -45,17 +45,6 @@ def prob_in_or_out_node(degree: int) -> float:
 def in_out_probabilities(task_graph: TaskGraph) -> List[float]:
     """Eq. 2 evaluated for every vertex of a task graph."""
     return [prob_in_or_out_node(d) for d in task_graph.degrees()]
-
-
-def is_fair(task_graph: TaskGraph, *, strict: bool = True) -> bool:
-    """Theorem 4.1 fairness check.
-
-    A task plan is *fair* when every vertex has equal probability of being
-    an in-/out-node, which by Eq. 2 holds iff all degrees are equal.  With
-    ``strict=False`` the near-regular relaxation (degrees differ by at
-    most one, unavoidable when ``n`` does not divide ``2*l``) passes too.
-    """
-    return task_graph.is_regular() if strict else task_graph.is_near_regular()
 
 
 def fairness_spread(task_graph: TaskGraph) -> float:
@@ -105,72 +94,3 @@ def hp_likelihood_of(task_graph: TaskGraph) -> float:
     """Theorem 4.4 bound evaluated on a concrete task graph."""
     d_min, d_max = task_graph.degree_bounds()
     return hp_likelihood_lower_bound(task_graph.n_vertices, d_min, d_max)
-
-
-def ideal_degree(n_objects: int, n_edges: int) -> float:
-    """The HP-likelihood-maximising common degree ``2*l/n`` (Eq. 3).
-
-    ``sum(degrees) = 2*l`` forces ``d_min <= 2*l/n <= d_max``; the bound
-    ``Pr_l`` is maximised when both collapse onto ``2*l/n``.
-    """
-    if n_objects < 2:
-        raise GraphError(f"need at least 2 objects, got {n_objects}")
-    if n_edges < 1:
-        raise GraphError(f"need at least 1 edge, got {n_edges}")
-    return 2.0 * n_edges / n_objects
-
-
-def degree_histogram(task_graph: TaskGraph) -> Dict[int, int]:
-    """Map of degree -> vertex count (a fairness diagnostic).
-
-    A fair plan has a single bucket; a near-regular one has two
-    adjacent buckets.
-    """
-    histogram: Dict[int, int] = {}
-    for degree in task_graph.degrees():
-        histogram[degree] = histogram.get(degree, 0) + 1
-    return histogram
-
-
-def diameter(task_graph: TaskGraph) -> int:
-    """Longest shortest path of a connected task graph (BFS from all).
-
-    The propagation depth needed for full transitive coverage is exactly
-    this; the adaptive-hops heuristic approximates it from the density.
-
-    Raises
-    ------
-    GraphError
-        If the graph is disconnected (the diameter is undefined and the
-        plan cannot support a full ranking anyway).
-    """
-    n = task_graph.n_vertices
-    longest = 0
-    for source in range(n):
-        distance = [-1] * n
-        distance[source] = 0
-        queue = [source]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for v in task_graph.neighbors(u):
-                if distance[v] < 0:
-                    distance[v] = distance[u] + 1
-                    queue.append(v)
-        eccentricity = max(distance)
-        if min(distance) < 0:
-            raise GraphError("diameter undefined: task graph disconnected")
-        longest = max(longest, eccentricity)
-    return longest
-
-
-def degree_feasible(n_objects: int, n_edges: int) -> bool:
-    """Whether a simple graph with ``n`` vertices and ``l`` edges exists
-    whose degrees are all ``floor`` or ``ceil`` of ``2*l/n``.
-
-    Requires ``l <= C(n, 2)`` and (for connectivity / HP seeding)
-    ``l >= n - 1``.
-    """
-    max_edges = n_objects * (n_objects - 1) // 2
-    return n_objects - 1 <= n_edges <= max_edges

@@ -26,33 +26,11 @@ from typing import Optional
 import numpy as np
 
 from ..exceptions import GraphError
-from .digraph import WeightedDigraph
 
 __all__ = [
-    "transitive_closure_bool",
     "propagate_walks",
     "propagate_exact_paths",
 ]
-
-
-def transitive_closure_bool(graph: WeightedDigraph) -> np.ndarray:
-    """Boolean reachability matrix of ``graph`` (diagonal False).
-
-    Plain BFS from every vertex: O(n * (n + e)), no weights involved.
-    ``closure[i, j]`` is True iff a directed path ``i ⇝ j`` exists.
-    """
-    n = graph.n_vertices
-    closure = np.zeros((n, n), dtype=bool)
-    for source in range(n):
-        stack = [source]
-        seen = closure[source]
-        while stack:
-            u = stack.pop()
-            for v in graph.successors(u):
-                if v != source and not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-    return closure
 
 
 def propagate_walks(
@@ -126,7 +104,7 @@ def _reachability(weights: np.ndarray) -> np.ndarray:
 
 
 def propagate_exact_paths(
-    graph: WeightedDigraph,
+    weights: np.ndarray,
     max_length: Optional[int] = None,
     *,
     max_vertices: int = 14,
@@ -134,18 +112,29 @@ def propagate_exact_paths(
     """Faithful indirect preference: sum over *simple* paths of products.
 
     Enumerates every simple path of length 2..``max_length`` (default
-    ``n - 1``) by DFS.  Exponential — guarded by ``max_vertices``.
+    ``n - 1``) through the dense weight matrix ``weights`` (zero entries
+    mean "no edge") by DFS.  Exponential — guarded by ``max_vertices``.
 
     Successors are visited in ascending vertex order, so the float
     accumulation order — and therefore the result, to the last ULP — is
-    a function of the edge *weights* alone, independent of the order
-    edges were inserted into ``graph``.  (The pipeline's columnar fast
-    path rebuilds the graph from a dense matrix; this is what keeps it
-    bit-identical to the object path in exact mode.)
+    a function of the weights alone.
 
     Returns the indirect-only weight matrix, zero diagonal.
+
+    Raises
+    ------
+    GraphError
+        If ``weights`` is not square, has a negative (or NaN) entry or a
+        nonzero diagonal, or if the size or length guard trips.
     """
-    n = graph.n_vertices
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
+        raise GraphError(f"weight matrix must be square, got {weights.shape}")
+    if not np.all(weights >= 0.0):
+        raise GraphError("weight matrix entries must be non-negative")
+    if np.any(np.diagonal(weights) != 0.0):
+        raise GraphError("weight matrix must have a zero diagonal")
+    n = weights.shape[0]
     if n > max_vertices:
         raise GraphError(
             f"exact path enumeration on n={n} exceeds max_vertices="
@@ -155,7 +144,11 @@ def propagate_exact_paths(
     if cap < 2:
         raise GraphError(f"max_length must be >= 2, got {cap}")
 
-    adjacency = [sorted(graph.out_edges(u)) for u in range(n)]
+    adjacency = []
+    for row in weights:
+        successors = np.nonzero(row)[0]
+        adjacency.append(list(zip(successors.tolist(),
+                                  row[successors].tolist())))
     indirect = np.zeros((n, n), dtype=np.float64)
     for source in range(n):
         on_path = [False] * n

@@ -1,11 +1,11 @@
 """A compact weighted directed graph over integer vertices ``0..n-1``.
 
-The library keeps its own digraph rather than pulling in an external graph
-package for the hot path: the inference kernels need (a) O(1) edge-weight
-lookup, (b) a dense ``numpy`` weight-matrix view for the propagation step,
-and (c) cheap copies — nothing more.  Vertices are always the full range
-``0..n-1`` (the object universe), which removes an entire class of
-vertex-bookkeeping bugs.
+The library keeps its own small digraph rather than pulling in an external
+graph package: the graph model of Sec. III needs O(1) edge-weight lookup,
+the in-/out-node classes, a dense ``numpy`` weight-matrix view and cheap
+copies — nothing more.  (Steps 1-4 themselves run on dense matrices.)
+Vertices are always the full range ``0..n-1`` (the object universe), which
+removes an entire class of vertex-bookkeeping bugs.
 """
 
 from __future__ import annotations
@@ -113,30 +113,10 @@ class WeightedDigraph:
         self._check_vertex(u)
         return iter(self._succ[u])
 
-    def predecessors(self, v: int) -> Iterator[int]:
-        """Vertices ``u`` with an edge ``u -> v``."""
-        self._check_vertex(v)
-        return iter(self._pred[v])
-
     def out_edges(self, u: int) -> Iterator[Tuple[int, float]]:
         """Yield ``(v, weight)`` for every edge ``u -> v``."""
         self._check_vertex(u)
         return iter(self._succ[u].items())
-
-    def in_edges(self, v: int) -> Iterator[Tuple[int, float]]:
-        """Yield ``(u, weight)`` for every edge ``u -> v``."""
-        self._check_vertex(v)
-        return iter(self._pred[v].items())
-
-    def out_degree(self, u: int) -> int:
-        """Number of outgoing edges of ``u``."""
-        self._check_vertex(u)
-        return len(self._succ[u])
-
-    def in_degree(self, v: int) -> int:
-        """Number of incoming edges of ``v``."""
-        self._check_vertex(v)
-        return len(self._pred[v])
 
     def edges(self) -> Iterator[Tuple[int, int, float]]:
         """Yield every edge as ``(u, v, weight)``."""
@@ -167,29 +147,14 @@ class WeightedDigraph:
     def weight_matrix(self) -> np.ndarray:
         """Dense ``(n, n)`` weight matrix; absent edges are 0.
 
-        The propagation kernel (Step 3) works on this view.
+        The input form of Steps 3-4;
+        :meth:`PreferenceGraph.from_matrix` builds a graph back from it.
         """
         mat = np.zeros((self._n, self._n), dtype=np.float64)
         for u in range(self._n):
             for v, w in self._succ[u].items():
                 mat[u, v] = w
         return mat
-
-    @classmethod
-    def from_weight_matrix(cls, mat: np.ndarray) -> "WeightedDigraph":
-        """Build a digraph from a dense matrix; zero entries mean no edge."""
-        mat = np.asarray(mat, dtype=np.float64)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise GraphError(f"weight matrix must be square, got {mat.shape}")
-        if np.any(mat < 0):
-            raise GraphError("weight matrix entries must be non-negative")
-        if np.any(np.diagonal(mat) != 0):
-            raise GraphError("weight matrix must have a zero diagonal")
-        graph = cls(mat.shape[0])
-        rows, cols = np.nonzero(mat)
-        for u, v in zip(rows.tolist(), cols.tolist()):
-            graph.add_edge(u, v, float(mat[u, v]))
-        return graph
 
     # -- structure ---------------------------------------------------------------
     def copy(self) -> "WeightedDigraph":

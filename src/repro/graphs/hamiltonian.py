@@ -1,52 +1,19 @@
-"""Hamiltonian-path utilities (Sec. III: HP <=> full ranking).
+"""Hamiltonian-path existence (Sec. III: HP <=> full ranking).
 
 A full ranking of the objects is exactly a Hamiltonian path of the
 transitive closure of the (smoothed) preference graph; its *preference
-probability* is the product of its edge weights.  All search code works in
-log space (``log Pr[P] = sum log w``) to avoid underflow at large ``n``.
+probability* is the product of its edge weights, which the Step-4
+searches (:mod:`repro.inference.taps`, :mod:`repro.inference.saps`)
+maximise in log space.
 """
 
 from __future__ import annotations
 
-import math
-from typing import List, Optional, Sequence
-
-import numpy as np
-
-from ..exceptions import GraphError, InferenceError
-from ..types import Ranking
+from ..exceptions import GraphError
 from .digraph import WeightedDigraph
 
 #: DP-based existence checking is exponential in memory (O(2^n * n)).
 _DP_LIMIT = 20
-
-
-def path_log_preference(
-    graph: WeightedDigraph, path: Sequence[int]
-) -> float:
-    """``log Pr[P] = sum over consecutive pairs of log w_ij``.
-
-    Returns ``-inf`` when some consecutive pair has no edge.
-    """
-    total = 0.0
-    for u, v in zip(path, path[1:]):
-        w = graph.weight_or(u, v, 0.0)
-        if w <= 0.0:
-            return float("-inf")
-        total += math.log(w)
-    return total
-
-
-def hamiltonian_path_log_probability(
-    graph: WeightedDigraph, ranking: Ranking
-) -> float:
-    """Log preference probability of the HP induced by a full ranking."""
-    if len(ranking) != graph.n_vertices:
-        raise GraphError(
-            f"ranking covers {len(ranking)} objects, graph has "
-            f"{graph.n_vertices}"
-        )
-    return path_log_preference(graph, ranking.order)
 
 
 def has_hamiltonian_path(graph: WeightedDigraph) -> bool:
@@ -93,107 +60,3 @@ def _held_karp_exists(graph: WeightedDigraph) -> bool:
                     reachable[next_mask][w] = True
     full = (1 << n) - 1
     return any(reachable[full])
-
-
-def best_hamiltonian_path_dp(graph: WeightedDigraph) -> Ranking:
-    """Exact max-probability HP by Held-Karp DP (O(2^n * n^2)).
-
-    Used as a third exact reference (next to TAPS and branch-and-bound)
-    in tests; practical to roughly ``n = 16``.
-
-    Raises
-    ------
-    InferenceError
-        If no Hamiltonian path exists.
-    GraphError
-        If ``n`` exceeds the DP limit.
-    """
-    n = graph.n_vertices
-    if n > _DP_LIMIT:
-        raise GraphError(f"DP search infeasible for n={n} (> {_DP_LIMIT})")
-    if n == 1:
-        return Ranking([0])
-
-    neg_inf = float("-inf")
-    size = 1 << n
-    best = np.full((size, n), neg_inf, dtype=np.float64)
-    parent = np.full((size, n), -1, dtype=np.int32)
-    for v in range(n):
-        best[1 << v][v] = 0.0
-
-    log_w = np.full((n, n), neg_inf)
-    for u, v, w in graph.edges():
-        log_w[u, v] = math.log(w)
-
-    for mask in range(size):
-        row = best[mask]
-        for v in range(n):
-            score = row[v]
-            if score == neg_inf:
-                continue
-            for w_vertex in graph.successors(v):
-                bit = 1 << w_vertex
-                if mask & bit:
-                    continue
-                cand = score + log_w[v, w_vertex]
-                nxt = mask | bit
-                if cand > best[nxt][w_vertex]:
-                    best[nxt][w_vertex] = cand
-                    parent[nxt][w_vertex] = v
-
-    full = size - 1
-    end = int(np.argmax(best[full]))
-    if best[full][end] == neg_inf:
-        raise InferenceError("graph has no Hamiltonian path")
-    order: List[int] = []
-    mask, vertex = full, end
-    while vertex != -1:
-        order.append(vertex)
-        prev = int(parent[mask][vertex])
-        mask ^= 1 << vertex
-        vertex = prev
-    order.reverse()
-    return Ranking(order)
-
-
-def greedy_hamiltonian_path(
-    graph: WeightedDigraph, start: int
-) -> Optional[List[int]]:
-    """Nearest-neighbour HP construction from ``start``.
-
-    Follows the heaviest outgoing edge to an unvisited vertex; on a
-    complete graph (the post-Step-3 state) this always succeeds.  Returns
-    ``None`` if it dead-ends on an incomplete graph.  This is SAPS's
-    "selecting the nearest neighbors" initialisation (Algorithm 2 line 3).
-    """
-    n = graph.n_vertices
-    visited = [False] * n
-    visited[start] = True
-    path = [start]
-    current = start
-    for _ in range(n - 1):
-        best_v, best_w = -1, -1.0
-        for v, w in graph.out_edges(current):
-            if not visited[v] and w > best_w:
-                best_v, best_w = v, w
-        if best_v < 0:
-            return None
-        visited[best_v] = True
-        path.append(best_v)
-        current = best_v
-    return path
-
-
-def weight_difference_order(graph: WeightedDigraph) -> List[int]:
-    """Rank vertices by total out-weight minus in-weight, descending.
-
-    SAPS's alternative initialisation (Algorithm 2 line 3: "ranking the
-    nodes based on the difference of their out-/in- edge weights").  A
-    vertex that mostly wins comparisons floats to the front.
-    """
-    n = graph.n_vertices
-    score = np.zeros(n)
-    for u, v, w in graph.edges():
-        score[u] += w
-        score[v] -= w
-    return sorted(range(n), key=lambda v: -score[v])

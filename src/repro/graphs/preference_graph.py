@@ -4,8 +4,9 @@ A :class:`PreferenceGraph` is a thin domain layer over
 :class:`~repro.graphs.digraph.WeightedDigraph`: edge ``i -> j`` with weight
 ``w_ij`` means "``O_i`` is preferred to ``O_j`` with truth confidence
 ``w_ij``".  It adds the paper-specific notions (1-edges, in/out nodes,
-instance-of-task-graph checks, pair normalisation) used by inference
-Steps 2 and 3.
+instance-of-task-graph checks).  The inference steps work on dense
+matrices; this object model serves the Sec. III analysis, the paper
+walkthrough tests and the object-graph oracles.
 """
 
 from __future__ import annotations
@@ -15,12 +16,9 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..exceptions import GraphError
-from ..types import Pair, canonical_pair
+from ..types import ONE_EDGE_TOLERANCE, Pair, canonical_pair
 from .digraph import WeightedDigraph
 from .task_graph import TaskGraph
-
-#: Weights within this distance of 1.0 count as unanimous "1-edges".
-ONE_EDGE_TOLERANCE = 1e-12
 
 
 class PreferenceGraph(WeightedDigraph):
@@ -150,37 +148,6 @@ class PreferenceGraph(WeightedDigraph):
                     )
 
     # -- transforms -----------------------------------------------------------
-    def normalized_pairs(self) -> "PreferenceGraph":
-        """Return a copy with ``w_ij + w_ji = 1`` for every compared pair.
-
-        Implements the probability-constraint normalisation at the end of
-        Step 3 (Sec. V-C): ``w_ij <- w_ij / (w_ij + w_ji)``.
-        """
-        result = PreferenceGraph(self.n_vertices)
-        for i, j in self.compared_pairs():
-            w_ij = self.weight_or(i, j, 0.0)
-            w_ji = self.weight_or(j, i, 0.0)
-            total = w_ij + w_ji
-            if total <= 0:
-                raise GraphError(f"pair ({i}, {j}) has no positive weight")
-            if w_ij > 0:
-                result.add_edge(i, j, w_ij / total)
-            if w_ji > 0:
-                result.add_edge(j, i, w_ji / total)
-        return result
-
-    def log_weight_matrix(self, floor: float = 1e-12) -> np.ndarray:
-        """``-log w`` cost matrix used by the Step-4 searches.
-
-        Missing edges get ``+inf``.  ``floor`` guards ``log 0`` for
-        callers that pass weights arbitrarily close to zero.
-        """
-        mat = self.weight_matrix()
-        with np.errstate(divide="ignore"):
-            cost = -np.log(np.maximum(mat, floor))
-        cost[mat == 0.0] = np.inf
-        np.fill_diagonal(cost, np.inf)
-        return cost
 
     def copy(self) -> "PreferenceGraph":
         """An independent deep copy preserving the subclass type."""

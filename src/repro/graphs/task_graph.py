@@ -159,13 +159,6 @@ class TaskGraph:
         total = self._n * (self._n - 1) // 2
         return len(self._edges) / total
 
-    def complement_edges(self) -> Iterator[Pair]:
-        """Pairs *not* selected for comparison (useful for ablations)."""
-        for i in range(self._n):
-            for j in range(i + 1, self._n):
-                if (i, j) not in self._edges:
-                    yield (i, j)
-
     @classmethod
     def complete(cls, n_vertices: int) -> "TaskGraph":
         """The all-pair task graph (the paper's ``r = 1`` baseline)."""

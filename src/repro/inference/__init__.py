@@ -23,7 +23,7 @@ from .smoothing import (
     direct_preference_matrix,
     smooth_matrix,
 )
-from .propagation import propagate_matrix, propagate_preferences
+from .propagation import propagate_matrix
 from .taps import taps_search, branch_and_bound_search
 from .saps import saps_search
 from .local_search import polish_ranking
@@ -50,7 +50,6 @@ __all__ = [
     "direct_preference_matrix",
     "smooth_matrix",
     "propagate_matrix",
-    "propagate_preferences",
     "taps_search",
     "branch_and_bound_search",
     "saps_search",

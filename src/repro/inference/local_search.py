@@ -27,19 +27,18 @@ NaN — and ``+inf`` deltas are simply never improvements.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
 import numpy as np
 
 from ..exceptions import InferenceError
-from ..graphs.digraph import WeightedDigraph
 from ..types import Ranking
 from .delta import apply_rotate, apply_swap, path_cost, rotate_delta, swap_delta
 from .taps import _as_matrix
 
 
 def polish_ranking(
-    weights: Union[np.ndarray, WeightedDigraph],
+    weights: np.ndarray,
     ranking: Ranking,
     *,
     max_sweeps: int = 20,

@@ -15,37 +15,28 @@ carries a strictly positive weight), which is what makes Theorem 5.1's
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from ..config import PropagationConfig
 from ..exceptions import InferenceError
 from ..graphs.closure import propagate_exact_paths, propagate_walks
-from ..graphs.digraph import WeightedDigraph
-from ..graphs.preference_graph import PreferenceGraph
 
 
 def propagate_matrix(
-    smoothed: Union[PreferenceGraph, np.ndarray],
+    smoothed: np.ndarray,
     config: Optional[PropagationConfig] = None,
 ) -> np.ndarray:
-    """Step 3 as a dense matrix: the normalised complete closure weights.
-
-    This is the high-performance entry point the pipeline uses (the
-    Step-4 searches consume the matrix directly); see
-    :func:`propagate_preferences` for the graph-object wrapper.
+    """Step 3: the normalised complete closure ``G_P^*`` as a matrix.
 
     Parameters
     ----------
     smoothed:
-        The Step-2 output, either as a :class:`PreferenceGraph` or as
-        its dense weight matrix (the pipeline's representation; zero
-        entries mean "no edge").  Both forms
-        produce bit-identical results: the walk kernel operates on the
-        dense matrix either way, and the exact kernel's accumulation
-        order is weight-determined (see
-        :func:`~repro.graphs.closure.propagate_exact_paths`).
+        The Step-2 output as a dense ``(n, n)`` weight matrix (zero
+        entries mean "no edge").
+    config:
+        Blend factor ``alpha``, hop bound and kernel selection.
 
     Returns
     -------
@@ -54,62 +45,29 @@ def propagate_matrix(
         diagonal, entries clipped inside ``(0, 1)``.
     """
     config = config if config is not None else PropagationConfig()
-    if isinstance(smoothed, np.ndarray):
-        direct = np.asarray(smoothed, dtype=np.float64)
-        if direct.ndim != 2 or direct.shape[0] != direct.shape[1]:
-            raise InferenceError(
-                f"smoothed matrix must be square, got {direct.shape}"
-            )
-        n = direct.shape[0]
-        n_edges = int(np.count_nonzero(direct))
-        graph: Optional[WeightedDigraph] = None
-    else:
-        direct = smoothed.weight_matrix()
-        n = smoothed.n_vertices
-        n_edges = smoothed.n_edges
-        graph = smoothed
+    direct = np.asarray(smoothed, dtype=np.float64)
+    if direct.ndim != 2 or direct.shape[0] != direct.shape[1]:
+        raise InferenceError(
+            f"smoothed matrix must be square, got {direct.shape}"
+        )
+    n = direct.shape[0]
     if n < 2:
         raise InferenceError("propagation needs at least 2 objects")
 
     max_hops = config.max_hops
     if max_hops is None:
-        max_hops = _adaptive_hops(n, n_edges)
+        max_hops = _adaptive_hops(n, int(np.count_nonzero(direct)))
     method = config.method
     if method == "auto":
         method = "exact" if n <= config.exact_threshold else "walks"
     if method == "exact":
-        if graph is None:
-            graph = WeightedDigraph.from_weight_matrix(direct)
-        indirect = propagate_exact_paths(graph, max_length=max_hops,
-                                         max_vertices=max(n, 1))
+        indirect = propagate_exact_paths(direct, max_length=max_hops,
+                                         max_vertices=n)
     else:
         indirect = propagate_walks(direct, max_hops, ensure_coverage=True)
 
     combined = config.alpha * direct + (1.0 - config.alpha) * indirect
     return _normalise_matrix(combined)
-
-
-def propagate_preferences(
-    smoothed: PreferenceGraph,
-    config: Optional[PropagationConfig] = None,
-) -> PreferenceGraph:
-    """Compute the complete, normalised closure ``G_P^*`` of Step 3.
-
-    Parameters
-    ----------
-    smoothed:
-        The Step-2 output (strongly connected whenever the task graph was
-        connected).
-    config:
-        Blend factor ``alpha``, hop bound and kernel selection.
-
-    Returns
-    -------
-    PreferenceGraph
-        A complete graph with ``w_ij + w_ji = 1`` and
-        ``w in [min_clip, 1 - min_clip]`` for every ordered pair.
-    """
-    return PreferenceGraph.from_matrix(propagate_matrix(smoothed, config))
 
 
 def _adaptive_hops(n: int, n_directed_edges: int) -> int:

@@ -47,7 +47,6 @@ import numpy as np
 
 from ..config import SAPSConfig
 from ..exceptions import InferenceError
-from ..graphs.digraph import WeightedDigraph
 from ..rng import SeedLike, ensure_rng, spawn_rngs
 from ..types import Ranking
 from ..workers.pool import parallel_map
@@ -97,7 +96,7 @@ class SAPSReport:
 
 
 def saps_search(
-    weights: Union[np.ndarray, WeightedDigraph],
+    weights: np.ndarray,
     config: Optional[SAPSConfig] = None,
     rng: SeedLike = None,
 ) -> Tuple[Ranking, float]:
@@ -112,7 +111,7 @@ def saps_search(
 
 
 def saps_search_report(
-    weights: Union[np.ndarray, WeightedDigraph],
+    weights: np.ndarray,
     config: Optional[SAPSConfig] = None,
     rng: SeedLike = None,
     warm_start: Optional[Sequence[int]] = None,

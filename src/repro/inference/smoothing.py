@@ -41,9 +41,8 @@ import numpy as np
 
 from ..config import SmoothingConfig
 from ..exceptions import InferenceError
-from ..graphs.preference_graph import ONE_EDGE_TOLERANCE
 from ..rng import SeedLike, ensure_rng
-from ..types import VoteArrays, WorkerId
+from ..types import ONE_EDGE_TOLERANCE, VoteArrays, WorkerId
 
 
 @dataclass(frozen=True)

@@ -20,20 +20,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import List, Optional, Sequence, Set, Tuple, Union
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..config import TAPSConfig
 from ..exceptions import InferenceError
-from ..graphs.digraph import WeightedDigraph
 from ..types import Ranking
 
 
-def _as_matrix(weights: Union[np.ndarray, WeightedDigraph]) -> np.ndarray:
-    """Accept either a weight matrix or a digraph for the searches."""
-    if isinstance(weights, WeightedDigraph):
-        return weights.weight_matrix()
+def _as_matrix(weights: np.ndarray) -> np.ndarray:
+    """The searches' input as a square float matrix."""
     mat = np.asarray(weights, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InferenceError(f"weight matrix must be square, got {mat.shape}")
@@ -41,7 +38,7 @@ def _as_matrix(weights: Union[np.ndarray, WeightedDigraph]) -> np.ndarray:
 
 
 def taps_search(
-    weights: Union[np.ndarray, WeightedDigraph],
+    weights: np.ndarray,
     config: Optional[TAPSConfig] = None,
 ) -> Tuple[List[Ranking], float]:
     """Threshold-based path search: all top-1 HPs and their probability.
@@ -116,7 +113,7 @@ def taps_search(
 
 
 def branch_and_bound_search(
-    weights: Union[np.ndarray, WeightedDigraph],
+    weights: np.ndarray,
     *,
     max_objects: int = 30,
 ) -> Tuple[Ranking, float]:

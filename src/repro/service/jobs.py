@@ -299,6 +299,16 @@ def _check_json_fields(cls, values: Dict[str, object], source: str,
             )
 
 
+def _seed_from_json(value: object, source: str, name: str) -> Optional[int]:
+    """The one JSON seed rule for jobs and sessions: an integer >= 0
+    (never a bool) or ``null``."""
+    if value is None or (type(value) is int and value >= 0):
+        return value
+    raise DataFormatError(
+        f"{source}: {name} must be an integer >= 0 or null, got {value!r}"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Job codec
 # ---------------------------------------------------------------------------
@@ -341,9 +351,7 @@ def job_from_payload(payload: object, source: str = "<payload>") -> RankingJob:
     job_id = payload.get("job_id")
     if not isinstance(job_id, str) or not job_id:
         raise DataFormatError(f"{source}: job_id must be a non-empty string")
-    seed = payload.get("seed")
-    if seed is not None and not isinstance(seed, int):
-        raise DataFormatError(f"{source}: seed must be an integer")
+    seed = _seed_from_json(payload.get("seed"), source, "seed")
     votes: Optional[VoteSet] = None
     if "votes" in payload:
         votes = _votes_from_payload(payload["votes"], source)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from ..config import PipelineConfig
@@ -321,7 +321,11 @@ def session_config_from_payload(
     :func:`repro.service.jobs.config_from_payload`) plus any of the flat
     :class:`SessionConfig` knobs; omitted keys fall back to defaults.
     """
-    from ..service.jobs import config_from_payload
+    from ..service.jobs import (
+        _check_json_fields,
+        _seed_from_json,
+        config_from_payload,
+    )
 
     if payload is None:
         return SessionConfig()
@@ -330,41 +334,14 @@ def session_config_from_payload(
             f"{source}: session config must be a JSON object, "
             f"got {type(payload).__name__}"
         )
-    known = {
-        "pipeline", "seed", "stability_window", "stability_threshold",
-        "min_votes", "early_stop", "warm_iterations",
-        "quality_shift_threshold", "truth_damping",
-        "full_rebuild_fraction", "scorer",
-    }
-    unknown = sorted(set(payload) - known)
-    if unknown:
-        raise DataFormatError(
-            f"{source}: unknown session config key(s) {unknown}"
-        )
+    knobs = dict(payload)
+    pipeline = config_from_payload(knobs.pop("pipeline", None),
+                                   source=f"{source}.pipeline")
+    seed = _seed_from_json(knobs.pop("seed", 0), source, f"{source}.seed")
+    _check_json_fields(SessionConfig, knobs, source, source)
     try:
-        pipeline = config_from_payload(
-            payload.get("pipeline", {}), source=f"{source}.pipeline"
-        )
-        return SessionConfig(
-            pipeline=pipeline,
-            seed=payload.get("seed", 0),
-            stability_window=int(payload.get("stability_window", 5)),
-            stability_threshold=float(
-                payload.get("stability_threshold", 0.02)
-            ),
-            min_votes=int(payload.get("min_votes", 0)),
-            early_stop=bool(payload.get("early_stop", True)),
-            warm_iterations=int(payload.get("warm_iterations", 1500)),
-            quality_shift_threshold=float(
-                payload.get("quality_shift_threshold", 0.25)
-            ),
-            truth_damping=float(payload.get("truth_damping", 0.5)),
-            full_rebuild_fraction=float(
-                payload.get("full_rebuild_fraction", 0.5)
-            ),
-            scorer=str(payload.get("scorer", "bdp")),
-        )
-    except (ValueError, TypeError, ConfigurationError) as error:
+        return SessionConfig(pipeline=pipeline, seed=seed, **knobs)
+    except ConfigurationError as error:
         raise DataFormatError(
             f"{source}: malformed session config ({error})"
         ) from None
@@ -422,6 +399,11 @@ def votes_from_payload(
 # Snapshot / restore codec
 # ---------------------------------------------------------------------------
 
+#: The lifecycle counters a snapshot carries, by attribute name.
+_COUNTERS = ("votes_ingested", "updates_full", "updates_incremental",
+             "damped_restarts")
+
+
 def session_to_payload(session: RankingSession) -> Dict[str, object]:
     """Encode a session as a versioned JSON-ready payload.
 
@@ -444,18 +426,8 @@ def session_to_payload(session: RankingSession) -> Dict[str, object]:
                 **config_to_payload(session.config.pipeline),
             },
             "session_config": {
-                "seed": session.config.seed,
-                "stability_window": session.config.stability_window,
-                "stability_threshold": session.config.stability_threshold,
-                "min_votes": session.config.min_votes,
-                "early_stop": session.config.early_stop,
-                "warm_iterations": session.config.warm_iterations,
-                "quality_shift_threshold":
-                    session.config.quality_shift_threshold,
-                "truth_damping": session.config.truth_damping,
-                "full_rebuild_fraction":
-                    session.config.full_rebuild_fraction,
-                "scorer": session.config.scorer,
+                knob.name: getattr(session.config, knob.name)
+                for knob in fields(SessionConfig) if knob.name != "pipeline"
             },
             "votes": [
                 [vote.worker, vote.winner, vote.loser]
@@ -464,12 +436,7 @@ def session_to_payload(session: RankingSession) -> Dict[str, object]:
             "ranking": (list(ranking.order)
                         if ranking is not None else None),
             "stability": session._monitor.state(),
-            "counters": {
-                "votes_ingested": session.votes_ingested,
-                "updates_full": session.updates_full,
-                "updates_incremental": session.updates_incremental,
-                "damped_restarts": session.damped_restarts,
-            },
+            "counters": {name: getattr(session, name) for name in _COUNTERS},
             "stopped": session._stopped,
         }
 
@@ -482,65 +449,70 @@ def session_from_payload(
     The restored session resumes exactly where the snapshot left off in
     lifecycle terms (verdict, counters, stability window); its next
     ingest performs a full Steps 1-3 pass with a SAPS anneal
-    warm-started from the stored ranking.
+    warm-started from the stored ranking.  Every field is decoded with
+    its exact JSON type (the session config through
+    :func:`session_config_from_payload`, the votes through
+    :func:`votes_from_payload`); a forged or truncated field raises
+    :class:`DataFormatError` here rather than failing a later ingest.
     """
-    from ..service.jobs import config_from_payload
-
     if not isinstance(payload, dict) or payload.get("schema") != SESSION_SCHEMA:
         raise DataFormatError(
             f"{source}: expected schema {SESSION_SCHEMA!r}, got "
             f"{payload.get('schema') if isinstance(payload, dict) else type(payload)!r}"
         )
-    try:
-        pipeline = config_from_payload(payload.get("config", {}), source)
-        sc = dict(payload.get("session_config", {}))
-        config = SessionConfig(
-            pipeline=pipeline,
-            seed=sc.get("seed", 0),
-            stability_window=int(sc.get("stability_window", 5)),
-            stability_threshold=float(sc.get("stability_threshold", 0.02)),
-            min_votes=int(sc.get("min_votes", 0)),
-            early_stop=bool(sc.get("early_stop", True)),
-            warm_iterations=int(sc.get("warm_iterations", 1500)),
-            quality_shift_threshold=float(
-                sc.get("quality_shift_threshold", 0.25)
-            ),
-            truth_damping=float(sc.get("truth_damping", 0.5)),
-            full_rebuild_fraction=float(
-                sc.get("full_rebuild_fraction", 0.5)
-            ),
-            scorer=str(sc.get("scorer", "bdp")),
+    knobs = payload.get("session_config", {})
+    if not isinstance(knobs, dict):
+        raise DataFormatError(f"{source}: session_config must be an object")
+    config = session_config_from_payload(
+        {**knobs, "pipeline": payload.get("config")},
+        source=f"{source}.session_config",
+    )
+    n_objects = payload.get("n_objects")
+    if type(n_objects) is not int or n_objects < 2:
+        raise DataFormatError(
+            f"{source}: n_objects must be an integer >= 2, got {n_objects!r}"
         )
+    votes = votes_from_payload(payload.get("votes", []), f"{source}.votes")
+    ranking = payload.get("ranking")
+    if ranking is not None and (
+            not isinstance(ranking, list)
+            or any(type(v) is not int for v in ranking)
+            or sorted(ranking) != list(range(n_objects))):
+        raise DataFormatError(
+            f"{source}: ranking must be a permutation of range({n_objects})"
+        )
+    counters = payload.get("counters", {})
+    if not isinstance(counters, dict) or any(
+            type(counters.get(name, 0)) is not int or counters.get(name, 0) < 0
+            for name in _COUNTERS):
+        raise DataFormatError(
+            f"{source}: counters must be integers >= 0, got {counters!r}"
+        )
+    stopped = payload.get("stopped", False)
+    if type(stopped) is not bool:
+        raise DataFormatError(
+            f"{source}: stopped must be a boolean, got {stopped!r}"
+        )
+    try:
         session = RankingSession(
             session_id=str(payload["session_id"]),
-            n_objects=int(payload["n_objects"]),
+            n_objects=n_objects,
             config=config,
         )
-        session.buffer.extend(
-            Vote(worker=int(w), winner=int(win), loser=int(lose))
-            for w, win, lose in payload.get("votes", [])
-        )
-        ranking = payload.get("ranking")
+        session.buffer.extend(votes)
         if ranking is not None:
-            session._engine.seed_ranking(
-                Ranking([int(v) for v in ranking])
-            )
+            session._engine.seed_ranking(Ranking(ranking))
         session._monitor = StabilityMonitor.from_state(
             payload["stability"]
         )
-        counters = payload.get("counters", {})
-        session.votes_ingested = int(counters.get("votes_ingested", 0))
-        session.updates_full = int(counters.get("updates_full", 0))
-        session.updates_incremental = int(
-            counters.get("updates_incremental", 0)
-        )
-        session.damped_restarts = int(counters.get("damped_restarts", 0))
-        session._stopped = bool(payload.get("stopped", False))
-        return session
     except (KeyError, ValueError, TypeError, ConfigurationError) as error:
         raise DataFormatError(
             f"{source}: malformed field ({error})"
         ) from None
+    for name in _COUNTERS:
+        setattr(session, name, counters.get(name, 0))
+    session._stopped = stopped
+    return session
 
 
 # ---------------------------------------------------------------------------

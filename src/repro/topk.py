@@ -19,13 +19,12 @@ objects only.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .config import PipelineConfig
 from .exceptions import ConfigurationError, InferenceError
-from .graphs.digraph import WeightedDigraph
 from .inference.pipeline import RankingPipeline
 from .inference.taps import _as_matrix
 from .rng import SeedLike
@@ -36,7 +35,7 @@ _EXACT_LIMIT = 22
 
 
 def topk_exact(
-    weights: Union[np.ndarray, WeightedDigraph],
+    weights: np.ndarray,
     k: int,
 ) -> Tuple[Ranking, float]:
     """Exact top-k prefix by subset DP on the closure weights.

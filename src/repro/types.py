@@ -30,6 +30,10 @@ WorkerId = int
 #: An unordered comparison pair, canonically stored with ``first < second``.
 Pair = Tuple[ObjectId, ObjectId]
 
+#: Preference weights within this distance of 1.0 count as unanimous
+#: "1-edges" (Sec. V-B): the edges Step 2 smooths.
+ONE_EDGE_TOLERANCE = 1e-12
+
 
 def canonical_pair(i: ObjectId, j: ObjectId) -> Pair:
     """Return the canonical (sorted) form of an unordered pair.

@@ -65,7 +65,8 @@ def object_closure(
     step_seconds["smoothing"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    closure = propagate_matrix(smoothing.graph, config.propagation)
+    closure = propagate_matrix(smoothing.graph.weight_matrix(),
+                               config.propagation)
     step_seconds["propagation"] = time.perf_counter() - start
     return ObjectClosure(truth, smoothing, closure, step_seconds)
 

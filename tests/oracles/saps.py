@@ -16,12 +16,11 @@ is comparable field for field with
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.config import SAPSConfig
-from repro.graphs.digraph import WeightedDigraph
 from repro.inference.delta import apply_rotate, apply_swap, path_cost
 from repro.inference.saps import (
     SAPSReport,
@@ -36,7 +35,7 @@ from repro.workers.pool import parallel_map
 
 
 def reference_search_report(
-    weights: Union[np.ndarray, WeightedDigraph],
+    weights: np.ndarray,
     config: Optional[SAPSConfig] = None,
     rng: SeedLike = None,
 ) -> SAPSReport:

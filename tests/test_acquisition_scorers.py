@@ -12,12 +12,12 @@ from repro.acquisition import (
     RandomScorer,
     SCORER_CHOICES,
     UncertaintyScorer,
-    bdp_scores_reference,
     make_scorer,
 )
 from repro.acquisition.bdp import strength_gains
 from repro.acquisition.scorers import AcquisitionState
 from repro.exceptions import ConfigurationError
+from tests.oracles import bdp_scores_reference
 
 
 def seeded_posterior(n, n_votes=40, seed=11):

@@ -47,6 +47,7 @@ from repro.inference import (
 from repro.metrics import normalized_kendall_tau_distance
 from repro.service.jobs import config_from_payload
 from repro.types import Ranking, Vote, VoteSet
+from tests.oracles import dense_rank_centrality
 
 ENGINES = ("hodge", "lsq")
 SIZES = (2, 3, 10, 50)
@@ -355,36 +356,10 @@ class TestSparseRankCentrality:
     @pytest.mark.parametrize("n,seed", [(8, 0), (40, 1), (150, 2)])
     def test_sparse_matches_dense_oracle(self, n, seed):
         votes = noisy_votes(n, seed, reps=2)
-        rank_d, scores_d = rank_centrality(votes, method="dense")
-        rank_s, scores_s = rank_centrality(votes, method="sparse")
+        rank_d, scores_d = dense_rank_centrality(votes)
+        rank_s, scores_s = rank_centrality(votes)
         assert list(rank_d.order) == list(rank_s.order)
         np.testing.assert_allclose(scores_s, scores_d, atol=1e-10)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ConfigurationError):
-            rank_centrality(noisy_votes(4, 0), method="cholesky")
-
-    def test_auto_dispatch(self, monkeypatch):
-        import importlib
-
-        # The package re-exports the function under the same name, so a
-        # plain ``import repro.baselines.rank_centrality`` binds the
-        # function; importlib resolves the module itself.
-        rc_mod = importlib.import_module("repro.baselines.rank_centrality")
-
-        calls = []
-        original = rc_mod._sparse_transition
-
-        def spy(votes, regularization):
-            calls.append(votes.n_objects)
-            return original(votes, regularization)
-
-        monkeypatch.setattr(rc_mod, "_sparse_transition", spy)
-        rank_centrality(noisy_votes(10, 0), method="auto")
-        assert calls == []  # below threshold: dense oracle
-        rank_centrality(noisy_votes(rc_mod.SPARSE_THRESHOLD, 0, reps=1),
-                        method="auto")
-        assert calls == [rc_mod.SPARSE_THRESHOLD]
 
 
 class TestConfigPlumbing:

@@ -2,19 +2,17 @@
 
 import pytest
 
-from repro.exceptions import GraphError
+from repro.exceptions import AssignmentError, GraphError
 from repro.graphs import TaskGraph
 from repro.graphs.analysis import (
     count_preference_instances,
-    degree_feasible,
     fairness_spread,
     hp_likelihood_lower_bound,
     hp_likelihood_of,
-    ideal_degree,
     in_out_probabilities,
-    is_fair,
     prob_in_or_out_node,
 )
+from repro.graphs.generators import near_regular_task_graph
 
 
 class TestEq1:
@@ -49,15 +47,20 @@ class TestEq2:
 
 
 class TestFairness:
+    """Theorem 4.1: a plan is fair iff it is regular (Eq. 2 equalises
+    every vertex's in-/out-node probability); near-regular is the
+    relaxation when ``n`` does not divide ``2l``."""
+
     def test_triangle_is_fair(self):
         graph = TaskGraph(3, [(0, 1), (1, 2), (0, 2)])
-        assert is_fair(graph)
+        assert graph.is_regular()
         assert fairness_spread(graph) == 0.0
 
     def test_path_is_fair_only_relaxed(self):
         graph = TaskGraph(3, [(0, 1), (1, 2)])
-        assert not is_fair(graph)
-        assert is_fair(graph, strict=False)
+        assert not graph.is_regular()
+        assert graph.is_near_regular()
+        assert fairness_spread(graph) > 0.0
 
     def test_star_spread_positive(self):
         graph = TaskGraph(4, [(0, 1), (0, 2), (0, 3)])
@@ -97,17 +100,23 @@ class TestTheorem44:
 
 
 class TestIdealDegree:
+    """Eq. 3 through Algorithm 1's generator: the plan realises the
+    common degree ``2l/n`` for every budget ``n - 1 <= l <= C(n, 2)``."""
+
     def test_eq3(self):
-        assert ideal_degree(10, 25) == pytest.approx(5.0)
+        graph = near_regular_task_graph(10, 25, rng=0)
+        assert graph.degree_bounds() == (5, 5)
 
     def test_validation(self):
-        with pytest.raises(GraphError):
-            ideal_degree(1, 5)
-        with pytest.raises(GraphError):
-            ideal_degree(5, 0)
+        with pytest.raises(AssignmentError):
+            near_regular_task_graph(1, 5, rng=0)
+        with pytest.raises(AssignmentError):
+            near_regular_task_graph(5, 0, rng=0)
 
     def test_feasibility(self):
-        assert degree_feasible(10, 9)
-        assert degree_feasible(10, 45)
-        assert not degree_feasible(10, 8)
-        assert not degree_feasible(10, 46)
+        assert near_regular_task_graph(10, 9, rng=0).n_edges == 9
+        assert near_regular_task_graph(10, 45, rng=0).n_edges == 45
+        with pytest.raises(AssignmentError):
+            near_regular_task_graph(10, 8, rng=0)
+        with pytest.raises(AssignmentError):
+            near_regular_task_graph(10, 46, rng=0)

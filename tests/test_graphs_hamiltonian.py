@@ -1,21 +1,22 @@
-"""Unit tests for repro.graphs.hamiltonian."""
+"""Unit tests for repro.graphs.hamiltonian, the Held-Karp oracle and the
+path-scoring helpers Step 4 shares (``path_cost``, SAPS's initial
+paths)."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from repro.config import SAPSConfig
 from repro.exceptions import GraphError, InferenceError
 from repro.graphs import WeightedDigraph
-from repro.graphs.hamiltonian import (
-    best_hamiltonian_path_dp,
-    greedy_hamiltonian_path,
-    has_hamiltonian_path,
-    hamiltonian_path_log_probability,
-    path_log_preference,
-    weight_difference_order,
-)
+from repro.graphs.hamiltonian import has_hamiltonian_path
+from repro.inference.delta import path_cost
+from repro.inference.local_search import polish_ranking
+from repro.inference.saps import _cost_matrix, _initial_path
 from repro.types import Ranking
+from tests.oracles import best_hamiltonian_path_dp
 
 
 def complete_graph(weights):
@@ -28,9 +29,16 @@ def complete_graph(weights):
     return graph
 
 
+def log_preference(weights, path):
+    """``log Pr[P]``: ``-inf`` when the path uses a missing edge."""
+    with np.errstate(divide="ignore"):
+        cost = np.where(weights > 0.0, -np.log(weights), np.inf)
+    return -path_cost(cost, path)
+
+
 @pytest.fixture
-def sharp_graph():
-    """Complete 4-vertex graph strongly favouring the order 0,1,2,3."""
+def sharp_weights():
+    """Complete 4-vertex weights strongly favouring the order 0,1,2,3."""
     n = 4
     weights = np.full((n, n), 0.1)
     for i in range(n):
@@ -38,25 +46,31 @@ def sharp_graph():
             if i < j:
                 weights[i, j] = 0.9
     np.fill_diagonal(weights, 0.0)
-    return complete_graph(weights)
+    return weights
+
+
+@pytest.fixture
+def sharp_graph(sharp_weights):
+    return complete_graph(sharp_weights)
 
 
 class TestPathLogPreference:
-    def test_product_in_log_space(self, sharp_graph):
-        log_pref = path_log_preference(sharp_graph, [0, 1, 2, 3])
+    def test_product_in_log_space(self, sharp_weights):
+        log_pref = log_preference(sharp_weights, [0, 1, 2, 3])
         assert log_pref == pytest.approx(3 * math.log(0.9))
 
     def test_missing_edge_gives_neg_inf(self):
-        graph = WeightedDigraph(3)
-        graph.add_edge(0, 1, 0.5)
-        assert path_log_preference(graph, [0, 1, 2]) == float("-inf")
+        weights = np.zeros((3, 3))
+        weights[0, 1] = 0.5
+        assert log_preference(weights, [0, 1, 2]) == float("-inf")
 
-    def test_ranking_wrapper_checks_size(self, sharp_graph):
-        with pytest.raises(GraphError):
-            hamiltonian_path_log_probability(sharp_graph, Ranking([0, 1]))
+    def test_ranking_wrapper_checks_size(self, sharp_weights):
+        with pytest.raises(InferenceError):
+            polish_ranking(sharp_weights, Ranking([0, 1]))
 
-    def test_ranking_wrapper_value(self, sharp_graph):
-        value = hamiltonian_path_log_probability(sharp_graph, Ranking([0, 1, 2, 3]))
+    def test_ranking_wrapper_value(self, sharp_weights):
+        ranking, value = polish_ranking(sharp_weights, Ranking([0, 1, 2, 3]))
+        assert ranking == Ranking([0, 1, 2, 3])
         assert value == pytest.approx(3 * math.log(0.9))
 
 
@@ -103,52 +117,45 @@ class TestHasHamiltonianPath:
 
 
 class TestBestHamiltonianPathDP:
-    def test_finds_sharp_optimum(self, sharp_graph):
-        assert best_hamiltonian_path_dp(sharp_graph) == Ranking([0, 1, 2, 3])
+    def test_finds_sharp_optimum(self, sharp_weights):
+        assert best_hamiltonian_path_dp(sharp_weights) == Ranking([0, 1, 2, 3])
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)
         n = 5
         weights = rng.uniform(0.1, 0.9, size=(n, n))
         np.fill_diagonal(weights, 0.0)
-        graph = complete_graph(weights)
-        best = best_hamiltonian_path_dp(graph)
-
-        import itertools
-
-        def brute():
-            top, top_path = -math.inf, None
-            for perm in itertools.permutations(range(n)):
-                value = path_log_preference(graph, perm)
-                if value > top:
-                    top, top_path = value, perm
-            return top_path, top
-
-        brute_path, brute_value = brute()
-        assert hamiltonian_path_log_probability(graph, best) == pytest.approx(
+        best = best_hamiltonian_path_dp(weights)
+        brute_value = max(log_preference(weights, perm)
+                          for perm in itertools.permutations(range(n)))
+        assert log_preference(weights, best.order) == pytest.approx(
             brute_value
         )
 
     def test_no_hp_raises(self):
-        graph = WeightedDigraph(3)
-        graph.add_edge(0, 1, 0.5)  # vertex 2 unreachable
+        weights = np.zeros((3, 3))
+        weights[0, 1] = 0.5  # vertex 2 unreachable
         with pytest.raises(InferenceError):
-            best_hamiltonian_path_dp(graph)
+            best_hamiltonian_path_dp(weights)
 
     def test_single_vertex(self):
-        assert best_hamiltonian_path_dp(WeightedDigraph(1)) == Ranking([0])
+        assert best_hamiltonian_path_dp(np.zeros((1, 1))) == Ranking([0])
 
 
 class TestGreedyPath:
-    def test_follows_heaviest_edges(self, sharp_graph):
-        assert greedy_hamiltonian_path(sharp_graph, 0) == [0, 1, 2, 3]
-
-    def test_dead_end_returns_none(self):
-        graph = WeightedDigraph(3)
-        graph.add_edge(0, 1, 0.9)
-        assert greedy_hamiltonian_path(graph, 0) is None
+    def test_follows_heaviest_edges(self, sharp_weights):
+        """SAPS's nearest-neighbour initial path (Algorithm 2 line 3)."""
+        path = _initial_path(sharp_weights, _cost_matrix(sharp_weights), 0,
+                             SAPSConfig(init="greedy"), None)
+        assert path.tolist() == [0, 1, 2, 3]
 
 
 class TestWeightDifferenceOrder:
-    def test_winner_floats_to_front(self, sharp_graph):
-        assert weight_difference_order(sharp_graph) == [0, 1, 2, 3]
+    def test_winner_floats_to_front(self, sharp_weights):
+        """SAPS's out-/in-weight difference initial path: the vertex
+        that mostly wins floats to the front, whatever the start."""
+        for start in range(4):
+            path = _initial_path(sharp_weights, _cost_matrix(sharp_weights),
+                                 start, SAPSConfig(init="degree"), None)
+            rest = [v for v in [0, 1, 2, 3] if v != start]
+            assert path.tolist() == [start] + rest

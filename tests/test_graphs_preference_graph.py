@@ -1,10 +1,10 @@
 """Unit tests for repro.graphs.preference_graph."""
 
-import numpy as np
 import pytest
 
 from repro.exceptions import GraphError
 from repro.graphs import PreferenceGraph, TaskGraph
+from repro.inference.propagation import _normalise_matrix
 
 
 @pytest.fixture
@@ -72,24 +72,19 @@ class TestStructureChecks:
 
 class TestNormalisation:
     def test_normalized_pairs_sum_to_one(self):
+        """Step 3's pair normalisation ``w_ij / (w_ij + w_ji)``."""
         graph = PreferenceGraph(3)
         graph.add_edge(0, 1, 0.4)
         graph.add_edge(1, 0, 0.4)
         graph.add_edge(1, 2, 0.9)
-        normalised = graph.normalized_pairs()
+        normalised = PreferenceGraph.from_matrix(
+            _normalise_matrix(graph.weight_matrix()))
         assert normalised.weight(0, 1) == pytest.approx(0.5)
         assert normalised.weight(1, 2) == pytest.approx(1.0)
-        normalised.validate()
+        normalised.validate(smoothed=True)
 
 
 class TestLogMatrix:
-    def test_log_weight_matrix(self, mixed_graph):
-        cost = mixed_graph.log_weight_matrix()
-        assert cost[0, 1] == pytest.approx(0.0)  # -log 1
-        assert cost[1, 2] == pytest.approx(-np.log(0.75))
-        assert np.isinf(cost[2, 3])
-        assert np.isinf(cost[0, 0])
-
     def test_copy_preserves_type(self, mixed_graph):
         clone = mixed_graph.copy()
         assert isinstance(clone, PreferenceGraph)

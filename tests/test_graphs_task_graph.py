@@ -91,9 +91,6 @@ class TestDerived:
     def test_selection_ratio(self, path4):
         assert path4.selection_ratio() == pytest.approx(3 / 6)
 
-    def test_complement_edges(self, path4):
-        assert sorted(path4.complement_edges()) == [(0, 2), (0, 3), (1, 3)]
-
     def test_complete_graph(self):
         graph = TaskGraph.complete(5)
         assert graph.n_edges == 10

@@ -19,6 +19,7 @@ import pytest
 import repro
 
 SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
+REPO_ROOT = str(Path(SRC_DIR).parent)
 
 #: Must not load at ``repro serve`` start-up: they run only for sparse
 #: engines, experiments / budget search, or other subcommands.
@@ -42,25 +43,51 @@ SERVE_PATH_MODULES = [
     "repro.streaming.incremental",
 ]
 
-LAZY_PACKAGES = ["repro", "repro.budget", "repro.inference"]
+LAZY_PACKAGES = ["repro", "repro.budget", "repro.graphs", "repro.inference"]
 
 #: Exported values with no ``__module__`` of their own, by home module.
 PLAIN_VALUES = {"__version__": "repro._version",
                 "SPARSE_ENGINES": "repro.inference.engines"}
 
 
-def test_serve_imports_only_what_it_serves():
+def _modules_loaded_by(imports):
+    """``sys.modules`` of a fresh interpreter after running ``imports``
+    from the repo root (so ``tests`` would be importable)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    probe = ("import json, sys, repro.server, repro.cli; "
-             "print(json.dumps(sorted(sys.modules)))")
+    probe = f"{imports}\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
     completed = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True,
-        env=env, timeout=120, check=True,
+        env=env, timeout=120, check=True, cwd=REPO_ROOT,
     )
-    loaded = set(json.loads(completed.stdout))
+    return set(json.loads(completed.stdout))
+
+
+def test_serve_imports_only_what_it_serves():
+    loaded = _modules_loaded_by("import repro.server, repro.cli")
     assert [m for m in LATE_MODULES if m in loaded] == []
     assert [m for m in SERVE_PATH_MODULES if m not in loaded] == []
+
+
+def test_serve_loads_only_the_closure_kernels_of_repro_graphs():
+    """Steps 1-4 take dense matrices: the graph object model stays
+    unloaded on the serve path."""
+    loaded = _modules_loaded_by("import repro.server, repro.cli")
+    assert sorted(m for m in loaded if m.startswith("repro.graphs")) \
+        == ["repro.graphs", "repro.graphs.closure"]
+
+
+def test_no_repro_module_imports_the_oracles():
+    """The differential oracles live under ``tests/``; importing every
+    ``repro`` module loads nothing from there."""
+    loaded = _modules_loaded_by(
+        "import importlib, pkgutil, repro\n"
+        "for info in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+        "    importlib.import_module(info.name)"
+    )
+    assert "repro.server.app" in loaded and "repro.baselines" in loaded
+    assert sorted(m for m in loaded
+                  if m == "tests" or m.startswith("tests.")) == []
 
 
 @pytest.mark.parametrize("package_name", LAZY_PACKAGES)

@@ -6,7 +6,7 @@ import pytest
 from repro.config import PropagationConfig
 from repro.exceptions import InferenceError
 from repro.graphs import PreferenceGraph
-from repro.inference.propagation import propagate_matrix, propagate_preferences
+from repro.inference.propagation import propagate_matrix
 
 
 @pytest.fixture
@@ -16,7 +16,12 @@ def smoothed_chain():
     for i in range(3):
         graph.add_edge(i, i + 1, 0.9)
         graph.add_edge(i + 1, i, 0.1)
-    return graph
+    return graph.weight_matrix()
+
+
+def closure_graph(smoothed, config=None):
+    """Step 3's closure as a :class:`PreferenceGraph`."""
+    return PreferenceGraph.from_matrix(propagate_matrix(smoothed, config))
 
 
 class TestPropagateMatrix:
@@ -74,7 +79,7 @@ class TestPropagateMatrix:
 
     def test_single_object_rejected(self):
         with pytest.raises(InferenceError):
-            propagate_matrix(PreferenceGraph(1))
+            propagate_matrix(np.zeros((1, 1)))
 
     def test_no_evidence_pair_gets_half(self):
         """Two disconnected contested pairs: cross pairs have no paths at
@@ -84,7 +89,8 @@ class TestPropagateMatrix:
         graph.add_edge(1, 0, 0.2)
         graph.add_edge(2, 3, 0.8)
         graph.add_edge(3, 2, 0.2)
-        matrix = propagate_matrix(graph, PropagationConfig(max_hops=3))
+        matrix = propagate_matrix(graph.weight_matrix(),
+                                  PropagationConfig(max_hops=3))
         assert matrix[0, 2] == pytest.approx(0.5)
         assert matrix[1, 3] == pytest.approx(0.5)
 
@@ -103,7 +109,7 @@ class TestPropagateMatrix:
 
 class TestPropagatePreferences:
     def test_returns_complete_graph(self, smoothed_chain):
-        closure = propagate_preferences(smoothed_chain)
+        closure = closure_graph(smoothed_chain)
         assert closure.is_complete()
         closure.validate(smoothed=True)
 
@@ -111,10 +117,10 @@ class TestPropagatePreferences:
         """A complete graph is always Hamiltonian."""
         from repro.graphs.hamiltonian import has_hamiltonian_path
 
-        closure = propagate_preferences(smoothed_chain)
+        closure = closure_graph(smoothed_chain)
         assert has_hamiltonian_path(closure)
 
     def test_matches_matrix_form(self, smoothed_chain):
-        closure = propagate_preferences(smoothed_chain)
+        closure = closure_graph(smoothed_chain)
         matrix = propagate_matrix(smoothed_chain)
-        assert np.allclose(closure.weight_matrix(), matrix)
+        assert np.array_equal(closure.weight_matrix(), matrix)

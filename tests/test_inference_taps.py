@@ -10,6 +10,7 @@ from repro.config import TAPSConfig
 from repro.exceptions import InferenceError
 from repro.inference.taps import branch_and_bound_search, taps_search
 from repro.types import Ranking
+from tests.oracles import best_hamiltonian_path_dp
 
 
 def random_closure(n, seed):
@@ -93,7 +94,7 @@ class TestTAPS:
             for j in range(3):
                 if i != j:
                     graph.add_edge(i, j, 0.9 if i < j else 0.1)
-        result, _ = taps_search(graph)
+        result, _ = taps_search(graph.weight_matrix())
         assert result[0] == Ranking([0, 1, 2])
 
 
@@ -113,7 +114,8 @@ class TestBranchAndBound:
         assert math.exp(bnb_log) == pytest.approx(taps_prob)
 
     def test_handles_moderate_n(self):
-        """Sharp instances stay fast well past TAPS territory."""
+        """Sharp instances stay fast well past TAPS territory; at n=12
+        the Held-Karp DP oracle confirms the optimum exactly."""
         n = 20
         matrix = np.full((n, n), 0.1)
         for i in range(n):
@@ -122,6 +124,20 @@ class TestBranchAndBound:
         np.fill_diagonal(matrix, 0.0)
         ranking, _ = branch_and_bound_search(matrix)
         assert ranking == Ranking(range(n))
+
+        n = 12
+        rng = np.random.default_rng(12)
+        matrix = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                p = rng.uniform(0.75, 0.95)
+                matrix[i, j], matrix[j, i] = p, 1.0 - p
+        ranking, log_prob = branch_and_bound_search(matrix)
+        exact = best_hamiltonian_path_dp(matrix)
+        assert ranking == exact
+        assert log_prob == pytest.approx(
+            sum(math.log(matrix[u, v])
+                for u, v in zip(exact.order, exact.order[1:])))
 
     def test_size_guard(self):
         with pytest.raises(InferenceError):

@@ -10,7 +10,7 @@ from repro.graphs import (
     count_preference_instances,
 )
 from repro.graphs.hamiltonian import has_hamiltonian_path
-from repro.inference.propagation import propagate_preferences
+from repro.inference.propagation import propagate_matrix
 from repro.config import PropagationConfig
 
 
@@ -59,9 +59,10 @@ class TestFigure1:
         for u, v, _ in preference_instance.edges():
             smoothed.add_edge(u, v, 0.9)
             smoothed.add_edge(v, u, 0.1)
-        closure = propagate_preferences(
-            smoothed, PropagationConfig(max_hops=3, method="exact")
-        )
+        closure = PreferenceGraph.from_matrix(propagate_matrix(
+            smoothed.weight_matrix(),
+            PropagationConfig(max_hops=3, method="exact"),
+        ))
         assert closure.is_complete()
         assert has_hamiltonian_path(closure)
 
@@ -74,10 +75,11 @@ class TestFigure1:
         for u, v, _ in preference_instance.edges():
             smoothed.add_edge(u, v, 0.9)
             smoothed.add_edge(v, u, 0.1)
-        closure = propagate_preferences(
-            smoothed, PropagationConfig(max_hops=3, method="exact")
+        closure = propagate_matrix(
+            smoothed.weight_matrix(),
+            PropagationConfig(max_hops=3, method="exact"),
         )
-        ranking, _ = branch_and_bound_search(closure.weight_matrix())
+        ranking, _ = branch_and_bound_search(closure)
         assert ranking.order[0] == 0
         assert ranking.order[-1] == 2
 

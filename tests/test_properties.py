@@ -154,13 +154,13 @@ class TestClosureProperties:
         """Walk sums include every simple path, so entrywise >= exact."""
         hops = graph.n_vertices - 1
         walks = propagate_walks(graph.weight_matrix(), max_hops=max(hops, 2))
-        exact = propagate_exact_paths(graph)
+        exact = propagate_exact_paths(graph.weight_matrix())
         assert np.all(walks >= exact - 1e-9)
 
     @given(smoothed_graphs())
     @settings(max_examples=25, deadline=None)
     def test_propagation_output_invariants(self, graph):
-        matrix = propagate_matrix(graph)
+        matrix = propagate_matrix(graph.weight_matrix())
         n = graph.n_vertices
         off = ~np.eye(n, dtype=bool)
         assert np.all(matrix[off] > 0.0)

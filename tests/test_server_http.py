@@ -168,6 +168,16 @@ class TestRank:
             assert "invalid JSON" in body["error"]
             assert _get(server.url + "/readyz")[0] == 200
 
+    @pytest.mark.parametrize("seed", [True, -1])
+    def test_bad_seed_is_400_before_admission(self, server, seed):
+        """One seed rule for jobs and sessions: a JSON integer >= 0 or
+        null.  A bad seed is refused at decode, never run."""
+        request = dict(SCENARIO_REQUEST, seed=seed)
+        status, body = _post(server.url + "/v1/rank", request)
+        assert status == 400
+        assert "seed" in body["error"]
+        assert _get(server.url + "/readyz")[0] == 200
+
     def test_bad_job_payload_is_400(self, server):
         status, body = _post(server.url + "/v1/rank",
                              {"job_id": "x", "seed": 1,

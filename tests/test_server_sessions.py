@@ -186,6 +186,35 @@ class TestSessionErrors:
         assert ranking == view
 
 
+    @pytest.mark.parametrize("config", [
+        {"seed": "abc"},              # was a 500 from ensure_rng
+        {"seed": 1.5},                # was a 500
+        {"seed": -1},                 # was a 500
+        {"seed": True},               # was accepted as seed 1
+        {"early_stop": "false"},      # was read as True
+        {"stability_window": 2.7},    # was truncated to 2
+    ])
+    def test_mistyped_config_400(self, server, config):
+        """Session knobs and seeds decode with their exact JSON types;
+        the server stays ready."""
+        status, decoded = _request(
+            server.url + "/v1/sessions", "POST",
+            {"n_objects": 5, "config": config},
+        )
+        assert status == 400
+        assert "error" in decoded
+        status, _ = _request(server.url + "/readyz", "GET")
+        assert status == 200
+
+    def test_seed_null_and_zero_accepted(self, server):
+        for seed in (None, 0):
+            status, _ = _request(
+                server.url + "/v1/sessions", "POST",
+                {"n_objects": 5, "config": {"seed": seed}},
+            )
+            assert status == 201
+
+
 class TestDrainWaitsForSessions:
     def test_stop_reports_clean_drain(self, votes):
         server = RankingServer(ServerConfig(

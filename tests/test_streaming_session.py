@@ -2,6 +2,8 @@
 the batch pipeline, warm-started convergence, stability verdicts, and
 the snapshot/restore codec."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -239,6 +241,38 @@ class TestSnapshotCodec:
     def test_bad_schema_rejected(self):
         with pytest.raises(DataFormatError):
             session_from_payload({"schema": "repro.result/1"})
+
+    @pytest.mark.parametrize("forge", [
+        lambda p: p["votes"].__setitem__(0, [0, 1.7, 2]),  # was truncated
+        lambda p: p.__setitem__("n_objects", p["n_objects"] + 0.9),
+        lambda p: p.__setitem__("stopped", "false"),       # was stopped
+        lambda p: p["counters"].__setitem__("votes_ingested", -3),
+        lambda p: p["counters"].__setitem__("updates_full", 2.5),
+        lambda p: p.__setitem__("counters", [1, 2]),
+        lambda p: p.__setitem__("ranking", p["ranking"][:-1]),  # short
+        lambda p: p["ranking"].__setitem__(0, 10),         # out of range
+        lambda p: p["ranking"].__setitem__(0, -1),         # negative
+        lambda p: p["ranking"].__setitem__(0, float(p["ranking"][0])),
+        lambda p: p["session_config"].__setitem__("seed", True),
+        lambda p: p["session_config"].__setitem__("early_stop", "false"),
+        lambda p: p["session_config"].__setitem__("stability_window", 2.7),
+        lambda p: p.__setitem__("session_config", []),
+    ], ids=[
+        "float_vote_id", "float_n_objects", "stopped_string",
+        "negative_counter", "float_counter", "counters_list",
+        "short_ranking", "ranking_out_of_range", "negative_ranking_id",
+        "float_ranking_id", "bool_seed", "early_stop_string",
+        "float_stability_window", "session_config_list",
+    ])
+    def test_forged_fields_rejected_at_restore(self, forge):
+        """Every snapshot field decodes with its exact JSON type; a
+        forged one is a DataFormatError at restore, not a coerced value
+        or an InferenceError on the next ingest."""
+        session, _ = self._session()
+        payload = json.loads(json.dumps(session_to_payload(session)))
+        forge(payload)
+        with pytest.raises(DataFormatError):
+            session_from_payload(payload)
 
 
 class TestPayloadCodecs:
