@@ -19,19 +19,20 @@ comparison, and a policy that turns prices into budgeted query batches.
   suggest/observe/stop loop drivers embed.
 """
 
-from .bdp import BDPScorer
-from .ledger import BudgetLedger
-from .policy import AcquisitionPolicy
-from .posterior import PairPosterior
-from .scorers import (
-    SCORER_CHOICES,
-    AcquisitionState,
-    InfoMaxScorer,
-    PairScorer,
-    RandomScorer,
-    UncertaintyScorer,
-    make_scorer,
-)
+from .._lazy import lazy_exports
+
+# Submodules load on first use: a session create checks its scorer name
+# against ``scorers.SCORER_CHOICES`` without loading the BDP scorer
+# (scipy.special), the ledger or the policy.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".bdp": ("BDPScorer",),
+    ".ledger": ("BudgetLedger",),
+    ".policy": ("AcquisitionPolicy",),
+    ".posterior": ("PairPosterior",),
+    ".scorers": ("SCORER_CHOICES", "AcquisitionState", "InfoMaxScorer",
+                 "PairScorer", "RandomScorer", "UncertaintyScorer",
+                 "make_scorer"),
+})
 
 __all__ = [
     "AcquisitionPolicy",

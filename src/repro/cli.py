@@ -79,9 +79,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verbose_parent.add_argument(
         "-v", "--verbose", action="count", default=argparse.SUPPRESS,
         help=argparse.SUPPRESS)
-    # Shared by every command that fans work out (rank, simulate, batch,
-    # serve): where that work runs.  None defers to $REPRO_BACKEND, then
-    # "thread".
+    # Shared by the commands that fan work out in-process (rank,
+    # simulate, batch): where that work runs.  None defers to
+    # $REPRO_BACKEND, then "thread".  serve has its own --backend.
     backend_parent = argparse.ArgumentParser(add_help=False)
     backend_parent.add_argument(
         "--backend", choices=list(BACKEND_CHOICES), default=None,
@@ -196,10 +196,18 @@ def _build_parser() -> argparse.ArgumentParser:
                             "human summary on stderr")
 
     serve = commands.add_parser(
-        "serve", parents=[verbose_parent, backend_parent],
+        "serve", parents=[verbose_parent],
         help="run the HTTP ranking service (POST /v1/rank, /v1/batch; "
              "GET /healthz, /readyz, /metrics)",
     )
+    serve.add_argument(
+        "--backend", choices=list(BACKEND_CHOICES), default=None,
+        help="where job attempts run: 'process' (a pool of "
+             "min(--workers, usable CPUs // --processes) worker "
+             "processes forked at start; multi-core, deadline kill, "
+             "crash isolation), "
+             "'thread' (the request threads, one GIL) or 'serial'. "
+             "Default: $REPRO_BACKEND, then 'process'")
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8080,

@@ -15,6 +15,19 @@ jobs directly, governed by two explicit limits:
   slots only when free), so total running jobs never exceed
   ``workers`` even across concurrent batch requests.
 
+Job attempts run, by default, on a persistent pool of
+``min(workers, usable CPUs // processes)`` worker processes (at least
+one) that the server forks when it is built and closes in
+:meth:`RankingServer.stop`: Steps 1-4 are pure Python, and threads
+under one GIL would hold every cold job to one core.  Request threads
+borrow an idle worker for each attempt and wait while none is free.
+Body decode, fingerprint, cache lookup and result encoding stay on the
+request thread, so cache hits and streaming sessions never reach the
+pool.  A job past its deadline has
+its worker killed and replaced; a job that kills its worker comes back
+failed while the server keeps serving.  ``--backend thread`` (or
+``REPRO_BACKEND``) runs attempts on the request threads instead.
+
 Per-request deadlines (the optional ``timeout`` field of a request
 body, capped by ``max_timeout``, defaulting to ``default_timeout``)
 are enforced as one absolute instant for the whole request: slot
@@ -71,9 +84,11 @@ completion, so a drained server leaves a complete spill directory.
 
 from __future__ import annotations
 
+import functools
 import gc
 import itertools
 import json
+import os
 import socket
 import threading
 import time
@@ -98,7 +113,14 @@ from ..streaming import (
     votes_from_payload,
 )
 from ..io import splice_json
-from ..workers.backends import BACKEND_CHOICES
+from ..workers.backends import (
+    BACKEND_CHOICES,
+    BACKEND_ENV_VAR,
+    ExecutionBackend,
+    ProcessBackend,
+    get_backend,
+    usable_cpus,
+)
 from ..service import (
     BatchExecutor,
     BatchReport,
@@ -162,12 +184,17 @@ class ServerConfig:
         Seconds :meth:`RankingServer.stop` waits for in-flight requests
         before closing anyway.
     backend:
-        Execution backend job attempts run on (``"serial"``,
-        ``"thread"`` or ``"process"``); ``None`` defers to the
-        ``REPRO_BACKEND`` environment variable, then ``"thread"``.
-        ``"process"`` adds crash isolation: a job that kills its worker
-        comes back as a failed result instead of taking the server down
-        or wedging a slot.
+        Where job attempts run (``"process"``, ``"thread"`` or
+        ``"serial"``); ``None`` defers to the ``REPRO_BACKEND``
+        environment variable, then ``"process"``.  ``"process"`` is the
+        server's own pool of ``min(workers, usable CPUs // processes)``
+        worker processes (at least one): attempts use every core, a
+        job past its deadline has its worker killed, and a job that
+        kills its worker comes back as a failed result instead of
+        taking the server down or wedging a slot.  ``"thread"`` runs
+        attempts on the request threads under one GIL (a deadline
+        abandons the thread); ``"serial"`` also runs a batch's jobs one
+        after another.
     max_sessions:
         Cap on simultaneously live streaming sessions (429 beyond,
         after TTL eviction).
@@ -392,11 +419,18 @@ class RankingServer:
         self._stopped = threading.Event()
         self._request_ids = itertools.count(1)
         self._thread: Optional[threading.Thread] = None
-        # Bind manually so reuse_port is set on the socket first.
-        self._httpd = _Server(
-            (self._config.host, self._config.port), _Handler,
-            bind_and_activate=False,
-        )
+        # Forked before the listener exists, so the workers do not hold
+        # a copy of it.
+        self._backend = _server_backend(self._config, self._metrics)
+        try:
+            # Bind manually so reuse_port is set on the socket first.
+            self._httpd = _Server(
+                (self._config.host, self._config.port), _Handler,
+                bind_and_activate=False,
+            )
+        except BaseException:
+            self._backend.close()
+            raise
         self._httpd.ranking = self
         self._httpd.reuse_port = (
             self._config.reuse_port or self._config.processes > 1
@@ -406,6 +440,7 @@ class RankingServer:
             self._httpd.server_activate()
         except BaseException:
             self._httpd.server_close()
+            self._backend.close()
             raise
 
     # -- introspection ------------------------------------------------------
@@ -421,6 +456,11 @@ class RankingServer:
     @property
     def cache(self) -> Optional[ResultCache]:
         return self._cache
+
+    @property
+    def backend(self) -> ExecutionBackend:
+        """Where job attempts run (the server's process pool by default)."""
+        return self._backend
 
     @property
     def sessions(self) -> SessionManager:
@@ -473,7 +513,7 @@ class RankingServer:
                   self.url, self._config.workers, self._config.queue_depth)
 
     def stop(self, drain_timeout: Optional[float] = None) -> bool:
-        """Graceful drain, then close the listener.
+        """Graceful drain, then close the listener and the worker pool.
 
         New work is rejected with 503 immediately; in-flight requests
         get up to ``drain_timeout`` (default ``config.drain_grace``)
@@ -483,7 +523,8 @@ class RankingServer:
 
         Returns True when everything in flight finished, False when the
         grace period expired with requests still running (the listener
-        closes regardless; stragglers run on abandoned daemon threads).
+        and pool close regardless; a straggler's attempt loses its
+        worker and its job fails).
         """
         if self._stopped.is_set():
             return True
@@ -508,6 +549,7 @@ class RankingServer:
             # the serving loop sets.
             self._httpd.shutdown()
         self._httpd.server_close()
+        self._backend.close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
         _log.info("server stopped (drained=%s)", drained)
@@ -622,7 +664,7 @@ class RankingServer:
                 retry=self._retry,
                 deadline=deadline,
                 metrics=self._metrics,
-                backend=self._config.backend,
+                backend=self._backend,
             )
             return executor.run(jobs)
         finally:
@@ -637,6 +679,9 @@ class RankingServer:
             "server_inflight": float(self._gate.inflight),
             "server_queue_capacity": float(self._gate.capacity),
             "server_workers": float(self._config.workers),
+            "server_pool_width": float(
+                self._backend.width
+                if isinstance(self._backend, ProcessBackend) else 0),
             "server_draining": 0.0 if self.ready else 1.0,
             **self._sessions.gauges(),
         }
@@ -647,6 +692,26 @@ class RankingServer:
         self._metrics.increment(f"http.requests.{route}")
         self._metrics.increment(f"http.responses.{status}")
         self._metrics.observe("http.request.seconds", seconds)
+
+
+def _server_backend(config: ServerConfig,
+                    metrics: MetricsRegistry) -> ExecutionBackend:
+    """The backend job attempts run on: ``config.backend``, then
+    ``$REPRO_BACKEND``, then a started process pool whose respawns
+    count as ``workers.respawned``.  The pool is ``workers`` wide, at
+    most this serving process's share of the usable CPUs (under
+    ``--processes N`` each of the N serving processes owns a pool).
+    Start-up does not wait for the forked workers to be ready."""
+    name = config.backend or os.environ.get(BACKEND_ENV_VAR) or "process"
+    if name != "process":
+        return get_backend(name)
+    pool = ProcessBackend(
+        workers=min(config.workers,
+                    max(1, usable_cpus() // config.processes)),
+        on_respawn=functools.partial(metrics.increment, "workers.respawned"),
+    )
+    pool.start()
+    return pool
 
 
 def encode_batch_report(report: BatchReport) -> bytes:

@@ -30,9 +30,11 @@ pickling to reach a thread.  The pluggable part is where each
 * ``thread`` (default) — the attempt runs inline or, when a budget
   applies, on a daemon thread that is *abandoned* (not killed — Python
   cannot) when the deadline passes;
-* ``process`` — the attempt runs in a child process: a timed-out
-  worker is genuinely killed, and a crashed worker (segfault,
-  ``os._exit``, OOM kill) surfaces as a transient
+* ``process`` — the attempt runs on a worker of the backend's
+  persistent process pool (only the job and its result cross the
+  pipe; the cache lookup and the result encoding stay here): a
+  timed-out worker is genuinely killed and replaced, and a crashed
+  worker (segfault, ``os._exit``, OOM kill) surfaces as a transient
   :class:`~repro.exceptions.WorkerCrashedError` that the retry loop
   re-runs on a fresh worker instead of hanging the batch.
 
@@ -147,7 +149,9 @@ class BatchExecutor:
         ``"process"``, an :class:`~repro.workers.backends.ExecutionBackend`
         instance, or ``None`` to defer to the ``REPRO_BACKEND``
         environment variable (then ``"thread"``).  ``"serial"`` also
-        forces the batch itself to run sequentially.  Note the
+        forces the batch itself to run sequentially.  Pass a
+        :class:`~repro.workers.backends.ProcessBackend` instance to
+        share one pool across executors, as the server does.  Note the
         ``process`` backend executes the canonical attempt body
         (:func:`_attempt_job`) in the child, so instance-level
         ``_attempt`` overrides only take effect on the serial/thread
@@ -412,8 +416,10 @@ class BatchExecutor:
                 _attempt_job, [job], max_workers=1, timeout=budget,
             )
         except TaskTimeoutError as error:
+            # Either the worker was killed at the deadline or no pool
+            # worker came free in time; the cause says which.
             raise JobTimeoutError(
-                f"attempt exceeded {budget:g}s (worker killed)"
+                f"attempt exceeded {budget:g}s: {error}"
             ) from error
         return value
 

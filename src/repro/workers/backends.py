@@ -18,18 +18,21 @@ interchangeable implementations of it:
     :class:`~repro.exceptions.TaskTimeoutError` while the stray thread
     runs to completion in the background.
 ``process``
-    A ``multiprocessing`` pool with pickle-safe dispatch, per-task
-    deadlines and crash isolation.  Each worker process runs one task
-    at a time over a dedicated pipe; a worker that dies mid-task
-    (signal, ``os._exit``, OOM kill) surfaces a typed
+    A persistent ``multiprocessing`` pool with pickle-safe dispatch,
+    per-task deadlines and crash isolation.  Workers are forked once
+    and reused by every later ``map`` call, from any thread; each call
+    borrows idle workers and returns them when done.  Each worker runs
+    one task at a time over a dedicated pipe; a worker that dies
+    mid-task (signal, ``os._exit``, OOM kill) surfaces a typed
     :class:`~repro.exceptions.WorkerCrashedError` for that task and is
     **respawned**, so the remaining tasks still complete and the pool
     never hangs.  A task that outlives its deadline has its worker
-    killed (a real cancellation, unlike threads) and raises
-    :class:`~repro.exceptions.TaskTimeoutError`.  Tasks, their
+    killed (a real cancellation, unlike threads) and replaced, and
+    raises :class:`~repro.exceptions.TaskTimeoutError`.  Tasks, their
     arguments and their results must be picklable; the task function
     must be importable from the worker (module-level, or a
-    ``functools.partial`` over one).
+    ``functools.partial`` over one).  On Linux the workers die with
+    their parent process, SIGKILL included.
 
 Determinism: all three backends return results in **input order**
 regardless of completion order, so a deterministic reduction over the
@@ -48,11 +51,13 @@ from __future__ import annotations
 
 import os
 import pickle
+import signal
 import threading
 import time
 import traceback
+import weakref
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar, Union
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar, Union
 
 from ..diagnostics import get_logger
 from ..exceptions import (
@@ -158,6 +163,9 @@ class ExecutionBackend:
             deliberately unobservable through the return value.
         """
         raise NotImplementedError
+
+    def close(self) -> None:
+        """Release the backend's workers (a no-op unless it keeps any)."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -312,14 +320,47 @@ def _unwrap(outcomes: List[object], return_exceptions: bool) -> List[object]:
 # Process backend
 # ---------------------------------------------------------------------------
 
-def _worker_loop(conn) -> None:
-    """One worker process: recv ``(index, fn, item)``, send the outcome.
+#: ``prctl`` option: signal this process when the thread that forked it
+#: exits (Linux).
+_PR_SET_PDEATHSIG = 1
+
+
+def _die_with_parent(parent_pid: Optional[int]) -> None:
+    """Ask the kernel to SIGKILL this worker when its parent dies.
+
+    A worker holds copies of the parent's descriptors (its stderr, a
+    server's listening socket), so one outliving a SIGKILLed parent
+    would keep them open.  ``parent_pid`` is the process that forked
+    the worker, or ``None`` when that is not the pool's owner (a
+    ``forkserver`` worker is forked by the fork server, which itself
+    exits when its owner dies); either way the signal is armed against
+    the actual parent, and a worker whose parent is already gone exits.
+    Linux only; elsewhere workers still stop with
+    :meth:`ProcessBackend.close` and at interpreter exit.
+    """
+    if parent_pid is None:
+        parent_pid = os.getppid()
+    try:
+        import ctypes
+
+        libc = ctypes.CDLL(None, use_errno=True)
+        libc.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    except (AttributeError, OSError):
+        return
+    if os.getppid() != parent_pid:  # the parent died before the prctl
+        os._exit(1)
+
+
+def _worker_main(conn, parent_pid: Optional[int]) -> None:
+    """Entry point of one pool worker process: serve tasks, recv
+    ``(index, fn, item)`` and send the outcome.
 
     Exceptions are pickled back when possible; unpicklable ones travel
     as (type name, message, traceback text) and re-raise as
     :class:`RemoteTaskError` in the parent.  A ``None`` message is the
     shutdown sentinel.
     """
+    _die_with_parent(parent_pid)
     while True:
         try:
             message = conn.recv()
@@ -362,8 +403,12 @@ class _ProcessWorker:
     def __init__(self, ctx):
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         self.conn = parent_conn
+        forker = None if ctx.get_start_method() == "forkserver" \
+            else os.getpid()
         self.process = ctx.Process(
-            target=_worker_loop, args=(child_conn,), daemon=True,
+            target=_worker_main,
+            args=(child_conn, forker),
+            daemon=True, name="repro-pool-worker",
         )
         self.process.start()
         child_conn.close()
@@ -404,16 +449,142 @@ class _ProcessWorker:
         self.conn.close()
 
 
-class ProcessBackend(ExecutionBackend):
-    """``multiprocessing`` pool with crash isolation and real deadlines.
+class _WorkerSet:
+    """The live workers of one :class:`ProcessBackend`, shared by every
+    thread that calls its ``map``.
 
-    The pool is built per :meth:`map` call (workers are cheap with the
-    default ``fork`` start method on POSIX) and always torn down before
-    returning.  Dispatch is explicit — one task in flight per worker
-    over a dedicated pipe — which is what makes crash detection exact:
-    a dead worker's pipe reads EOF, the task that was on it becomes a
-    :class:`WorkerCrashedError`, and a replacement worker is spawned if
-    tasks remain.
+    Every fork runs on one long-lived spawner thread: the kernel's
+    parent-death signal fires when the *thread* that forked a worker
+    exits, so a worker forked on a short-lived request thread would be
+    killed with that thread.
+    """
+
+    def __init__(self, start_method: Optional[str], limit: Optional[int],
+                 on_respawn: Optional[Callable[[], None]]):
+        self._start_method = start_method
+        self.limit = limit
+        self._on_respawn = on_respawn
+        self._cond = threading.Condition()
+        self._live: List[_ProcessWorker] = []  # idle and borrowed
+        self._idle: List[_ProcessWorker] = []
+        self._spawner: Optional[ThreadPoolExecutor] = None
+        self._closed = False
+
+    def pids(self) -> List[int]:
+        with self._cond:
+            return [worker.process.pid for worker in self._live]
+
+    def _fork(self) -> _ProcessWorker:
+        """Fork one live worker on the spawner thread (holds ``_cond``)."""
+        if self._closed:
+            raise ExecutionBackendError("process pool is closed")
+        if self._spawner is None:
+            self._spawner = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-pool-spawner",
+            )
+        worker = self._spawner.submit(
+            _ProcessWorker, get_mp_context(self._start_method),
+        ).result()
+        self._live.append(worker)
+        return worker
+
+    def start(self) -> None:
+        with self._cond:
+            while self.limit is not None and len(self._live) < self.limit:
+                self._idle.append(self._fork())
+            self._cond.notify_all()
+
+    def borrow(self, count: int,
+               timeout: Optional[float]) -> List[_ProcessWorker]:
+        """Up to ``count`` workers, forking while under the limit.
+
+        Blocks (at most ``timeout`` seconds) only while no worker at
+        all is free, so two callers each holding one worker never wait
+        on each other.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+        with self._cond:
+            while True:
+                while len(self._idle) < count and (
+                        self.limit is None or len(self._live) < self.limit):
+                    self._idle.append(self._fork())
+                if self._idle:  # longest idle first: spreads the work
+                    taken = self._idle[:count]
+                    del self._idle[:count]
+                    return taken
+                remaining = None if deadline is None \
+                    else deadline - time.monotonic()
+                if remaining is not None and remaining <= 0:
+                    raise TaskTimeoutError(
+                        f"no pool worker free within {timeout:g}s"
+                    )
+                self._cond.wait(remaining)
+
+    def give_back(self, workers: List[_ProcessWorker]) -> None:
+        with self._cond:
+            if not self._closed:
+                self._idle.extend(workers)
+                self._cond.notify_all()
+                return
+        for worker in workers:
+            worker.shutdown()
+
+    def replace(self, dead: _ProcessWorker) -> _ProcessWorker:
+        """A fresh borrowed worker in place of a killed or crashed one."""
+        with self._cond:
+            if dead in self._live:
+                self._live.remove(dead)
+            fresh = self._fork()
+        if self._on_respawn is not None:
+            self._on_respawn()
+        return fresh
+
+    def discard(self, worker: _ProcessWorker) -> None:
+        worker.kill()
+        with self._cond:
+            if worker in self._live:
+                self._live.remove(worker)
+            self._cond.notify_all()
+
+    def close(self) -> None:
+        """Stop every worker (idle ones gracefully), then the spawner."""
+        with self._cond:
+            if self._closed:
+                return
+            self._closed = True
+            idle = self._idle
+            busy = [worker for worker in self._live if worker not in idle]
+            self._live, self._idle = [], []
+            self._cond.notify_all()
+        for worker in idle:
+            worker.shutdown()
+        for worker in busy:
+            worker.kill()
+        if self._spawner is not None:
+            self._spawner.shutdown(wait=True)
+
+
+class ProcessBackend(ExecutionBackend):
+    """A persistent ``multiprocessing`` pool with crash isolation and
+    real deadlines.
+
+    Workers are forked on first use (or by :meth:`start`) and reused by
+    every later :meth:`map`, from any thread: each call borrows idle
+    workers — waiting only while none is free — and hands them back
+    when its tasks are done.  ``workers`` caps the pool's size; without
+    it the pool grows to the widest concurrent demand.  ``on_respawn``
+    is called in the parent whenever a dead worker is replaced.
+    :meth:`close` (or garbage collection of the backend) stops the
+    workers, and on Linux they die with the parent process, SIGKILL
+    included.
+
+    Dispatch is explicit — one task in flight per worker over a
+    dedicated pipe — which is what makes crash detection exact: a dead
+    worker's pipe reads EOF, the task that was on it becomes a
+    :class:`WorkerCrashedError`, and a replacement worker is forked.
+    A task that outlives its deadline has its worker killed and
+    replaced the same way.  Time spent waiting for a free worker counts
+    against every task's ``timeout``.
 
     Unlike the serial backend's fail-fast loop, all tasks run to
     completion even in raising mode (the earliest-indexed failure is
@@ -423,11 +594,34 @@ class ProcessBackend(ExecutionBackend):
 
     name = "process"
 
-    def __init__(self, start_method: Optional[str] = None):
-        self._start_method = start_method
+    def __init__(
+        self,
+        *,
+        workers: Optional[int] = None,
+        start_method: Optional[str] = None,
+        on_respawn: Optional[Callable[[], None]] = None,
+    ):
+        if workers is not None:
+            _validate_width(workers)
+        self._workers = _WorkerSet(start_method, workers, on_respawn)
+        self._finalizer = weakref.finalize(self, self._workers.close)
 
-    def _context(self):
-        return get_mp_context(self._start_method)
+    @property
+    def width(self) -> Optional[int]:
+        """The pool's size limit (``None``: grows on demand)."""
+        return self._workers.limit
+
+    @property
+    def pids(self) -> List[int]:
+        """Process ids of the live workers, idle or running a task."""
+        return self._workers.pids()
+
+    def start(self) -> None:
+        """Fork the pool up to its ``workers`` limit now."""
+        self._workers.start()
+
+    def close(self) -> None:
+        self._finalizer()
 
     def map(self, fn, items, *, max_workers, timeout=None,
             return_exceptions=False):
@@ -437,9 +631,15 @@ class ProcessBackend(ExecutionBackend):
         items = list(items)
         if not items:
             return []
-        ctx = self._context()
-        width = min(max_workers, len(items))
-        workers = [_ProcessWorker(ctx) for _ in range(width)]
+        asked = time.monotonic()
+        try:
+            workers = self._workers.borrow(min(max_workers, len(items)),
+                                           timeout)
+        except TaskTimeoutError as error:
+            return _unwrap([_Failure(error) for _ in items],
+                           return_exceptions)
+        if timeout is not None:
+            timeout = max(0.0, timeout - (time.monotonic() - asked))
         pending = list(enumerate(items))  # consumed front-first
         outcomes: List[object] = [None] * len(items)
         done = 0
@@ -454,16 +654,15 @@ class ProcessBackend(ExecutionBackend):
                             # The worker died while idle; replace it and
                             # requeue the task for the fresh one.
                             worker.kill()
-                            workers[slot] = _ProcessWorker(self._context())
+                            workers[slot] = self._workers.replace(worker)
                             pending.insert(0, (index, item))
                 done += self._collect(workers, outcomes)
-                done += self._reap_timeouts(ctx, workers, outcomes, pending)
+                done += self._reap_timeouts(workers, outcomes)
         finally:
-            for worker in workers:
-                if worker.process.is_alive() and worker.busy:
-                    worker.kill()
-                else:
-                    worker.shutdown()
+            for worker in [w for w in workers if w.busy]:
+                workers.remove(worker)
+                self._workers.discard(worker)
+            self._workers.give_back(workers)
         return _unwrap(
             [o if isinstance(o, (_Success, _Failure)) else _Success(o)
              for o in outcomes],
@@ -487,6 +686,11 @@ class ProcessBackend(ExecutionBackend):
         finished = 0
         for worker in busy:
             if worker.conn not in ready:
+                # A pipe end inherited by a process forked elsewhere
+                # can hide the EOF of a dead worker: ask the process.
+                if worker.process.is_alive() or worker.conn.poll():
+                    continue
+                finished += self._handle_crash(workers, worker, outcomes)
                 continue
             try:
                 index, kind, payload = worker.conn.recv()
@@ -522,16 +726,15 @@ class ProcessBackend(ExecutionBackend):
             f"code {code} while running task {index}"
         ))
         worker.conn.close()
-        self._replace(workers, worker)
+        workers[workers.index(worker)] = self._workers.replace(worker)
         return 1
 
-    def _reap_timeouts(self, ctx, workers: List[_ProcessWorker],
-                       outcomes: List[object],
-                       pending: List[Tuple[int, object]]) -> int:
+    def _reap_timeouts(self, workers: List[_ProcessWorker],
+                       outcomes: List[object]) -> int:
         """Kill workers whose task overran its deadline; respawn."""
         now = time.monotonic()
         finished = 0
-        for worker in workers:
+        for slot, worker in enumerate(workers):
             if not worker.busy or worker.deadline is None \
                     or now < worker.deadline:
                 continue
@@ -542,15 +745,12 @@ class ProcessBackend(ExecutionBackend):
             outcomes[index] = _Failure(TaskTimeoutError(
                 f"task {index} exceeded its deadline (worker killed)"
             ))
-            self._replace(workers, worker)
+            workers[slot] = self._workers.replace(worker)
             finished += 1
         return finished
 
-    def _replace(self, workers: List[_ProcessWorker],
-                 dead: _ProcessWorker) -> None:
-        """Swap a dead worker for a fresh one (same pool slot)."""
-        slot = workers.index(dead)
-        workers[slot] = _ProcessWorker(self._context())
+    def __repr__(self) -> str:
+        return f"ProcessBackend(workers={self.width})"
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +806,15 @@ def resolve_backend(
     if spec is None:
         spec = default_backend_name()
     return get_backend(spec)
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _validate_width(max_workers: int) -> None:

@@ -145,14 +145,18 @@ def parallel_map(
     earliest-indexed failing task propagates to the caller on every
     backend.
 
-    ``backend`` selects where tasks run: ``"serial"`` (inline),
-    ``"thread"`` (the default — with ``max_workers <= 1`` or fewer than
-    two items it runs inline with no pool at all, so the serial path
-    keeps zero threading overhead), or ``"process"`` (true multi-core
-    with crash isolation; ``fn``, the items and the results must be
-    picklable).  ``None`` defers to the ``REPRO_BACKEND`` environment
-    variable, then ``"thread"``.  Pure-Python workloads only scale on
-    the process backend — threads share one GIL.
+    Without a ``timeout``, a map with ``max_workers <= 1`` or fewer
+    than two items runs inline on the calling thread on every backend:
+    there is nothing to fan out, and a process worker running such a
+    map (a SAPS restart loop of width 1) could not start children of
+    its own.  Otherwise ``backend`` selects where tasks run:
+    ``"serial"`` (inline), ``"thread"`` (the default), or
+    ``"process"`` (true multi-core with crash isolation; ``fn``, the
+    items and the results must be picklable).  ``None`` defers to the
+    ``REPRO_BACKEND`` environment variable, then ``"thread"``.  A
+    backend resolved from a name is closed before returning.
+    Pure-Python workloads only scale on the process backend — threads
+    share one GIL.
 
     ``timeout`` bounds each task in seconds where the backend can
     enforce it (process: worker killed; thread: thread abandoned;
@@ -163,6 +167,13 @@ def parallel_map(
         raise ConfigurationError(
             f"max_workers must be >= 1, got {max_workers}"
         )
-    return resolve_backend(backend).map(
-        fn, items, max_workers=max_workers, timeout=timeout,
-    )
+    if timeout is None and (max_workers == 1 or len(items) < 2):
+        return [fn(item) for item in items]
+    resolved = resolve_backend(backend)
+    try:
+        return resolved.map(
+            fn, items, max_workers=max_workers, timeout=timeout,
+        )
+    finally:
+        if resolved is not backend:
+            resolved.close()

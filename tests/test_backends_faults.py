@@ -13,28 +13,34 @@ much elsewhere.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
 import os
 import signal
+import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
 from repro.exceptions import (
     ConfigurationError,
+    ExecutionBackendError,
     TaskTimeoutError,
     WorkerCrashedError,
 )
 from repro.service import executor as executor_module
 from repro.service.executor import BatchExecutor, _attempt_job
 from repro.service.jobs import RankingJob, ScenarioSpec
+from repro.types import Vote, VoteSet
 from repro.service.retry import NO_RETRY, RetryPolicy, default_is_transient
 from repro.workers.backends import (
     ProcessBackend,
     SerialBackend,
     ThreadBackend,
 )
+from repro.workers.pool import parallel_map
 
 pytestmark = pytest.mark.usefixtures("hang_guard")
 
@@ -77,6 +83,19 @@ def _sleep_if_negative(x):
     if x < 0:
         time.sleep(60.0)
     return x
+
+
+def _square(x):
+    return x * x
+
+
+def _pid(_):
+    return os.getpid()
+
+
+def _hold(seconds):
+    time.sleep(seconds)
+    return os.getpid()
 
 
 def _crash_once_attempt(job):
@@ -163,6 +182,200 @@ class TestDeadlines:
     def test_non_positive_timeout_rejected(self, backend):
         with pytest.raises(ConfigurationError):
             backend.map(_identity, [1], max_workers=1, timeout=0.0)
+
+
+# -- the persistent pool -----------------------------------------------------
+
+def _gone(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def _exited(pid):
+    """True once ``pid`` has exited (a zombie counts as exited)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] in "ZX"
+    except FileNotFoundError:
+        return True
+
+
+class TestPersistentPool:
+    def test_workers_are_reused_across_maps(self):
+        backend = ProcessBackend()
+        try:
+            first = set(backend.map(_pid, range(4), max_workers=2))
+            second = set(backend.map(_pid, range(4), max_workers=2))
+            assert first == second == set(backend.pids)
+            assert len(first) == 2 and os.getpid() not in first
+        finally:
+            backend.close()
+
+    def test_crash_respawn_is_reported_and_keeps_the_width(self):
+        respawns = []
+        backend = ProcessBackend(workers=2,
+                                 on_respawn=lambda: respawns.append(1))
+        try:
+            backend.start()
+            before = set(backend.pids)
+            outcomes = backend.map(_die_on_three, list(range(6)),
+                                   max_workers=2, return_exceptions=True)
+            assert isinstance(outcomes[3], WorkerCrashedError)
+            assert respawns == [1]
+            after = set(backend.pids)
+            assert len(after) == 2 and len(before & after) == 1
+        finally:
+            backend.close()
+
+    def test_concurrent_maps_share_a_narrow_pool(self):
+        backend = ProcessBackend(workers=1)
+        results = {}
+
+        def call(name):
+            results[name] = backend.map(_hold, [0.2, 0.2], max_workers=2)
+
+        threads = [threading.Thread(target=call, args=(n,)) for n in "ab"]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            (pid,) = backend.pids
+            assert results == {"a": [pid, pid], "b": [pid, pid]}
+        finally:
+            backend.close()
+
+    def test_many_threads_share_a_pool_narrower_than_the_host(self):
+        backend = ProcessBackend(workers=2)
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+
+        def call(name):
+            results[name] = backend.map(_square, range(name, name + 6),
+                                        max_workers=3)
+
+        threads = [threading.Thread(target=call, args=(n,))
+                   for n in range(8)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == {n: [x * x for x in range(n, n + 6)]
+                               for n in range(8)}
+            assert len(backend.pids) == 2
+        finally:
+            sys.setswitchinterval(interval)
+            backend.close()
+
+    def test_waiting_for_a_busy_pool_counts_against_the_deadline(self):
+        backend = ProcessBackend(workers=1)
+        holder = threading.Thread(
+            target=backend.map, args=(_hold, [1.5]), kwargs={"max_workers": 1})
+        try:
+            backend.start()
+            holder.start()
+            time.sleep(0.2)
+            outcomes = backend.map(_identity, [1, 2], max_workers=1,
+                                   timeout=0.3, return_exceptions=True)
+            assert all(isinstance(o, TaskTimeoutError) for o in outcomes)
+            assert "no pool worker free" in str(outcomes[0])
+        finally:
+            holder.join(timeout=30)
+            backend.close()
+
+    @pytest.mark.skipif(
+        "forkserver" not in multiprocessing.get_all_start_methods(),
+        reason="needs the forkserver start method")
+    def test_forkserver_workers_run_tasks(self):
+        # The fork server, not this process, is the workers' parent.
+        backend = ProcessBackend(workers=2, start_method="forkserver")
+        try:
+            assert backend.map(_square, range(4), max_workers=2) \
+                == [0, 1, 4, 9]
+            assert backend.map(_square, range(4), max_workers=2,
+                               return_exceptions=True) == [0, 1, 4, 9]
+        finally:
+            backend.close()
+
+    @pytest.mark.skipif(
+        "forkserver" not in multiprocessing.get_all_start_methods()
+        or not os.path.exists(f"/proc/{os.getpid()}/stat"),
+        reason="needs forkserver and Linux /proc")
+    def test_forkserver_workers_die_with_a_sigkilled_owner(self):
+        code = (
+            "import time\n"
+            "from repro.workers.backends import ProcessBackend\n"
+            "backend = ProcessBackend(workers=2, "
+            "start_method='forkserver')\n"
+            "backend.start()\n"
+            "print(*backend.pids, flush=True)\n"
+            "time.sleep(60)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        owner = subprocess.Popen([sys.executable, "-c", code], env=env,
+                                 stdout=subprocess.PIPE)
+        pids = []
+        try:
+            pids = [int(pid) for pid in owner.stdout.readline().split()]
+            assert len(pids) == 2
+            owner.kill()
+            deadline = time.monotonic() + 5.0
+            while not all(map(_exited, pids)) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert [pid for pid in pids if not _exited(pid)] == []
+        finally:
+            owner.kill()
+            owner.wait(timeout=10)
+            owner.stdout.close()
+            for pid in pids:  # survivors of a failed check
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
+
+    def test_close_and_collection_stop_the_workers(self):
+        backend = ProcessBackend()
+        pids = set(backend.map(_pid, range(2), max_workers=2))
+        backend.close()
+        assert backend.pids == [] and all(map(_gone, pids))
+        with pytest.raises(ExecutionBackendError, match="closed"):
+            backend.map(_identity, [1, 2], max_workers=2)
+        backend = ProcessBackend()
+        pids = set(backend.map(_pid, range(2), max_workers=2))
+        del backend
+        gc.collect()
+        assert all(map(_gone, pids))
+
+
+class TestInlineFanout:
+    """A map with nothing to fan out runs on the calling thread, whatever
+    the backend: a pool worker running one cannot start children."""
+
+    @pytest.mark.parametrize("backend", ["process", ProcessBackend()])
+    def test_width_one_or_one_item_runs_inline(self, backend):
+        assert parallel_map(_pid, [1, 2], max_workers=1,
+                            backend=backend) == [os.getpid()] * 2
+        assert parallel_map(_pid, [1], max_workers=4,
+                            backend=backend) == [os.getpid()]
+
+    def test_env_process_backend_inside_process_attempts(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BACKEND", "process")
+        votes = VoteSet.from_votes(12, [
+            Vote(worker=w, winner=i, loser=j) for w in range(4)
+            for i in range(12) for j in range(i + 1, 12) if (i + j + w) % 3
+        ])
+        executor = BatchExecutor(1, backend="process", retry=NO_RETRY)
+        report = executor.run([RankingJob(job_id="v", votes=votes, seed=1)])
+        (result,) = report.results
+        assert result.status.value == "succeeded", result.error
 
 
 # -- the executor built on top ----------------------------------------------

@@ -32,6 +32,19 @@ def client(server):
     return RankingClient(server.url, timeout=30.0)
 
 
+@pytest.fixture
+def thread_client():
+    """A client of a server that runs attempts on its request threads,
+    for tests that monkeypatch ``BatchExecutor._attempt`` here."""
+    ranking_server = RankingServer(ServerConfig(
+        port=0, workers=2, queue_depth=4, default_timeout=60.0,
+        no_cache=True, backend="thread",
+    ))
+    ranking_server.start()
+    yield RankingClient(ranking_server.url, timeout=30.0)
+    ranking_server.stop(drain_timeout=5.0)
+
+
 class TestProbes:
     def test_health_and_ready(self, client):
         assert client.health() is True
@@ -77,13 +90,15 @@ class TestRank:
         assert outcome.job_id == "prep"
         assert outcome.ok
 
-    def test_failed_job_returns_result_not_raise(self, client, monkeypatch):
+    def test_failed_job_returns_result_not_raise(self, thread_client,
+                                                 monkeypatch):
         def explode(self, job):
             raise ValueError("poisoned")
 
         monkeypatch.setattr(BatchExecutor, "_attempt", explode)
-        outcome = client.rank(scenario={"n_objects": 8,
-                                        "selection_ratio": 0.5}, seed=1)
+        outcome = thread_client.rank(scenario={"n_objects": 8,
+                                               "selection_ratio": 0.5},
+                                     seed=1)
         assert not outcome.ok
         assert "poisoned" in outcome.error
 
@@ -138,7 +153,8 @@ class TestRetries:
         monkeypatch.setattr(BatchExecutor, "_attempt", blocked)
         saturating = RankingServer(ServerConfig(port=0, workers=1,
                                                 queue_depth=1,
-                                                no_cache=True))
+                                                no_cache=True,
+                                                backend="thread"))
         saturating.start()
         try:
             hog = RankingClient(saturating.url, timeout=30.0)

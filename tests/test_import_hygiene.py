@@ -43,10 +43,12 @@ SERVE_PATH_MODULES = [
     "repro.streaming.incremental",
 ]
 
-LAZY_PACKAGES = ["repro", "repro.budget", "repro.graphs", "repro.inference"]
+LAZY_PACKAGES = ["repro", "repro.acquisition", "repro.budget", "repro.graphs",
+                 "repro.inference"]
 
 #: Exported values with no ``__module__`` of their own, by home module.
 PLAIN_VALUES = {"__version__": "repro._version",
+                "SCORER_CHOICES": "repro.acquisition.scorers",
                 "SPARSE_ENGINES": "repro.inference.engines"}
 
 
@@ -75,6 +77,20 @@ def test_serve_loads_only_the_closure_kernels_of_repro_graphs():
     loaded = _modules_loaded_by("import repro.server, repro.cli")
     assert sorted(m for m in loaded if m.startswith("repro.graphs")) \
         == ["repro.graphs", "repro.graphs.closure"]
+
+
+def test_session_config_loads_only_the_scorer_registry():
+    """The scorer-name check of a session create reads
+    ``SCORER_CHOICES`` without running the whole acquisition package."""
+    loaded = _modules_loaded_by(
+        "import repro.server, repro.cli\n"
+        "from repro.streaming import SessionConfig\n"
+        "SessionConfig()"
+    )
+    assert "repro.acquisition.scorers" in loaded
+    assert sorted(m for m in loaded if m.startswith("repro.acquisition")) \
+        == ["repro.acquisition", "repro.acquisition.posterior",
+            "repro.acquisition.scorers"]
 
 
 def test_no_repro_module_imports_the_oracles():

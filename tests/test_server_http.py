@@ -73,6 +73,19 @@ def server(tmp_path):
     ranking_server.stop(drain_timeout=5.0)
 
 
+@pytest.fixture
+def thread_server(tmp_path):
+    """The ``server`` fixture with attempts on the request threads, for
+    tests that monkeypatch ``BatchExecutor._attempt`` in this process."""
+    ranking_server = RankingServer(ServerConfig(
+        port=0, workers=2, queue_depth=4, default_timeout=60.0,
+        cache_dir=str(tmp_path / "cache"), backend="thread",
+    ))
+    ranking_server.start()
+    yield ranking_server
+    ranking_server.stop(drain_timeout=5.0)
+
+
 class TestProbes:
     def test_healthz(self, server):
         status, body = _get(server.url + "/healthz")
@@ -197,12 +210,13 @@ class TestRank:
         assert status == 400
         assert "timeout" in body["error"]
 
-    def test_failed_job_is_422(self, server, monkeypatch):
+    def test_failed_job_is_422(self, thread_server, monkeypatch):
         def explode(self, job):
             raise ValueError("poisoned")
 
         monkeypatch.setattr(BatchExecutor, "_attempt", explode)
-        status, body = _post(server.url + "/v1/rank", SCENARIO_REQUEST)
+        status, body = _post(thread_server.url + "/v1/rank",
+                             SCENARIO_REQUEST)
         assert status == 422
         assert body["status"] == "failed"
         assert "poisoned" in body["error"]
@@ -221,12 +235,12 @@ class TestRank:
         assert status == 422
         assert body["error"].startswith("InferenceError")
 
-    def test_deadline_maps_to_504(self, server, monkeypatch):
+    def test_deadline_maps_to_504(self, thread_server, monkeypatch):
         def crawl(self, job):
             time.sleep(5.0)
 
         monkeypatch.setattr(BatchExecutor, "_attempt", crawl)
-        status, body = _post(server.url + "/v1/rank",
+        status, body = _post(thread_server.url + "/v1/rank",
                              dict(SCENARIO_REQUEST, timeout=0.1))
         assert status == 504
         assert body["status"] == "timed_out"
@@ -448,7 +462,8 @@ class TestKeepAlive:
 
         monkeypatch.setattr(BatchExecutor, "_attempt", blocked)
         with RankingServer(ServerConfig(port=0, workers=1, queue_depth=1,
-                                        no_cache=True)) as server:
+                                        no_cache=True,
+                                        backend="thread")) as server:
             background = threading.Thread(target=_post, args=(
                 server.url + "/v1/rank",
                 {"job_id": "slow", "seed": 1,
@@ -593,7 +608,8 @@ class TestBackpressure:
 
         monkeypatch.setattr(BatchExecutor, "_attempt", blocked)
         with RankingServer(ServerConfig(port=0, workers=1, queue_depth=1,
-                                        no_cache=True)) as server:
+                                        no_cache=True,
+                                        backend="thread")) as server:
             slow_result = {}
 
             def slow_request():
@@ -638,7 +654,8 @@ class TestBackpressure:
             # workers=1 but queue_depth=2: the second request is admitted
             # yet cannot get an execution slot before its deadline.
             with RankingServer(ServerConfig(port=0, workers=1, queue_depth=2,
-                                            no_cache=True)) as server:
+                                            no_cache=True,
+                                            backend="thread")) as server:
                 background = threading.Thread(target=_post, args=(
                     server.url + "/v1/rank",
                     {"job_id": "slow", "seed": 1,
@@ -670,7 +687,7 @@ class TestGracefulDrain:
 
         monkeypatch.setattr(BatchExecutor, "_attempt", blocked)
         server = RankingServer(ServerConfig(port=0, workers=1, queue_depth=4,
-                                            no_cache=True))
+                                            no_cache=True, backend="thread"))
         server.start()
         inflight = {}
 
