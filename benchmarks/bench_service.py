@@ -13,23 +13,21 @@ A backend sweep repeats both modes once per execution backend
 pool overhead and the benefit of process isolation, measured at the
 same workload.
 
-A multi-process sweep then runs the pre-fork ``SO_REUSEPORT`` group
-(:class:`~repro.server.PreforkSupervisor`) at 1 and 2 processes over a
-shared cache directory: a closed-loop pass for throughput with results
-checked bit-identical against the serial in-process oracle, and an
-**open-loop** pass — requests fire at their scheduled arrival times
-whether or not earlier ones finished, so the recorded p99 includes
-queueing delay and characterizes behaviour under overload.  On hosts
-with 2+ cores the sweep enforces that 2 processes deliver at least
-1.7x the single-process closed-loop throughput.
+A serving pass then drives a ``python -m repro serve`` subprocess, so
+this process only runs clients: a closed-loop pass for throughput with
+results checked bit-identical against the serial in-process oracle,
+and an **open-loop** pass — requests fire at their scheduled arrival
+times whether or not earlier ones finished, so the recorded p99
+includes queueing delay and characterizes behaviour under overload.
 
-``--smoke`` runs the multi-process serving contract only (tiny sizes,
-no timing thresholds, nothing written): a 2-process group must return
-bit-identical results to the serial oracle, and a result computed by
-one server process must be served from the shared spill cache by a
-*different* process (a fresh single-child generation over the same
-cache directory), with a response body equal to the cold one except
-for ``attempts``, ``from_cache`` and ``seconds``.
+``--smoke`` runs the serving contract only (tiny sizes, no timing
+thresholds, nothing written) on two successive ``repro serve``
+subprocesses over one cache directory: the first must return
+bit-identical results to the serial oracle and answer a repeat pass
+entirely from cache, and the second — a fresh process that computed
+nothing — must serve every job from the spill the first left, with a
+response body equal to the cold one except for ``attempts``,
+``from_cache`` and ``seconds``.
 
 Not collected by pytest (no ``test_`` prefix) — run directly:
 
@@ -43,17 +41,20 @@ import datetime
 import json
 import os
 import platform
-import socket
+import re
+import signal
+import subprocess
+import sys
 import tempfile
 import threading
 import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.client import RankingClient
-from repro.server import PreforkSupervisor, RankingServer, ServerConfig
+from repro.server import RankingServer, ServerConfig
 from repro.service import (
     BatchExecutor,
     MetricsRegistry,
@@ -64,13 +65,6 @@ from repro.service import (
 )
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-
-HAVE_REUSEPORT = hasattr(socket, "SO_REUSEPORT")
-
-#: Closed-loop speedup two serving processes must deliver over one on a
-#: multi-core host (single-core hosts record the sweep but cannot be
-#: gated — there is no second core to win).
-REQUIRED_SPEEDUP_2P = 1.7
 
 
 def make_jobs(count: int, n_objects: int, repeat_every: int,
@@ -161,15 +155,47 @@ def bench_server(jobs: List[RankingJob], workers: int,
 
 
 # ---------------------------------------------------------------------------
-# Multi-process sweep: pre-fork group, closed- and open-loop
+# A `repro serve` subprocess, closed- and open-loop
 # ---------------------------------------------------------------------------
+
+class ServeProcess:
+    """``python -m repro serve --port 0 --cache-dir cache_dir`` in a
+    subprocess on the default backend; :attr:`url` is parsed from its
+    ``serving on`` stderr line."""
+
+    def __init__(self, cache_dir: str, workers: int, queue_depth: int):
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        env.pop("REPRO_BACKEND", None)
+        self.proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--cache-dir", cache_dir, "--workers", str(workers),
+             "--queue-depth", str(queue_depth), "--timeout", "300"],
+            env=env, stdin=subprocess.DEVNULL, stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE, text=True,
+        )
+        for line in self.proc.stderr:
+            match = re.search(r"serving on (\S+)", line)
+            if match:
+                self.url = match.group(1)
+                break
+        else:
+            raise SystemExit("repro serve exited before serving "
+                             f"(code {self.proc.wait()})")
+        # Keep reading so the server never blocks on a full pipe.
+        threading.Thread(target=self.proc.stderr.read, daemon=True).start()
+
+    def stop(self) -> bool:
+        """SIGTERM and wait; True when the server drained cleanly."""
+        self.proc.send_signal(signal.SIGTERM)
+        return self.proc.wait(timeout=120) == 0
+
 
 def bench_closed_loop(
     url: str, jobs: List[RankingJob], clients: int,
 ) -> Tuple[Dict[str, object], Dict[str, List[int]]]:
-    """Closed-loop client pool against any URL; per-process server
-    metrics are invisible to a group, so timing is all client-side.
-    Returns (summary, rankings-by-job-id) for oracle comparison."""
+    """Closed-loop client pool against any URL; the server runs in
+    another process, so timing is all client-side.  Returns (summary,
+    rankings-by-job-id) for oracle comparison."""
     client = RankingClient(url, timeout=300.0)
 
     def call(job: RankingJob):
@@ -269,131 +295,74 @@ def bench_open_loop(
     }
 
 
-def _group_config(processes: int, workers: int, clients: int,
-                  cache_dir: Optional[str]) -> ServerConfig:
-    return ServerConfig(
-        port=0, workers=workers, queue_depth=max(4 * clients, 16),
-        default_timeout=300.0, cache_dir=cache_dir,
-        drain_grace=10.0, processes=processes,
-    )
+def serving_pass(args: argparse.Namespace) -> Dict[str, object]:
+    """Closed- then open-loop load on one ``repro serve`` subprocess.
 
-
-def multiprocess_sweep(args: argparse.Namespace) -> Dict[str, object]:
-    """1- and 2-process pre-fork groups over one workload each.
-
-    Both group sizes run through :class:`PreforkSupervisor` (the
-    1-process group is one child process, not the in-process server),
-    so the parent only runs clients in both cases and the comparison
-    isolates exactly the win of the second serving process.  Seeds are
-    all distinct and each group gets a fresh cache directory, so every
-    job is computed once — no cache hits flattering the wide group.
+    Seeds are all distinct and the cache directory is fresh, so every
+    job is computed once; the closed-loop results must match the serial
+    oracle.  The open-loop pass offers 1.5x the closed-loop throughput,
+    overload by construction.
     """
-    if not HAVE_REUSEPORT:
-        return {"skipped": "platform lacks SO_REUSEPORT"}
-    cpu_count = os.cpu_count() or 1
     sweep_jobs = make_jobs(args.jobs, args.n_objects, repeat_every=0,
                            seed_offset=10_000)
     open_jobs = make_jobs(args.jobs, args.n_objects, repeat_every=0,
                           seed_offset=20_000)
     oracle = oracle_rankings(sweep_jobs)
-    sweep: Dict[str, Dict[str, object]] = {}
-    rate: Optional[float] = None
-    for processes in (1, 2):
-        print(f"multi-process sweep [{processes} process(es)] ...")
-        with tempfile.TemporaryDirectory(
-            prefix=f"bench-service-{processes}p-"
-        ) as cache_dir:
-            supervisor = PreforkSupervisor(_group_config(
-                processes, args.workers, args.clients, cache_dir))
-            supervisor.start()
-            try:
-                closed, rankings = bench_closed_loop(
-                    supervisor.url, sweep_jobs, args.clients)
-                if rankings != oracle:
-                    raise SystemExit(
-                        f"{processes}-process group results diverged "
-                        f"from the serial oracle"
-                    )
-                if rate is None:
-                    # Offer 1.5x what one process sustains — overload by
-                    # construction, identical for both group sizes.
-                    rate = max(1.0, 1.5 * closed["throughput_jobs_per_s"])
-                opened = bench_open_loop(supervisor.url, open_jobs, rate)
-            finally:
-                supervisor.stop()
-        sweep[str(processes)] = {
-            "closed_loop": closed,
-            "open_loop": opened,
-            "oracle_match": True,
-        }
-        print(f"  closed {closed['throughput_jobs_per_s']} jobs/s "
-              f"(p99 {closed['latency_p99_s']}s), open-loop sustained "
-              f"{opened['sustained_throughput_jobs_per_s']} jobs/s "
-              f"(p99 {opened['latency_p99_s']}s)")
-    single = sweep["1"]["closed_loop"]["throughput_jobs_per_s"]
-    double = sweep["2"]["closed_loop"]["throughput_jobs_per_s"]
-    speedup = round(double / single, 3) if single else 0.0
-    enforced = cpu_count >= 2
-    passed = (not enforced) or speedup >= REQUIRED_SPEEDUP_2P
-    print(f"  2-process speedup {speedup}x "
-          f"({'gated' if enforced else 'not gated'}: {cpu_count} core(s))")
-    result = {
-        "cpu_count": cpu_count,
-        "sweep": sweep,
-        "speedup_gate": {
-            "required": REQUIRED_SPEEDUP_2P,
-            "observed": speedup,
-            "enforced": enforced,
-            "passed": passed,
-        },
-    }
-    if not passed:
-        raise SystemExit(
-            f"2-process group reached only {speedup}x single-process "
-            f"throughput on a {cpu_count}-core host "
-            f"(required {REQUIRED_SPEEDUP_2P}x)"
-        )
-    return result
+    print("serving pass [repro serve subprocess] ...")
+    with tempfile.TemporaryDirectory(prefix="bench-service-") as cache_dir:
+        server = ServeProcess(cache_dir, args.workers,
+                              max(4 * args.clients, 16))
+        try:
+            closed, rankings = bench_closed_loop(
+                server.url, sweep_jobs, args.clients)
+            if rankings != oracle:
+                raise SystemExit("repro serve results diverged from the "
+                                 "serial oracle")
+            rate = max(1.0, 1.5 * closed["throughput_jobs_per_s"])
+            opened = bench_open_loop(server.url, open_jobs, rate)
+        finally:
+            server.stop()
+    print(f"  closed {closed['throughput_jobs_per_s']} jobs/s "
+          f"(p99 {closed['latency_p99_s']}s), open-loop sustained "
+          f"{opened['sustained_throughput_jobs_per_s']} jobs/s "
+          f"(p99 {opened['latency_p99_s']}s)")
+    return {"closed_loop": closed, "open_loop": opened,
+            "oracle_match": True}
 
 
 # ---------------------------------------------------------------------------
-# Smoke: the multi-process serving contract, CI-sized
+# Smoke: the serving contract, CI-sized
 # ---------------------------------------------------------------------------
 
 def run_smoke() -> int:
     """Contract checks only — tiny sizes, no timing thresholds.
 
-    1. A 2-process ``SO_REUSEPORT`` group returns results bit-identical
-       to the serial in-process oracle.
-    2. A second pass over the same group is answered from cache (every
+    1. A ``repro serve`` subprocess returns results bit-identical to the
+       serial in-process oracle.
+    2. A second pass over the same server is answered from cache (every
        fingerprint was spilled on the first pass).
-    3. A *fresh* single-child generation over the same cache directory
-       serves every job ``from_cache`` — the serving process never
-       computed them, so the hits crossed a process boundary through
-       the shared spill tier — and each body equals the cold one
-       except for :data:`PER_REQUEST_MEMBERS`.
+    3. A *fresh* ``repro serve`` subprocess over the same cache
+       directory serves every job ``from_cache`` — it never computed
+       them, so the hits crossed a process boundary through the spill
+       tier — and each body equals the cold one except for
+       :data:`PER_REQUEST_MEMBERS`.
     """
-    if not HAVE_REUSEPORT:
-        print("smoke: skipped (platform lacks SO_REUSEPORT)")
-        return 0
     jobs = make_jobs(6, 8, repeat_every=0)
     oracle = oracle_rankings(jobs)
     with tempfile.TemporaryDirectory(prefix="bench-service-smoke-") \
             as cache_dir:
-        supervisor = PreforkSupervisor(_group_config(
-            processes=2, workers=1, clients=2, cache_dir=cache_dir))
-        supervisor.start()
+        server = ServeProcess(cache_dir, workers=2, queue_depth=16)
         try:
-            cold = rank_bodies(supervisor.url, jobs)
+            cold = rank_bodies(server.url, jobs)
             first = {job_id: body["ranking"] for job_id, body in cold.items()}
             if first != oracle:
-                print("smoke: FAIL — 2-process results diverged from "
-                      "the serial oracle")
+                print("smoke: FAIL — served results diverged from the "
+                      "serial oracle")
                 return 1
-            print("smoke: 2-process group matches the serial oracle "
+            print(f"smoke: repro serve matches the serial oracle "
                   f"({len(jobs)} jobs)")
             repeat_summary, repeat = bench_closed_loop(
-                supervisor.url, jobs, clients=2)
+                server.url, jobs, clients=2)
             if repeat != oracle or \
                     repeat_summary["from_cache"] != len(jobs):
                 print("smoke: FAIL — repeat pass not fully cached "
@@ -401,35 +370,32 @@ def run_smoke() -> int:
                 return 1
             print("smoke: repeat pass fully served from cache")
         finally:
-            if not supervisor.stop():
-                print("smoke: FAIL — group did not drain cleanly")
+            if not server.stop():
+                print("smoke: FAIL — server did not drain cleanly")
                 return 1
-        # A fresh generation: one child that computed nothing, same
-        # spill directory.  Every hit is necessarily cross-process.
-        generation = PreforkSupervisor(_group_config(
-            processes=1, workers=1, clients=2, cache_dir=cache_dir))
-        generation.start()
+        # A fresh process that computed nothing, same spill directory:
+        # every hit is necessarily cross-process.
+        fresh = ServeProcess(cache_dir, workers=2, queue_depth=16)
         try:
-            shared = rank_bodies(generation.url, jobs)
+            shared = rank_bodies(fresh.url, jobs)
         finally:
-            if not generation.stop():
-                print("smoke: FAIL — fresh generation did not drain "
-                      "cleanly")
+            if not fresh.stop():
+                print("smoke: FAIL — fresh server did not drain cleanly")
                 return 1
         hits = sum(1 for body in shared.values() if body["from_cache"])
         if hits != len(jobs):
-            print("smoke: FAIL — fresh generation recomputed "
+            print("smoke: FAIL — fresh server recomputed "
                   f"({hits}/{len(jobs)} from cache)")
             return 1
         differing = [job_id for job_id in cold
                      if _answer(shared[job_id]) != _answer(cold[job_id])]
         if differing:
-            print("smoke: FAIL — shared-spill hits differ from the cold "
+            print("smoke: FAIL — spill hits differ from the cold "
                   f"answers beyond {PER_REQUEST_MEMBERS}: {differing}")
             return 1
-        print("smoke: fresh process generation served every job from "
-              "the shared spill cache, bodies equal to the cold answers")
-    print("smoke: multi-process serving contract OK")
+        print("smoke: fresh server process served every job from the "
+              "spill cache, bodies equal to the cold answers")
+    print("smoke: serving contract OK")
     return 0
 
 
@@ -449,7 +415,7 @@ def main() -> int:
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_service.json"),
                         help="output path (default <repo>/BENCH_service.json)")
     parser.add_argument("--smoke", action="store_true",
-                        help="run only the multi-process serving contract "
+                        help="run only the serving contract "
                              "checks (tiny sizes, no file written); exits "
                              "non-zero on any violation")
     args = parser.parse_args()
@@ -487,7 +453,7 @@ def main() -> int:
               f"{executor_backends[backend]['latency_p95_s']}s, "
               f"server p95 {server_backends[backend]['latency_p95_s']}s")
 
-    multiprocess = multiprocess_sweep(args)
+    serving = serving_pass(args)
 
     payload = {
         "generated_utc": datetime.datetime.now(
@@ -505,7 +471,7 @@ def main() -> int:
         "server": server_summary,
         "executor_backends": executor_backends,
         "server_backends": server_backends,
-        "multiprocess": multiprocess,
+        "serving": serving,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")

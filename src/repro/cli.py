@@ -203,9 +203,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--backend", choices=list(BACKEND_CHOICES), default=None,
         help="where job attempts run: 'process' (a pool of "
-             "min(--workers, usable CPUs // --processes) worker "
-             "processes forked at start; multi-core, deadline kill, "
-             "crash isolation), "
+             "min(--workers, usable CPUs) worker processes forked at "
+             "start; multi-core, deadline kill, crash isolation), "
              "'thread' (the request threads, one GIL) or 'serial'. "
              "Default: $REPRO_BACKEND, then 'process'")
     serve.add_argument("--host", default="127.0.0.1",
@@ -243,11 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="idle seconds before a session is evictable; "
                             "0 disables TTL eviction (default 3600)")
-    serve.add_argument("--processes", type=int, default=1, metavar="N",
-                       help="serving processes sharing the port via "
-                            "SO_REUSEPORT; each runs the full server and "
-                            "crashed ones are respawned (default 1: "
-                            "classic single-process serving)")
 
     stream = commands.add_parser(
         "stream", parents=[verbose_parent],
@@ -540,7 +534,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         backend=args.backend,
         max_sessions=args.max_sessions,
         session_ttl=args.session_ttl if args.session_ttl > 0 else None,
-        processes=args.processes,
     )
     stop = threading.Event()
 
@@ -549,8 +542,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     signal.signal(signal.SIGTERM, _request_stop)
     signal.signal(signal.SIGINT, _request_stop)
-    if config.processes > 1:
-        return _serve_prefork(config, stop)
     server = RankingServer(config)
     server.start()
     freeze_startup_heap()
@@ -570,33 +561,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0 if drained else 1
 
 
-def _serve_prefork(config: object, stop: object) -> int:
-    """``repro serve --processes N``: run a pre-fork serving group.
-
-    Same operational contract as single-process serving — the
-    ``serving on <url>`` stderr line carries the real port, SIGTERM or
-    SIGINT drains gracefully, exit 0 means every child drained clean.
-    """
-    from .server import PreforkSupervisor
-
-    supervisor = PreforkSupervisor(config)
-    supervisor.start()
-    print(f"serving on {supervisor.url} "
-          f"(processes={config.processes}, workers={config.workers}, "
-          f"queue_depth={config.queue_depth})",
-          file=sys.stderr, flush=True)
-    supervisor.serve_forever(stop_event=stop, poll_interval=0.2)
-    print("draining...", file=sys.stderr, flush=True)
-    drained = supervisor.stop()
-    print("stopped" + ("" if drained else " (drain grace expired)"),
-          file=sys.stderr, flush=True)
-    return 0 if drained else 1
-
-
 def _read_vote_log(path: str) -> list:
     """Parse a JSONL vote log: one ``[worker, winner, loser]`` triple
     (or object with those keys) per line; ``-`` reads stdin."""
     from .exceptions import DataFormatError
+    from .io import decode_json
     from .streaming import votes_from_payload
 
     name = "<stdin>" if path == "-" else path
@@ -610,14 +579,9 @@ def _read_vote_log(path: str) -> list:
             line = line.strip()
             if not line:
                 continue
-            try:
-                item = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as error:
-                raise DataFormatError(
-                    f"{name}:{lineno}: invalid JSON ({error})"
-                ) from None
-            votes.extend(votes_from_payload([item],
-                                            source=f"{name}:{lineno}"))
+            where = f"{name}:{lineno}"
+            votes.extend(votes_from_payload([decode_json(line, where)],
+                                            source=where))
     finally:
         if handle is not sys.stdin:
             handle.close()
@@ -943,6 +907,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return handlers[args.command](args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as error:
+        # Job files, vote logs and CSVs are read as UTF-8 text.
+        print(f"error: input is not UTF-8 text ({error})", file=sys.stderr)
         return 2
 
 

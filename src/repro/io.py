@@ -253,6 +253,32 @@ def save_payload(payload: Dict[str, object], path: Union[str, Path]) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
 
 
+def decode_json(text: Union[str, bytes], source: str) -> object:
+    """``json.loads`` for outside input: any text that does not decode
+    is a :class:`DataFormatError` naming ``source``.
+
+    Bytes must be UTF-8.  :class:`ValueError` covers malformed JSON
+    (:class:`json.JSONDecodeError`), bytes that are not UTF-8 and an
+    integer longer than Python's int-to-string digit limit;
+    :class:`RecursionError` covers nesting deeper than the decoder's
+    stack.
+    """
+    try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        return json.loads(text)
+    except (ValueError, RecursionError) as error:
+        raise DataFormatError(f"{source}: invalid JSON ({error})") from None
+
+
+def _read_json(path: Path) -> object:
+    try:
+        raw = path.read_bytes()
+    except OSError as error:
+        raise DataFormatError(f"{path}: cannot read ({error})") from None
+    return decode_json(raw, str(path))
+
+
 def load_payload(
     path: Union[str, Path], schema: str
 ) -> Dict[str, object]:
@@ -265,14 +291,7 @@ def load_payload(
         different from ``schema``.
     """
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as error:
-        raise DataFormatError(f"{path}: cannot read ({error})") from None
-    try:
-        payload = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as error:
-        raise DataFormatError(f"{path}: invalid JSON ({error})") from None
+    payload = _read_json(path)
     if not isinstance(payload, dict) or payload.get("schema") != schema:
         raise DataFormatError(
             f"{path}: expected schema {schema!r}, got "
@@ -303,12 +322,4 @@ def load_result(path: Union[str, Path]) -> InferenceResult:
         malformed pair keys).
     """
     path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as error:
-        raise DataFormatError(f"{path}: cannot read ({error})") from None
-    try:
-        payload = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as error:
-        raise DataFormatError(f"{path}: invalid JSON ({error})") from None
-    return result_from_payload(payload, source=str(path))
+    return result_from_payload(_read_json(path), source=str(path))

@@ -17,14 +17,13 @@ Quickstart
 True
 
 The CLI exposes the same machinery as ``repro serve``; the matching
-client lives in :mod:`repro.client`.  ``repro serve --processes N``
-scales the same API across a pre-fork group of N processes sharing one
-``SO_REUSEPORT`` port (:class:`PreforkSupervisor`), with a crash-safe
-shared result cache underneath.
+client lives in :mod:`repro.client`.  One server process uses every
+core: cold job attempts run on its own pool of ``min(workers, usable
+CPUs)`` worker processes.  To scale further, run independent ``repro
+serve`` instances behind a load balancer.
 """
 
 from .app import AdmissionGate, RankingServer, ServerConfig
-from .prefork import PreforkSupervisor
 from .prometheus import (
     PROMETHEUS_CONTENT_TYPE,
     render_prometheus,
@@ -34,7 +33,6 @@ from .prometheus import (
 __all__ = [
     "AdmissionGate",
     "PROMETHEUS_CONTENT_TYPE",
-    "PreforkSupervisor",
     "RankingServer",
     "ServerConfig",
     "render_prometheus",

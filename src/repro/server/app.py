@@ -16,10 +16,10 @@ jobs directly, governed by two explicit limits:
   ``workers`` even across concurrent batch requests.
 
 Job attempts run, by default, on a persistent pool of
-``min(workers, usable CPUs // processes)`` worker processes (at least
-one) that the server forks when it is built and closes in
-:meth:`RankingServer.stop`: Steps 1-4 are pure Python, and threads
-under one GIL would hold every cold job to one core.  Request threads
+``min(workers, usable CPUs)`` worker processes that the server forks
+when it is built and closes in :meth:`RankingServer.stop`: Steps 1-4
+are pure Python, and threads under one GIL would hold every cold job
+to one core.  Request threads
 borrow an idle worker for each attempt and wait while none is free.
 Body decode, fingerprint, cache lookup and result encoding stay on the
 request thread, so cache hits and streaming sessions never reach the
@@ -89,7 +89,6 @@ import gc
 import itertools
 import json
 import os
-import socket
 import threading
 import time
 from dataclasses import dataclass
@@ -112,7 +111,7 @@ from ..streaming import (
     session_config_from_payload,
     votes_from_payload,
 )
-from ..io import splice_json
+from ..io import decode_json, splice_json
 from ..workers.backends import (
     BACKEND_CHOICES,
     BACKEND_ENV_VAR,
@@ -187,11 +186,11 @@ class ServerConfig:
         Where job attempts run (``"process"``, ``"thread"`` or
         ``"serial"``); ``None`` defers to the ``REPRO_BACKEND``
         environment variable, then ``"process"``.  ``"process"`` is the
-        server's own pool of ``min(workers, usable CPUs // processes)``
-        worker processes (at least one): attempts use every core, a
-        job past its deadline has its worker killed, and a job that
-        kills its worker comes back as a failed result instead of
-        taking the server down or wedging a slot.  ``"thread"`` runs
+        server's own pool of ``min(workers, usable CPUs)`` worker
+        processes: attempts use every core, a job past its deadline has
+        its worker killed, and a job that kills its worker comes back as
+        a failed result instead of taking the server down or wedging a
+        slot.  ``"thread"`` runs
         attempts on the request threads under one GIL (a deadline
         abandons the thread); ``"serial"`` also runs a batch's jobs one
         after another.
@@ -201,18 +200,6 @@ class ServerConfig:
     session_ttl:
         Seconds a session may sit idle before becoming evictable;
         ``None`` disables TTL eviction.
-    processes:
-        Serving processes.  1 (the default) keeps the classic
-        single-process threaded server.  Beyond 1 the CLI runs a
-        pre-fork group (:class:`~repro.server.prefork.PreforkSupervisor`):
-        each child binds the same port with ``SO_REUSEPORT`` and the
-        kernel spreads connections across them.  Requires a platform
-        with ``SO_REUSEPORT`` (Linux/BSD).
-    reuse_port:
-        Bind the listener with ``SO_REUSEPORT`` so sibling processes
-        can share the port.  Implied by ``processes > 1``; exposed
-        separately so embedding applications can run their own
-        process groups.
     """
 
     host: str = "127.0.0.1"
@@ -230,8 +217,6 @@ class ServerConfig:
     backend: Optional[str] = None
     max_sessions: int = 64
     session_ttl: Optional[float] = 3600.0
-    processes: int = 1
-    reuse_port: bool = False
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -263,20 +248,6 @@ class ServerConfig:
             raise ConfigurationError(
                 "session_ttl must be positive or None, "
                 f"got {self.session_ttl}"
-            )
-        if self.processes < 1:
-            raise ConfigurationError(
-                f"processes must be >= 1, got {self.processes}"
-            )
-        if self.processes > 1 and not hasattr(socket, "SO_REUSEPORT"):
-            raise ConfigurationError(
-                "processes > 1 needs SO_REUSEPORT, which this platform "
-                "does not provide"
-            )
-        if self.reuse_port and not hasattr(socket, "SO_REUSEPORT"):
-            raise ConfigurationError(
-                "reuse_port needs SO_REUSEPORT, which this platform "
-                "does not provide"
             )
 
 
@@ -361,15 +332,6 @@ class _Server(ThreadingHTTPServer):
     allow_reuse_address = True
 
     ranking: "RankingServer"
-    #: Set before binding when sibling processes will share the port.
-    reuse_port = False
-
-    def server_bind(self) -> None:
-        if self.reuse_port:
-            self.socket.setsockopt(
-                socket.SOL_SOCKET, socket.SO_REUSEPORT, 1
-            )
-        super().server_bind()
 
 
 class RankingServer:
@@ -423,25 +385,13 @@ class RankingServer:
         # a copy of it.
         self._backend = _server_backend(self._config, self._metrics)
         try:
-            # Bind manually so reuse_port is set on the socket first.
             self._httpd = _Server(
-                (self._config.host, self._config.port), _Handler,
-                bind_and_activate=False,
+                (self._config.host, self._config.port), _Handler
             )
         except BaseException:
             self._backend.close()
             raise
         self._httpd.ranking = self
-        self._httpd.reuse_port = (
-            self._config.reuse_port or self._config.processes > 1
-        )
-        try:
-            self._httpd.server_bind()
-            self._httpd.server_activate()
-        except BaseException:
-            self._httpd.server_close()
-            self._backend.close()
-            raise
 
     # -- introspection ------------------------------------------------------
 
@@ -699,15 +649,13 @@ def _server_backend(config: ServerConfig,
     """The backend job attempts run on: ``config.backend``, then
     ``$REPRO_BACKEND``, then a started process pool whose respawns
     count as ``workers.respawned``.  The pool is ``workers`` wide, at
-    most this serving process's share of the usable CPUs (under
-    ``--processes N`` each of the N serving processes owns a pool).
-    Start-up does not wait for the forked workers to be ready."""
+    most one worker per usable CPU.  Start-up does not wait for the
+    forked workers to be ready."""
     name = config.backend or os.environ.get(BACKEND_ENV_VAR) or "process"
     if name != "process":
         return get_backend(name)
     pool = ProcessBackend(
-        workers=min(config.workers,
-                    max(1, usable_cpus() // config.processes)),
+        workers=min(config.workers, usable_cpus()),
         on_respawn=functools.partial(metrics.increment, "workers.respawned"),
     )
     pool.start()
@@ -733,9 +681,8 @@ def encode_batch_report(report: BatchReport) -> bytes:
 def freeze_startup_heap() -> None:
     """Move every object alive now out of the cyclic GC's reach.
 
-    Called once per serving process by the ``repro serve`` entry points
-    (the single process, or each pre-fork child) after the server is
-    built and its cache warmed.  The modules, config and warmed entries
+    Called once by ``repro serve`` after the server is built and its
+    cache warmed.  The modules, config and warmed entries
     allocated so far live as long as the process, yet without this
     every full collection — which a large request body's many vote
     lists trigger — walks all of them again.  No collection runs first:
@@ -1094,11 +1041,9 @@ class _Handler(BaseHTTPRequestHandler):
             raise _HttpError(400, "truncated request body", close=True)
         self._body_consumed = True
         try:
-            return json.loads(raw.decode("utf-8"))
-        # RecursionError: nesting deeper than the decoder's stack.
-        except (UnicodeDecodeError, json.JSONDecodeError,
-                RecursionError) as error:
-            raise _HttpError(400, f"invalid JSON body ({error})") from None
+            return decode_json(raw, "request body")
+        except DataFormatError as error:
+            raise _HttpError(400, str(error)) from None
 
     def _drain_body(self, length: int, *, budget: int) -> None:
         remaining = min(length, budget)

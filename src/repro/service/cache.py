@@ -16,10 +16,10 @@ decoded object graph several times larger.  An entry also keeps the
 job's JSON-scalar ``extras`` (a scenario job's ``accuracy``), so a hit
 answers exactly what the cold run did.  Spill writes are atomic and
 journaled in an on-disk index (:mod:`repro.service.shared_cache`), so
-one spill directory can
-be shared by N processes — each process's memory tier misses fall
-through to the common disk tier, which is how the pre-fork server
-shares cache hits across its children.
+one spill directory can be shared by several processes — a restarted
+server that warms from its predecessor's spill, or concurrent ``repro
+batch --cache-dir`` runs — and each process's memory tier misses fall
+through to the common disk tier.
 
 A job without a seed is *not* deterministic (fresh entropy per run) and
 therefore gets a unique, uncacheable fingerprint.
@@ -44,6 +44,7 @@ from ..exceptions import ConfigurationError, DataFormatError
 from ..io import (
     EncodedResult,
     atomic_write_bytes,
+    decode_json,
     json_scalars,
     result_from_payload,
     splice_json,
@@ -137,7 +138,7 @@ class ResultCache:
         reported extras.  Files are journaled in the directory's
         :class:`~repro.service.shared_cache.SpillIndex`; in-memory
         misses fall back to the directory.  Because writes are atomic,
-        the directory is safe to share between processes — N caches
+        the directory is safe to share between processes — caches
         pointed at one ``persist_dir`` serve each other's entries
         (``disk_loads`` counts those cross-tier hits).  A spill file
         that exists but does not decode is genuinely corrupt (disk
@@ -289,8 +290,8 @@ class ResultCache:
     def warm(self, limit: Optional[int] = None) -> int:
         """Preload the most recently written spill entries into memory.
 
-        A fresh process (a pre-fork server child, a respawned worker)
-        pointed at a shared ``persist_dir`` starts with an empty memory
+        A fresh process (a restarted server, a new ``repro batch``
+        run) pointed at a shared ``persist_dir`` starts with an empty memory
         tier; warming pulls up to ``limit`` entries (default: the
         memory capacity) so its first requests hit RAM instead of disk.
         Counts neither hits nor misses — it is prefetch, not lookup.
@@ -368,7 +369,7 @@ class ResultCache:
             _log.warning("cannot read cache file %s: %s", path, error)
             return None
         try:
-            payload = json.loads(raw.decode("utf-8"))
+            payload = decode_json(raw, str(path))
             extras: object = {}
             if isinstance(payload, dict) and \
                     payload.get("schema") == CACHE_ENTRY_SCHEMA:
@@ -377,8 +378,7 @@ class ResultCache:
             if not isinstance(extras, dict):
                 raise DataFormatError(f"{path}: extras must be an object")
             result = result_from_payload(payload, source=str(path))
-        except (UnicodeDecodeError, json.JSONDecodeError,
-                DataFormatError) as error:
+        except DataFormatError as error:
             # Spill writes are atomic (repro.io.atomic_write_bytes), so a
             # file that opened but does not decode is genuinely corrupt
             # (disk fault, schema drift) — never a torn in-progress

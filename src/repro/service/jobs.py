@@ -26,7 +26,6 @@ import dataclasses
 import enum
 import functools
 import itertools
-import json
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,6 +45,7 @@ from ..config import (
 from ..exceptions import ConfigurationError, DataFormatError
 from ..io import (
     EncodedResult,
+    decode_json,
     json_scalars,
     result_from_payload,
     result_to_payload,
@@ -550,11 +550,7 @@ def iter_jobs_jsonl(lines: Iterable[str], source: str = "<stream>") -> Iterator[
         if not text or text.startswith("#"):
             continue
         where = f"{source}:{lineno}"
-        try:
-            payload = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as error:
-            raise DataFormatError(f"{where}: invalid JSON ({error})") from None
-        yield job_from_payload(payload, source=where)
+        yield job_from_payload(decode_json(text, where), source=where)
 
 
 def load_jobs_jsonl(path: Union[str, Path]) -> List[RankingJob]:

@@ -1,9 +1,12 @@
 """Cross-process coordination for the result cache's spill directory.
 
-One spill directory can back the caches of N server processes — the
-paper's non-interactive setting makes every ranking job independent, so
-horizontal scale-out only needs the *cache* to be shared, not the
-compute.  Two primitives make that sharing safe and cheap:
+One spill directory can outlive the process that wrote it and be
+shared by several at once: a restarted ``repro serve`` warms from the
+spill its predecessor left, and concurrent ``repro batch --cache-dir``
+runs read and write one directory.  The paper's non-interactive setting
+makes every ranking job independent, so those processes only need the
+*cache* to be shared, not the compute.  Two primitives make that
+sharing safe and cheap:
 
 :class:`FileLock`
     An advisory cross-process lock over one lock file, built on

@@ -87,11 +87,10 @@ DEFAULT_BACKEND = "thread"
 def get_mp_context(start_method: Optional[str] = None):
     """Resolve the library's :mod:`multiprocessing` context.
 
-    One policy for every process-spawning path (the process backend's
-    worker pool, the pre-fork server supervisor): an explicit
-    ``start_method`` wins, then the ``REPRO_MP_START`` environment
-    variable, then ``fork`` where available (cheap on POSIX) with a
-    ``spawn`` fallback.
+    The policy the process backend's worker pool starts its workers
+    by: an explicit ``start_method`` wins, then the ``REPRO_MP_START``
+    environment variable, then ``fork`` where available (cheap on
+    POSIX) with a ``spawn`` fallback.
 
     Raises
     ------

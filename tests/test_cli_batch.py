@@ -108,6 +108,18 @@ class TestBatchCommand:
         assert main(["batch", str(deep)]) == 2
         assert "deep.jsonl:1: invalid JSON" in capsys.readouterr().err
 
+    def test_oversized_integer_line_reports_error(self, tmp_path, capsys):
+        huge = tmp_path / "huge.jsonl"
+        huge.write_text('{"n_objects": %s}\n' % ("1" * 5000))
+        assert main(["batch", str(huge)]) == 2
+        assert "huge.jsonl:1: invalid JSON" in capsys.readouterr().err
+
+    def test_non_utf8_jobs_file_reports_error(self, tmp_path, capsys):
+        binary = tmp_path / "binary.jsonl"
+        binary.write_bytes(b"\xff\xfe\x00garbage\n")
+        assert main(["batch", str(binary)]) == 2
+        assert "error: input is not UTF-8" in capsys.readouterr().err
+
     def test_missing_jobs_file_reports_error(self, tmp_path, capsys):
         assert main(["batch", str(tmp_path / "absent.jsonl")]) == 2
         assert "error:" in capsys.readouterr().err

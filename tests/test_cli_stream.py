@@ -100,6 +100,18 @@ class TestStreamErrors:
         assert main(["stream", str(path), "--n-objects", "5"]) == 2
         assert "deep.jsonl:2: invalid JSON" in capsys.readouterr().err
 
+    def test_oversized_integer_line(self, tmp_path, capsys):
+        path = tmp_path / "huge.jsonl"
+        path.write_text("[0, 1, 2]\n[%s, 0, 1]\n" % ("1" * 5000))
+        assert main(["stream", str(path), "--n-objects", "5"]) == 2
+        assert "huge.jsonl:2: invalid JSON" in capsys.readouterr().err
+
+    def test_non_utf8_log(self, tmp_path, capsys):
+        path = tmp_path / "binary.jsonl"
+        path.write_bytes(b"[0, 1, 2]\n\xff\xfe\n")
+        assert main(["stream", str(path), "--n-objects", "5"]) == 2
+        assert "error: input is not UTF-8" in capsys.readouterr().err
+
     def test_empty_log(self, tmp_path, capsys):
         path = tmp_path / "empty.jsonl"
         path.write_text("\n")

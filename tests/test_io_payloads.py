@@ -96,3 +96,19 @@ class TestFileRoundTrip:
         path.write_text("{truncated")
         with pytest.raises(DataFormatError):
             load_result(path)
+
+    def test_oversized_integer_raises_data_format(self, tmp_path):
+        # Python refuses to convert an integer literal longer than its
+        # int-to-string digit limit (4,300 digits) with a plain
+        # ValueError, not a JSONDecodeError.
+        path = tmp_path / "huge.json"
+        path.write_text('{"schema": "%s", "ranking": [%s]}'
+                        % (SCHEMA, "1" * 5000))
+        with pytest.raises(DataFormatError, match="invalid JSON"):
+            load_result(path)
+
+    def test_non_utf8_file_raises_data_format(self, tmp_path):
+        path = tmp_path / "binary.json"
+        path.write_bytes(b"\xff\xfe\x00garbage")
+        with pytest.raises(DataFormatError, match="invalid JSON"):
+            load_result(path)

@@ -37,7 +37,6 @@ MODULES = SUBPACKAGES + [
     "repro.service.metrics",
     "repro.service.executor",
     "repro.server.app",
-    "repro.server.prefork",
     "repro.server.prometheus",
     "repro.client",
     "repro.session",

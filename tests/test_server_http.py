@@ -181,6 +181,20 @@ class TestRank:
             assert "invalid JSON" in body["error"]
             assert _get(server.url + "/readyz")[0] == 200
 
+    def test_oversized_integer_is_400(self, server):
+        # An integer literal past Python's int-to-string digit limit
+        # (4,300 digits) fails to decode with a plain ValueError.
+        huge = b'{"n_objects": ' + b"1" * 5000 + b"}"
+        status, created = _post(server.url + "/v1/sessions",
+                                {"n_objects": 5})
+        assert status == 201
+        paths = ["/v1/rank", "/v1/batch", "/v1/sessions",
+                 f"/v1/sessions/{created['session_id']}/votes"]
+        for path in paths:
+            status, body = _post(server.url + path, huge)
+            assert status == 400, path
+            assert "invalid JSON" in body["error"]
+
     @pytest.mark.parametrize("seed", [True, -1])
     def test_bad_seed_is_400_before_admission(self, server, seed):
         """One seed rule for jobs and sessions: a JSON integer >= 0 or
@@ -835,3 +849,35 @@ class TestServerConfigValidation:
         from repro.server.app import _STATUS_CODES
 
         assert set(_STATUS_CODES) == set(JobStatus)
+
+
+class TestSharedCacheAcrossServers:
+    def test_second_generation_serves_from_spill(self, tmp_path):
+        # A restarted server answers from the spill its predecessor
+        # left in the same cache directory.
+        config = ServerConfig(port=0, workers=1, cache_dir=str(tmp_path))
+        with RankingServer(config) as first:
+            status, cold = _post(first.url + "/v1/rank", SCENARIO_REQUEST)
+        assert status == 200
+        assert cold["from_cache"] is False
+
+        with RankingServer(ServerConfig(
+            port=0, workers=1, cache_dir=str(tmp_path)
+        )) as second:
+            status, warm = _post(second.url + "/v1/rank", SCENARIO_REQUEST)
+        assert status == 200
+        assert warm["from_cache"] is True
+        assert warm["ranking"] == cold["ranking"]
+
+
+class TestPortBinding:
+    def test_two_servers_cannot_share_a_port(self):
+        first = RankingServer(ServerConfig(port=0, workers=1))
+        try:
+            first.start()
+            with pytest.raises(OSError):
+                RankingServer(
+                    ServerConfig(port=first.port, workers=1)
+                )
+        finally:
+            first.stop()

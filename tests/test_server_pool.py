@@ -96,12 +96,11 @@ class TestDefaultBackend:
             server.stop()
         assert server.backend.pids == []
 
-    def test_serving_processes_split_the_cpus(self, monkeypatch):
+    def test_pool_width_is_workers_capped_by_the_cpus(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        monkeypatch.setattr(app_module, "usable_cpus", lambda: 4)
-        for processes, width in ((1, 4), (2, 2), (3, 1), (8, 1)):
-            server = RankingServer(ServerConfig(port=0, workers=8,
-                                                processes=processes))
+        monkeypatch.setattr(app_module, "usable_cpus", lambda: 3)
+        for workers, width in ((8, 3), (3, 3), (2, 2), (1, 1)):
+            server = RankingServer(ServerConfig(port=0, workers=workers))
             try:
                 assert server.backend.width == width
             finally:
