@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import List, Optional, Union
 
 from ..exceptions import DataFormatError
-from ..types import Vote, VoteSet
+from ..types import INT64_MAX, Vote, VoteSet
 
 #: Required CSV header.
 _HEADER = ["worker_id", "winner", "loser"]
@@ -46,7 +46,8 @@ def load_votes_csv(
     ------
     DataFormatError
         On a missing/odd header, non-integer fields, negative ids,
-        self-comparisons, or ids outside the declared object universe.
+        self-comparisons, ids outside the declared object universe, or
+        ids and ``n_objects`` beyond int64.
     """
     path = Path(path)
     votes: List[Vote] = []
@@ -78,6 +79,10 @@ def load_votes_csv(
                 raise DataFormatError(
                     f"{path}:{row_number}: negative id in {row}"
                 )
+            if max(worker, winner, loser) > INT64_MAX:
+                raise DataFormatError(
+                    f"{path}:{row_number}: id beyond int64 in {row}"
+                )
             if winner == loser:
                 raise DataFormatError(
                     f"{path}:{row_number}: self-comparison of object {winner}"
@@ -94,4 +99,6 @@ def load_votes_csv(
             f"{path}: votes reference object {max_id} but n_objects="
             f"{n_objects}"
         )
+    if n_objects > INT64_MAX:
+        raise DataFormatError(f"{path}: n_objects={n_objects} is beyond int64")
     return VoteSet.from_votes(n_objects, votes)

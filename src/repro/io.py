@@ -186,6 +186,17 @@ class EncodedResult:
         self._result_json = result_json
         self._ranking_json = ranking_json
 
+    @classmethod
+    def eager(cls, result: InferenceResult) -> "EncodedResult":
+        """``result`` with both encodings computed now.
+
+        A process-pool attempt encodes where it ran, so the parent only
+        unpickles the bytes next to the result instead of encoding them
+        under its own GIL.
+        """
+        return cls(result, result_json=_encode_result(result),
+                   ranking_json=_encode_ranking(result))
+
     @property
     def result(self) -> InferenceResult:
         """The decoded result (decoded from ``result_json`` if needed)."""
@@ -199,19 +210,23 @@ class EncodedResult:
     def result_json(self) -> bytes:
         """The canonical encoding of :func:`result_to_payload`."""
         if self._result_json is None:
-            self._result_json = json.dumps(
-                result_to_payload(self._result), sort_keys=True
-            ).encode("utf-8")
+            self._result_json = _encode_result(self._result)
         return self._result_json
 
     @property
     def ranking_json(self) -> bytes:
         """The encoding of the ranking as a JSON list of object ids."""
         if self._ranking_json is None:
-            self._ranking_json = json.dumps(
-                list(self._result.ranking.order)
-            ).encode("utf-8")
+            self._ranking_json = _encode_ranking(self._result)
         return self._ranking_json
+
+
+def _encode_result(result: InferenceResult) -> bytes:
+    return json.dumps(result_to_payload(result), sort_keys=True).encode("utf-8")
+
+
+def _encode_ranking(result: InferenceResult) -> bytes:
+    return json.dumps(list(result.ranking.order)).encode("utf-8")
 
 
 def splice_json(payload: Dict[str, object],

@@ -18,9 +18,12 @@ True
 
 The CLI exposes the same machinery as ``repro serve``; the matching
 client lives in :mod:`repro.client`.  One server process uses every
-core: cold job attempts run on its own pool of ``min(workers, usable
-CPUs)`` worker processes.  To scale further, run independent ``repro
-serve`` instances behind a load balancer.
+core: cold job attempts, and the request codec (body JSON and job
+decode, fingerprint, result encoding) whenever a worker is idle, run
+on its own pool of ``min(workers, usable CPUs)`` worker processes,
+while the serving process keeps the sockets, admission, the result
+cache and the streaming sessions.  To scale further, run independent
+``repro serve`` instances behind a load balancer.
 """
 
 from .app import AdmissionGate, RankingServer, ServerConfig

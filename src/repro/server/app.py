@@ -20,13 +20,17 @@ Job attempts run, by default, on a persistent pool of
 when it is built and closes in :meth:`RankingServer.stop`: Steps 1-4
 are pure Python, and threads under one GIL would hold every cold job
 to one core.  Request threads
-borrow an idle worker for each attempt and wait while none is free.
-Body decode, fingerprint, cache lookup and result encoding stay on the
-request thread, so cache hits and streaming sessions never reach the
-pool.  A job past its deadline has
+borrow an idle worker for each attempt and wait while none is free;
+the worker sends the result back already encoded.  The request codec
+(:func:`prepare_request`: body JSON decode, job decode, fingerprint)
+runs on a worker only if one is idle at that moment, else on the
+request thread, so a cache hit never waits behind inference.  The
+cache lookup, admission, sessions and the socket stay on the request
+thread.  A job past its deadline has
 its worker killed and replaced; a job that kills its worker comes back
 failed while the server keeps serving.  ``--backend thread`` (or
-``REPRO_BACKEND``) runs attempts on the request threads instead.
+``REPRO_BACKEND``) runs attempts and the codec on the request threads
+instead.
 
 Per-request deadlines (the optional ``timeout`` field of a request
 body, capped by ``max_timeout``, defaulting to ``default_timeout``)
@@ -86,14 +90,13 @@ from __future__ import annotations
 
 import functools
 import gc
-import itertools
 import json
 import os
 import threading
 import time
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from .._version import __version__
@@ -105,6 +108,8 @@ from ..exceptions import (
     SessionLimitError,
     SessionNotFoundError,
     SessionStoppedError,
+    TaskTimeoutError,
+    WorkerCrashedError,
 )
 from ..streaming import (
     SessionManager,
@@ -131,6 +136,7 @@ from ..service import (
     ResultCache,
     RetryPolicy,
     encode_job_result,
+    fingerprint_job,
     job_from_payload,
 )
 from .prometheus import PROMETHEUS_CONTENT_TYPE, render_prometheus
@@ -309,6 +315,12 @@ class _HttpError(Exception):
         self.headers = headers or {}
         self.close = close
 
+    def __reduce__(self):
+        # Raised by prepare_request on a pool worker, it crosses the
+        # pipe back to the request thread whole.
+        return (_HttpError, (self.status, self.message),
+                {"headers": self.headers, "close": self.close})
+
 
 def _reject_request_fanout(config: PipelineConfig, source: str) -> None:
     """400 unless the config leaves SAPS restarts serial on the
@@ -321,6 +333,120 @@ def _reject_request_fanout(config: PipelineConfig, source: str) -> None:
                  "config.saps.parallel_restarts are set by the server "
                  "operator (--backend, --workers); omit them"
         )
+
+
+def _decode_body(body: bytes) -> object:
+    """A request body's JSON value; 400 when it does not decode."""
+    try:
+        return decode_json(body, "request body")
+    except DataFormatError as error:
+        raise _HttpError(400, str(error)) from None
+
+
+def _timeout_from_json(requested: object,
+                       config: ServerConfig) -> Optional[float]:
+    """Validate/cap a request deadline; fall back to the default."""
+    if requested is None:
+        timeout = config.default_timeout
+    else:
+        if isinstance(requested, bool) or \
+                not isinstance(requested, (int, float)):
+            raise _HttpError(400, "timeout must be a number of seconds")
+        timeout = float(requested)
+        if timeout <= 0:
+            raise _HttpError(400, "timeout must be positive")
+    if timeout is None:
+        return None
+    return min(timeout, config.max_timeout)
+
+
+def _decode_job(payload: object, source: str, job_id: str) -> RankingJob:
+    """One job payload of a request body, ``schema`` and ``job_id``
+    filled in when omitted."""
+    if not isinstance(payload, dict):
+        raise _HttpError(400, f"{source}: job must be a JSON object")
+    payload = dict(payload)
+    payload.pop("timeout", None)
+    payload.setdefault("schema", JOB_SCHEMA)
+    payload.setdefault("job_id", job_id)
+    try:
+        job = job_from_payload(payload, source=source)
+    except DataFormatError as error:
+        raise _HttpError(400, str(error)) from None
+    _reject_request_fanout(job.config, source)
+    return job
+
+
+class CodecTask(NamedTuple):
+    """One ``/v1/rank`` or ``/v1/batch`` body, as read off the socket.
+
+    ``first_id`` numbers the jobs that name no ``job_id``
+    (``req-<first_id + index>``); ``fingerprint`` is false when the
+    server keeps no cache, so no key is computed.
+    """
+
+    route: str  # "rank" or "batch"
+    body: bytes
+    config: ServerConfig
+    first_id: int
+    fingerprint: bool
+
+
+class PreparedRequest(NamedTuple):
+    """A decoded request: its jobs, their cache keys (``None`` where
+    the executor computes the key: no cache, or an unseeded job, whose
+    key must be unique within the server process) and its deadline."""
+
+    jobs: Tuple[RankingJob, ...]
+    keys: Tuple[Optional[str], ...]
+    timeout: Optional[float]
+
+
+def prepare_request(task: CodecTask) -> PreparedRequest:
+    """Decode a ``/v1/rank`` or ``/v1/batch`` body into jobs and keys.
+
+    The whole request codec short of the cache: JSON decode, the body
+    shape checks, :func:`~repro.service.job_from_payload`, the request
+    fan-out rule and :func:`~repro.service.fingerprint_job`.  It needs
+    nothing of the server's state, so it runs on an idle pool worker or
+    on the request thread with the same outcome.  Every rejection is an
+    :class:`_HttpError`.
+    """
+    config = task.config
+    payload = _decode_body(task.body)
+    if task.route == "rank":
+        if not isinstance(payload, dict):
+            raise _HttpError(400, "request body must be a JSON object")
+        timeout = _timeout_from_json(payload.get("timeout"), config)
+        items = [(payload, "request")]
+    else:
+        if isinstance(payload, dict):
+            raw_jobs = payload.get("jobs")
+            timeout = _timeout_from_json(payload.get("timeout"), config)
+        else:
+            raw_jobs = payload
+            timeout = _timeout_from_json(None, config)
+        if not isinstance(raw_jobs, list) or not raw_jobs:
+            raise _HttpError(400, "batch body needs a non-empty "
+                                  "\"jobs\" array")
+        limit = config.max_batch_jobs
+        if len(raw_jobs) > limit:
+            raise _HttpError(
+                413, f"batch of {len(raw_jobs)} jobs exceeds the "
+                     f"limit of {limit}", close=True,
+            )
+        items = [(item, f"jobs[{index}]")
+                 for index, item in enumerate(raw_jobs)]
+    jobs = tuple(
+        _decode_job(item, source, f"req-{task.first_id + index}")
+        for index, (item, source) in enumerate(items)
+    )
+    keys = tuple(
+        fingerprint_job(job) if task.fingerprint and job.seed is not None
+        else None
+        for job in jobs
+    )
+    return PreparedRequest(jobs, keys, timeout)
 
 
 class _Server(ThreadingHTTPServer):
@@ -379,7 +505,9 @@ class RankingServer:
         self._slots = threading.Semaphore(self._config.workers)
         self._draining = threading.Event()
         self._stopped = threading.Event()
-        self._request_ids = itertools.count(1)
+        # Numbers for jobs that name no job_id; see _reserve_job_ids().
+        self._next_job_id = 1
+        self._job_id_lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
         # Forked before the listener exists, so the workers do not hold
         # a copy of it.
@@ -535,53 +663,83 @@ class RankingServer:
 
     def resolve_timeout(self, requested: object) -> Optional[float]:
         """Validate/cap a request deadline; fall back to the default."""
-        if requested is None:
-            timeout = self._config.default_timeout
-        else:
-            if isinstance(requested, bool) or \
-                    not isinstance(requested, (int, float)):
-                raise _HttpError(400, "timeout must be a number of seconds")
-            timeout = float(requested)
-            if timeout <= 0:
-                raise _HttpError(400, "timeout must be positive")
-        if timeout is None:
-            return None
-        return min(timeout, self._config.max_timeout)
+        return _timeout_from_json(requested, self._config)
+
+    def _reserve_job_ids(self, count: int) -> int:
+        """The first of ``count`` fresh numbers for ``req-<n>`` job ids.
+
+        A ``/v1/rank`` body reserves one number, a ``/v1/batch`` body
+        ``max_batch_jobs`` (its job count is known only once decoded,
+        possibly on a pool worker), so auto-named jobs stay unique
+        across concurrent requests.
+        """
+        with self._job_id_lock:
+            first = self._next_job_id
+            self._next_job_id += count
+        return first
 
     def decode_job(self, payload: object, source: str = "request") -> RankingJob:
         """Decode one job payload, filling in ``schema`` / ``job_id``."""
-        if not isinstance(payload, dict):
-            raise _HttpError(400, f"{source}: job must be a JSON object")
-        payload = dict(payload)
-        payload.pop("timeout", None)
-        payload.setdefault("schema", JOB_SCHEMA)
-        payload.setdefault("job_id", f"req-{next(self._request_ids)}")
-        try:
-            job = job_from_payload(payload, source=source)
-        except DataFormatError as error:
-            raise _HttpError(400, str(error)) from None
-        _reject_request_fanout(job.config, source)
-        return job
+        return _decode_job(payload, source, f"req-{self._reserve_job_ids(1)}")
+
+    def prepare(self, route: str, body: bytes) -> PreparedRequest:
+        """Run :func:`prepare_request` on ``body``: on a pool worker if
+        one is idle right now, else on this thread.
+
+        A cache hit therefore never waits behind inference, and the
+        serial/thread backends (or a closed pool) always decode here.
+        A worker lost mid-decode answers 503; the body is not decoded
+        again.
+        """
+        count = 1 if route == "rank" else self._config.max_batch_jobs
+        task = CodecTask(route, body, self._config,
+                         self._reserve_job_ids(count),
+                         fingerprint=self._cache is not None)
+        outcomes = None
+        if isinstance(self._backend, ProcessBackend):
+            outcomes = self._backend.map_if_idle(
+                prepare_request, [task], max_workers=1,
+                timeout=self._config.max_timeout, return_exceptions=True,
+            )
+        if outcomes is None:
+            self._metrics.increment("server.decode.inline")
+            return prepare_request(task)
+        self._metrics.increment("server.decode.pooled")
+        (outcome,) = outcomes
+        if isinstance(outcome, (WorkerCrashedError, TaskTimeoutError)):
+            raise _HttpError(503, f"request decode lost its pool worker "
+                                  f"({type(outcome).__name__}: {outcome})",
+                             headers={"Retry-After": "1"})
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
 
     # -- execution ----------------------------------------------------------
 
-    def execute_job(self, job: RankingJob,
-                    timeout: Optional[float]) -> JobResult:
-        """Run one admitted job inside an execution slot."""
-        report = self._run_in_slots([job], timeout, max_workers=1)
+    def execute_job(self, job: RankingJob, timeout: Optional[float],
+                    key: Optional[str] = None) -> JobResult:
+        """Run one admitted job inside an execution slot (``key``: its
+        cache key if already computed)."""
+        report = self._run_in_slots([job], timeout, max_workers=1,
+                                    keys=[key])
         return report.results[0]
 
     def execute_batch(self, jobs: List[RankingJob],
-                      timeout: Optional[float]) -> BatchReport:
+                      timeout: Optional[float],
+                      keys: Optional[Sequence[Optional[str]]] = None,
+                      ) -> BatchReport:
         """Run an admitted batch (one admission slot; one execution slot
         per internal executor worker, so batch parallelism is bounded by
         the slots currently free rather than multiplying ``workers``)."""
         return self._run_in_slots(
-            jobs, timeout, max_workers=min(self._config.workers, len(jobs))
+            jobs, timeout, max_workers=min(self._config.workers, len(jobs)),
+            keys=keys,
         )
 
     def _run_in_slots(self, jobs: List[RankingJob],
-                      timeout: Optional[float], max_workers: int) -> BatchReport:
+                      timeout: Optional[float], max_workers: int,
+                      keys: Optional[Sequence[Optional[str]]] = None,
+                      ) -> BatchReport:
         """Run ``jobs`` holding one execution slot per executor worker.
 
         One slot is acquired blocking (bounded by the request deadline);
@@ -616,7 +774,7 @@ class RankingServer:
                 metrics=self._metrics,
                 backend=self._backend,
             )
-            return executor.run(jobs)
+            return executor.run(jobs, keys)
         finally:
             for _ in range(held):
                 self._slots.release()
@@ -849,15 +1007,10 @@ class _Handler(BaseHTTPRequestHandler):
         server = self.ranking
         server.admit()
         try:
-            payload = self._read_json_body()
-            if not isinstance(payload, dict):
-                raise _HttpError(400, "request body must be a JSON object")
-            timeout = server.resolve_timeout(payload.get("timeout"))
-            job = server.decode_job(payload)
-            # The parsed body is a list per vote, several times the
-            # size of the job's columns; free it before inference.
-            del payload
-            outcome = server.execute_job(job, timeout)
+            prepared = server.prepare("rank", self._read_body())
+            (job,) = prepared.jobs
+            outcome = server.execute_job(job, prepared.timeout,
+                                         prepared.keys[0])
             self._send_bytes(_STATUS_CODES[outcome.status],
                              encode_job_result(outcome), "application/json")
         finally:
@@ -867,27 +1020,9 @@ class _Handler(BaseHTTPRequestHandler):
         server = self.ranking
         server.admit()
         try:
-            payload = self._read_json_body()
-            if isinstance(payload, dict):
-                raw_jobs = payload.get("jobs")
-                timeout = server.resolve_timeout(payload.get("timeout"))
-            else:
-                raw_jobs = payload
-                timeout = server.resolve_timeout(None)
-            if not isinstance(raw_jobs, list) or not raw_jobs:
-                raise _HttpError(400, "batch body needs a non-empty "
-                                      "\"jobs\" array")
-            limit = server.config.max_batch_jobs
-            if len(raw_jobs) > limit:
-                raise _HttpError(
-                    413, f"batch of {len(raw_jobs)} jobs exceeds the "
-                         f"limit of {limit}", close=True,
-                )
-            jobs = [
-                server.decode_job(item, source=f"jobs[{index}]")
-                for index, item in enumerate(raw_jobs)
-            ]
-            report = server.execute_batch(jobs, timeout)
+            prepared = server.prepare("batch", self._read_body())
+            report = server.execute_batch(list(prepared.jobs),
+                                          prepared.timeout, prepared.keys)
             self._send_bytes(200, encode_batch_report(report),
                              "application/json")
         finally:
@@ -1015,6 +1150,10 @@ class _Handler(BaseHTTPRequestHandler):
             return True
 
     def _read_json_body(self) -> object:
+        return _decode_body(self._read_body())
+
+    def _read_body(self) -> bytes:
+        """The request body's bytes, after the length and 413 checks."""
         length_text = self.headers.get("Content-Length")
         if length_text is None:
             raise _HttpError(411, "Content-Length header required", close=True)
@@ -1040,10 +1179,7 @@ class _Handler(BaseHTTPRequestHandler):
         if len(raw) != length:
             raise _HttpError(400, "truncated request body", close=True)
         self._body_consumed = True
-        try:
-            return decode_json(raw, "request body")
-        except DataFormatError as error:
-            raise _HttpError(400, str(error)) from None
+        return raw
 
     def _drain_body(self, length: int, *, budget: int) -> None:
         remaining = min(length, budget)

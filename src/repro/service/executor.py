@@ -4,9 +4,10 @@
 through the inference pipeline over a thread pool, with:
 
 * **caching** — each job is fingerprinted
-  (:func:`~repro.service.cache.fingerprint_job`) and looked up before
-  any work happens; results of seeded jobs are stored back.  A result
-  is encoded once (:class:`~repro.io.EncodedResult`): the cache entry,
+  (:func:`~repro.service.cache.fingerprint_job`, unless the caller
+  passes the key it already computed) and looked up before any work
+  happens; results of seeded jobs are stored back.  A result is
+  encoded once (:class:`~repro.io.EncodedResult`): the cache entry,
   its spill file and the caller's response all reuse that encoding,
   and a hit's result is decoded only if a caller reads it.  The job's
   extras (a scenario job's ``accuracy``) are cached with it;
@@ -31,12 +32,13 @@ pickling to reach a thread.  The pluggable part is where each
   applies, on a daemon thread that is *abandoned* (not killed — Python
   cannot) when the deadline passes;
 * ``process`` — the attempt runs on a worker of the backend's
-  persistent process pool (only the job and its result cross the
-  pipe; the cache lookup and the result encoding stay here): a
-  timed-out worker is genuinely killed and replaced, and a crashed
-  worker (segfault, ``os._exit``, OOM kill) surfaces as a transient
-  :class:`~repro.exceptions.WorkerCrashedError` that the retry loop
-  re-runs on a fresh worker instead of hanging the batch.
+  persistent process pool, which also encodes the result: the job
+  goes down the pipe and the result comes back with its encoding
+  (:meth:`~repro.io.EncodedResult.eager`), while the cache lookup
+  stays here.  A timed-out worker is genuinely killed and replaced,
+  and a crashed worker (segfault, ``os._exit``, OOM kill) surfaces as
+  a transient :class:`~repro.exceptions.WorkerCrashedError` that the
+  retry loop re-runs on a fresh worker instead of hanging the batch.
 
 Per-job seeds keep parallel execution bit-identical to serial
 execution on every backend — each attempt builds its own generator
@@ -45,11 +47,14 @@ from ``job.seed``, never sharing a stream across jobs.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -67,6 +72,10 @@ from .metrics import MetricsRegistry
 from .retry import RetryExhaustedError, RetryPolicy, call_with_retry
 
 _log = get_logger("service.executor")
+
+#: What one attempt produces: a result, already encoded when it ran on
+#: the process pool.
+_Attempted = Union[InferenceResult, EncodedResult]
 
 
 class JobTimeoutError(ReproError):
@@ -196,25 +205,34 @@ class BatchExecutor:
         """The result cache, if caching is enabled."""
         return self._cache
 
-    def run(self, jobs: Iterable[RankingJob]) -> BatchReport:
+    def run(self, jobs: Iterable[RankingJob],
+            keys: Optional[Sequence[Optional[str]]] = None) -> BatchReport:
         """Execute every job; never raises for individual job failures.
 
         Results come back in submission order regardless of completion
         order.  Duplicate jobs within one batch are executed
         independently (later ones typically hit the cache warmed by the
-        first to finish).
+        first to finish).  ``keys`` optionally holds each job's cache
+        key, :func:`~repro.service.cache.fingerprint_job` computed by
+        the caller (the server computes it where it decoded the job); a
+        ``None`` entry is fingerprinted here.
         """
         job_list = list(jobs)
+        key_list = [None] * len(job_list) if keys is None else list(keys)
+        if len(key_list) != len(job_list):
+            raise ConfigurationError(
+                f"{len(key_list)} cache keys for {len(job_list)} jobs"
+            )
         _log.info("batch start: %d jobs, %d workers", len(job_list),
                   self._workers)
         batch_start = time.perf_counter()
         if not job_list:
             return BatchReport(results=(), metrics=self._metrics.snapshot())
         if self._workers == 1 or self._backend.name == "serial":
-            results = [self._execute(job) for job in job_list]
+            results = list(map(self._execute, job_list, key_list))
         else:
             with ThreadPoolExecutor(max_workers=self._workers) as pool:
-                results = list(pool.map(self._execute, job_list))
+                results = list(pool.map(self._execute, job_list, key_list))
         self._metrics.observe("batch.seconds",
                               time.perf_counter() - batch_start)
         report = BatchReport(results=tuple(results),
@@ -228,11 +246,11 @@ class BatchExecutor:
 
     # -- one job ------------------------------------------------------------
 
-    def _execute(self, job: RankingJob) -> JobResult:
+    def _execute(self, job: RankingJob, key: Optional[str]) -> JobResult:
         """Run one job end to end; converts every failure into a result."""
         start = time.perf_counter()
         try:
-            outcome = self._execute_guarded(job, start)
+            outcome = self._execute_guarded(job, key, start)
         except Exception as error:  # noqa: BLE001 — isolation boundary
             # Unexpected orchestration failure: still never escapes.
             _log.exception("job %s: unexpected executor error", job.job_id)
@@ -246,8 +264,12 @@ class BatchExecutor:
         self._record(outcome)
         return outcome
 
-    def _execute_guarded(self, job: RankingJob, start: float) -> JobResult:
-        key = fingerprint_job(job) if self._cache is not None else None
+    def _execute_guarded(self, job: RankingJob, key: Optional[str],
+                         start: float) -> JobResult:
+        if self._cache is None:
+            key = None
+        elif key is None:
+            key = fingerprint_job(job)
         if key is not None:
             cached = self._cache.get_entry(key)
             self._metrics.increment(
@@ -267,7 +289,7 @@ class BatchExecutor:
 
         attempt_count = [0]
 
-        def one_attempt() -> Tuple[InferenceResult, Dict[str, object]]:
+        def one_attempt() -> Tuple[_Attempted, Dict[str, object]]:
             attempt_count[0] += 1
             return self._run_with_timeout(job)
 
@@ -311,7 +333,8 @@ class BatchExecutor:
         result, extras = retried.value
         if retried.attempts > 1:
             self._metrics.increment("retry.recovered")
-        encoded = EncodedResult(result)
+        encoded = result if isinstance(result, EncodedResult) \
+            else EncodedResult(result)
         if key is not None:
             self._cache.put(key, encoded, extras)
         return JobResult(
@@ -361,7 +384,7 @@ class BatchExecutor:
 
     def _run_with_timeout(
         self, job: RankingJob
-    ) -> Tuple[InferenceResult, Dict[str, object]]:
+    ) -> Tuple[_Attempted, Dict[str, object]]:
         """One attempt, bounded by the per-job timeout / run deadline.
 
         On the process backend the attempt runs in a child process that
@@ -401,10 +424,13 @@ class BatchExecutor:
 
     def _attempt_in_process(
         self, job: RankingJob, budget: Optional[float]
-    ) -> Tuple[InferenceResult, Dict[str, object]]:
-        """One attempt in an isolated worker process.
+    ) -> Tuple[EncodedResult, Dict[str, object]]:
+        """One attempt in an isolated worker process, which also encodes
+        the result.
 
-        A budget overrun kills the worker and raises
+        The attempt body is :func:`_attempt_job` as this module holds
+        it at call time, pickled by reference.  A budget overrun kills
+        the worker and raises
         :class:`JobTimeoutError`; a worker death mid-attempt surfaces
         as :class:`~repro.exceptions.WorkerCrashedError`, which the
         default retry classifier treats as transient (the crash may be
@@ -413,7 +439,8 @@ class BatchExecutor:
         """
         try:
             (value,) = self._backend.map(
-                _attempt_job, [job], max_workers=1, timeout=budget,
+                functools.partial(_encoded_attempt, _attempt_job), [job],
+                max_workers=1, timeout=budget,
             )
         except TaskTimeoutError as error:
             # Either the worker was killed at the deadline or no pool
@@ -480,6 +507,15 @@ def _attempt_job(
         pipeline = RankingPipeline(job.config)
         return pipeline.run(job.votes, rng), {}
     return BatchExecutor._run_scenario(job, job.scenario, rng)
+
+
+def _encoded_attempt(
+    attempt: Callable[[RankingJob], Tuple[InferenceResult, Dict[str, object]]],
+    job: RankingJob,
+) -> Tuple[EncodedResult, Dict[str, object]]:
+    """``attempt(job)`` with its result encoded where it ran."""
+    result, extras = attempt(job)
+    return EncodedResult.eager(result), extras
 
 
 def run_batch(

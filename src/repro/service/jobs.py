@@ -51,7 +51,7 @@ from ..io import (
     result_to_payload,
     splice_json,
 )
-from ..types import InferenceResult, VoteSet
+from ..types import INT64_MAX, InferenceResult, VoteSet
 
 #: Schema tag for one job line.
 JOB_SCHEMA = "repro.job/1"
@@ -393,6 +393,10 @@ def _votes_from_payload(raw: object, source: str) -> VoteSet:
     if not isinstance(n_objects, int) or isinstance(n_objects, bool):
         raise DataFormatError(
             f"{source}: votes.n_objects must be an integer"
+        )
+    if n_objects > INT64_MAX:
+        raise DataFormatError(
+            f"{source}: votes.n_objects must be an integer within int64"
         )
     if type(rows) is not list or not (
         set(map(type, rows)) <= {list} and set(map(len, rows)) <= {3}

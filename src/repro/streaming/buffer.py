@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from ..exceptions import ConfigurationError
-from ..types import Pair, Vote, VoteArrays, VoteSet, WorkerId
+from ..types import INT64_MAX, Pair, Vote, VoteArrays, VoteSet, WorkerId
 
 #: Initial capacity of the per-vote growth buffers.
 _MIN_CAPACITY = 64
@@ -51,6 +51,10 @@ class VoteBuffer:
         if n_objects < 2:
             raise ConfigurationError(
                 f"need at least 2 objects to collect votes, got {n_objects}"
+            )
+        if n_objects > INT64_MAX:
+            raise ConfigurationError(
+                f"n_objects must be within int64, got {n_objects}"
             )
         self.n_objects = int(n_objects)
         self._size = 0

@@ -371,6 +371,10 @@ class VoteArrays:
         return vote_set
 
 
+#: The largest id or ``n_objects`` the int64 vote columns can hold;
+#: decoders of outside input refuse anything larger with a typed error.
+INT64_MAX = int(np.iinfo(np.int64).max)
+
 #: The per-vote columns of a :class:`VoteSet`, in pickle/field order.
 _VOTE_COLUMNS = ("worker", "winner", "loser")
 

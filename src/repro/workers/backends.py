@@ -49,6 +49,7 @@ leave it ``None`` to let :func:`resolve_backend` consult the
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
 import signal
@@ -360,6 +361,12 @@ def _worker_main(conn, parent_pid: Optional[int]) -> None:
     shutdown sentinel.
     """
     _die_with_parent(parent_pid)
+    # The heap inherited at start lives as long as the worker.  Frozen,
+    # it stays out of the worker's collections, which would otherwise
+    # walk it and write to every object's header: under fork that
+    # unshares the parent's pages (about 10 MiB per worker once the
+    # worker decodes request bodies).
+    gc.freeze()
     while True:
         try:
             message = conn.recv()
@@ -519,6 +526,14 @@ class _WorkerSet:
                     )
                 self._cond.wait(remaining)
 
+    def take_idle(self, count: int) -> List[_ProcessWorker]:
+        """Up to ``count`` workers that are idle right now; never waits
+        or forks (empty when none is idle or the pool is closed)."""
+        with self._cond:
+            taken = self._idle[:count]
+            del self._idle[:count]
+            return taken
+
     def give_back(self, workers: List[_ProcessWorker]) -> None:
         with self._cond:
             if not self._closed:
@@ -570,12 +585,13 @@ class ProcessBackend(ExecutionBackend):
     Workers are forked on first use (or by :meth:`start`) and reused by
     every later :meth:`map`, from any thread: each call borrows idle
     workers — waiting only while none is free — and hands them back
-    when its tasks are done.  ``workers`` caps the pool's size; without
-    it the pool grows to the widest concurrent demand.  ``on_respawn``
-    is called in the parent whenever a dead worker is replaced.
-    :meth:`close` (or garbage collection of the backend) stops the
-    workers, and on Linux they die with the parent process, SIGKILL
-    included.
+    when its tasks are done (:meth:`map_if_idle` takes only the workers
+    idle at that moment and never waits).  ``workers`` caps the pool's
+    size; without it the pool grows to the widest concurrent demand.
+    ``on_respawn`` is called in the parent whenever a dead worker is
+    replaced.  :meth:`close` (or garbage collection of the backend)
+    stops the workers, and on Linux they die with the parent process,
+    SIGKILL included.
 
     Dispatch is explicit — one task in flight per worker over a
     dedicated pipe — which is what makes crash detection exact: a dead
@@ -639,6 +655,31 @@ class ProcessBackend(ExecutionBackend):
                            return_exceptions)
         if timeout is not None:
             timeout = max(0.0, timeout - (time.monotonic() - asked))
+        return self._run(workers, fn, items, timeout, return_exceptions)
+
+    def map_if_idle(self, fn, items, *, max_workers, timeout=None,
+                    return_exceptions=False):
+        """:meth:`map` on the workers idle at this moment, or ``None``
+        (nothing ran) when no worker is idle or the pool is closed.
+
+        Never waits for a worker and never forks one, so a caller can
+        fall back to running ``fn`` itself instead of queueing behind
+        the pool's other work.
+        """
+        _validate_width(max_workers)
+        if timeout is not None and timeout <= 0:
+            raise ConfigurationError("timeout must be positive or None")
+        items = list(items)
+        if not items:
+            return []
+        workers = self._workers.take_idle(min(max_workers, len(items)))
+        if not workers:
+            return None
+        return self._run(workers, fn, items, timeout, return_exceptions)
+
+    def _run(self, workers: List[_ProcessWorker], fn, items: List[object],
+             timeout: Optional[float], return_exceptions: bool):
+        """Run ``items`` on the borrowed ``workers``, then hand them back."""
         pending = list(enumerate(items))  # consumed front-first
         outcomes: List[object] = [None] * len(items)
         done = 0

@@ -98,6 +98,10 @@ def _hold(seconds):
     return os.getpid()
 
 
+def _frozen_objects(_):
+    return gc.get_freeze_count()
+
+
 def _crash_once_attempt(job):
     """First call kills its worker; later calls run the real attempt."""
     if not os.path.exists(_CRASH_FLAG):
@@ -199,7 +203,8 @@ def _exited(pid):
     try:
         with open(f"/proc/{pid}/stat") as handle:
             return handle.read().rsplit(")", 1)[1].split()[0] in "ZX"
-    except FileNotFoundError:
+    except (FileNotFoundError, ProcessLookupError):
+        # Reaped before the open, or between the open and the read.
         return True
 
 
@@ -227,6 +232,37 @@ class TestPersistentPool:
             assert respawns == [1]
             after = set(backend.pids)
             assert len(after) == 2 and len(before & after) == 1
+        finally:
+            backend.close()
+
+    def test_map_if_idle_runs_only_on_an_idle_worker(self):
+        backend = ProcessBackend(workers=1)
+        held = threading.Thread(target=backend.map, args=(_hold, [1.0]),
+                                kwargs={"max_workers": 1})
+        try:
+            backend.start()
+            assert backend.map_if_idle(_pid, [0], max_workers=1) \
+                == backend.pids
+            assert backend.map_if_idle(_pid, [], max_workers=1) == []
+            held.start()
+            deadline = time.monotonic() + 10
+            while backend.map_if_idle(_pid, [0], max_workers=1) is not None:
+                assert time.monotonic() < deadline
+            held.join(timeout=30)
+            assert not held.is_alive()
+            assert backend.map_if_idle(_square, [3], max_workers=1) == [9]
+            backend.close()
+            assert backend.map_if_idle(_pid, [0], max_workers=1) is None
+        finally:
+            if held.is_alive():
+                held.join(timeout=30)
+            backend.close()
+
+    def test_workers_freeze_the_heap_they_start_with(self):
+        backend = ProcessBackend(workers=1)
+        try:
+            (frozen,) = backend.map(_frozen_objects, [0], max_workers=1)
+            assert frozen > 0
         finally:
             backend.close()
 

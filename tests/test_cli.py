@@ -41,6 +41,13 @@ class TestRankCommand:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_id_beyond_int64_reports_error(self, tmp_path, capsys):
+        # Tracebacked with an OverflowError from VoteSet before.
+        path = tmp_path / "huge.csv"
+        path.write_text(f"worker_id,winner,loser\n0,{10**30},1\n")
+        assert main(["rank", str(path)]) == 2
+        assert "beyond int64" in capsys.readouterr().err
+
     def test_top_k_truncates(self, votes_csv, capsys):
         assert main(["rank", votes_csv, "--seed", "1", "--top-k", "2",
                      "--json"]) == 0

@@ -166,6 +166,22 @@ class TestAmtCsv:
         with pytest.raises(DataFormatError):
             load_votes_csv(path, n_objects=2)
 
+    @pytest.mark.parametrize("row", ["10" + "0" * 29 + ",0,1",
+                                     "0,1," + str(2**63)])
+    def test_id_beyond_int64(self, tmp_path, row):
+        path = tmp_path / "huge.csv"
+        path.write_text(f"worker_id,winner,loser\n0,0,1\n{row}\n")
+        with pytest.raises(DataFormatError, match="beyond int64"):
+            load_votes_csv(path)
+
+    def test_n_objects_beyond_int64(self, tmp_path):
+        path = tmp_path / "top.csv"
+        path.write_text(f"worker_id,winner,loser\n0,{2**63 - 1},0\n")
+        with pytest.raises(DataFormatError, match="beyond int64"):
+            load_votes_csv(path)
+        with pytest.raises(DataFormatError, match="beyond int64"):
+            load_votes_csv(path, n_objects=10**30)
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "blank.csv"
         path.write_text("worker_id,winner,loser\n0,0,1\n\n1,1,0\n")

@@ -18,6 +18,7 @@ import pytest
 
 from repro import FAST_PIPELINE, rank_with_crowd
 from repro.baselines import bradley_terry_mle, rank_centrality
+from repro.client import RankingClient
 from repro.config import PipelineConfig, PropagationConfig
 from repro.datasets import make_scenario
 from repro.experiments import run_pipeline_arm
@@ -26,6 +27,8 @@ from repro.inference.local_search import polish_ranking
 from repro.inference.pipeline import RankingPipeline
 from repro.inference.propagation import propagate_matrix
 from repro.inference.smoothing import direct_preference_matrix, smooth_matrix
+from repro.server import RankingServer, ServerConfig
+from repro.service import RankingJob
 from repro.topk import topk_exact, topk_ranking
 from repro.truth import discover_truth
 from repro.types import Ranking
@@ -177,21 +180,27 @@ def _topk_pipeline(n, ratio, seed, k):
     return {"ranking": list(ranking.order)}
 
 
-def _golden_cases():
+def _pipeline_cases():
+    """``(n, ratio, seed, config)`` of each ``pipeline/*`` case."""
     exact = PipelineConfig(propagation=PropagationConfig(method="exact"))
-    cases = {
-        "pipeline/crh_saps/n20": lambda: _pipeline(20, 0.3, 11,
-                                                   FAST_PIPELINE),
-        "pipeline/crh_saps_default/n12": lambda: _pipeline(
-            12, 0.5, 12, PipelineConfig()),
-        "pipeline/taps/n6": lambda: _pipeline(
-            6, 0.6, 13, exact.with_(search="taps")),
-        "pipeline/branch_and_bound/n8": lambda: _pipeline(
+    return {
+        "pipeline/crh_saps/n20": (20, 0.3, 11, FAST_PIPELINE),
+        "pipeline/crh_saps_default/n12": (12, 0.5, 12, PipelineConfig()),
+        "pipeline/taps/n6": (6, 0.6, 13, exact.with_(search="taps")),
+        "pipeline/branch_and_bound/n8": (
             8, 0.5, 14, exact.with_(search="branch_and_bound")),
-        "pipeline/hodge/n40": lambda: _pipeline(
-            40, 0.2, 15, PipelineConfig(engine="hodge")),
-        "pipeline/lsq/n40": lambda: _pipeline(
-            40, 0.2, 16, PipelineConfig(engine="lsq")),
+        "pipeline/hodge/n40": (40, 0.2, 15, PipelineConfig(engine="hodge")),
+        "pipeline/lsq/n40": (40, 0.2, 16, PipelineConfig(engine="lsq")),
+    }
+
+
+_PIPELINE_CASES = _pipeline_cases()
+
+
+def _golden_cases():
+    cases = {name: (lambda args=args: _pipeline(*args))
+             for name, args in _PIPELINE_CASES.items()}
+    cases.update({
         "baseline/rank_centrality/n40": lambda: _rank_centrality(
             40, 0.2, 17),
         "baseline/rank_centrality/n200": lambda: _rank_centrality(
@@ -202,7 +211,7 @@ def _golden_cases():
         "polish/n20": lambda: _polish(20, 0.3, 22),
         "topk/exact/n8": lambda: _topk_exact(8, 0.5, 23, 3),
         "topk/pipeline/n20": lambda: _topk_pipeline(20, 0.3, 24, 5),
-    }
+    })
     for name in sorted(_BASELINES):
         if name != "rank_centrality":
             cases[f"baseline/{name}/n20"] = (
@@ -230,6 +239,47 @@ class TestGoldenRankings:
             if key in expected:
                 assert actual[key] == pytest.approx(
                     expected[key], rel=0.0, abs=FLOAT_TOLERANCE), key
+
+
+def _job(case):
+    n, ratio, seed, config = _PIPELINE_CASES[case]
+    return RankingJob(job_id=case, votes=_votes(n, ratio, seed),
+                      config=config, seed=seed)
+
+
+def _assert_matches_recording(outcome):
+    assert outcome.ok, outcome.error
+    expected = _recorded()[outcome.job_id]
+    assert list(outcome.result.ranking.order) == expected["ranking"]
+    assert outcome.result.log_preference == pytest.approx(
+        expected["log_preference"], rel=0.0, abs=FLOAT_TOLERANCE)
+
+
+@pytest.fixture(scope="module")
+def pool_server():
+    """A server with its default process pool, whatever
+    ``REPRO_BACKEND`` says: attempts and the request codec run there."""
+    server = RankingServer(ServerConfig(port=0, workers=2, no_cache=True,
+                                        backend="process"))
+    server.start()
+    yield server
+    server.stop()
+
+
+class TestGoldenThroughServer:
+    """The ``pipeline/*`` recordings, reproduced by a live server."""
+
+    @pytest.mark.parametrize("case", sorted(_PIPELINE_CASES))
+    def test_rank_matches_recording(self, pool_server, case):
+        outcome = RankingClient(pool_server.url).rank_job(_job(case))
+        _assert_matches_recording(outcome)
+
+    def test_batch_matches_recordings(self, pool_server):
+        cases = sorted(_PIPELINE_CASES)
+        outcomes = RankingClient(pool_server.url).batch(map(_job, cases))
+        assert [outcome.job_id for outcome in outcomes] == cases
+        for outcome in outcomes:
+            _assert_matches_recording(outcome)
 
 
 if __name__ == "__main__":

@@ -243,6 +243,15 @@ class TestRank:
         assert status == 400
         assert words in body["error"]
 
+    def test_n_objects_beyond_int64_is_400(self, server):
+        # Decoded once, such a job failed at inference with a 422
+        # carrying a raw OverflowError.
+        status, body = _post(server.url + "/v1/rank", {
+            "seed": 1, "votes": {"n_objects": 2**63, "votes": [[0, 1, 0]]}})
+        assert status == 400
+        assert "votes.n_objects must be an integer within int64" \
+            in body["error"]
+
     def test_zero_votes_are_422(self, server):
         status, body = _post(server.url + "/v1/rank", {
             "seed": 1, "votes": {"n_objects": 4, "votes": []}})
@@ -553,7 +562,7 @@ class TestExecutionSlots:
                 recorded["workers"] = workers
                 recorded["deadline"] = kwargs.get("deadline")
 
-            def run(self, jobs):
+            def run(self, jobs, keys=None):
                 return BatchReport(results=())
 
         return Recorder

@@ -1,18 +1,24 @@
 """The fault contract of ``repro serve``'s default execution path.
 
-By default a server runs job attempts on its own persistent process
-pool.  These tests drive a live server on that path: a job past its
-deadline has its worker killed and replaced, a job that finds no free
-worker in time times out saying so, a job that kills its worker fails
-without taking readiness down, cache hits and sessions never reach the
-pool, a graceful drain lets an in-flight job finish on its worker, and
-a SIGKILLed ``repro serve`` takes its workers with it.  Faults are
-injected by swapping the module-level attempt body, which the parent
-pickles by reference to the workers.
+By default a server runs job attempts, and the request codec when a
+worker is idle, on its own persistent process pool.  These tests drive
+a live server on that path: a job past its deadline has its worker
+killed and replaced, a job that finds no free worker in time times out
+saying so, a job that kills its worker fails without taking readiness
+down, cache hits and sessions are answered without the pool, a
+graceful drain lets an in-flight job finish on its worker, and a
+SIGKILLed ``repro serve`` takes its workers with it.  The codec
+contract: a hostile body gets the same answer whether it was decoded
+on a worker or on the request thread, a cache hit never waits behind
+a busy pool, and a worker lost mid-decode costs that request only.
+Faults are injected by swapping the module-level attempt body or
+:func:`~repro.server.app.prepare_request`, which the parent pickles by
+reference to the workers.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -32,7 +38,8 @@ from repro.service import executor as executor_module
 from repro.service.executor import _attempt_job
 from repro.workers.backends import usable_cpus
 
-from tests.test_server_http import VOTES_REQUEST, _post
+from tests.test_server_http import SCENARIO_REQUEST, VOTES_REQUEST, _post
+from tests.test_service_jobs import HOSTILE_VOTE_ROWS
 
 pytestmark = pytest.mark.usefixtures("hang_guard")
 
@@ -56,6 +63,19 @@ def _fault_attempt(job):
     return _attempt_job(job)
 
 
+_prepare_request = app_module.prepare_request
+
+
+def _fault_prepare(task):
+    """The request codec, losing its worker on a marked body; it
+    refuses to run the marked body anywhere but on a pool worker."""
+    if b"crash-decode" in task.body:
+        if multiprocessing.parent_process() is None:
+            raise AssertionError("a lost decode was re-run inline")
+        os._exit(3)
+    return _prepare_request(task)
+
+
 def _get(url):
     with urllib.request.urlopen(url, timeout=30) as response:
         return response.status, response.read().decode("utf-8")
@@ -66,7 +86,8 @@ def _gone(pid):
     try:
         with open(f"/proc/{pid}/stat") as handle:
             return handle.read().rsplit(")", 1)[1].split()[0] in "ZX"
-    except FileNotFoundError:
+    except (FileNotFoundError, ProcessLookupError):
+        # Reaped before the open, or between the open and the read.
         return True
 
 
@@ -184,7 +205,7 @@ class TestFaultContract:
         status, text = _get(pool_server.url + "/metrics")
         assert "repro_workers_respawned_total" in text
 
-    def test_cache_hits_and_sessions_never_reach_the_pool(self):
+    def test_cache_hits_and_sessions_need_no_pool(self):
         server = RankingServer(ServerConfig(port=0, workers=2))
         server.start()
         try:
@@ -193,6 +214,8 @@ class TestFaultContract:
             server.backend.close()  # any use of the pool now fails
             status, hit = _post(server.url + "/v1/rank", VOTES_REQUEST)
             assert status == 200 and hit["from_cache"]
+            # A closed pool has no idle worker: the body decoded here.
+            assert server.metrics.counter("server.decode.inline") == 1
             assert hit["result"]["ranking"] == cold["result"]["ranking"]
             status, view = _post(server.url + "/v1/sessions", {
                 "n_objects": 5, "config": {"min_votes": 1}})
@@ -202,6 +225,131 @@ class TestFaultContract:
                 {"votes": VOTES_REQUEST["votes"]["votes"]})
             assert status == 200
             assert sorted(view["ranking"]) == list(range(5))
+        finally:
+            server.stop()
+
+
+def _hostile_requests():
+    """(route, body) pairs every server must refuse before running."""
+    def votes(rows):
+        return {"seed": 1, "votes": {"n_objects": 4, "votes": rows}}
+
+    huge = b'{"n_objects": ' + b"1" * 5000 + b"}"
+    nested = b"[" * 100_000 + b"]" * 100_000
+    fanout = dict(SCENARIO_REQUEST, config={"saps": {
+        "parallel_restarts": 16, "backend": "process"}})
+    requests = [("/v1/rank", votes(rows))
+                for rows, _ in map(HOSTILE_VOTE_ROWS.get,
+                                   sorted(HOSTILE_VOTE_ROWS))]
+    requests += [(path, body) for path in ("/v1/rank", "/v1/batch")
+                 for body in (huge, nested, b"{not json")]
+    requests += [
+        ("/v1/rank", dict(SCENARIO_REQUEST, seed=True)),
+        ("/v1/rank", dict(SCENARIO_REQUEST, seed=-1)),
+        ("/v1/rank", dict(SCENARIO_REQUEST, timeout=-1)),
+        ("/v1/rank", {"seed": 1}),  # auto-named job, neither votes nor scenario
+        ("/v1/rank", {"seed": 1, "votes": {"n_objects": 2**63, "votes": []}}),
+        ("/v1/rank", fanout),
+        ("/v1/batch", {"jobs": [SCENARIO_REQUEST, fanout]}),
+        ("/v1/batch", {"jobs": [SCENARIO_REQUEST, {"job_id": ""}]}),
+        ("/v1/rank", [1, 2, 3]),
+        ("/v1/batch", "jobs"),
+        ("/v1/batch", {"jobs": []}),
+        ("/v1/batch", {"jobs": [SCENARIO_REQUEST] * 3}),
+    ]
+    return requests
+
+
+class TestRequestCodec:
+    """``/v1/rank`` and ``/v1/batch`` bodies are decoded by one
+    function, on an idle pool worker or on the request thread."""
+
+    def test_hostile_bodies_get_the_same_answer_pooled_or_inline(self):
+        answers = {}
+        for backend in ("process", "thread"):
+            server = RankingServer(ServerConfig(
+                port=0, workers=2, max_batch_jobs=2, backend=backend))
+            server.start()
+            try:
+                answers[backend] = [
+                    _post(server.url + path, body)
+                    for path, body in _hostile_requests()
+                ]
+                counters = (server.metrics.counter("server.decode.pooled"),
+                            server.metrics.counter("server.decode.inline"))
+                metrics = _get(server.url + "/metrics")[1]
+            finally:
+                server.stop()
+            count = len(answers[backend])
+            if backend == "process":
+                assert counters == (count, 0)
+                assert f"repro_server_decode_pooled_total {count}" \
+                    in metrics
+            else:
+                assert counters == (0, count)
+                assert f"repro_server_decode_inline_total {count}" \
+                    in metrics
+        assert answers["process"] == answers["thread"]
+        statuses = {status for status, _ in answers["process"]}
+        assert statuses == {400, 413}
+
+    def test_cache_hit_does_not_wait_for_a_busy_pool(self, monkeypatch,
+                                                     tmp_path):
+        monkeypatch.setattr(executor_module, "_attempt_job", _fault_attempt)
+        monkeypatch.setattr(app_module, "usable_cpus", lambda: 1)
+        server = RankingServer(ServerConfig(port=0, workers=2,
+                                            queue_depth=4))
+        server.start()
+        held = {}
+        holder = threading.Thread(target=lambda: held.update(
+            response=_post(server.url + "/v1/rank",
+                           _request(f"slow:{tmp_path}", seed=6))))
+        try:
+            assert server.backend.width == 1
+            status, cold = _post(server.url + "/v1/rank", VOTES_REQUEST)
+            assert status == 200 and not cold["from_cache"]
+            holder.start()
+            deadline = time.monotonic() + 10
+            while not (tmp_path / "started").exists():
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            inline = server.metrics.counter("server.decode.inline")
+            asked = time.monotonic()
+            status, hit = _post(server.url + "/v1/rank", VOTES_REQUEST,
+                                timeout=5)
+            assert time.monotonic() - asked < 1.0
+            assert status == 200 and hit["from_cache"]
+            assert hit["result"] == cold["result"]
+            assert server.metrics.counter("server.decode.inline") \
+                == inline + 1
+        finally:
+            (tmp_path / "release").touch()
+            holder.join(timeout=30)
+            server.stop()
+        assert held["response"][0] == 200
+
+    def test_worker_lost_mid_decode_costs_only_that_request(
+            self, monkeypatch):
+        monkeypatch.setattr(app_module, "prepare_request", _fault_prepare)
+        server = RankingServer(ServerConfig(port=0, workers=2,
+                                            no_cache=True))
+        server.start()
+        try:
+            for path, body in (
+                    ("/v1/rank", _request("crash-decode")),
+                    ("/v1/batch", {"jobs": [_request("crash-decode")]})):
+                status, body = _post(server.url + path, body)
+                assert status == 503, body
+                assert "request decode lost its pool worker" \
+                    in body["error"]
+                assert "WorkerCrashedError" in body["error"]
+                assert _get(server.url + "/readyz")[0] == 200
+            assert server.metrics.counter("server.decode.inline") == 0
+            assert server.metrics.counter("workers.respawned") == 2
+            assert len(server.backend.pids) == server.backend.width
+            status, body = _post(server.url + "/v1/rank", _request("ok"))
+            assert status == 200 and body["status"] == "succeeded"
+            assert server.metrics.counter("server.decode.pooled") == 3
         finally:
             server.stop()
 

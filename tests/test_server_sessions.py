@@ -158,6 +158,17 @@ class TestSessionErrors:
         assert status == 400
         assert "error" in decoded
 
+    @pytest.mark.parametrize("n_objects", [2**63, 10**30])
+    def test_n_objects_beyond_int64_is_400(self, server, n_objects):
+        # Accepted once, such a session answered 500 to every ingest
+        # and suggest.
+        status, decoded = _request(
+            server.url + "/v1/sessions", "POST", {"n_objects": n_objects}
+        )
+        assert status == 400
+        assert "within int64" in decoded["error"]
+        assert len(server.sessions) == 0
+
     def test_bad_votes_400(self, server, client):
         view = client.create_session(5)
         url = f"{server.url}/v1/sessions/{view['session_id']}/votes"

@@ -151,6 +151,17 @@ class TestEncodeOnce:
         assert spilled == outcome.encoded.result_json + b"\n"
         assert json.loads(body)["result"] == json.loads(spilled)
 
+    def test_process_attempt_arrives_encoded(self, tiny_votes, monkeypatch):
+        encodes = _counting(monkeypatch, "result_to_payload")
+        job = RankingJob(job_id="a", votes=tiny_votes, seed=3)
+        (outcome,) = BatchExecutor(backend="process").run([job]).results
+        encoded = outcome.encoded
+        assert outcome.result.step_seconds  # the full result came along
+        lazy = EncodedResult(outcome.result)
+        assert (encoded.result_json, encoded.ranking_json) == \
+            (lazy.result_json, lazy.ranking_json)
+        assert encodes == ["result_to_payload"]  # only ``lazy``, here
+
     def test_hit_decodes_only_when_read(self, tiny_votes, monkeypatch):
         cache = ResultCache()
         executor = BatchExecutor(cache=cache)

@@ -22,6 +22,7 @@ from repro.service import (
     RetryPolicy,
     ScenarioSpec,
     TransientJobError,
+    fingerprint_job,
     run_batch,
 )
 from repro.types import VoteSet
@@ -132,6 +133,17 @@ class TestCaching:
         again = executor.run(jobs)
         assert all(not r.from_cache
                    for r in report.results + again.results)
+
+    def test_precomputed_keys_are_used_as_given(self):
+        jobs = scenario_jobs(2)
+        cache = ResultCache()
+        executor = BatchExecutor(workers=1, cache=cache)
+        report = executor.run(jobs, keys=["given", None])
+        assert cache.get("given").ranking == report.results[0].result.ranking
+        assert cache.get(fingerprint_job(jobs[0])) is None
+        assert cache.get(fingerprint_job(jobs[1])) is not None
+        with pytest.raises(ConfigurationError, match="1 cache keys"):
+            executor.run(jobs, keys=["given"])
 
     def test_no_cache_mode(self):
         jobs = scenario_jobs(2)

@@ -214,6 +214,13 @@ class TestHostileVotes:
         with pytest.raises(DataFormatError, match=re.escape(words)):
             job_from_payload(_votes_payload(rows))
 
+    def test_n_objects_beyond_int64_rejected(self):
+        for n_objects in (2**63, 10**30):
+            with pytest.raises(DataFormatError, match="within int64"):
+                job_from_payload(_votes_payload([[0, 0, 1]], n_objects))
+        job = job_from_payload(_votes_payload([[0, 0, 1]], 2**63 - 1))
+        assert job.votes.n_objects == 2**63 - 1
+
     def test_non_integer_n_objects_rejected(self):
         for n_objects in ("4", 4.0, None, True):
             with pytest.raises(DataFormatError, match="n_objects"):

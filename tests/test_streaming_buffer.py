@@ -125,3 +125,8 @@ class TestValidation:
     def test_n_objects_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             VoteBuffer(0)
+
+    def test_n_objects_must_fit_int64(self):
+        for n_objects in (2**63, 10**30):
+            with pytest.raises(ConfigurationError, match="within int64"):
+                VoteBuffer(n_objects)
