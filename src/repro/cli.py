@@ -223,8 +223,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             "(default: unbounded up to --max-timeout)")
     serve.add_argument("--max-timeout", type=float, default=300.0,
                        metavar="SECONDS",
-                       help="ceiling on any per-request deadline and on "
-                            "queue waits (default 300)")
+                       help="ceiling on any per-request deadline, on "
+                            "queue waits and on a session update "
+                            "(default 300)")
     serve.add_argument("--max-body-bytes", type=int, default=8 * 1024 * 1024,
                        help="reject larger request bodies with 413 "
                             "(default 8 MiB)")

@@ -24,13 +24,16 @@ borrow an idle worker for each attempt and wait while none is free;
 the worker sends the result back already encoded.  The request codec
 (:func:`prepare_request`: body JSON decode, job decode, fingerprint)
 runs on a worker only if one is idle at that moment, else on the
-request thread, so a cache hit never waits behind inference.  The
-cache lookup, admission, sessions and the socket stay on the request
-thread.  A job past its deadline has
-its worker killed and replaced; a job that kills its worker comes back
+request thread, so a cache hit never waits behind inference.  A
+session ingest runs its update on a borrowed worker too
+(:class:`~repro.streaming.SessionManager`); a lost worker answers 503
+and an update past ``max_timeout`` 504, with the session left as it
+was.  The cache lookup, admission, the session registry and the
+socket stay on the request thread.  A job past its deadline has its
+worker killed and replaced; a job that kills its worker comes back
 failed while the server keeps serving.  ``--backend thread`` (or
-``REPRO_BACKEND``) runs attempts and the codec on the request threads
-instead.
+``REPRO_BACKEND``) runs attempts, the codec and session updates on the
+request threads instead.
 
 Per-request deadlines (the optional ``timeout`` field of a request
 body, capped by ``max_timeout``, defaulting to ``default_timeout``)
@@ -77,7 +80,9 @@ Endpoints
     engine which pairs to query next (``?k=N``, scored by the session's
     configured :mod:`repro.acquisition` scorer), and tear down.
     Session errors map onto HTTP: unknown/evicted id -> 404,
-    early-stopped session refusing votes -> 409, session cap -> 429.
+    early-stopped session refusing votes -> 409, session cap -> 429,
+    an update that lost its pool worker -> 503, one past
+    ``max_timeout`` -> 504.
 
 Graceful drain: :meth:`RankingServer.stop` (wired to SIGTERM/SIGINT by
 ``repro serve``) flips readiness, rejects new work with 503, waits for
@@ -174,8 +179,9 @@ class ServerConfig:
         ``None`` leaves such requests bounded only by ``max_timeout``'s
         slot-wait cap.
     max_timeout:
-        Hard ceiling on any per-request deadline and on the time a
-        request may wait for an execution slot.
+        Hard ceiling on any per-request deadline, on the time a
+        request may wait for an execution slot, and on a session
+        update's wait for a pool worker plus its run.
     max_batch_jobs:
         Upper bound on jobs per ``/v1/batch`` request (413 beyond).
     cache_dir:
@@ -497,11 +503,6 @@ class RankingServer:
                 persist_dir=self._config.cache_dir,
             )
         self._gate = AdmissionGate(self._config.queue_depth)
-        self._sessions = SessionManager(
-            max_sessions=self._config.max_sessions,
-            ttl_seconds=self._config.session_ttl,
-            metrics=self._metrics,
-        )
         self._slots = threading.Semaphore(self._config.workers)
         self._draining = threading.Event()
         self._stopped = threading.Event()
@@ -512,6 +513,13 @@ class RankingServer:
         # Forked before the listener exists, so the workers do not hold
         # a copy of it.
         self._backend = _server_backend(self._config, self._metrics)
+        self._sessions = SessionManager(
+            max_sessions=self._config.max_sessions,
+            ttl_seconds=self._config.session_ttl,
+            metrics=self._metrics,
+            backend=self._backend,
+            timeout=self._config.max_timeout,
+        )
         try:
             self._httpd = _Server(
                 (self._config.host, self._config.port), _Handler
@@ -1032,7 +1040,8 @@ class _Handler(BaseHTTPRequestHandler):
 
     @staticmethod
     def _session_error(error: Exception) -> _HttpError:
-        """Map session-layer exceptions onto HTTP statuses."""
+        """Map session-layer exceptions, and the pool errors of a
+        session update, onto HTTP statuses."""
         if isinstance(error, SessionNotFoundError):
             return _HttpError(404, str(error))
         if isinstance(error, SessionStoppedError):
@@ -1040,6 +1049,13 @@ class _Handler(BaseHTTPRequestHandler):
         if isinstance(error, SessionLimitError):
             return _HttpError(429, str(error),
                               headers={"Retry-After": "1"})
+        if isinstance(error, WorkerCrashedError):
+            return _HttpError(503, f"session update lost its pool worker "
+                                   f"(WorkerCrashedError: {error})",
+                              headers={"Retry-After": "1"})
+        if isinstance(error, TaskTimeoutError):
+            return _HttpError(504, f"session update timed out "
+                                   f"(TaskTimeoutError: {error})")
         return _HttpError(400, str(error))
 
     def _handle_sessions_create(self) -> None:
@@ -1078,7 +1094,8 @@ class _Handler(BaseHTTPRequestHandler):
                 votes = votes_from_payload(raw_votes, source="request")
                 view = server.sessions.ingest(session_id, votes)
             except (DataFormatError, ConfigurationError,
-                    SessionNotFoundError, SessionStoppedError) as error:
+                    SessionNotFoundError, SessionStoppedError,
+                    WorkerCrashedError, TaskTimeoutError) as error:
                 raise self._session_error(error) from None
             self._send_json(200, view)
         finally:

@@ -17,9 +17,11 @@ downstream kernel (truth discovery, smoothing, SAPS) sees the same
 arrays whether votes arrived in one batch or one at a time (pinned by
 the differential tests).  Snapshots are cached until the next append.
 
-Rows already written are never rewritten, so snapshot per-vote columns
-are cheap views of the growth buffers, not copies; like every
-``VoteArrays``, they must be treated as immutable by callers.
+Rows already written are rewritten only after :meth:`VoteBuffer.truncate`
+drops them, so snapshot per-vote columns are cheap views of the growth
+buffers, not copies; like every ``VoteArrays``, they must be treated
+as immutable by callers, and a snapshot holding dropped rows must be
+dropped with them.
 """
 
 from __future__ import annotations
@@ -89,14 +91,20 @@ class VoteBuffer:
         return len(self._worker_list)
 
     # -- growth ---------------------------------------------------------------
-    def append(self, vote: Vote) -> None:
-        """Append one vote (O(1) amortized)."""
+    def _check(self, vote: Vote) -> None:
         if not (0 <= vote.winner < self.n_objects
                 and 0 <= vote.loser < self.n_objects):
             raise ConfigurationError(
                 f"vote compares objects ({vote.winner}, {vote.loser}) "
                 f"outside [0, {self.n_objects})"
             )
+
+    def append(self, vote: Vote) -> None:
+        """Append one vote (O(1) amortized)."""
+        self._check(vote)
+        self._append(vote)
+
+    def _append(self, vote: Vote) -> None:
         row = self._size
         if row == self._winner.shape[0]:
             self._grow()
@@ -120,11 +128,37 @@ class VoteBuffer:
         self._snapshot = None
 
     def extend(self, votes: Iterable[Vote]) -> int:
-        """Append many votes; returns how many were appended."""
-        before = self._size
+        """Append many votes; returns how many were appended.
+
+        Every vote is checked before any is appended, so a rejected
+        batch leaves the buffer as it was.
+        """
+        votes = list(votes)
         for vote in votes:
-            self.append(vote)
-        return self._size - before
+            self._check(vote)
+        for vote in votes:
+            self._append(vote)
+        return len(votes)
+
+    def truncate(self, n_votes: int) -> None:
+        """Drop every vote from row ``n_votes`` on, with the pairs and
+        workers only those votes introduced (undoes an :meth:`extend`).
+        """
+        if not 0 <= n_votes <= self._size:
+            raise ConfigurationError(
+                f"cannot truncate {self._size} votes to {n_votes}"
+            )
+        # Slots are numbered in first-seen order, so the first n_votes
+        # rows use exactly the slots below their largest one.
+        for slots, table, column in (
+                (self._pair_slots, self._pair_list, self._pair_slot),
+                (self._worker_slots, self._worker_list, self._worker_slot)):
+            keep = int(column[:n_votes].max()) + 1 if n_votes else 0
+            for key in table[keep:]:
+                del slots[key]
+            del table[keep:]
+        self._size = n_votes
+        self._snapshot = None
 
     def _grow(self) -> None:
         """Double every per-vote growth buffer.

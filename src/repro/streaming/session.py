@@ -16,7 +16,10 @@ server: bounded session count, TTL eviction of idle sessions,
 per-session locks (concurrent ingests into one session serialise;
 distinct sessions proceed in parallel), in-flight tracking so a
 graceful drain can wait for running updates, and counters/gauges wired
-into a :class:`~repro.service.MetricsRegistry`.
+into a :class:`~repro.service.MetricsRegistry`.  Given a process pool,
+the manager runs each update (:func:`update_engine`) on a pool worker,
+so updates of different sessions use different cores; the answers are
+bit-identical to the inline path.
 
 Sessions snapshot to a versioned JSON payload (votes, ranking,
 stability state, counters) through :func:`session_to_payload` /
@@ -28,11 +31,14 @@ the SAPS anneal from the stored ranking.
 
 from __future__ import annotations
 
+import copy
 import threading
 import time
 import uuid
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..config import PipelineConfig
 from ..exceptions import (
@@ -45,7 +51,8 @@ from ..exceptions import (
 from ..inference.pipeline import RankingPipeline
 from ..rng import SeedLike, ensure_rng
 from ..service.metrics import MetricsRegistry
-from ..types import InferenceResult, Ranking, Vote
+from ..types import InferenceResult, Ranking, Vote, VoteArrays
+from ..workers.backends import ExecutionBackend, ProcessBackend
 from .buffer import VoteBuffer
 from .incremental import IncrementalEngine, UpdateReport
 from .stability import StabilityMonitor
@@ -127,6 +134,33 @@ class SessionConfig:
             )
 
 
+#: What one update needs and gives back: the engine, the vote
+#: snapshot and the session generator in; the updated engine and
+#: generator and the update's report out.
+UpdateTask = Tuple[IncrementalEngine, VoteArrays, np.random.Generator]
+UpdateOutcome = Tuple[IncrementalEngine, np.random.Generator, UpdateReport]
+
+
+def update_engine(task: UpdateTask) -> UpdateOutcome:
+    """Run one session update: :meth:`IncrementalEngine.update` on the
+    given engine and generator, which it advances and returns.
+
+    A module-level function, so a pool worker can run it on unpickled
+    copies; :func:`update_inline` runs it on copies here.
+    """
+    engine, arrays, rng = task
+    report = engine.update(arrays, rng)
+    return engine, rng, report
+
+
+def update_inline(task: UpdateTask) -> UpdateOutcome:
+    """:func:`update_engine` on this thread, on copies of the engine and
+    generator, so a failed update leaves the caller's untouched.  The
+    engine only rebinds its state, so a shallow copy suffices."""
+    engine, arrays, rng = task
+    return update_engine((copy.copy(engine), arrays, copy.deepcopy(rng)))
+
+
 class RankingSession:
     """One live incremental ranking over a growing vote pool.
 
@@ -192,8 +226,18 @@ class RankingSession:
         return (self._monitor.is_stable
                 and self.votes_ingested >= self.config.min_votes)
 
-    def ingest(self, votes: Iterable[Vote]) -> UpdateReport:
+    def ingest(
+        self,
+        votes: Iterable[Vote],
+        run_update: Callable[[UpdateTask], UpdateOutcome] = update_inline,
+    ) -> UpdateReport:
         """Append votes and incrementally re-infer the ranking.
+
+        ``run_update`` runs the update (:func:`update_inline` by
+        default; :class:`SessionManager` may hand it to a pool worker).
+        The session takes the returned engine and generator only when
+        it succeeds: an ingest that raises leaves the session exactly
+        as it was, votes included.
 
         Raises
         ------
@@ -209,9 +253,16 @@ class RankingSession:
                     f"session {self.session_id} has early-stopped; its "
                     "ranking is final"
                 )
+            before = len(self.buffer)
             self.buffer.extend(votes)
+            try:
+                self._engine, self._rng, report = run_update(
+                    (self._engine, self.buffer.snapshot(), self._rng)
+                )
+            except BaseException:
+                self.buffer.truncate(before)
+                raise
             self.votes_ingested += len(votes)
-            report = self._engine.update(self.buffer.snapshot(), self._rng)
             if report.mode == "full":
                 self.updates_full += 1
             else:
@@ -537,6 +588,18 @@ class SessionManager:
     clock:
         Injectable monotonic clock (tests drive eviction without
         sleeping).
+    backend:
+        Where updates run.  On an open :class:`ProcessBackend` each
+        update runs on a pool worker (waiting for a free one) and
+        counts as ``server.session_update.pooled``; a lost worker
+        raises :class:`~repro.exceptions.WorkerCrashedError`, a wait
+        plus run past ``timeout`` raises
+        :class:`~repro.exceptions.TaskTimeoutError`, and the session is
+        left as it was.  Any other backend, ``None`` or a closed pool
+        runs the update inline (``server.session_update.inline``).
+    timeout:
+        Seconds a pooled update may spend waiting for a worker and
+        running; ``None`` is unbounded.
     """
 
     def __init__(
@@ -545,6 +608,8 @@ class SessionManager:
         ttl_seconds: Optional[float] = 3600.0,
         metrics: Optional[MetricsRegistry] = None,
         clock: Callable[[], float] = time.monotonic,
+        backend: Optional[ExecutionBackend] = None,
+        timeout: Optional[float] = None,
     ) -> None:
         if max_sessions < 1:
             raise ConfigurationError(
@@ -557,6 +622,8 @@ class SessionManager:
         self.max_sessions = int(max_sessions)
         self.ttl_seconds = ttl_seconds
         self.metrics = metrics
+        self.backend = backend
+        self.timeout = timeout
         self._clock = clock
         self._lock = threading.Lock()
         self._sessions: Dict[str, RankingSession] = {}
@@ -664,7 +731,7 @@ class SessionManager:
         session = self.get(session_id)
         with self._track():
             was_stopped = session.stopped
-            report = session.ingest(votes)
+            report = session.ingest(votes, self._run_update)
             self._count("session_votes_ingested", len(votes))
             self._count(f"session_updates_{report.mode}")
             if report.damped_restart:
@@ -676,6 +743,23 @@ class SessionManager:
             view = session.view()
             view["update_mode"] = report.mode
             return view
+
+    def _run_update(self, task: UpdateTask) -> UpdateOutcome:
+        """One session update: on a pool worker when the backend is an
+        open process pool, else inline."""
+        if isinstance(self.backend, ProcessBackend):
+            outcomes = self.backend.map_if_open(
+                update_engine, [task], max_workers=1,
+                timeout=self.timeout, return_exceptions=True,
+            )
+            if outcomes is not None:
+                self._count("server.session_update.pooled")
+                (outcome,) = outcomes
+                if isinstance(outcome, BaseException):
+                    raise outcome
+                return outcome
+        self._count("server.session_update.inline")
+        return update_inline(task)
 
     def _track(self):
         manager = self

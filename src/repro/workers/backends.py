@@ -351,13 +351,30 @@ def _die_with_parent(parent_pid: Optional[int]) -> None:
         os._exit(1)
 
 
+def _failure_payload(error: BaseException) -> tuple:
+    """The reply reporting ``error`` as the task's outcome: the
+    exception itself when it pickles, else its type name, message and
+    traceback text (re-raised as :class:`RemoteTaskError`)."""
+    try:
+        pickle.dumps(error)
+        return ("err", error)
+    except Exception:  # noqa: BLE001 — unpicklable exception
+        return ("remote_err", (
+            type(error).__name__, str(error), traceback.format_exc(),
+        ))
+
+
 def _worker_main(conn, parent_pid: Optional[int]) -> None:
     """Entry point of one pool worker process: serve tasks, recv
-    ``(index, fn, item)`` and send the outcome.
+    ``(fn, item)`` and send the outcome (the parent knows which task
+    each worker holds).
 
     Exceptions are pickled back when possible; unpicklable ones travel
     as (type name, message, traceback text) and re-raise as
-    :class:`RemoteTaskError` in the parent.  A ``None`` message is the
+    :class:`RemoteTaskError` in the parent.  A task that does not
+    unpickle here (say, a function the worker cannot import) fails
+    with that error and the worker serves on: the message was read
+    whole, so the pipe stays in step.  A ``None`` message is the
     shutdown sentinel.
     """
     _die_with_parent(parent_pid)
@@ -372,27 +389,22 @@ def _worker_main(conn, parent_pid: Optional[int]) -> None:
             message = conn.recv()
         except (EOFError, OSError):
             return
-        if message is None:
-            return
-        index, fn, item = message
-        try:
-            result = fn(item)
-            payload = (index, "ok", result)
-        except BaseException as error:  # noqa: BLE001 — shipped to parent
+        except Exception as error:  # noqa: BLE001 — the task did not unpickle
+            payload = _failure_payload(error)
+        else:
+            if message is None:
+                return
+            fn, item = message
             try:
-                pickle.dumps(error)
-                payload = (index, "err", error)
-            except Exception:  # noqa: BLE001 — unpicklable exception
-                payload = (index, "remote_err", (
-                    type(error).__name__, str(error),
-                    traceback.format_exc(),
-                ))
+                payload = ("ok", fn(item))
+            except BaseException as error:  # noqa: BLE001 — shipped to parent
+                payload = _failure_payload(error)
         try:
             conn.send(payload)
         except BaseException:  # noqa: BLE001 — parent gone / result unpicklable
             try:
-                conn.send((index, "remote_err", (
-                    type(payload[2]).__name__ if payload[1] == "ok"
+                conn.send(("remote_err", (
+                    type(payload[1]).__name__ if payload[0] == "ok"
                     else "UnknownError",
                     "task outcome could not be pickled back to the parent",
                     "",
@@ -430,7 +442,7 @@ class _ProcessWorker:
         self.task_index = index
         self.deadline = None if timeout is None \
             else time.monotonic() + timeout
-        self.conn.send((index, fn, item))
+        self.conn.send((fn, item))
 
     def clear(self) -> None:
         self.task_index = None
@@ -502,7 +514,8 @@ class _WorkerSet:
 
     def borrow(self, count: int,
                timeout: Optional[float]) -> List[_ProcessWorker]:
-        """Up to ``count`` workers, forking while under the limit.
+        """Up to ``count`` workers, forking while under the limit; none
+        when the pool is closed.
 
         Blocks (at most ``timeout`` seconds) only while no worker at
         all is free, so two callers each holding one worker never wait
@@ -510,7 +523,7 @@ class _WorkerSet:
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            while True:
+            while not self._closed:
                 while len(self._idle) < count and (
                         self.limit is None or len(self._live) < self.limit):
                     self._idle.append(self._fork())
@@ -525,6 +538,7 @@ class _WorkerSet:
                         f"no pool worker free within {timeout:g}s"
                     )
                 self._cond.wait(remaining)
+            return []
 
     def take_idle(self, count: int) -> List[_ProcessWorker]:
         """Up to ``count`` workers that are idle right now; never waits
@@ -586,12 +600,13 @@ class ProcessBackend(ExecutionBackend):
     every later :meth:`map`, from any thread: each call borrows idle
     workers — waiting only while none is free — and hands them back
     when its tasks are done (:meth:`map_if_idle` takes only the workers
-    idle at that moment and never waits).  ``workers`` caps the pool's
-    size; without it the pool grows to the widest concurrent demand.
-    ``on_respawn`` is called in the parent whenever a dead worker is
-    replaced.  :meth:`close` (or garbage collection of the backend)
-    stops the workers, and on Linux they die with the parent process,
-    SIGKILL included.
+    idle at that moment and never waits; it and :meth:`map_if_open`
+    answer ``None`` on a closed pool, where :meth:`map` raises).
+    ``workers`` caps the pool's size; without it the pool grows to the
+    widest concurrent demand.  ``on_respawn`` is called in the parent
+    whenever a dead worker is replaced.  :meth:`close` (or garbage
+    collection of the backend) stops the workers, and on Linux they die
+    with the parent process, SIGKILL included.
 
     Dispatch is explicit — one task in flight per worker over a
     dedicated pipe — which is what makes crash detection exact: a dead
@@ -640,6 +655,17 @@ class ProcessBackend(ExecutionBackend):
 
     def map(self, fn, items, *, max_workers, timeout=None,
             return_exceptions=False):
+        outcomes = self.map_if_open(fn, items, max_workers=max_workers,
+                                    timeout=timeout,
+                                    return_exceptions=return_exceptions)
+        if outcomes is None:
+            raise ExecutionBackendError("process pool is closed")
+        return outcomes
+
+    def map_if_open(self, fn, items, *, max_workers, timeout=None,
+                    return_exceptions=False):
+        """:meth:`map`, or ``None`` (nothing ran) when the pool is
+        closed, so a caller can run ``fn`` itself instead."""
         _validate_width(max_workers)
         if timeout is not None and timeout <= 0:
             raise ConfigurationError("timeout must be positive or None")
@@ -653,6 +679,8 @@ class ProcessBackend(ExecutionBackend):
         except TaskTimeoutError as error:
             return _unwrap([_Failure(error) for _ in items],
                            return_exceptions)
+        if not workers:
+            return None
         if timeout is not None:
             timeout = max(0.0, timeout - (time.monotonic() - asked))
         return self._run(workers, fn, items, timeout, return_exceptions)
@@ -733,10 +761,11 @@ class ProcessBackend(ExecutionBackend):
                 finished += self._handle_crash(workers, worker, outcomes)
                 continue
             try:
-                index, kind, payload = worker.conn.recv()
+                kind, payload = worker.conn.recv()
             except (EOFError, OSError):
                 finished += self._handle_crash(workers, worker, outcomes)
                 continue
+            index = worker.task_index
             if kind == "ok":
                 outcomes[index] = _Success(payload)
             elif kind == "err":

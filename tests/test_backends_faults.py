@@ -258,6 +258,33 @@ class TestPersistentPool:
                 held.join(timeout=30)
             backend.close()
 
+    def test_task_that_does_not_unpickle_fails_alone(self, monkeypatch):
+        """A function the workers cannot import fails its own task with
+        the unpickling error; the worker lives on and serves the next."""
+        respawns = []
+        backend = ProcessBackend(workers=1,
+                                 on_respawn=lambda: respawns.append(1))
+        try:
+            backend.start()
+            before = backend.pids
+            # A module-level name bound after the fork: the workers'
+            # copy of this module lacks it.
+            def late_task(x):
+                return x * x
+
+            late_task.__qualname__ = "_late_task"
+            monkeypatch.setattr(sys.modules[__name__], "_late_task",
+                                late_task, raising=False)
+            outcomes = backend.map(late_task, [2, 3], max_workers=1,
+                                   return_exceptions=True)
+            assert all(isinstance(outcome, AttributeError)
+                       for outcome in outcomes), outcomes
+            assert "_late_task" in str(outcomes[0])
+            assert backend.pids == before and respawns == []
+            assert backend.map(_square, [4], max_workers=1) == [16]
+        finally:
+            backend.close()
+
     def test_workers_freeze_the_heap_they_start_with(self):
         backend = ProcessBackend(workers=1)
         try:

@@ -29,6 +29,8 @@ from repro.inference.propagation import propagate_matrix
 from repro.inference.smoothing import direct_preference_matrix, smooth_matrix
 from repro.server import RankingServer, ServerConfig
 from repro.service import RankingJob
+from repro.service.jobs import config_to_payload
+from repro.streaming import RankingSession, SessionConfig
 from repro.topk import topk_exact, topk_ranking
 from repro.truth import discover_truth
 from repro.types import Ranking
@@ -196,10 +198,41 @@ def _pipeline_cases():
 
 _PIPELINE_CASES = _pipeline_cases()
 
+#: ``(n, ratio, seed, votes per ingest)`` of the seeded session case.
+_SESSION_CASES = {"session/crh_saps/n20": (20, 0.3, 26, 60)}
+
+
+def _session_config(seed):
+    return SessionConfig(pipeline=FAST_PIPELINE, seed=seed,
+                         early_stop=False)
+
+
+def _session_chunks(n, ratio, seed, chunk):
+    votes = _votes(n, ratio, seed).votes
+    return [votes[start:start + chunk]
+            for start in range(0, len(votes), chunk)]
+
+
+def _session(n, ratio, seed, chunk):
+    """Every ingest's ranking and log preference, and the session's
+    ``recompute()`` as the case's own ranking."""
+    session = RankingSession("golden", n, _session_config(seed))
+    ingests = []
+    for votes in _session_chunks(n, ratio, seed, chunk):
+        report = session.ingest(votes)
+        ingests.append({"ranking": list(report.ranking.order),
+                        "log_preference": float(report.log_preference)})
+    result = session.recompute()
+    return {"ranking": list(result.ranking.order),
+            "log_preference": float(result.log_preference),
+            "ingests": ingests}
+
 
 def _golden_cases():
     cases = {name: (lambda args=args: _pipeline(*args))
              for name, args in _PIPELINE_CASES.items()}
+    cases.update({name: (lambda args=args: _session(*args))
+                  for name, args in _SESSION_CASES.items()})
     cases.update({
         "baseline/rank_centrality/n40": lambda: _rank_centrality(
             40, 0.2, 17),
@@ -239,6 +272,16 @@ class TestGoldenRankings:
             if key in expected:
                 assert actual[key] == pytest.approx(
                     expected[key], rel=0.0, abs=FLOAT_TOLERANCE), key
+        if "ingests" in expected:
+            _assert_ingests_match(actual["ingests"], expected["ingests"])
+
+
+def _assert_ingests_match(actual, expected):
+    assert [step["ranking"] for step in actual] \
+        == [step["ranking"] for step in expected]
+    assert [step["log_preference"] for step in actual] == pytest.approx(
+        [step["log_preference"] for step in expected],
+        rel=0.0, abs=FLOAT_TOLERANCE)
 
 
 def _job(case):
@@ -258,7 +301,8 @@ def _assert_matches_recording(outcome):
 @pytest.fixture(scope="module")
 def pool_server():
     """A server with its default process pool, whatever
-    ``REPRO_BACKEND`` says: attempts and the request codec run there."""
+    ``REPRO_BACKEND`` says: attempts, the request codec and session
+    updates run there."""
     server = RankingServer(ServerConfig(port=0, workers=2, no_cache=True,
                                         backend="process"))
     server.start()
@@ -280,6 +324,20 @@ class TestGoldenThroughServer:
         assert [outcome.job_id for outcome in outcomes] == cases
         for outcome in outcomes:
             _assert_matches_recording(outcome)
+
+    @pytest.mark.parametrize("case", sorted(_SESSION_CASES))
+    def test_session_matches_recording(self, pool_server, case):
+        n, ratio, seed, chunk = _SESSION_CASES[case]
+        client = RankingClient(pool_server.url)
+        config = {"pipeline": config_to_payload(FAST_PIPELINE),
+                  "seed": seed, "early_stop": False}
+        session_id = client.create_session(n, config=config)["session_id"]
+        pooled = pool_server.metrics.counter("server.session_update.pooled")
+        views = [client.submit_votes(session_id, votes)
+                 for votes in _session_chunks(n, ratio, seed, chunk)]
+        _assert_ingests_match(views, _recorded()[case]["ingests"])
+        assert pool_server.metrics.counter("server.session_update.pooled") \
+            == pooled + len(views)
 
 
 if __name__ == "__main__":

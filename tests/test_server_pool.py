@@ -5,15 +5,18 @@ worker is idle, on its own persistent process pool.  These tests drive
 a live server on that path: a job past its deadline has its worker
 killed and replaced, a job that finds no free worker in time times out
 saying so, a job that kills its worker fails without taking readiness
-down, cache hits and sessions are answered without the pool, a
-graceful drain lets an in-flight job finish on its worker, and a
-SIGKILLed ``repro serve`` takes its workers with it.  The codec
-contract: a hostile body gets the same answer whether it was decoded
-on a worker or on the request thread, a cache hit never waits behind
-a busy pool, and a worker lost mid-decode costs that request only.
-Faults are injected by swapping the module-level attempt body or
-:func:`~repro.server.app.prepare_request`, which the parent pickles by
-reference to the workers.
+down, cache hits and sessions are answered without the pool once it
+is closed, a graceful drain lets an in-flight job finish on its
+worker, and a SIGKILLed ``repro serve`` takes its workers with it.
+The codec contract: a hostile body gets the same answer whether it
+was decoded on a worker or on the request thread, a cache hit never
+waits behind a busy pool, and a worker lost mid-decode costs that
+request only.  Session updates run on the pool with the answers of
+the inline path, and one that loses its worker or overruns leaves the
+session as it was.  Faults are injected by swapping the module-level
+attempt body, :func:`~repro.server.app.prepare_request` or
+:func:`~repro.streaming.session.update_engine`, which the parent
+pickles by reference to the workers.
 """
 
 from __future__ import annotations
@@ -32,13 +35,18 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.client import RankingClient
 from repro.server import RankingServer, ServerConfig
 from repro.server import app as app_module
 from repro.service import executor as executor_module
 from repro.service.executor import _attempt_job
+from repro.service.retry import NO_RETRY
+from repro.streaming import session as session_module
+from repro.streaming import session_to_payload
 from repro.workers.backends import usable_cpus
 
 from tests.test_server_http import SCENARIO_REQUEST, VOTES_REQUEST, _post
+from tests.test_server_sessions import FAST_SESSION_CONFIG
 from tests.test_service_jobs import HOSTILE_VOTE_ROWS
 
 pytestmark = pytest.mark.usefixtures("hang_guard")
@@ -74,6 +82,29 @@ def _fault_prepare(task):
             raise AssertionError("a lost decode was re-run inline")
         os._exit(3)
     return _prepare_request(task)
+
+
+_update_engine = session_module.update_engine
+
+
+def _crash_update(task):
+    """A session update that loses its worker; it refuses to run
+    anywhere but on a pool worker."""
+    if multiprocessing.parent_process() is None:
+        raise AssertionError("a lost session update was re-run inline")
+    os._exit(3)
+
+
+def _hang_update(task):
+    time.sleep(60.0)
+    return _update_engine(task)
+
+
+def _clean_update(task):
+    """The real update under a name of this module.  Restoring the
+    library's own name would not do: a worker forked while a fault was
+    patched in holds the fault under that name."""
+    return _update_engine(task)
 
 
 def _get(url):
@@ -350,6 +381,119 @@ class TestRequestCodec:
             status, body = _post(server.url + "/v1/rank", _request("ok"))
             assert status == 200 and body["status"] == "succeeded"
             assert server.metrics.counter("server.decode.pooled") == 3
+        finally:
+            server.stop()
+
+
+def _session_votes():
+    # Votes of tests.test_server_sessions' votes fixture, in chunks.
+    from repro.datasets import make_scenario
+    from repro.experiments.runner import collect_votes
+
+    votes = [[v.worker, v.winner, v.loser] for v in collect_votes(
+        make_scenario(10, 0.6, n_workers=8, rng=5), rng=5).votes]
+    return [votes[start:start + 30] for start in range(0, len(votes), 30)]
+
+
+def _without_id(view):
+    return {key: value for key, value in view.items()
+            if key != "session_id"}
+
+
+def _session_state(server, session_id):
+    session = server.sessions.get(session_id)
+    return (session_to_payload(session), session._engine,
+            session._rng.bit_generator.state, session.view())
+
+
+class TestSessionUpdates:
+    """Session ingests run :func:`update_engine` on the pool."""
+
+    def test_pool_and_thread_servers_give_equal_views(self):
+        chunks = _session_votes()
+        views = {}
+        for backend in ("process", "thread"):
+            server = RankingServer(ServerConfig(
+                port=0, workers=2, no_cache=True, backend=backend))
+            server.start()
+            try:
+                client = RankingClient(server.url, retry=NO_RETRY)
+                session_id = client.create_session(
+                    10, config=FAST_SESSION_CONFIG)["session_id"]
+                views[backend] = [
+                    _without_id(client.submit_votes(session_id, chunk))
+                    for chunk in chunks]
+                counters = (
+                    server.metrics.counter("server.session_update.pooled"),
+                    server.metrics.counter("server.session_update.inline"))
+                metrics = client.metrics_text()
+            finally:
+                server.stop()
+            count = len(chunks)
+            if backend == "process":
+                assert counters == (count, 0)
+                assert f"repro_server_session_update_pooled_total {count}" \
+                    in metrics
+            else:
+                assert counters == (0, count)
+                assert f"repro_server_session_update_inline_total {count}" \
+                    in metrics
+        assert views["process"] == views["thread"]
+
+    def test_worker_lost_mid_update_leaves_the_session_as_it_was(
+            self, monkeypatch):
+        first, second = _session_votes()[:2]
+        server = RankingServer(ServerConfig(port=0, workers=2,
+                                            no_cache=True))
+        server.start()
+        try:
+            client = RankingClient(server.url, retry=NO_RETRY)
+            hit, twin = (client.create_session(
+                10, config=FAST_SESSION_CONFIG)["session_id"]
+                for _ in range(2))
+            client.submit_votes(hit, first)
+            client.submit_votes(twin, first)
+            before = _session_state(server, hit)
+            monkeypatch.setattr(session_module, "update_engine",
+                                _crash_update)
+            status, body = _post(f"{server.url}/v1/sessions/{hit}/votes",
+                                 {"votes": second})
+            assert status == 503, body
+            assert "session update lost its pool worker" in body["error"]
+            assert "WorkerCrashedError" in body["error"]
+            assert _get(server.url + "/readyz")[0] == 200
+            assert _session_state(server, hit) == before
+            assert server.metrics.counter("workers.respawned") == 1
+            monkeypatch.setattr(session_module, "update_engine",
+                                _clean_update)
+            assert _without_id(client.submit_votes(hit, second)) \
+                == _without_id(client.submit_votes(twin, second))
+            assert server.metrics.counter("server.session_update.inline") \
+                == 0
+        finally:
+            server.stop()
+
+    def test_update_past_max_timeout_is_504(self, monkeypatch):
+        first, second = _session_votes()[:2]
+        server = RankingServer(ServerConfig(port=0, workers=2,
+                                            no_cache=True, max_timeout=2.0))
+        server.start()
+        try:
+            client = RankingClient(server.url, retry=NO_RETRY)
+            session_id = client.create_session(
+                10, config=FAST_SESSION_CONFIG)["session_id"]
+            client.submit_votes(session_id, first)
+            before = _session_state(server, session_id)
+            monkeypatch.setattr(session_module, "update_engine",
+                                _hang_update)
+            status, body = _post(
+                f"{server.url}/v1/sessions/{session_id}/votes",
+                {"votes": second})
+            assert status == 504, body
+            assert "session update timed out" in body["error"]
+            assert "worker killed" in body["error"]
+            assert _session_state(server, session_id) == before
+            assert _get(server.url + "/readyz")[0] == 200
         finally:
             server.stop()
 

@@ -177,6 +177,18 @@ class TestSessionErrors:
         status, _ = _request(url, "POST", {"votes": [[0, 0, 9]]})
         assert status == 400
 
+    def test_rejected_ingest_buffers_none_of_its_votes(self, server, client):
+        # The first two votes of a batch refused for its third used to
+        # stay buffered and drive every later ranking.
+        view = client.create_session(5, config=FAST_SESSION_CONFIG)
+        url = f"{server.url}/v1/sessions/{view['session_id']}/votes"
+        status, _ = _request(url, "POST",
+                             {"votes": [[1, 0, 1], [1, 2, 3], [1, 0, 9]]})
+        assert status == 400
+        status, view = _request(url, "POST", {"votes": [[1, 0, 1]]})
+        assert status == 200 and view["votes_ingested"] == 1
+        assert "\nrepro_session_votes_buffered 1.0\n" in client.metrics_text()
+
     @pytest.mark.parametrize("votes", [
         [[0, 1.7, 2]],
         [["3", True, 0.2]],

@@ -122,6 +122,16 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             buffer.append(vote)
 
+    def test_rejected_batch_buffers_nothing(self):
+        buffer = VoteBuffer(5)
+        buffer.append(Vote(worker=1, winner=3, loser=4))
+        with pytest.raises(ConfigurationError):
+            buffer.extend([Vote(worker=1, winner=0, loser=1),
+                           Vote(worker=2, winner=2, loser=3),
+                           Vote(worker=1, winner=0, loser=9)])
+        assert buffer.votes() == (Vote(worker=1, winner=3, loser=4),)
+        assert (buffer.n_pairs, buffer.n_workers) == (1, 1)
+
     def test_n_objects_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             VoteBuffer(0)
@@ -130,3 +140,30 @@ class TestValidation:
         for n_objects in (2**63, 10**30):
             with pytest.raises(ConfigurationError, match="within int64"):
                 VoteBuffer(n_objects)
+
+
+class TestTruncate:
+    def test_truncate_gives_back_the_prefix_buffer(self, rng):
+        """Dropping rows drops the pairs and workers only they brought;
+        the buffer then grows on as if they had never come."""
+        votes = _random_votes(9, 150, 7, rng)
+        buffer = VoteBuffer(9)
+        buffer.extend(votes[:100])
+        before = buffer.snapshot()
+        buffer.extend(votes[100:])
+        buffer.truncate(100)
+        assert_arrays_identical(buffer.snapshot(), before)
+        assert (buffer.n_pairs, buffer.n_workers) == \
+            (before.n_pairs, before.n_workers)
+        buffer.extend(votes[120:])
+        assert_arrays_identical(
+            buffer.snapshot(),
+            VoteArrays.from_votes(9, votes[:100] + votes[120:]))
+
+    def test_truncate_to_empty_and_bounds(self, rng):
+        buffer = VoteBuffer(5)
+        buffer.extend(_random_votes(5, 10, 3, rng))
+        with pytest.raises(ConfigurationError):
+            buffer.truncate(11)
+        buffer.truncate(0)
+        assert (len(buffer), buffer.n_pairs, buffer.n_workers) == (0, 0, 0)

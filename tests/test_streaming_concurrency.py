@@ -2,6 +2,7 @@
 parallel ingest, same-session serialisation, TTL eviction under load,
 the session cap, and graceful drain."""
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -17,6 +18,7 @@ from repro.exceptions import (
 from repro.experiments.runner import collect_votes
 from repro.service import MetricsRegistry
 from repro.streaming import SessionConfig, SessionManager
+from repro.workers.backends import ProcessBackend, ThreadBackend
 
 FAST = SessionConfig(
     pipeline=PipelineConfig(
@@ -79,6 +81,62 @@ class TestParallelIngest:
         assert session.votes_ingested == len(votes)
         assert (session.updates_full + session.updates_incremental
                 == len(chunks))
+
+
+class TestPooledUpdates:
+    def test_pool_thread_and_closed_pool_give_equal_views(
+            self, votes, hang_guard):
+        """Updates run on the pool when it is open and inline otherwise,
+        with the same answers."""
+        pool = ProcessBackend(workers=2)
+        views, counts = {}, {}
+        try:
+            for name, backend in (("pooled", pool), ("thread", ThreadBackend()),
+                                  ("closed", pool)):
+                if name == "closed":
+                    pool.close()
+                metrics = MetricsRegistry()
+                manager = SessionManager(metrics=metrics, backend=backend,
+                                         timeout=60.0)
+                manager.create(10, FAST, session_id="s")
+                views[name] = [manager.ingest("s", votes[i:i + 20])
+                               for i in range(0, len(votes), 20)]
+                counters = metrics.snapshot()["counters"]
+                counts[name] = (
+                    counters.get("server.session_update.pooled", 0),
+                    counters.get("server.session_update.inline", 0))
+        finally:
+            pool.close()
+        assert views["pooled"] == views["thread"] == views["closed"]
+        updates = len(views["pooled"])
+        assert counts == {"pooled": (updates, 0), "thread": (0, updates),
+                          "closed": (0, updates)}
+
+
+    def test_pooled_ingests_lose_no_update(self, votes, hang_guard):
+        """More ingesting threads than cores, over two sessions, with
+        the session lock released to the pool's waits: every chunk
+        lands once."""
+        chunks = [votes[i:i + 10] for i in range(0, len(votes), 10)]
+        pool = ProcessBackend(workers=2)
+        manager = SessionManager(backend=pool, timeout=60.0)
+        sessions = [manager.create(10, FAST) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as threads:
+                list(threads.map(
+                    lambda job: manager.ingest(*job),
+                    [(s.session_id, chunk) for s in sessions
+                     for chunk in chunks]))
+        finally:
+            sys.setswitchinterval(interval)
+            pool.close()
+        for session in sessions:
+            assert session.votes_ingested == len(session.buffer) \
+                == len(votes)
+            assert session.updates_full + session.updates_incremental \
+                == len(chunks)
 
 
 class TestEviction:

@@ -10,6 +10,7 @@ import pytest
 from repro.config import PipelineConfig, PropagationConfig, SAPSConfig
 from repro.datasets import make_scenario
 from repro.exceptions import (
+    ConfigurationError,
     DataFormatError,
     InferenceError,
     SessionStoppedError,
@@ -28,7 +29,8 @@ from repro.streaming import (
     session_to_payload,
     votes_from_payload,
 )
-from repro.types import Ranking, VoteSet
+from repro.streaming import session as session_module
+from repro.types import Ranking, Vote, VoteSet
 
 
 def _fast_pipeline(iterations=4000, restarts=1):
@@ -334,3 +336,51 @@ class TestEngineGuards:
 
         with pytest.raises(InferenceError):
             IncrementalEngine(PipelineConfig(search="taps"))
+
+
+def _state(session):
+    """Everything an ingest may change, in comparable form."""
+    return (json.dumps(session_to_payload(session), sort_keys=True),
+            session._rng.bit_generator.state, session._engine,
+            session.view(), session.buffer.snapshot().n_pairs)
+
+
+class TestFailedIngest:
+    """An ingest that raises leaves the session exactly as it was."""
+
+    def _session(self):
+        _, votes = _scenario_votes(8, 0.6, 9, n_workers=6)
+        session = RankingSession("s", 8, SessionConfig(
+            pipeline=_fast_pipeline(1000), seed=2, early_stop=False,
+            warm_iterations=200))
+        session.ingest(votes[:20])
+        return session, votes
+
+    def test_out_of_range_vote_buffers_none_of_the_batch(self):
+        session, votes = self._session()
+        before = _state(session)
+        with pytest.raises(ConfigurationError):
+            session.ingest([Vote(1, 0, 1), Vote(1, 2, 3), Vote(1, 0, 9)])
+        assert _state(session) == before
+        session.ingest([Vote(1, 0, 1)])
+        assert session.votes_ingested == len(session.buffer) == 21
+
+    def test_failed_update_rolls_back_votes_rng_and_engine(
+            self, monkeypatch):
+        session, votes = self._session()
+        twin, _ = self._session()
+        before = _state(session)
+
+        def fail_midway(task):
+            _, _, rng = task
+            rng.random(100)
+            raise InferenceError("update failed midway")
+
+        monkeypatch.setattr(session_module, "update_engine", fail_midway)
+        with pytest.raises(InferenceError):
+            session.ingest(votes[20:40])
+        assert _state(session) == before
+        monkeypatch.undo()
+        session.ingest(votes[20:40])
+        twin.ingest(votes[20:40])
+        assert session.view() == twin.view()
