@@ -24,10 +24,10 @@ includes queueing delay and characterizes behaviour under overload.
 thresholds, nothing written) on two successive ``repro serve``
 subprocesses over one cache directory: the first must return
 bit-identical results to the serial oracle and answer a repeat pass
-entirely from cache, and the second — a fresh process that computed
-nothing — must serve every job from the spill the first left, with a
-response body equal to the cold one except for ``attempts``,
-``from_cache`` and ``seconds``.
+entirely from its request memo, and the second — a fresh process that
+computed nothing — must serve every job from the spill the first left,
+through the decode and fingerprint path, with a response body equal to
+the cold one except for ``attempts``, ``from_cache`` and ``seconds``.
 
 Not collected by pytest (no ``test_`` prefix) — run directly:
 
@@ -249,6 +249,21 @@ def _answer(body: Dict[str, object]) -> Dict[str, object]:
             if key not in PER_REQUEST_MEMBERS}
 
 
+def served_counts(url: str) -> Tuple[int, int]:
+    """(request-memo hits, decoded ``/v1/rank``/``/v1/batch`` bodies) so
+    far, read from the server's ``/metrics``."""
+    with urllib.request.urlopen(url + "/metrics", timeout=30.0) as response:
+        text = response.read().decode("utf-8")
+    values = dict(line.split(" ", 1) for line in text.splitlines()
+                  if line and not line.startswith("#"))
+
+    def count(name: str) -> int:
+        return int(float(values.get(f"repro_{name}_total", "0")))
+
+    return (count("server_request_memo_hits"),
+            count("server_decode_pooled") + count("server_decode_inline"))
+
+
 def bench_open_loop(
     url: str, jobs: List[RankingJob], rate: float,
     max_inflight: int = 64,
@@ -339,13 +354,15 @@ def run_smoke() -> int:
 
     1. A ``repro serve`` subprocess returns results bit-identical to the
        serial in-process oracle.
-    2. A second pass over the same server is answered from cache (every
-       fingerprint was spilled on the first pass).
+    2. A second pass over the same server, the same request bytes, is
+       answered from cache by the request memo: one memo hit per job
+       and no body decoded again.
     3. A *fresh* ``repro serve`` subprocess over the same cache
        directory serves every job ``from_cache`` — it never computed
        them, so the hits crossed a process boundary through the spill
-       tier — and each body equals the cold one except for
-       :data:`PER_REQUEST_MEMBERS`.
+       tier — through the decode and fingerprint path (its memo starts
+       empty: no memo hit, one decode per job), and each body equals
+       the cold one except for :data:`PER_REQUEST_MEMBERS`.
     """
     jobs = make_jobs(6, 8, repeat_every=0)
     oracle = oracle_rankings(jobs)
@@ -368,7 +385,14 @@ def run_smoke() -> int:
                 print("smoke: FAIL — repeat pass not fully cached "
                       f"({repeat_summary['from_cache']}/{len(jobs)})")
                 return 1
-            print("smoke: repeat pass fully served from cache")
+            memo_hits, decoded = served_counts(server.url)
+            if (memo_hits, decoded) != (len(jobs), len(jobs)):
+                print("smoke: FAIL — repeat pass not answered by the "
+                      f"request memo ({memo_hits} memo hits, {decoded} "
+                      f"bodies decoded, want {len(jobs)} and {len(jobs)})")
+                return 1
+            print("smoke: repeat pass fully served from cache by the "
+                  "request memo")
         finally:
             if not server.stop():
                 print("smoke: FAIL — server did not drain cleanly")
@@ -378,6 +402,7 @@ def run_smoke() -> int:
         fresh = ServeProcess(cache_dir, workers=2, queue_depth=16)
         try:
             shared = rank_bodies(fresh.url, jobs)
+            fresh_counts = served_counts(fresh.url)
         finally:
             if not fresh.stop():
                 print("smoke: FAIL — fresh server did not drain cleanly")
@@ -387,6 +412,12 @@ def run_smoke() -> int:
             print("smoke: FAIL — fresh server recomputed "
                   f"({hits}/{len(jobs)} from cache)")
             return 1
+        if fresh_counts != (0, len(jobs)):
+            print("smoke: FAIL — fresh server did not decode and "
+                  f"fingerprint every job ({fresh_counts[0]} memo hits, "
+                  f"{fresh_counts[1]} bodies decoded, want 0 and "
+                  f"{len(jobs)})")
+            return 1
         differing = [job_id for job_id in cold
                      if _answer(shared[job_id]) != _answer(cold[job_id])]
         if differing:
@@ -394,7 +425,8 @@ def run_smoke() -> int:
                   f"answers beyond {PER_REQUEST_MEMBERS}: {differing}")
             return 1
         print("smoke: fresh server process served every job from the "
-              "spill cache, bodies equal to the cold answers")
+              "spill cache through the fingerprint path, bodies equal to "
+              "the cold answers")
     print("smoke: serving contract OK")
     return 0
 

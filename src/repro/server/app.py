@@ -24,16 +24,19 @@ borrow an idle worker for each attempt and wait while none is free;
 the worker sends the result back already encoded.  The request codec
 (:func:`prepare_request`: body JSON decode, job decode, fingerprint)
 runs on a worker only if one is idle at that moment, else on the
-request thread, so a cache hit never waits behind inference.  A
-session ingest runs its update on a borrowed worker too
-(:class:`~repro.streaming.SessionManager`); a lost worker answers 503
-and an update past ``max_timeout`` 504, with the session left as it
-was.  The cache lookup, admission, the session registry and the
-socket stay on the request thread.  A job past its deadline has its
-worker killed and replaced; a job that kills its worker comes back
-failed while the server keeps serving.  ``--backend thread`` (or
-``REPRO_BACKEND``) runs attempts, the codec and session updates on the
-request threads instead.
+request thread, and a request whose every job is cached is answered
+without an execution slot, so a cache hit never waits behind
+inference.  A byte-identical repeat of a body that succeeded is
+answered from the cache with no decode at all, by the request memo
+(:meth:`RankingServer.answer`).  A session ingest runs its update on
+a borrowed worker too (:class:`~repro.streaming.SessionManager`); a
+lost worker answers 503 and an update past ``max_timeout`` 504, with
+the session left as it was.  The cache lookup, admission, the session
+registry and the socket stay on the request thread.  A job past its
+deadline has its worker killed and replaced; a job that kills its
+worker comes back failed while the server keeps serving.
+``--backend thread`` (or ``REPRO_BACKEND``) runs attempts, the codec
+and session updates on the request threads instead.
 
 Per-request deadlines (the optional ``timeout`` field of a request
 body, capped by ``max_timeout``, defaulting to ``default_timeout``)
@@ -95,6 +98,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import hashlib
 import json
 import os
 import threading
@@ -144,6 +148,8 @@ from ..service import (
     fingerprint_job,
     job_from_payload,
 )
+from ..service.cache import BoundedLRU, CacheEntry
+from ..service.executor import serve_cache_hit
 from .prometheus import PROMETHEUS_CONTENT_TYPE, render_prometheus
 
 _log = get_logger("server")
@@ -188,9 +194,10 @@ class ServerConfig:
         Spill directory for the result cache (``None`` keeps the cache
         memory-only).
     cache_entries:
-        In-memory capacity of the result cache.
+        In-memory capacity of the result cache, and of the request memo
+        of :meth:`RankingServer.answer`.
     no_cache:
-        Disable result caching entirely.
+        Disable result caching entirely (and with it the request memo).
     drain_grace:
         Seconds :meth:`RankingServer.stop` waits for in-flight requests
         before closing anyway.
@@ -401,11 +408,13 @@ class CodecTask(NamedTuple):
 class PreparedRequest(NamedTuple):
     """A decoded request: its jobs, their cache keys (``None`` where
     the executor computes the key: no cache, or an unseeded job, whose
-    key must be unique within the server process) and its deadline."""
+    key must be unique within the server process), its deadline and
+    the ``job_id`` each job payload named (``None`` for ``req-<n>``)."""
 
     jobs: Tuple[RankingJob, ...]
     keys: Tuple[Optional[str], ...]
     timeout: Optional[float]
+    named_ids: Tuple[Optional[str], ...]
 
 
 def prepare_request(task: CodecTask) -> PreparedRequest:
@@ -452,7 +461,26 @@ def prepare_request(task: CodecTask) -> PreparedRequest:
         else None
         for job in jobs
     )
-    return PreparedRequest(jobs, keys, timeout)
+    named_ids = tuple(job.job_id if "job_id" in item else None
+                      for job, (item, _) in zip(jobs, items))
+    return PreparedRequest(jobs, keys, timeout, named_ids)
+
+
+class _Memoised(NamedTuple):
+    """What the request memo keeps of a body that succeeded: its jobs'
+    cache keys and :attr:`PreparedRequest.named_ids`."""
+
+    keys: Tuple[str, ...]
+    named_ids: Tuple[Optional[str], ...]
+
+
+def _body_digest(route: str, body: bytes) -> bytes:
+    """The request memo's key for a ``/v1/rank`` or ``/v1/batch`` body:
+    the SHA-256 of the route and the body's bytes, so only a
+    byte-identical repeat matches and no body is ever kept."""
+    digest = hashlib.sha256(route.encode("ascii") + b"\0")
+    digest.update(body)
+    return digest.digest()
 
 
 class _Server(ThreadingHTTPServer):
@@ -502,6 +530,11 @@ class RankingServer:
                 max_entries=self._config.cache_entries,
                 persist_dir=self._config.cache_dir,
             )
+        # Byte-identical repeats of answered bodies; see answer().
+        self._memo: Optional[BoundedLRU[bytes, _Memoised]] = \
+            None if self._cache is None \
+            else BoundedLRU(self._config.cache_entries)
+        self._memo_lock = threading.Lock()
         self._gate = AdmissionGate(self._config.queue_depth)
         self._slots = threading.Semaphore(self._config.workers)
         self._draining = threading.Event()
@@ -673,14 +706,15 @@ class RankingServer:
         """Validate/cap a request deadline; fall back to the default."""
         return _timeout_from_json(requested, self._config)
 
-    def _reserve_job_ids(self, count: int) -> int:
-        """The first of ``count`` fresh numbers for ``req-<n>`` job ids.
+    def _reserve_job_ids(self, route: str) -> int:
+        """The first of a block of fresh numbers for ``req-<n>`` job ids.
 
         A ``/v1/rank`` body reserves one number, a ``/v1/batch`` body
         ``max_batch_jobs`` (its job count is known only once decoded,
         possibly on a pool worker), so auto-named jobs stay unique
         across concurrent requests.
         """
+        count = 1 if route == "rank" else self._config.max_batch_jobs
         with self._job_id_lock:
             first = self._next_job_id
             self._next_job_id += count
@@ -688,7 +722,8 @@ class RankingServer:
 
     def decode_job(self, payload: object, source: str = "request") -> RankingJob:
         """Decode one job payload, filling in ``schema`` / ``job_id``."""
-        return _decode_job(payload, source, f"req-{self._reserve_job_ids(1)}")
+        return _decode_job(payload, source,
+                           f"req-{self._reserve_job_ids('rank')}")
 
     def prepare(self, route: str, body: bytes) -> PreparedRequest:
         """Run :func:`prepare_request` on ``body``: on a pool worker if
@@ -699,9 +734,8 @@ class RankingServer:
         A worker lost mid-decode answers 503; the body is not decoded
         again.
         """
-        count = 1 if route == "rank" else self._config.max_batch_jobs
         task = CodecTask(route, body, self._config,
-                         self._reserve_job_ids(count),
+                         self._reserve_job_ids(route),
                          fingerprint=self._cache is not None)
         outcomes = None
         if isinstance(self._backend, ProcessBackend):
@@ -724,13 +758,76 @@ class RankingServer:
 
     # -- execution ----------------------------------------------------------
 
-    def execute_job(self, job: RankingJob, timeout: Optional[float],
-                    key: Optional[str] = None) -> JobResult:
-        """Run one admitted job inside an execution slot (``key``: its
-        cache key if already computed)."""
-        report = self._run_in_slots([job], timeout, max_workers=1,
-                                    keys=[key])
-        return report.results[0]
+    def answer(self, route: str, body: bytes) -> Tuple[int, bytes]:
+        """The status and response body for a ``/v1/rank`` (``route``
+        ``"rank"``) or ``/v1/batch`` (``"batch"``) request body.
+
+        A request whose every job is in the memory tier of the cache is
+        answered on the request thread without an execution slot, so a
+        hit never waits behind cold jobs.  A byte-identical repeat of a
+        body whose every job succeeded with a cache key is found through
+        the request memo, without a pool round trip, decode or
+        fingerprint.  Anything else (a memo miss, a key no longer in
+        memory, an unseeded job, no cache, a body that failed) is
+        decoded, and its jobs the cache does not hold are executed.
+        """
+        digest = None
+        if self._memo is not None:
+            digest = _body_digest(route, body)
+            with self._memo_lock:
+                memoised = self._memo.get(digest)
+            if memoised is not None:
+                start = time.perf_counter()
+                entries = self._cache.get_entries(memoised.keys)
+                if entries is not None:
+                    first = self._reserve_job_ids(route)
+                    job_ids = [
+                        f"req-{first + index}" if job_id is None else job_id
+                        for index, job_id in enumerate(memoised.named_ids)
+                    ]
+                    self._metrics.increment("server.request_memo.hits")
+                    return self._respond(
+                        route, self._serve_hits(job_ids, entries, start))
+        prepared = self.prepare(route, body)
+        report = None
+        start = time.perf_counter()
+        entries = None if self._cache is None or None in prepared.keys \
+            else self._cache.get_entries(prepared.keys)
+        if entries is not None:
+            results = self._serve_hits([job.job_id for job in prepared.jobs],
+                                       entries, start)
+        else:
+            report = self.execute_batch(list(prepared.jobs),
+                                        prepared.timeout, prepared.keys)
+            results = report.results
+        if digest is not None and None not in prepared.keys and all(
+                outcome.status is JobStatus.SUCCEEDED for outcome in results):
+            with self._memo_lock:
+                self._memo.put(digest, _Memoised(prepared.keys,
+                                                 prepared.named_ids))
+        return self._respond(route, results, report)
+
+    def _serve_hits(self, job_ids: Sequence[str],
+                    entries: Sequence[CacheEntry],
+                    start: float) -> Tuple[JobResult, ...]:
+        """Jobs ``job_ids`` answered by their cache ``entries``, counted
+        as :class:`BatchExecutor` counts a run of hits (``start``: when
+        the lookup began, a :func:`time.perf_counter` instant)."""
+        results = tuple(serve_cache_hit(self._metrics, job_id, entry, start)
+                        for job_id, entry in zip(job_ids, entries))
+        self._metrics.observe("batch.seconds", time.perf_counter() - start)
+        return results
+
+    def _respond(self, route: str, results: Sequence[JobResult],
+                 report: Optional[BatchReport] = None) -> Tuple[int, bytes]:
+        """Encode ``results`` as the route's response (``report``: the
+        executor's, when it ran them)."""
+        if route == "rank":
+            (outcome,) = results
+            return _STATUS_CODES[outcome.status], encode_job_result(outcome)
+        if report is None:
+            report = BatchReport(tuple(results), self._metrics.snapshot())
+        return 200, encode_batch_report(report)
 
     def execute_batch(self, jobs: List[RankingJob],
                       timeout: Optional[float],
@@ -1012,27 +1109,17 @@ class _Handler(BaseHTTPRequestHandler):
     # -- POST endpoints -----------------------------------------------------
 
     def _handle_rank(self) -> None:
-        server = self.ranking
-        server.admit()
-        try:
-            prepared = server.prepare("rank", self._read_body())
-            (job,) = prepared.jobs
-            outcome = server.execute_job(job, prepared.timeout,
-                                         prepared.keys[0])
-            self._send_bytes(_STATUS_CODES[outcome.status],
-                             encode_job_result(outcome), "application/json")
-        finally:
-            server.release()
+        self._answer_jobs("rank")
 
     def _handle_batch(self) -> None:
+        self._answer_jobs("batch")
+
+    def _answer_jobs(self, route: str) -> None:
         server = self.ranking
         server.admit()
         try:
-            prepared = server.prepare("batch", self._read_body())
-            report = server.execute_batch(list(prepared.jobs),
-                                          prepared.timeout, prepared.keys)
-            self._send_bytes(200, encode_batch_report(report),
-                             "application/json")
+            status, body = server.answer(route, self._read_body())
+            self._send_bytes(status, body, "application/json")
         finally:
             server.release()
 

@@ -35,7 +35,8 @@ import os
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import (Dict, Generic, Hashable, List, NamedTuple, Optional,
+                    Sequence, Tuple, TypeVar, Union)
 
 import numpy as np
 
@@ -104,6 +105,51 @@ def fingerprint_job(job: RankingJob) -> str:
 
 #: A memory-tier entry: ``(result_json, ranking_json, extras)``.
 _Entry = Tuple[bytes, bytes, Dict[str, object]]
+
+_K = TypeVar("_K", bound=Hashable)
+_V = TypeVar("_V")
+
+
+class BoundedLRU(Generic[_K, _V]):
+    """A map of at most ``max_entries`` items that drops the least
+    recently used one first.
+
+    Not locked: callers hold their own lock around every call.  The
+    memory tier of :class:`ResultCache` and the request memo of
+    ``repro serve`` are both one of these.
+    """
+
+    def __init__(self, max_entries: int):
+        self._max_entries = max_entries
+        self._items: "OrderedDict[_K, _V]" = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def get(self, key: _K) -> Optional[_V]:
+        """The value under ``key``, made most recently used; ``None``
+        when absent."""
+        value = self._items.get(key)
+        if value is not None:
+            self._items.move_to_end(key)
+        return value
+
+    def peek(self, key: _K) -> Optional[_V]:
+        """The value under ``key`` without touching its recency."""
+        return self._items.get(key)
+
+    def put(self, key: _K, value: _V) -> List[_K]:
+        """Store ``value`` as the most recently used item; returns the
+        keys evicted to make room, oldest first."""
+        self._items[key] = value
+        self._items.move_to_end(key)
+        evicted = []
+        while len(self._items) > self._max_entries:
+            evicted.append(self._items.popitem(last=False)[0])
+        return evicted
+
+    def clear(self) -> None:
+        self._items.clear()
 
 
 class CacheEntry(NamedTuple):
@@ -175,7 +221,7 @@ class ResultCache:
         self._persist_dir = Path(persist_dir) if persist_dir else None
         self._max_spill_files = max_spill_files
         self._index: Optional[SpillIndex] = spill_index_for(self._persist_dir)
-        self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
+        self._entries: "BoundedLRU[str, _Entry]" = BoundedLRU(max_entries)
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
@@ -218,7 +264,6 @@ class ResultCache:
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
-                self._entries.move_to_end(key)
                 self._hits += 1
         if entry is None:
             entry = self._load_persisted(key)
@@ -229,10 +274,26 @@ class ResultCache:
                 self._hits += 1
                 self._disk_loads += 1
                 self._store(key, entry)
-        result_json, ranking_json, extras = entry
-        return CacheEntry(EncodedResult(result_json=result_json,
-                                        ranking_json=ranking_json),
-                          dict(extras))
+        return _cache_entry(entry)
+
+    def get_entries(self, keys: Sequence[str]) -> Optional[List[CacheEntry]]:
+        """Look up several fingerprints, all or nothing: their entries
+        when every key is in the memory tier, else ``None``.
+
+        An all-hit lookup refreshes each entry's recency and counts a
+        hit per key, like :meth:`get_entry`.  Otherwise nothing is
+        touched (no recency, no hit or miss counted) and the spill
+        directory is not consulted: the caller falls back to
+        :meth:`get_entry` per key, which counts and reads the spill.
+        """
+        with self._lock:
+            stored = [self._entries.peek(key) for key in keys]
+            if any(entry is None for entry in stored):
+                return None
+            for key in keys:
+                self._entries.get(key)
+            self._hits += len(keys)
+        return [_cache_entry(entry) for entry in stored]
 
     def put(self, key: str, result: Union[InferenceResult, EncodedResult],
             extras: Optional[Dict[str, object]] = None) -> None:
@@ -340,10 +401,7 @@ class ResultCache:
 
     def _store(self, key: str, entry: _Entry) -> None:
         # Caller holds the lock.
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
-        while len(self._entries) > self._max_entries:
-            evicted, _ = self._entries.popitem(last=False)
+        for evicted in self._entries.put(key, entry):
             self._evictions += 1
             _log.debug("evicted cache entry %s", evicted)
 
@@ -422,6 +480,15 @@ class ResultCache:
         _log.warning("dropped corrupt cache file %s: %s", path, error)
         with self._lock:
             self._corrupt_dropped += 1
+
+
+def _cache_entry(entry: _Entry) -> CacheEntry:
+    """A hit's :class:`CacheEntry`: a new :class:`~repro.io.EncodedResult`
+    over the stored bytes and a copy of the extras."""
+    result_json, ranking_json, extras = entry
+    return CacheEntry(EncodedResult(result_json=result_json,
+                                    ranking_json=ranking_json),
+                      dict(extras))
 
 
 def _spill_bytes(entry: _Entry) -> bytes:

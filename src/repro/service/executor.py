@@ -66,7 +66,7 @@ from ..io import EncodedResult
 from ..types import InferenceResult
 from ..workers import QualityLevel
 from ..workers.backends import ExecutionBackend, resolve_backend
-from .cache import ResultCache, fingerprint_job
+from .cache import CacheEntry, ResultCache, fingerprint_job
 from .jobs import JobResult, JobStatus, RankingJob, ScenarioSpec
 from .metrics import MetricsRegistry
 from .retry import RetryExhaustedError, RetryPolicy, call_with_retry
@@ -250,7 +250,18 @@ class BatchExecutor:
         """Run one job end to end; converts every failure into a result."""
         start = time.perf_counter()
         try:
-            outcome = self._execute_guarded(job, key, start)
+            if self._cache is None:
+                key = None
+            elif key is None:
+                key = fingerprint_job(job)
+            if key is not None:
+                cached = self._cache.get_entry(key)
+                if cached is not None:
+                    _log.debug("job %s: served from cache", job.job_id)
+                    return serve_cache_hit(self._metrics, job.job_id, cached,
+                                           start)
+                self._metrics.increment("cache.misses")
+            outcome = self._run_job(job, key, start)
         except Exception as error:  # noqa: BLE001 — isolation boundary
             # Unexpected orchestration failure: still never escapes.
             _log.exception("job %s: unexpected executor error", job.job_id)
@@ -261,32 +272,13 @@ class BatchExecutor:
                 attempts=1,
                 seconds=time.perf_counter() - start,
             )
-        self._record(outcome)
+        record_job(self._metrics, outcome)
         return outcome
 
-    def _execute_guarded(self, job: RankingJob, key: Optional[str],
-                         start: float) -> JobResult:
-        if self._cache is None:
-            key = None
-        elif key is None:
-            key = fingerprint_job(job)
-        if key is not None:
-            cached = self._cache.get_entry(key)
-            self._metrics.increment(
-                "cache.hits" if cached is not None else "cache.misses"
-            )
-            if cached is not None:
-                _log.debug("job %s: served from cache", job.job_id)
-                return JobResult(
-                    job_id=job.job_id,
-                    status=JobStatus.SUCCEEDED,
-                    result=cached.encoded,
-                    attempts=0,
-                    from_cache=True,
-                    seconds=time.perf_counter() - start,
-                    extras=cached.extras,
-                )
-
+    def _run_job(self, job: RankingJob, key: Optional[str],
+                 start: float) -> JobResult:
+        """Run a job the cache did not answer, storing a success under
+        ``key`` (``None``: no cache)."""
         attempt_count = [0]
 
         def one_attempt() -> Tuple[_Attempted, Dict[str, object]]:
@@ -345,16 +337,6 @@ class BatchExecutor:
             seconds=time.perf_counter() - start,
             extras=extras,
         )
-
-    def _record(self, outcome: JobResult) -> None:
-        self._metrics.increment(f"jobs.{outcome.status.value}")
-        self._metrics.increment("jobs.total")
-        if outcome.attempts > 1:
-            self._metrics.increment("retry.attempts", outcome.attempts - 1)
-        self._metrics.observe("job.seconds", outcome.seconds)
-        # from_cache first: reading a hit's result would decode it.
-        if not outcome.from_cache and outcome.result is not None:
-            self._metrics.observe_steps(outcome.result.step_seconds)
 
     def _backoff_sleep(self, delay: float) -> None:
         """Retry backoff that never sleeps past the run deadline."""
@@ -489,6 +471,44 @@ class BatchExecutor:
             rng=rng,
         )
         return outcome.result, {"accuracy": outcome.accuracy}
+
+
+def record_job(metrics: MetricsRegistry, outcome: JobResult) -> None:
+    """Count one finished job into ``metrics``: ``jobs.<status>``,
+    ``jobs.total``, retries, ``job.seconds`` and a computed result's
+    step times."""
+    metrics.increment(f"jobs.{outcome.status.value}")
+    metrics.increment("jobs.total")
+    if outcome.attempts > 1:
+        metrics.increment("retry.attempts", outcome.attempts - 1)
+    metrics.observe("job.seconds", outcome.seconds)
+    # from_cache first: reading a hit's result would decode it.
+    if not outcome.from_cache and outcome.result is not None:
+        metrics.observe_steps(outcome.result.step_seconds)
+
+
+def serve_cache_hit(metrics: MetricsRegistry, job_id: str,
+                    entry: CacheEntry, start: float) -> JobResult:
+    """The outcome of job ``job_id`` answered by cache ``entry``, counted
+    as a cache hit and a finished job (``start``: when the job began,
+    a :func:`time.perf_counter` instant).
+
+    The one cache-hit implementation: :class:`BatchExecutor` calls it
+    for a key it looked up, the server's request memo for the keys of a
+    body it has answered before.
+    """
+    metrics.increment("cache.hits")
+    outcome = JobResult(
+        job_id=job_id,
+        status=JobStatus.SUCCEEDED,
+        result=entry.encoded,
+        attempts=0,
+        from_cache=True,
+        seconds=time.perf_counter() - start,
+        extras=entry.extras,
+    )
+    record_job(metrics, outcome)
+    return outcome
 
 
 def _attempt_job(

@@ -10,7 +10,10 @@ When a change *intentionally* alters results (e.g. a better default),
 update the constants here and document the change in EXPERIMENTS.md.
 """
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +21,10 @@ import pytest
 
 from repro import FAST_PIPELINE, rank_with_crowd
 from repro.baselines import bradley_terry_mle, rank_centrality
+from repro.cli import main as cli_main
 from repro.client import RankingClient
 from repro.config import PipelineConfig, PropagationConfig
-from repro.datasets import make_scenario
+from repro.datasets import make_scenario, save_votes_csv
 from repro.experiments import run_pipeline_arm
 from repro.experiments.runner import _BASELINES, collect_votes
 from repro.inference.local_search import polish_ranking
@@ -28,8 +32,8 @@ from repro.inference.pipeline import RankingPipeline
 from repro.inference.propagation import propagate_matrix
 from repro.inference.smoothing import direct_preference_matrix, smooth_matrix
 from repro.server import RankingServer, ServerConfig
-from repro.service import RankingJob
-from repro.service.jobs import config_to_payload
+from repro.service import RankingJob, ScenarioSpec
+from repro.service.jobs import config_to_payload, job_to_payload
 from repro.streaming import RankingSession, SessionConfig
 from repro.topk import topk_exact, topk_ranking
 from repro.truth import discover_truth
@@ -228,9 +232,58 @@ def _session(n, ratio, seed, chunk):
             "ingests": ingests}
 
 
+def _cli(argv):
+    """``repro <argv>`` run in-process: its standard output, after
+    checking that it exited 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli_main(argv) == 0
+    return out.getvalue()
+
+
+def _cli_rank(n, ratio, seed, *flags):
+    """``repro rank --json`` on a CSV of the seeded votes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "votes.csv"
+        save_votes_csv(_votes(n, ratio, seed), path)
+        answer = json.loads(_cli(["rank", str(path), "--n-objects", str(n),
+                                  "--seed", str(seed), "--json", *flags]))
+    return {"ranking": answer["ranking"],
+            "log_preference": answer["log_preference"]}
+
+
+def _cli_batch(job):
+    """The result line of ``job`` from ``repro batch`` on a one-line
+    JSONL file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "jobs.jsonl"
+        path.write_text(json.dumps(job_to_payload(job)) + "\n")
+        (line,) = _cli(["batch", str(path), "--no-cache"]).splitlines()
+    result = json.loads(line)["result"]
+    return {"ranking": result["ranking"],
+            "log_preference": result["log_preference"]}
+
+
+def _cli_cases():
+    scenario = ScenarioSpec(n_objects=12, selection_ratio=0.5, n_workers=10,
+                            workers_per_task=5)
+    return {
+        "cli/rank/crh_saps_default/n12": lambda: _cli_rank(12, 0.5, 27),
+        "cli/rank/hodge/n40": lambda: _cli_rank(40, 0.2, 28,
+                                                "--engine", "hodge"),
+        "cli/batch/votes/n20": lambda: _cli_batch(RankingJob(
+            job_id="votes", votes=_votes(20, 0.3, 29),
+            config=FAST_PIPELINE, seed=29)),
+        "cli/batch/scenario/n12": lambda: _cli_batch(RankingJob(
+            job_id="scenario", scenario=scenario, config=FAST_PIPELINE,
+            seed=30)),
+    }
+
+
 def _golden_cases():
     cases = {name: (lambda args=args: _pipeline(*args))
              for name, args in _PIPELINE_CASES.items()}
+    cases.update(_cli_cases())
     cases.update({name: (lambda args=args: _session(*args))
                   for name, args in _SESSION_CASES.items()})
     cases.update({

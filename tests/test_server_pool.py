@@ -21,6 +21,7 @@ pickles by reference to the workers.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import os
 import signal
@@ -136,6 +137,12 @@ def _request(job_id, **extra):
     return dict(VOTES_REQUEST, job_id=job_id, **extra)
 
 
+def _respelled(payload):
+    """``payload`` as other bytes than ``_post`` sends for it, so the
+    server decodes it instead of answering from its request memo."""
+    return json.dumps(payload, indent=1, sort_keys=True).encode("utf-8")
+
+
 class TestDefaultBackend:
     def test_server_defaults_to_its_own_process_pool(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
@@ -243,11 +250,18 @@ class TestFaultContract:
             status, cold = _post(server.url + "/v1/rank", VOTES_REQUEST)
             assert status == 200 and not cold["from_cache"]
             server.backend.close()  # any use of the pool now fails
-            status, hit = _post(server.url + "/v1/rank", VOTES_REQUEST)
+            status, hit = _post(server.url + "/v1/rank",
+                                _respelled(VOTES_REQUEST))
             assert status == 200 and hit["from_cache"]
             # A closed pool has no idle worker: the body decoded here.
             assert server.metrics.counter("server.decode.inline") == 1
             assert hit["result"]["ranking"] == cold["result"]["ranking"]
+            # The cold body's exact bytes again: the memo answers.
+            status, memo = _post(server.url + "/v1/rank", VOTES_REQUEST)
+            assert status == 200 and memo["from_cache"]
+            assert memo["result"] == hit["result"]
+            assert server.metrics.counter("server.request_memo.hits") == 1
+            assert server.metrics.counter("server.decode.inline") == 1
             status, view = _post(server.url + "/v1/sessions", {
                 "n_objects": 5, "config": {"min_votes": 1}})
             assert status == 201
@@ -346,13 +360,63 @@ class TestRequestCodec:
                 time.sleep(0.01)
             inline = server.metrics.counter("server.decode.inline")
             asked = time.monotonic()
-            status, hit = _post(server.url + "/v1/rank", VOTES_REQUEST,
-                                timeout=5)
+            status, hit = _post(server.url + "/v1/rank",
+                                _respelled(VOTES_REQUEST), timeout=5)
             assert time.monotonic() - asked < 1.0
             assert status == 200 and hit["from_cache"]
             assert hit["result"] == cold["result"]
             assert server.metrics.counter("server.decode.inline") \
                 == inline + 1
+            # A byte-identical repeat needs no decode at all.
+            asked = time.monotonic()
+            status, memo = _post(server.url + "/v1/rank", VOTES_REQUEST,
+                                 timeout=5)
+            assert time.monotonic() - asked < 1.0
+            assert status == 200 and memo["from_cache"]
+            assert memo["result"] == cold["result"]
+            assert server.metrics.counter("server.request_memo.hits") == 1
+            assert server.metrics.counter("server.decode.inline") \
+                == inline + 1
+        finally:
+            (tmp_path / "release").touch()
+            holder.join(timeout=30)
+            server.stop()
+        assert held["response"][0] == 200
+
+    def test_decoded_cache_hit_does_not_wait_for_a_slot(self, monkeypatch,
+                                                        tmp_path):
+        # One execution slot, held by a cold job: a hit in other bytes
+        # (decoded, found by its fingerprint) is answered without one.
+        monkeypatch.setattr(executor_module, "_attempt_job", _fault_attempt)
+        monkeypatch.setattr(app_module, "usable_cpus", lambda: 1)
+        server = RankingServer(ServerConfig(port=0, workers=1,
+                                            queue_depth=4))
+        server.start()
+        held = {}
+        holder = threading.Thread(target=lambda: held.update(
+            response=_post(server.url + "/v1/rank",
+                           _request(f"slow:{tmp_path}", seed=7))))
+        try:
+            status, cold = _post(server.url + "/v1/rank", VOTES_REQUEST)
+            assert status == 200 and not cold["from_cache"]
+            holder.start()
+            deadline = time.monotonic() + 10
+            while not (tmp_path / "started").exists():
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            for body in (_respelled(VOTES_REQUEST),
+                         {"jobs": [VOTES_REQUEST, VOTES_REQUEST]}):
+                path = "/v1/rank" if isinstance(body, bytes) \
+                    else "/v1/batch"
+                asked = time.monotonic()
+                status, hit = _post(server.url + path, body, timeout=5)
+                assert time.monotonic() - asked < 1.0
+                assert status == 200
+                for result in hit.get("results", [hit]):
+                    assert result["from_cache"]
+                    assert result["result"] == cold["result"]
+            assert server.metrics.counter("server.request_memo.hits") == 0
+            assert server.metrics.counter("http.rejected.slot_timeout") == 0
         finally:
             (tmp_path / "release").touch()
             holder.join(timeout=30)

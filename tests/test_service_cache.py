@@ -32,6 +32,7 @@ from repro.service import (
     job_from_payload,
     job_to_payload,
 )
+from repro.service.cache import BoundedLRU
 from repro.service.jobs import config_to_payload
 from repro.types import InferenceResult, Ranking, Vote, VoteSet
 
@@ -225,6 +226,49 @@ class TestResultCache:
     def test_validates_capacity(self):
         with pytest.raises(ConfigurationError):
             ResultCache(max_entries=0)
+
+    def test_get_entries_is_all_or_nothing(self):
+        cache = ResultCache(max_entries=3)
+        for key, order in (("a", [0, 1]), ("b", [1, 0]), ("c", [0, 1])):
+            cache.put(key, _result(order))
+        entries = cache.get_entries(["a", "b"])
+        assert [entry.encoded.result.ranking for entry in entries] \
+            == [Ranking([0, 1]), Ranking([1, 0])]
+        assert cache.stats()["hits"] == 2
+        # One absent key: nothing returned, counted or refreshed.
+        assert cache.get_entries(["c", "absent"]) is None
+        assert cache.get_entries(["c", "unseeded/0"]) is None
+        assert (cache.stats()["hits"], cache.stats()["misses"]) == (2, 0)
+        cache.put("d", _result([1, 0]))     # c stayed least recent
+        assert cache.get_entries(["c"]) is None
+        assert cache.get_entries(["a", "b", "d"]) is not None
+
+    def test_get_entries_does_not_read_the_spill(self, tmp_path):
+        ResultCache(persist_dir=tmp_path).put("k", _result([1, 0]))
+        fresh = ResultCache(persist_dir=tmp_path)
+        assert fresh.get_entries(["k"]) is None
+        assert fresh.stats()["disk_loads"] == 0
+        assert fresh.get_entry("k") is not None
+        assert fresh.get_entries(["k"]) is not None
+
+
+class TestBoundedLRU:
+    def test_evicts_the_least_recently_used_first(self):
+        lru = BoundedLRU(2)
+        assert lru.put("a", 1) == [] and lru.put("b", 2) == []
+        assert lru.get("a") == 1            # b is now least recent
+        assert lru.put("c", 3) == ["b"]
+        assert (lru.get("b"), lru.get("a"), lru.get("c")) == (None, 1, 3)
+        assert len(lru) == 2
+
+    def test_peek_leaves_recency_alone(self):
+        lru = BoundedLRU(2)
+        lru.put("a", 1)
+        lru.put("b", 2)
+        assert lru.peek("a") == 1
+        assert lru.put("c", 3) == ["a"]
+        lru.clear()
+        assert len(lru) == 0
 
 
 class TestCachePersistence:
