@@ -267,7 +267,7 @@ def _build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--no-early-stop", action="store_true",
                         help="keep ingesting after the session stabilises")
     stream.add_argument("--warm-iterations", type=int, default=1500,
-                        help="SAPS iterations per incremental update "
+                        help="SAPS iterations per session update "
                              "(default 1500)")
     stream.add_argument("--url", metavar="URL", default=None,
                         help="replay against a running repro server "

@@ -118,15 +118,12 @@ def saps_search_report(
 ) -> SAPSReport:
     """As :func:`saps_search`, returning full diagnostics.
 
-    ``warm_start`` (a permutation of the ``n`` objects, e.g. a previous
-    ranking's order) replaces the *first* restart's greedy initial path:
-    that restart anneals from the given path instead of building one
-    from a start vertex.  Because the initial path seeds the restart's
-    best-so-far cost, the warm restart can never return a worse path
-    than the one handed in — streaming sessions exploit this to run a
-    sharply reduced schedule (``restarts=1``, few iterations) per vote
-    delta without risking a regression below the previous ranking.
-    With ``warm_start=None`` the run is unchanged, bit for bit.
+    ``warm_start`` (a permutation of the ``n`` objects) replaces the
+    *first* restart's initial path: that restart anneals from the given
+    path instead of building one from a start vertex.  Because the
+    initial path seeds the restart's best-so-far cost, the warm restart
+    can never return a worse path than the one handed in.  With
+    ``warm_start=None`` the run is unchanged, bit for bit.
     """
     config = config if config is not None else SAPSConfig()
     matrix = _as_matrix(weights)
@@ -149,9 +146,7 @@ def saps_search_report(
                 "objects"
             )
         start_vertices[0] = warm
-    iterations = config.iterations
-    if config.scale_with_objects and n > 100:
-        iterations = int(config.iterations * n / 100)
+    iterations = _schedule_iterations(config, n)
 
     shared = _RestartShared(matrix=matrix, cost=cost,
                             iterations=iterations, config=config)
@@ -225,6 +220,29 @@ def _cost_matrix(matrix: np.ndarray) -> np.ndarray:
     return cost
 
 
+def _schedule_iterations(config: SAPSConfig, n: int) -> int:
+    """Iterations per restart at ``n`` objects: ``config.iterations``,
+    grown linearly past 100 objects when ``scale_with_objects`` is set."""
+    if config.scale_with_objects and n > 100:
+        return int(config.iterations * n / 100)
+    return config.iterations
+
+
+def tail_temperature(config: SAPSConfig, n: int, iterations: int) -> float:
+    """``T0 * c**(N - iterations)``: the full schedule's temperature with
+    its last ``iterations`` of :func:`_schedule_iterations` ``N`` to run
+    (``T0`` if ``iterations >= N``), clamped to the ``1e-300`` floor."""
+    skipped = max(_schedule_iterations(config, n) - iterations, 0)
+    return max(config.temperature * config.cooling_rate ** skipped, 1e-300)
+
+
+def degree_order(matrix: np.ndarray) -> np.ndarray:
+    """Objects by decreasing out-minus-in weight (Algorithm 2 line 3),
+    ties by id; on a Step-3 closure, the row-sum (Borda) order."""
+    score = matrix.sum(axis=1) - matrix.sum(axis=0)
+    return np.argsort(-score, kind="stable")
+
+
 def _restart_vertices(
     matrix: np.ndarray, config: SAPSConfig, n: int, generator
 ) -> List[int]:
@@ -250,10 +268,8 @@ def _initial_path(
         idx = int(np.where(path == start)[0][0])
         return np.roll(path, -idx)
     if config.init == "degree":
-        score = matrix.sum(axis=1) - matrix.sum(axis=0)
-        order = sorted(range(n), key=lambda v: -score[v])
-        order.remove(start)
-        return np.array([start] + order, dtype=np.int64)
+        order = degree_order(matrix)
+        return np.concatenate(([start], order[order != start]))
     # "greedy": nearest neighbour by weight (lowest cost edge).
     visited = np.zeros(n, dtype=bool)
     visited[start] = True

@@ -11,7 +11,8 @@ collection can stop as soon as the ranking has converged.
 * :class:`VoteBuffer` — mutable columnar vote accumulator whose
   snapshots are bit-identical to the frozen batch arrays;
 * :class:`IncrementalEngine` — Steps 1-4 with carried warm state
-  (warm CRH/EM, dirty-pair re-smoothing, warm reduced-schedule SAPS);
+  (warm CRH/EM, dirty-pair re-smoothing, a cold-tail SAPS anneal from
+  the closure's degree order);
 * :class:`StabilityMonitor` — rolling Kendall distance between
   successive rankings, driving ``collecting``/``stable``/``stopped``;
 * :class:`RankingSession` / :class:`SessionManager` — the stateful

@@ -4,7 +4,7 @@ The batch pipeline (:class:`repro.inference.pipeline.RankingPipeline`)
 recomputes Steps 1-4 from scratch; per-vote that is dominated by the
 SAPS anneal and by re-running truth discovery from its cold start.  The
 :class:`IncrementalEngine` keeps the previous update's converged state
-and reuses it three ways:
+and reuses it in Steps 1 and 2; Step 4 needs none of it:
 
 * **Step 1 warm start** — the previous truth/iteration-weight vectors
   (remapped onto the grown pair/worker tables; new pairs start at 0.5,
@@ -23,33 +23,32 @@ and reuses it three ways:
   dense matrix carries over.  When the dirty fraction exceeds
   ``full_rebuild_fraction`` the full :func:`smooth_matrix` is cheaper
   and exact, so the engine falls back to it.
-* **Step 4 warm SAPS** — the previous ranking seeds the anneal
-  (``warm_start`` of :func:`repro.inference.saps.saps_search_report`)
-  under a sharply reduced schedule (``warm_iterations`` iterations,
-  single restart).  The warm path seeds the best-so-far cost, so the
-  warm search can never return a ranking worse than the previous one
-  under the new weights.
+* **Step 4 cold tail** — every update, the first included, anneals
+  from the fresh closure's :func:`~repro.inference.saps.degree_order`
+  for the last ``warm_iterations`` iterations of the configured
+  schedule (:func:`~repro.inference.saps.tail_temperature`), one
+  restart.  The previous ranking, found on fewer votes, is not used.
 
 Step 3 (propagation) is recomputed in full — it is a dense matrix
 kernel, cheap next to the anneal, and its output depends globally on
 every entry.
 
-The very first update (no previous state) is a **full** update: cold
-truth discovery, full smoothing, full-schedule SAPS — identical to the
-batch pipeline.
+The very first update (no previous state) is a **full** update of
+Steps 1-3 (cold truth discovery, full smoothing); only the session's
+``recompute()`` runs the batch pipeline's full SAPS schedule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from ..config import PipelineConfig
 from ..exceptions import InferenceError
 from ..inference.propagation import propagate_matrix
-from ..inference.saps import saps_search_report
+from ..inference.saps import degree_order, saps_search_report, tail_temperature
 from ..inference.smoothing import (
     direct_preference_matrix,
     resmooth_pairs,
@@ -64,8 +63,9 @@ from ..types import Ranking, VoteArrays
 class UpdateReport:
     """Diagnostics of one engine update.
 
-    ``mode`` is ``"full"`` (cold Steps 1-4) or ``"incremental"``
-    (warm-started Steps 1 and 4, dirty-pair Step 2).  ``damped_restart``
+    ``mode`` is ``"full"`` (cold Steps 1-3) or ``"incremental"``
+    (warm-started Step 1, dirty-pair Step 2); Step 4 is the same
+    cold-tail anneal in both.  ``damped_restart``
     flags that the warm Step-1 run was redone with damped state after a
     quality shift beyond the threshold.
     """
@@ -147,21 +147,14 @@ class IncrementalEngine:
     ) -> None:
         if config.search != "saps":
             raise InferenceError(
-                "incremental sessions require search='saps' (warm "
-                f"restarts are undefined for {config.search!r})"
+                "incremental sessions require search='saps' (the "
+                f"cold-tail anneal is undefined for {config.search!r})"
             )
         self.config = config
         self.warm_iterations = int(warm_iterations)
         self.quality_shift_threshold = float(quality_shift_threshold)
         self.truth_damping = float(truth_damping)
         self.full_rebuild_fraction = float(full_rebuild_fraction)
-        # SAPS schedule for warm updates: anneal from the previous
-        # ranking, one restart, reduced iteration budget (and no
-        # auto-scaling — the budget is the budget).
-        self._warm_saps = replace(
-            config.saps, iterations=self.warm_iterations, restarts=1,
-            scale_with_objects=False,
-        )
         self._cold_weight = 1.0 if config.truth_engine == "crh" else 0.7
         # Carried state (None until the first update).
         self._pair_keys: Optional[np.ndarray] = None
@@ -170,23 +163,7 @@ class IncrementalEngine:
         self._weights: Optional[np.ndarray] = None
         self._reported_quality: Optional[np.ndarray] = None
         self._smoothed: Optional[np.ndarray] = None
-        self._ranking: Optional[List[int]] = None
         self._votes_seen = 0
-
-    @property
-    def votes_seen(self) -> int:
-        return self._votes_seen
-
-    @property
-    def ranking(self) -> Optional[Ranking]:
-        return (Ranking(self._ranking)
-                if self._ranking is not None else None)
-
-    def seed_ranking(self, ranking: Ranking) -> None:
-        """Pre-seed the warm SAPS path (snapshot restore): the next
-        update warm-starts the anneal from ``ranking`` even though no
-        other carried state exists — Steps 1-2 run in full."""
-        self._ranking = [int(v) for v in ranking.order]
 
     def update(self, arrays: VoteArrays, rng: np.random.Generator
                ) -> UpdateReport:
@@ -267,13 +244,15 @@ class IncrementalEngine:
         # -- Step 3: full propagation (dense kernel, globally coupled) --
         closure = propagate_matrix(smoothing.matrix, config.propagation)
 
-        # -- Step 4: warm SAPS from the previous ranking ----------------
-        if self._ranking is None:
-            report = saps_search_report(closure, config.saps, rng)
-        else:
-            report = saps_search_report(
-                closure, self._warm_saps, rng, warm_start=self._ranking
-            )
+        # -- Step 4: cold tail of the SAPS schedule from degree order ---
+        saps = replace(
+            config.saps, iterations=self.warm_iterations, restarts=1,
+            scale_with_objects=False,
+            temperature=tail_temperature(config.saps, arrays.n_objects,
+                                         self.warm_iterations),
+        )
+        report = saps_search_report(closure, saps, rng,
+                                    warm_start=degree_order(closure))
 
         self._pair_keys = keys
         self._worker_ids = arrays.worker_ids
@@ -281,7 +260,6 @@ class IncrementalEngine:
         self._weights = truth.iteration_weights
         self._reported_quality = truth.quality_vector
         self._smoothed = smoothing.matrix
-        self._ranking = [int(v) for v in report.ranking.order]
         self._votes_seen = arrays.n_votes
         return UpdateReport(
             ranking=report.ranking,

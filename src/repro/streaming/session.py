@@ -25,8 +25,8 @@ Sessions snapshot to a versioned JSON payload (votes, ranking,
 stability state, counters) through :func:`session_to_payload` /
 :func:`session_from_payload`; the file helpers in :mod:`repro.io`
 persist them.  Restores are cheap: the warm inference state is *not*
-serialised — the next ingest runs full Steps 1-3 and warm-starts only
-the SAPS anneal from the stored ranking.
+serialised — the next ingest runs full Steps 1-3; the stored ranking
+only feeds the view until then.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class SessionConfig:
     ----------
     pipeline:
         The Steps 1-4 configuration; sessions require the SAPS search
-        (warm restarts are SAPS-specific).
+        (the cold-tail anneal is SAPS-specific).
     seed:
         Seed of the session's long-lived RNG; also the seed
         :meth:`RankingSession.recompute` hands the batch pipeline, so a
@@ -84,7 +84,8 @@ class SessionConfig:
         Whether a stable session transitions to ``stopped`` and rejects
         further votes.
     warm_iterations:
-        SAPS iteration budget of warm (incremental) updates.
+        SAPS budget of every update: the last ``warm_iterations``
+        iterations of the pipeline's schedule, from the degree order.
     quality_shift_threshold / truth_damping:
         The damped-restart guard of the incremental engine.
     full_rebuild_fraction:
@@ -191,6 +192,7 @@ class RankingSession:
         )
         self._rng = ensure_rng(self.config.seed)
         self._stopped = False
+        self._ranking: Optional[Ranking] = None
         self._last_report: Optional[UpdateReport] = None
         self.votes_ingested = 0
         self.updates_full = 0
@@ -204,7 +206,7 @@ class RankingSession:
     @property
     def ranking(self) -> Optional[Ranking]:
         with self.lock:
-            return self._engine.ranking
+            return self._ranking
 
     @property
     def stopped(self) -> bool:
@@ -269,6 +271,7 @@ class RankingSession:
                 self.updates_incremental += 1
             if report.damped_restart:
                 self.damped_restarts += 1
+            self._ranking = report.ranking
             self._monitor.observe(report.ranking)
             if self.config.early_stop and self._stable():
                 self._stopped = True
@@ -339,7 +342,7 @@ class RankingSession:
     def view(self) -> Dict[str, object]:
         """JSON-ready status payload (the ranking endpoint's body)."""
         with self.lock:
-            ranking = self._engine.ranking
+            ranking = self._ranking
             report = self._last_report
             score = self._monitor.score
             return {
@@ -461,14 +464,13 @@ def session_to_payload(session: RankingSession) -> Dict[str, object]:
     Captures everything needed to resume collecting: the vote pool, the
     stability state, the counters and the last ranking.  The engine's
     warm inference state is intentionally *not* captured — it is cheap
-    to rebuild (the first post-restore ingest runs full Steps 1-3 and
-    warm-starts SAPS from the stored ranking) and heavy to serialise
-    (dense matrices).
+    to rebuild (the first post-restore ingest runs full Steps 1-3) and
+    heavy to serialise (dense matrices).
     """
     from ..service.jobs import config_to_payload
 
     with session.lock:
-        ranking = session._engine.ranking
+        ranking = session._ranking
         return {
             "schema": SESSION_SCHEMA,
             "session_id": session.session_id,
@@ -498,11 +500,10 @@ def session_from_payload(
     """Rebuild a session from :func:`session_to_payload` output.
 
     The restored session resumes exactly where the snapshot left off in
-    lifecycle terms (verdict, counters, stability window); its next
-    ingest performs a full Steps 1-3 pass with a SAPS anneal
-    warm-started from the stored ranking.  Every field is decoded with
-    its exact JSON type (the session config through
-    :func:`session_config_from_payload`, the votes through
+    lifecycle terms (verdict, counters, stability window, the shown
+    ranking); its next ingest performs a full Steps 1-3 pass.  Every
+    field is decoded with its exact JSON type (the session config
+    through :func:`session_config_from_payload`, the votes through
     :func:`votes_from_payload`); a forged or truncated field raises
     :class:`DataFormatError` here rather than failing a later ingest.
     """
@@ -552,7 +553,7 @@ def session_from_payload(
         )
         session.buffer.extend(votes)
         if ranking is not None:
-            session._engine.seed_ranking(Ranking(ranking))
+            session._ranking = Ranking(ranking)
         session._monitor = StabilityMonitor.from_state(
             payload["stability"]
         )

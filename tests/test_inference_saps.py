@@ -7,7 +7,13 @@ import pytest
 
 from repro.config import SAPSConfig
 from repro.exceptions import InferenceError
-from repro.inference.saps import saps_search, saps_search_report
+from repro.inference.saps import (
+    _initial_path,
+    degree_order,
+    saps_search,
+    saps_search_report,
+    tail_temperature,
+)
 from repro.inference.taps import branch_and_bound_search
 from repro.types import Ranking
 
@@ -237,3 +243,51 @@ class TestWarmStart:
                 matrix, SAPSConfig(iterations=10, restarts=1), rng=0,
                 warm_start=warm,
             )
+
+
+class TestSchedule:
+    """The session anneal's start point: the degree order and the
+    temperature of the schedule's cold tail."""
+
+    def test_degree_order_is_the_row_sum_order_of_a_closure(self):
+        matrix = random_closure(15, seed=6)
+        order = degree_order(matrix)
+        np.testing.assert_array_equal(
+            order, np.argsort(-matrix.sum(axis=1), kind="stable"))
+
+    def test_degree_order_breaks_ties_by_id(self):
+        matrix = np.full((6, 6), 0.5)
+        np.fill_diagonal(matrix, 0.0)
+        assert degree_order(matrix).tolist() == list(range(6))
+
+    def test_degree_init_starts_at_the_vertex_then_follows_the_order(self):
+        matrix = random_closure(9, seed=3)
+        order = degree_order(matrix).tolist()
+        config = SAPSConfig(init="degree")
+        for start in range(9):
+            path = _initial_path(matrix, None, start, config, None)
+            assert path.tolist() == [start] + [v for v in order
+                                               if v != start]
+
+    def test_tail_temperature_is_the_schedule_after_the_skipped_part(self):
+        config = SAPSConfig(iterations=20000, temperature=0.2,
+                            cooling_rate=0.9995)
+        assert tail_temperature(config, 50, 1500) == pytest.approx(
+            0.2 * 0.9995 ** 18500, rel=1e-12)
+        # Past 100 objects the skipped part grows with the schedule.
+        assert tail_temperature(config, 200, 1500) == pytest.approx(
+            0.2 * 0.9995 ** 38500, rel=1e-12)
+
+    @pytest.mark.parametrize("iterations", [20000, 25000, 10 ** 9])
+    def test_tail_temperature_is_t0_when_nothing_is_skipped(
+            self, iterations):
+        config = SAPSConfig(iterations=20000, temperature=0.2)
+        assert tail_temperature(config, 50, iterations) == 0.2
+
+    @pytest.mark.parametrize("n", [2, 100, 10 ** 6, 2 ** 31, 2 ** 63 - 1])
+    def test_tail_temperature_positive_and_finite_for_any_n(self, n):
+        for config in (SAPSConfig(), SAPSConfig(scale_with_objects=False),
+                       SAPSConfig(iterations=1, cooling_rate=1e-9)):
+            temperature = tail_temperature(config, n, 1500)
+            assert 0.0 < temperature < math.inf
+            assert temperature >= 1e-300

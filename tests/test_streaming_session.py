@@ -2,7 +2,10 @@
 the batch pipeline, warm-started convergence, stability verdicts, and
 the snapshot/restore codec."""
 
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,6 +46,20 @@ def _fast_pipeline(iterations=4000, restarts=1):
 def _scenario_votes(n, ratio, seed, **kwargs):
     scenario = make_scenario(n, ratio, rng=seed, **kwargs)
     return scenario, list(collect_votes(scenario, rng=seed).votes)
+
+
+def _e2e_workloads():
+    """``benchmarks/e2e/workloads.py``, the e2e benchmark's own
+    numpy-only vote generator, loaded by path."""
+    name = "e2e_workloads"
+    if name not in sys.modules:
+        path = (Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
+                / "workloads.py")
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # dataclasses look their module up
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 class TestDifferential:
@@ -122,6 +139,27 @@ class TestWarmConvergence:
         truth = scenario.ground_truth
         assert abs(ranking_accuracy(truth, warm)
                    - ranking_accuracy(truth, batch)) <= 0.02
+
+    @pytest.mark.parametrize("seed", range(1, 9))
+    def test_final_ranking_within_tolerance_of_recompute(self, seed):
+        """The e2e session shape (n=50, ratio 0.3, 30 workers, 100-vote
+        ingests, default pipeline) ends within 0.05 Kendall accuracy of
+        the batch answer on the same votes.  Annealing from the
+        previous ranking at the full start temperature ended up to
+        0.24 below it."""
+        workloads = _e2e_workloads()
+        generated = workloads.make_votes(np.random.default_rng(seed),
+                                         50, 0.3, 30)
+        votes = [Vote(*map(int, row)) for row in generated.votes]
+        session = RankingSession("converge", 50, SessionConfig(
+            seed=seed, early_stop=False))
+        for start in range(0, len(votes), 100):
+            session.ingest(votes[start:start + 100])
+        final = workloads.kendall_accuracy(generated.truth,
+                                           session.ranking.order)
+        batch = workloads.kendall_accuracy(
+            generated.truth, session.recompute().ranking.order)
+        assert final >= batch - 0.05
 
     def test_update_modes_and_counters(self):
         _, votes = _scenario_votes(12, 0.6, seed=3, n_workers=10)
@@ -239,6 +277,21 @@ class TestSnapshotCodec:
             restored.buffer.to_vote_set(), ensure_rng(7)
         )
         assert list(recomputed.ranking.order) == list(batch.ranking.order)
+
+    def test_stored_ranking_does_not_seed_the_next_ingest(self):
+        """The stored ranking only feeds the view: a snapshot whose
+        ranking is permuted shows it, then gives the same next ingest
+        as the original snapshot."""
+        session, votes = self._session()
+        payload = json.loads(json.dumps(session_to_payload(session)))
+        permuted = json.loads(json.dumps(payload))
+        permuted["ranking"] = payload["ranking"][::-1]
+        original = session_from_payload(payload)
+        forged = session_from_payload(permuted)
+        assert forged.view()["ranking"] == permuted["ranking"]
+        original.ingest(votes[:5])
+        forged.ingest(votes[:5])
+        assert forged.view() == original.view()
 
     def test_bad_schema_rejected(self):
         with pytest.raises(DataFormatError):
