@@ -21,13 +21,25 @@ times whether or not earlier ones finished, so the recorded p99
 includes queueing delay and characterizes behaviour under overload.
 
 ``--smoke`` runs the serving contract only (tiny sizes, no timing
-thresholds, nothing written) on two successive ``repro serve``
-subprocesses over one cache directory: the first must return
+thresholds, nothing written): the large-``n`` encoder check below, then
+two successive ``repro serve`` subprocesses over one cache directory:
+the first must return
 bit-identical results to the serial oracle and answer a repeat pass
 entirely from its request memo, and the second — a fresh process that
 computed nothing — must serve every job from the spill the first left,
 through the decode and fingerprint path, with a response body equal to
 the cold one except for ``attempts``, ``from_cache`` and ``seconds``.
+
+A large-``n`` codec block times, in process, each layer one cold
+``/v1/rank`` request crosses at the e2e ``rank-sparse`` shape (n=1000,
+ratio 0.01, 50 workers, ``engine: "hodge"``): body decode (with the
+cyclic GC on, as a request thread runs it, and paused, as a pool task
+runs it), job decode, fingerprint, the pickle round trip of the attempt
+task to a worker, the attempt, the result encode and the pickle round
+trip of the outcome back.  Rounds are interleaved (every layer once per
+round) and each layer gets a median and IQR.  ``--smoke`` runs it at a
+smaller ``n`` and fails unless the columnar result encoder writes the
+same bytes as the per-pair dict encoder it replaced.
 
 Not collected by pytest (no ``test_`` prefix) — run directly:
 
@@ -38,8 +50,10 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import gc
 import json
 import os
+import pickle
 import platform
 import re
 import signal
@@ -51,9 +65,12 @@ import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
+
+import numpy as np
 
 from repro.client import RankingClient
+from repro.io import EncodedResult, decode_json, result_to_payload
 from repro.server import RankingServer, ServerConfig
 from repro.service import (
     BatchExecutor,
@@ -61,8 +78,11 @@ from repro.service import (
     RankingJob,
     ResultCache,
     ScenarioSpec,
+    fingerprint_job,
+    job_from_payload,
     job_to_payload,
 )
+from repro.service.executor import _attempt_job
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -346,6 +366,142 @@ def serving_pass(args: argparse.Namespace) -> Dict[str, object]:
 
 
 # ---------------------------------------------------------------------------
+# Large-n codec: the layers of one cold rank-sparse request, in process
+# ---------------------------------------------------------------------------
+
+#: The e2e ``rank-sparse`` workload's shape.
+LARGE_N_SHAPE = {"n_objects": 1000, "ratio": 0.01, "n_workers": 50,
+                 "engine": "hodge"}
+
+#: Votes per compared pair, as in the e2e workloads.
+VOTES_PER_PAIR = 5
+
+#: Interleaved rounds of the large-n codec block.
+LARGE_N_CODEC_ROUNDS = 25
+
+
+def large_n_body(seed: int, n_objects: int, ratio: float, n_workers: int,
+                 engine: str) -> bytes:
+    """A ``/v1/rank`` body: ``round(ratio * C(n, 2))`` distinct pairs
+    (a random Hamiltonian path first, so the graph is connected), each
+    voted by :data:`VOTES_PER_PAIR` distinct workers of quality
+    ``U(0.6, 0.95)``, rows in random order."""
+    rng = np.random.default_rng(seed)
+    truth_position = rng.permutation(n_objects)
+    path = rng.permutation(n_objects)
+    keys = set((np.minimum(path[:-1], path[1:]) * n_objects
+                + np.maximum(path[:-1], path[1:])).tolist())
+    lo, hi = np.triu_indices(n_objects, 1)
+    target = max(len(keys), int(round(ratio * len(lo))))
+    for key in rng.permutation(lo * n_objects + hi).tolist():
+        if len(keys) >= target:
+            break
+        keys.add(key)
+    pairs = np.array(sorted(keys), dtype=np.int64)
+    lo, hi = pairs // n_objects, pairs % n_objects
+    quality = rng.uniform(0.6, 0.95, n_workers)
+    workers = np.argsort(rng.random((len(pairs), n_workers)),
+                         axis=1)[:, :VOTES_PER_PAIR]
+    correct = rng.random(workers.shape) < quality[workers]
+    lo_first = (truth_position[lo] < truth_position[hi])[:, None]
+    winner = np.where(correct == lo_first, lo[:, None], hi[:, None])
+    loser = np.where(correct == lo_first, hi[:, None], lo[:, None])
+    rows = np.stack([workers, winner, loser], axis=-1).reshape(-1, 3)
+    rows = rows[rng.permutation(len(rows))]
+    return json.dumps({
+        "job_id": f"large-n-{seed}", "seed": seed,
+        "config": {"engine": engine},
+        "votes": {"n_objects": n_objects, "votes": rows.tolist()},
+    }).encode("utf-8")
+
+
+def _timed(layers: Dict[str, List[float]], name: str,
+           call: Callable[[], object]) -> object:
+    start = time.perf_counter()
+    value = call()
+    layers[name].append((time.perf_counter() - start) * 1e3)
+    return value
+
+
+def _median_iqr(values: List[float]) -> Dict[str, float]:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return {"median_ms": round(float(median), 3),
+            "iqr_ms": round(float(q3 - q1), 3)}
+
+
+def dict_encoded(result) -> Tuple[bytes, bytes]:
+    """The result encoder before ``direct_preferences`` went columnar:
+    its members from ``sorted(items())``, as ``(sort_keys, file order)``
+    encodings."""
+    payload = result_to_payload(result)
+    payload["direct_preferences"] = {
+        f"{i},{j}": value for (i, j), value
+        in sorted(dict(result.direct_preferences.items()).items())
+    }
+    return (json.dumps(payload, sort_keys=True).encode("utf-8"),
+            json.dumps(payload, indent=2).encode("utf-8"))
+
+
+def bench_large_n_codec(rounds: int, n_objects: int,
+                        vote_sets: int = 4) -> Dict[str, object]:
+    """Median and IQR per layer of a cold large-``n`` request.
+
+    The start-up heap is frozen first, as a pool worker freezes it, so
+    the collector only walks what the layers allocate.  Every layer but
+    ``body_decode_gc_on`` runs with the collector paused, as a pool
+    task does.  Also checks, every round, that the columnar encoder's
+    bytes equal :func:`dict_encoded`'s; ``encoder_match`` records it.
+    """
+    shape = dict(LARGE_N_SHAPE, n_objects=n_objects)
+    bodies = [large_n_body(seed, **shape) for seed in range(vote_sets)]
+    layers: Dict[str, List[float]] = {name: [] for name in (
+        "body_decode_gc_on", "body_decode", "job_decode", "fingerprint",
+        "pickle_task", "attempt", "result_encode", "pickle_outcome")}
+    encoder_match = True
+    gc.collect()
+    gc.freeze()
+    try:
+        for index in range(rounds):
+            body = bodies[index % len(bodies)]
+            _timed(layers, "body_decode_gc_on",
+                   lambda: decode_json(body, "bench"))
+            gc.disable()
+            try:
+                payload = _timed(layers, "body_decode",
+                                 lambda: decode_json(body, "bench"))
+                job = _timed(layers, "job_decode", lambda: job_from_payload(
+                    dict(payload, schema="repro.job/1"), source="bench"))
+                _timed(layers, "fingerprint", lambda: fingerprint_job(job))
+                job = _timed(layers, "pickle_task", lambda: pickle.loads(
+                    pickle.dumps((_attempt_job, job)))[1])
+                result, extras = _timed(layers, "attempt",
+                                        lambda: _attempt_job(job))
+                encoded = _timed(layers, "result_encode",
+                                 lambda: EncodedResult.eager(result))
+                encoded, extras = _timed(
+                    layers, "pickle_outcome", lambda: pickle.loads(
+                        pickle.dumps(("ok", (encoded, extras))))[1])
+                del payload
+            finally:
+                gc.enable()
+            by_dict = dict_encoded(encoded.result)
+            columnar = (encoded.result_json, json.dumps(
+                result_to_payload(encoded.result), indent=2).encode("utf-8"))
+            encoder_match = encoder_match and columnar == by_dict
+    finally:
+        gc.unfreeze()
+    return {
+        "shape": dict(shape, votes_per_pair=VOTES_PER_PAIR,
+                      vote_sets=vote_sets),
+        "rounds": rounds,
+        "result_kb": round(len(encoded.result_json) / 1024, 1),
+        "layers": {name: _median_iqr(values)
+                   for name, values in layers.items()},
+        "encoder_match": encoder_match,
+    }
+
+
+# ---------------------------------------------------------------------------
 # Smoke: the serving contract, CI-sized
 # ---------------------------------------------------------------------------
 
@@ -364,6 +520,13 @@ def run_smoke() -> int:
        empty: no memo hit, one decode per job), and each body equals
        the cold one except for :data:`PER_REQUEST_MEMBERS`.
     """
+    codec = bench_large_n_codec(rounds=2, n_objects=300)
+    if not codec["encoder_match"]:
+        print("smoke: FAIL — the columnar result encoder's bytes differ "
+              "from the per-pair dict encoder's")
+        return 1
+    print("smoke: columnar result encoder matches the dict encoder "
+          f"(n=300, {codec['result_kb']} KiB result)")
     jobs = make_jobs(6, 8, repeat_every=0)
     oracle = oracle_rankings(jobs)
     with tempfile.TemporaryDirectory(prefix="bench-service-smoke-") \
@@ -487,6 +650,16 @@ def main() -> int:
 
     serving = serving_pass(args)
 
+    print("large-n codec layers [n=1000, in process] ...")
+    large_n_codec = bench_large_n_codec(LARGE_N_CODEC_ROUNDS,
+                                        LARGE_N_SHAPE["n_objects"])
+    if not large_n_codec["encoder_match"]:
+        raise SystemExit("the columnar result encoder diverged from the "
+                         "dict encoder")
+    for name, layer in large_n_codec["layers"].items():
+        print(f"  {name}: {layer['median_ms']} ms "
+              f"(IQR {layer['iqr_ms']})")
+
     payload = {
         "generated_utc": datetime.datetime.now(
             datetime.timezone.utc).isoformat(timespec="seconds"),
@@ -504,6 +677,7 @@ def main() -> int:
         "executor_backends": executor_backends,
         "server_backends": server_backends,
         "serving": serving,
+        "large_n_codec": large_n_codec,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")

@@ -63,7 +63,7 @@ from ..config import PipelineConfig
 from ..diagnostics import get_logger
 from ..exceptions import DegenerateGraphWarning, InferenceError
 from ..rng import SeedLike, ensure_rng
-from ..types import Pair, Ranking, VoteArrays, VoteSet, WorkerId
+from ..types import PairValues, Ranking, VoteArrays, VoteSet, WorkerId
 from ..truth.crh import discover_truth
 from ..truth.dawid_skene import discover_truth_em
 from .incidence import SparseIncidence, build_incidence, quality_edge_weights
@@ -94,7 +94,7 @@ class EngineReport:
     scores: np.ndarray
     log_preference: float
     worker_quality: Dict[WorkerId, float]
-    direct_preferences: Dict[Pair, float]
+    direct_preferences: PairValues
     step_seconds: Dict[str, float]
     metadata: Dict[str, object]
 
@@ -161,7 +161,7 @@ def solve_sparse_engine(
         x = incidence.mean_value()
         edge_weights = incidence.counts
         worker_quality = {}
-        direct_preferences = dict(zip(arrays.pairs(), x.tolist()))
+        direct_preferences = PairValues.from_table(arrays, x)
     step_seconds["truth_discovery"] = time.perf_counter() - start
 
     # Sparse weighted least-squares solve on the gradient flow.

@@ -90,7 +90,14 @@ def json_scalars(mapping: Dict[str, object]) -> Dict[str, object]:
 
 
 def result_to_payload(result: InferenceResult) -> Dict[str, object]:
-    """Encode an inference result as a JSON-ready dict (schema-tagged)."""
+    """Encode an inference result as a JSON-ready dict (schema-tagged).
+
+    ``direct_preferences`` is written from the columns of its
+    :class:`~repro.types.PairValues`, whose rows are already in
+    ascending pair order: the same members, in the same order, as
+    encoding ``sorted(direct_preferences.items())``.
+    """
+    direct = result.direct_preferences
     return {
         "schema": SCHEMA,
         "ranking": list(result.ranking.order),
@@ -100,8 +107,10 @@ def result_to_payload(result: InferenceResult) -> Dict[str, object]:
             for worker, quality in sorted(result.worker_quality.items())
         },
         "direct_preferences": {
-            f"{i},{j}": value
-            for (i, j), value in sorted(result.direct_preferences.items())
+            f"{i},{j}": value for i, j, value in zip(
+                direct.lo.tolist(), direct.hi.tolist(),
+                direct.values_array.tolist(),
+            )
         },
         "step_seconds": dict(result.step_seconds),
         "metadata": json_scalars(result.metadata),
@@ -153,7 +162,8 @@ def result_from_payload(
             },
             metadata=dict(payload.get("metadata", {})),
         )
-    except (KeyError, ValueError, TypeError, ConfigurationError) as error:
+    except (KeyError, ValueError, TypeError, AttributeError,
+            ConfigurationError) as error:
         raise DataFormatError(f"{source}: malformed field ({error})") from None
 
 

@@ -50,7 +50,7 @@ from ..io import (
     result_from_payload,
     splice_json,
 )
-from ..types import InferenceResult
+from ..types import INT64_MAX, InferenceResult, VoteSet
 from .jobs import RankingJob, config_to_payload
 from .shared_cache import SpillIndex, spill_index_for
 
@@ -76,10 +76,11 @@ def fingerprint_job(job: RankingJob) -> str:
     the full pipeline config, the seed, and ``n_objects`` or the
     scenario spec — followed, for vote jobs, by the raw little-endian
     bytes of the ``worker``, ``winner`` and ``loser`` columns with the
-    rows lexsorted, so collection order does not matter.  Jobs without
-    a seed draw fresh entropy on every run, so each call returns a
-    distinct ``unseeded/...`` key that can never collide with a real
-    content hash.
+    rows in lexicographic ``(worker, winner, loser)`` order, so
+    collection order does not matter (:func:`sorted_vote_columns`).
+    Jobs without a seed draw fresh entropy on every run, so each call
+    returns a distinct ``unseeded/...`` key that can never collide with
+    a real content hash.
     """
     if job.seed is None:
         return f"unseeded/{next(_unique_counter)}"
@@ -97,10 +98,41 @@ def fingerprint_job(job: RankingJob) -> str:
         header, sort_keys=True, separators=(",", ":")
     ).encode("utf-8"))
     if votes is not None:
-        order = np.lexsort((votes.loser, votes.winner, votes.worker))
-        for column in (votes.worker, votes.winner, votes.loser):
-            digest.update(column[order].astype("<i8", copy=False).tobytes())
+        for column in sorted_vote_columns(votes):
+            digest.update(column.astype("<i8", copy=False).tobytes())
     return digest.hexdigest()
+
+
+def sorted_vote_columns(votes: VoteSet) -> Tuple[np.ndarray, ...]:
+    """The ``worker``, ``winner`` and ``loser`` columns of ``votes``
+    with the rows sorted lexicographically, in that column order.
+
+    When every object id lies in ``[0, n)`` and ``(max|worker| + 1)·n²``
+    fits in int64 (checked with Python ints), each row is one int64 key
+    ``worker·n² + winner·n + loser``, which orders rows exactly as the
+    three columns do; one sort of that key replaces a three-key
+    :func:`numpy.lexsort`, and the columns are read back out of the
+    sorted keys.  Any other vote set takes the ``lexsort``.  Both give
+    the same columns, so the fingerprint does not depend on the path.
+    """
+    worker, winner, loser = votes.worker, votes.winner, votes.loser
+    n = votes.n_objects
+    if len(votes) and _fits_one_key(worker, winner, loser, n):
+        keys = np.sort((worker * n + winner) * n + loser)
+        sorted_worker, rest = np.divmod(keys, n * n)
+        return (sorted_worker,) + np.divmod(rest, n)
+    order = np.lexsort((loser, winner, worker))
+    return worker[order], winner[order], loser[order]
+
+
+def _fits_one_key(worker: np.ndarray, winner: np.ndarray,
+                  loser: np.ndarray, n: int) -> bool:
+    """Whether :func:`sorted_vote_columns` may pack rows in one int64."""
+    if min(int(winner.min()), int(loser.min())) < 0 or \
+            max(int(winner.max()), int(loser.max())) >= n:
+        return False
+    span = max(-int(worker.min()), int(worker.max())) + 1
+    return span * n * n <= INT64_MAX
 
 
 #: A memory-tier entry: ``(result_json, ranking_json, extras)``.

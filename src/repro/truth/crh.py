@@ -36,7 +36,7 @@ from scipy import special
 
 from ..config import TruthDiscoveryConfig
 from ..exceptions import ConvergenceError, InferenceError
-from ..types import Pair, VoteArrays, VoteSet, WorkerId
+from ..types import PairValues, VoteArrays, VoteSet, WorkerId
 from .convergence import ConvergenceTrace
 
 
@@ -70,7 +70,10 @@ class TruthDiscoveryResult:
     preferences:
         ``preferences[(i, j)]`` (canonical ``i < j``) is the estimated
         probability that ``O_i ≺ O_j`` — the paper's direct preference
-        ``x_ij``, used as the edge weight ``w_ij`` of ``G_P``.
+        ``x_ij``, used as the edge weight ``w_ij`` of ``G_P``.  A
+        read-only :class:`~repro.types.PairValues` over the vote set's
+        pair table and ``preference_vector``: no per-pair dict is built
+        unless a caller looks a pair up or iterates.
     worker_quality:
         Estimated quality ``q_k in (0, 1]`` per worker id.
     trace:
@@ -81,7 +84,7 @@ class TruthDiscoveryResult:
         The same estimates as ``preferences``, as a dense vector aligned
         with the vote set's columnar pair table
         (:meth:`repro.types.VoteSet.arrays`); the pipeline's matrix fast
-        path consumes this directly instead of re-indexing the dict.
+        path consumes this directly.
     quality_vector:
         ``worker_quality`` aligned with the columnar worker table.
     iteration_weights:
@@ -91,7 +94,7 @@ class TruthDiscoveryResult:
         :class:`TruthWarmStart` to warm-start the next run.
     """
 
-    preferences: Dict[Pair, float]
+    preferences: PairValues
     worker_quality: Dict[WorkerId, float]
     trace: ConvergenceTrace
     elapsed_seconds: float = 0.0
@@ -201,7 +204,7 @@ def discover_truth(
 
     elapsed = time.perf_counter() - start
     return TruthDiscoveryResult(
-        preferences=dict(zip(arrays.pairs(), truth.tolist())),
+        preferences=PairValues.from_table(arrays, truth),
         worker_quality=dict(zip(arrays.workers(), reported_quality.tolist())),
         trace=trace,
         elapsed_seconds=elapsed,

@@ -30,7 +30,7 @@ import numpy as np
 
 from ..config import TruthDiscoveryConfig
 from ..exceptions import ConvergenceError, InferenceError
-from ..types import VoteArrays, VoteSet
+from ..types import PairValues, VoteArrays, VoteSet
 from .convergence import ConvergenceTrace
 from .crh import TruthDiscoveryResult, TruthWarmStart
 
@@ -137,7 +137,7 @@ def discover_truth_em(
 
     elapsed = time.perf_counter() - start
     return TruthDiscoveryResult(
-        preferences=dict(zip(arrays.pairs(), posterior.tolist())),
+        preferences=PairValues.from_table(arrays, posterior),
         worker_quality=dict(zip(arrays.workers(), reported_quality.tolist())),
         trace=trace,
         elapsed_seconds=elapsed,

@@ -14,6 +14,7 @@ All types here are immutable value objects; algorithms never mutate them.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
@@ -320,18 +321,8 @@ class VoteArrays:
 
     # -- object-layer views ---------------------------------------------------
     def pairs(self) -> List[Pair]:
-        """The pair table as canonical tuples (sorted, = VoteSet.pairs()).
-
-        Tuples share one ``int`` object per object id.  The list often
-        outlives the request as the keys of a cached result's
-        ``direct_preferences``, and at n=1000 this keeps about a fifth
-        less memory per result than one fresh ``int`` per tuple slot.
-        """
-        ids: Dict[int, int] = {}
-        return list(zip(
-            [ids.setdefault(obj, obj) for obj in self.pair_lo.tolist()],
-            [ids.setdefault(obj, obj) for obj in self.pair_hi.tolist()],
-        ))
+        """The pair table as canonical tuples (sorted, = VoteSet.pairs())."""
+        return list(zip(self.pair_lo.tolist(), self.pair_hi.tolist()))
 
     def workers(self) -> List[WorkerId]:
         """Distinct worker ids, sorted (= VoteSet.workers())."""
@@ -369,6 +360,122 @@ class VoteArrays:
         )
         vote_set._memo("arrays", lambda: self)
         return vote_set
+
+
+def _read_only(values: object, dtype) -> np.ndarray:
+    """A read-only 1-D view of ``values`` as ``dtype`` (the caller's
+    array keeps its own flags)."""
+    view = np.asarray(values, dtype=dtype).view()
+    if view.ndim != 1:
+        raise ConfigurationError(f"expected a 1-D column, got {view.shape}")
+    view.setflags(write=False)
+    return view
+
+
+class PairValues(Mapping):
+    """A read-only ``Mapping[Pair, float]`` stored as three columns.
+
+    Row ``r`` maps the pair ``(lo[r], hi[r])`` to ``values[r]``; rows are
+    in ascending pair order with no repeats, the order of a
+    :class:`VoteArrays` pair table.  Step 1 and the sparse engines hand
+    out their per-pair estimates this way (:meth:`from_table`), so a
+    large-``n`` result is three arrays end to end: ``len`` reads the
+    column length, :func:`repro.io.result_to_payload` encodes straight
+    from the columns, and a pickle carries the three arrays.  The
+    ``{pair: value}`` dict is built once, the first time a caller looks
+    a pair up or iterates.  Equal to any mapping with the same items.
+    """
+
+    __slots__ = ("lo", "hi", "values_array", "_dict")
+
+    def __init__(self, lo: object = (), hi: object = (),
+                 values: object = ()):
+        self.lo = _read_only(lo, np.int64)
+        self.hi = _read_only(hi, np.int64)
+        self.values_array = _read_only(values, np.float64)
+        if not self.lo.shape == self.hi.shape == self.values_array.shape:
+            raise ConfigurationError(
+                "pair columns differ in length: "
+                f"{self.lo.shape[0]}, {self.hi.shape[0]}, "
+                f"{self.values_array.shape[0]}"
+            )
+        lo, hi = self.lo, self.hi
+        if not np.all((lo[1:] > lo[:-1])
+                      | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))):
+            raise ConfigurationError(
+                "pair rows must be in ascending order with no repeats"
+            )
+        self._dict = None
+
+    @classmethod
+    def from_table(cls, arrays: VoteArrays,
+                   values: np.ndarray) -> "PairValues":
+        """``values`` (aligned with the pair table of ``arrays``) keyed
+        by that table's pairs."""
+        return cls(arrays.pair_lo, arrays.pair_hi, values)
+
+    @classmethod
+    def from_mapping(cls, mapping) -> "PairValues":
+        """The columns of any ``{(i, j): value}`` mapping (a
+        :class:`PairValues` is returned as it is).
+
+        Raises
+        ------
+        ConfigurationError
+            If a key is not a pair of int64 ids or a value not a number.
+        """
+        if isinstance(mapping, cls):
+            return mapping
+        try:
+            items = sorted(mapping.items())
+            pairs = np.array([pair for pair, _ in items] or
+                             np.empty((0, 2), np.int64))
+            pairs = pairs.astype(np.int64, casting="safe")
+            values = np.array([value for _, value in items],
+                              dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as error:
+            raise ConfigurationError(
+                f"pair values need (int, int) keys and numbers ({error})"
+            ) from None
+        if pairs.shape != (len(items), 2):
+            raise ConfigurationError("pair values need (int, int) keys")
+        return cls(pairs[:, 0], pairs[:, 1], values)
+
+    def _as_dict(self) -> Dict[Pair, float]:
+        if self._dict is None:
+            self._dict = dict(zip(
+                zip(self.lo.tolist(), self.hi.tolist()),
+                self.values_array.tolist(),
+            ))
+        return self._dict
+
+    def __len__(self) -> int:
+        return int(self.values_array.shape[0])
+
+    def __getitem__(self, pair: Pair) -> float:
+        return self._as_dict()[pair]
+
+    def __iter__(self) -> Iterator[Pair]:
+        return iter(self._as_dict())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PairValues):
+            return (np.array_equal(self.lo, other.lo)
+                    and np.array_equal(self.hi, other.hi)
+                    and np.array_equal(self.values_array,
+                                       other.values_array))
+        if isinstance(other, Mapping):
+            return len(self) == len(other) and \
+                self._as_dict() == dict(other.items())
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __reduce__(self):
+        return (PairValues, (self.lo, self.hi, self.values_array))
+
+    def __repr__(self) -> str:
+        return f"PairValues({self._as_dict()!r})"
 
 
 #: The largest id or ``n_objects`` the int64 vote columns can hold;
@@ -581,7 +688,11 @@ class InferenceResult:
         Estimated quality ``q_k`` per worker id (empty for baselines that
         do not model workers).
     direct_preferences:
-        The Step-1 direct preference ``x_ij`` per canonical pair.
+        The Step-1 direct preference ``x_ij`` per canonical pair, as a
+        :class:`PairValues` over the vote set's pair table (any other
+        mapping passed in is converted to one).  The engines fill it
+        without building a per-pair dict, and it pickles and encodes
+        from its columns.
     step_seconds:
         Wall-clock seconds per named pipeline step (for Fig. 4's breakdown).
     metadata:
@@ -591,6 +702,11 @@ class InferenceResult:
     ranking: Ranking
     log_preference: float
     worker_quality: Dict[WorkerId, float] = field(default_factory=dict)
-    direct_preferences: Dict[Pair, float] = field(default_factory=dict)
+    direct_preferences: Mapping[Pair, float] = field(
+        default_factory=PairValues)
     step_seconds: Dict[str, float] = field(default_factory=dict)
     metadata: Dict[str, object] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "direct_preferences",
+                           PairValues.from_mapping(self.direct_preferences))

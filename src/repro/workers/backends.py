@@ -395,10 +395,18 @@ def _worker_main(conn, parent_pid: Optional[int]) -> None:
             if message is None:
                 return
             fn, item = message
+            # No cyclic collection while the task runs: a task's objects
+            # are acyclic in bulk (a decoded body's vote lists, 25,000 at
+            # n=1000) and die by reference counting when it returns, but
+            # the collector would walk them again and again as they are
+            # allocated.  Re-enabled, it collects between tasks.
+            gc.disable()
             try:
                 payload = ("ok", fn(item))
             except BaseException as error:  # noqa: BLE001 — shipped to parent
                 payload = _failure_payload(error)
+            finally:
+                gc.enable()
         try:
             conn.send(payload)
         except BaseException:  # noqa: BLE001 — parent gone / result unpicklable

@@ -48,6 +48,7 @@ from repro.metrics import normalized_kendall_tau_distance
 from repro.service.jobs import config_from_payload
 from repro.types import Ranking, Vote, VoteSet
 from tests.oracles import dense_rank_centrality
+from tests.result_invariants import assert_result_invariants
 
 ENGINES = ("hodge", "lsq")
 SIZES = (2, 3, 10, 50)
@@ -106,12 +107,15 @@ class TestDifferentialVsDense:
         truth = Ranking(range(n))
         for seed in SEEDS:
             votes = noisy_votes(n, seed)
-            dense = RankingPipeline(FAST_DENSE).run(
+            dense_result = RankingPipeline(FAST_DENSE).run(
                 votes, np.random.default_rng(1000 + seed)
-            ).ranking
-            sparse_r = RankingPipeline(FAST_DENSE.with_(engine=engine)).run(
-                votes, np.random.default_rng(1000 + seed)
-            ).ranking
+            )
+            sparse_result = RankingPipeline(
+                FAST_DENSE.with_(engine=engine)
+            ).run(votes, np.random.default_rng(1000 + seed))
+            assert_result_invariants(dense_result, votes, "crh_saps")
+            assert_result_invariants(sparse_result, votes, engine)
+            dense, sparse_r = dense_result.ranking, sparse_result.ranking
             tau_dense = normalized_kendall_tau_distance(dense, truth)
             tau_engine = normalized_kendall_tau_distance(sparse_r, truth)
             assert tau_engine <= tau_dense + 0.05, (
@@ -127,6 +131,7 @@ class TestDifferentialVsDense:
             votes, np.random.default_rng(0)
         )
         assert list(result.ranking.order) == list(range(n))
+        assert_result_invariants(result, votes, engine)
 
     @pytest.mark.parametrize("n", SIZES)
     def test_dense_exact_on_noise_free_votes(self, n):
@@ -302,6 +307,7 @@ class TestDisconnectedGraphs:
         assert result.metadata["n_components"] == 2
         assert any("connected components" in w
                    for w in result.metadata["engine_warnings"])
+        assert_result_invariants(result, votes, engine)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_within_component_order_preserved(self, engine):

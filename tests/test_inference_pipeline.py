@@ -12,6 +12,7 @@ from repro.exceptions import InferenceError
 from repro.inference import RankingPipeline, infer_ranking
 from repro.metrics import ranking_accuracy
 from repro.types import Ranking, Vote, VoteSet
+from tests.result_invariants import assert_result_invariants
 
 
 @pytest.fixture
@@ -30,6 +31,7 @@ class TestPipeline:
     def test_recovers_clean_ranking(self, clean_votes, fast_config):
         result = RankingPipeline(fast_config).run(clean_votes, rng=0)
         assert result.ranking == Ranking([0, 1, 2, 3, 4])
+        assert_result_invariants(result, clean_votes)
 
     def test_step_timings_present(self, clean_votes, fast_config):
         result = RankingPipeline(fast_config).run(clean_votes, rng=0)
@@ -62,6 +64,7 @@ class TestPipeline:
         result = RankingPipeline(config).run(clean_votes, rng=0)
         assert result.ranking == Ranking([0, 1, 2, 3, 4])
         assert result.metadata["tie_count"] >= 1
+        assert_result_invariants(result, clean_votes)
 
     def test_branch_and_bound_mode(self, clean_votes):
         config = PipelineConfig(
@@ -70,6 +73,7 @@ class TestPipeline:
         )
         result = RankingPipeline(config).run(clean_votes, rng=0)
         assert result.ranking == Ranking([0, 1, 2, 3, 4])
+        assert_result_invariants(result, clean_votes)
 
     def test_exact_modes_agree(self, clean_votes):
         taps_result = RankingPipeline(

@@ -6,7 +6,10 @@ cache / JSONL streams, so the schema contract is tested here once.
 
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import DataFormatError
 from repro.io import (
@@ -16,7 +19,7 @@ from repro.io import (
     result_to_payload,
     save_result,
 )
-from repro.types import InferenceResult, Ranking
+from repro.types import InferenceResult, PairValues, Ranking
 
 
 @pytest.fixture
@@ -72,9 +75,54 @@ class TestPayloadCodec:
         with pytest.raises(DataFormatError):
             result_from_payload(payload)
 
+    @pytest.mark.parametrize("member", ["worker_quality",
+                                        "direct_preferences",
+                                        "step_seconds"])
+    def test_member_that_is_not_an_object_is_malformed(self, result,
+                                                       member):
+        payload = result_to_payload(result)
+        payload[member] = [1, 2]
+        with pytest.raises(DataFormatError, match="malformed field"):
+            result_from_payload(payload)
+
     def test_source_appears_in_error(self, result):
         with pytest.raises(DataFormatError, match="line 3"):
             result_from_payload({"schema": "nope"}, source="line 3")
+
+
+class TestColumnarDirectPreferences:
+    """``direct_preferences`` is written from its columns, member for
+    member what encoding ``sorted(items())`` wrote."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(
+        st.tuples(st.integers(0, 2000), st.integers(0, 2000)).filter(
+            lambda pair: pair[0] < pair[1]),
+        st.floats(0, 1), max_size=40,
+    ))
+    def test_members_and_order_match_the_dict_encoder(self, preferences):
+        result = InferenceResult(ranking=Ranking([0, 1]),
+                                 log_preference=0.0,
+                                 direct_preferences=preferences)
+        member = result_to_payload(result)["direct_preferences"]
+        expected = {f"{i},{j}": value
+                    for (i, j), value in sorted(preferences.items())}
+        assert list(member.items()) == list(expected.items())
+        assert json.dumps(member) == json.dumps(expected)
+        assert result.direct_preferences._dict is None
+
+    def test_decodes_into_columns(self, result):
+        clone = result_from_payload(json.loads(json.dumps(
+            result_to_payload(result), sort_keys=True)))
+        assert isinstance(clone.direct_preferences, PairValues)
+        np.testing.assert_array_equal(clone.direct_preferences.lo, [0, 1])
+        np.testing.assert_array_equal(clone.direct_preferences.hi, [1, 2])
+
+    def test_pair_id_past_int64_is_malformed(self, result):
+        payload = result_to_payload(result)
+        payload["direct_preferences"] = {f"0,{2**64}": 0.5}
+        with pytest.raises(DataFormatError):
+            result_from_payload(payload)
 
 
 class TestFileRoundTrip:

@@ -13,8 +13,10 @@ was decoded on a worker or on the request thread, a cache hit never
 waits behind a busy pool, and a worker lost mid-decode costs that
 request only.  Session updates run on the pool with the answers of
 the inline path, and one that loses its worker or overruns leaves the
-session as it was.  Faults are injected by swapping the module-level
-attempt body, :func:`~repro.server.app.prepare_request` or
+session as it was.  A result crosses the pool hop as arrays: neither
+side builds a per-pair dict of its direct preferences.  Faults are
+injected by swapping the module-level attempt body,
+:func:`~repro.server.app.prepare_request` or
 :func:`~repro.streaming.session.update_engine`, which the parent
 pickles by reference to the workers.
 """
@@ -33,17 +35,22 @@ import urllib.error
 import urllib.request
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
 from repro.client import RankingClient
+from repro.inference import RankingPipeline
+from repro.io import result_to_payload
 from repro.server import RankingServer, ServerConfig
 from repro.server import app as app_module
 from repro.service import executor as executor_module
+from repro.service import job_from_payload
 from repro.service.executor import _attempt_job
 from repro.service.retry import NO_RETRY
 from repro.streaming import session as session_module
 from repro.streaming import session_to_payload
+from repro.types import PairValues
 from repro.workers.backends import usable_cpus
 
 from tests.test_server_http import SCENARIO_REQUEST, VOTES_REQUEST, _post
@@ -625,6 +632,51 @@ def _children(pid):
         with open(f"/proc/{pid}/task/{task}/children") as handle:
             found.update(int(child) for child in handle.read().split())
     return found
+
+
+def _refuse_pair_dict(self):
+    raise AssertionError("the serve path built a {pair: value} dict")
+
+
+class TestColumnarResults:
+    """A large-``n`` result crosses the serve path as arrays: Step 1,
+    the sparse engine, the pickle to the parent, the cache and the
+    response encoder never build a per-pair dict."""
+
+    @pytest.mark.parametrize("engine", ["hodge", "lsq", "crh_saps"])
+    def test_serve_path_never_builds_the_pair_dict(self, monkeypatch,
+                                                    tmp_path, engine):
+        config = {"engine": engine,
+                  "saps": {"iterations": 300, "restarts": 1}}
+        request = {
+            "job_id": f"columnar-{engine}", "seed": 3, "config": config,
+            "votes": {"n_objects": 30, "votes": [
+                [w, i, j] if (i * 7 + j + w) % 5 else [w, j, i]
+                for w in range(3) for i in range(30)
+                for j in range(i + 1, 30) if (i + 2 * j + w) % 4 == 0
+            ]},
+        }
+        # Patched before the server forks its workers, so both sides of
+        # the pool hop refuse.
+        monkeypatch.setattr(PairValues, "_as_dict", _refuse_pair_dict)
+        server = RankingServer(ServerConfig(
+            port=0, workers=2, cache_dir=str(tmp_path / "cache")))
+        server.start()
+        try:
+            cold = _post(server.url + "/v1/rank", request)
+            hit = _post(server.url + "/v1/rank", _respelled(request))
+        finally:
+            server.stop()
+        monkeypatch.undo()
+        assert cold[0] == 200, cold
+        assert hit[0] == 200 and hit[1]["from_cache"], hit
+        job = job_from_payload(dict(request, schema="repro.job/1"))
+        expected = RankingPipeline(job.config).run(
+            job.votes, np.random.default_rng(job.seed))
+        for body in (cold[1], hit[1]):
+            assert body["result"]["direct_preferences"] == \
+                result_to_payload(expected)["direct_preferences"]
+            assert body["ranking"] == list(expected.ranking.order)
 
 
 @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task"),

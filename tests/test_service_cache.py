@@ -32,7 +32,7 @@ from repro.service import (
     job_from_payload,
     job_to_payload,
 )
-from repro.service.cache import BoundedLRU
+from repro.service.cache import BoundedLRU, _fits_one_key, sorted_vote_columns
 from repro.service.jobs import config_to_payload
 from repro.types import InferenceResult, Ranking, Vote, VoteSet
 
@@ -110,6 +110,99 @@ def _shuffled_dict(value, rng):
     keys = list(value)
     rng.shuffle(keys)
     return {key: _shuffled_dict(value[key], rng) for key in keys}
+
+
+def _pin_rows(count, n_objects, workers):
+    """``count`` distinct-looking vote rows from a fixed formula (no
+    RNG, so the rows cannot drift with a library version)."""
+    rows = []
+    for k in range(count):
+        winner = (k * 104729) % n_objects
+        loser = (winner + 1 + (k * 7919) % (n_objects - 1)) % n_objects
+        rows.append((workers[k % len(workers)], winner, loser))
+    return rows
+
+
+def _pin_job(n_objects, rows, config, seed):
+    worker, winner, loser = zip(*rows)
+    return RankingJob(job_id="pin", seed=seed, config=config,
+                      votes=VoteSet.from_columns(n_objects, worker, winner,
+                                                 loser))
+
+
+_PIN_BASE = _pin_rows(2500, 1000, list(range(50)))
+
+#: Jobs whose cache keys are pinned, and whether their rows fit the
+#: one-key sort.
+PINNED_JOBS = {
+    "small": (lambda: _pin_job(
+        5, _pin_rows(12, 5, [0, 1, 2]), PipelineConfig(), 7), True),
+    "n1000_duplicates": (lambda: _pin_job(
+        1000, _PIN_BASE + _PIN_BASE[:700],
+        PipelineConfig(engine="hodge"), 3), True),
+    "negative_workers": (lambda: _pin_job(
+        20, _pin_rows(300, 20, list(range(-40, 40, 3))),
+        PipelineConfig(), 11), True),
+    "workers_near_2_62": (lambda: _pin_job(
+        1000, _pin_rows(400, 1000, [-2**62, 2**62, -(2**62) + 1, 5]),
+        PipelineConfig(engine="lsq"), 5), False),
+}
+
+#: Their keys, recorded before the one-key sort replaced ``np.lexsort``.
+#: Every spill file is named by such a key: a different digest here
+#: means every persisted cache entry would silently miss.
+PINNED_DIGESTS = {
+    "small":
+        "a1b1db79bf4195e71fe138fc08c08f598e3d7d80d381e0bc27fc706f251b4058",
+    "n1000_duplicates":
+        "0bf33aa129bdeff6966a3bf59f3ca7c79badf53e4cd959ab103b33ca436f8249",
+    "negative_workers":
+        "d96a57b2b4861e75e5bf41e3b651c86a9f48d8c366be9a7a33c4d5275fe4b536",
+    "workers_near_2_62":
+        "b06507d773e7e631bbeff5ea013aab036b4bf81f37b0d3fb0f0dae59202b8784",
+}
+
+
+@st.composite
+def _vote_sets(draw):
+    """Vote sets across both sort paths: small and huge ``n``, worker
+    ids from small to the ends of int64."""
+    n_objects = draw(st.one_of(st.integers(2, 40), st.integers(2, 2**33)))
+    obj = st.integers(0, n_objects - 1)
+    worker = st.one_of(
+        st.integers(-50, 50),
+        st.sampled_from([-2**63, -2**62, 2**62, 2**63 - 1]),
+        st.integers(-2**63, 2**63 - 1),
+    )
+    rows = draw(st.lists(
+        st.tuples(worker, obj, obj).filter(lambda row: row[1] != row[2]),
+        max_size=30,
+    ))
+    if rows:  # some repeated rows
+        rows += draw(st.lists(st.sampled_from(rows), max_size=5))
+    columns = [list(column) for column in zip(*rows)] or [[], [], []]
+    return VoteSet.from_columns(n_objects, *columns)
+
+
+class TestFingerprintPins:
+    @pytest.mark.parametrize("name", sorted(PINNED_JOBS))
+    def test_cache_key_is_unchanged(self, name):
+        build, one_key = PINNED_JOBS[name]
+        job = build()
+        votes = job.votes
+        assert _fits_one_key(votes.worker, votes.winner, votes.loser,
+                             votes.n_objects) is one_key
+        assert fingerprint_job(job) == PINNED_DIGESTS[name]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_vote_sets())
+    def test_one_key_and_lexsort_paths_hash_the_same_bytes(self, votes):
+        order = np.lexsort((votes.loser, votes.winner, votes.worker))
+        expected = [column[order]
+                    for column in (votes.worker, votes.winner, votes.loser)]
+        got = sorted_vote_columns(votes)
+        assert [column.astype("<i8").tobytes() for column in got] == \
+            [column.astype("<i8").tobytes() for column in expected]
 
 
 class TestFingerprintProperties:

@@ -79,8 +79,7 @@ class TestDifferential:
         )
         assert list(recomputed.ranking.order) == list(batch.ranking.order)
         assert recomputed.log_preference == batch.log_preference
-        np.testing.assert_array_equal(recomputed.direct_preferences,
-                                      batch.direct_preferences)
+        assert recomputed.direct_preferences == batch.direct_preferences
 
     def test_chunked_ingest_same_recompute(self):
         """Chunking only changes the warm path; the frozen recompute is

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.exceptions import ConfigurationError
 from repro.types import (
     HIT,
+    PairValues,
     Ranking,
     Vote,
     VoteSet,
@@ -233,3 +234,64 @@ class TestVoteSetColumnsProperties:
         assert clone == votes
         assert clone.votes == votes.votes
         assert not clone.winner.flags.writeable
+
+
+def _pair_values():
+    arrays = VoteSet.from_votes(4, [
+        Vote(0, 2, 1), Vote(1, 0, 3), Vote(0, 0, 1), Vote(2, 3, 0),
+    ]).arrays()
+    return PairValues.from_table(arrays, np.array([0.25, 1.0, 0.0]))
+
+
+class TestPairValues:
+    def test_a_mapping_over_the_pair_table(self):
+        values = _pair_values()
+        assert values == {(0, 1): 0.25, (0, 3): 1.0, (1, 2): 0.0}
+        assert {(0, 1): 0.25, (0, 3): 1.0, (1, 2): 0.0} == values
+        assert values != {(0, 1): 0.25, (0, 3): 1.0}
+        assert values != {(0, 1): 0.25, (0, 3): 1.0, (1, 2): 0.5}
+        assert list(values) == [(0, 1), (0, 3), (1, 2)]
+        assert values[(0, 3)] == 1.0 and (1, 2) in values
+        assert (2, 1) not in values and values.get((2, 1)) is None
+        assert dict(values.items()) == dict(values)
+
+    def test_len_equality_and_pickle_build_no_dict(self):
+        values = _pair_values()
+        clone = pickle.loads(pickle.dumps(values))
+        assert len(values) == 3 and clone == values
+        assert values._dict is None and clone._dict is None
+        assert type(clone) is PairValues and not clone.lo.flags.writeable
+
+    def test_columns_are_read_only_views(self):
+        truth = np.array([0.25, 1.0, 0.0])
+        values = PairValues([0, 0, 1], [1, 3, 2], truth)
+        with pytest.raises(ValueError):
+            values.values_array[0] = 0.5
+        assert truth.flags.writeable  # the caller's array is untouched
+
+    def test_from_mapping_sorts_and_validates(self):
+        values = PairValues.from_mapping({(1, 2): 0.5, (0, 4): 1})
+        assert list(values.lo) == [0, 1] and list(values.hi) == [4, 2]
+        assert values.values_array.dtype == np.float64
+        assert PairValues.from_mapping({}) == {}
+        for bad in ({(0, 1.5): 0.5}, {(0, 1, 2): 0.5}, {0: 0.5},
+                    {(0, 2**64): 0.5}, {(0, 1): "x"}):
+            with pytest.raises(ConfigurationError):
+                PairValues.from_mapping(bad)
+
+    def test_rows_must_ascend_without_repeats(self):
+        for lo, hi in (([1, 0], [2, 3]), ([0, 0], [2, 2])):
+            with pytest.raises(ConfigurationError):
+                PairValues(lo, hi, [0.5, 0.5])
+        with pytest.raises(ConfigurationError):
+            PairValues([0], [1, 2], [0.5])
+
+    def test_inference_result_converts_any_mapping(self):
+        from repro.types import InferenceResult
+
+        result = InferenceResult(Ranking([1, 0]), 0.0,
+                                 direct_preferences={(0, 1): 0.75})
+        assert isinstance(result.direct_preferences, PairValues)
+        assert result.direct_preferences == {(0, 1): 0.75}
+        assert InferenceResult(Ranking([1, 0]), 0.0).direct_preferences \
+            == {}
