@@ -1,31 +1,33 @@
-"""Benchmark: the SAPS annealing kernel and execution backends.
+"""Benchmark: the native SAPS annealing kernel and execution backends.
 
-Runs the production (incremental) kernel and the full-re-sum reference
-oracle (``tests/oracles/saps.py``) on the same random complete closures
-with the same seed at several sizes and writes ``BENCH_saps.json`` at
-the repo root: proposals/sec and wall time per kernel, the speedup, and
-hard equality checks (same best ranking and accepted-move count, same
-cost to 1e-9, serial == parallel restarts) — so later PRs can track
-kernel performance and catch any divergence from the oracle.
+Runs the production kernel (``_anneal.c``, through
+:func:`~repro.inference.saps.saps_search_report`), the Python
+incremental kernel it replaced and the full-re-sum reference anneal
+(both ``tests/oracles/saps.py``) on the same random complete closures
+with the same seed at several sizes, and writes ``BENCH_saps.json`` at
+the repo root: wall time and proposals/sec per kernel, the native
+kernel's speedup over each, and hard identity checks — bit-identical
+to the Python kernel (ranking, ``log_preference``, accepted moves),
+same ranking and accepted moves as the reference with the cost to
+1e-9, serial == parallel restarts — so later changes can track kernel
+performance and catch any divergence from the oracles.
 
 A second sweep runs one heavy 4-restart workload per size on each
-execution backend (serial / thread / process) and records the
-process-vs-thread speedup: the annealing kernel is pure Python, so
-threads are GIL-bound and the process backend is where parallel
-restarts actually scale.  Rankings must stay bit-identical across
-backends.
+execution backend (serial / thread / process) and records the thread
+and process speedups over serial.  The native kernel releases the GIL,
+so threads run restarts in parallel as processes do; rankings must
+stay bit-identical across backends.
 
 Besides the uniform random closures, one row (``"closure":
 "steps_1_3"``) runs the kernels on the closure that Steps 1-3 build
 from a seeded synthetic crowd at the shape cold ``/v1/rank`` traffic
 has (n=100, r=0.3, 20 workers, 5 per task).
 
-``--smoke`` runs a tiny configuration with ``debug_checks`` on (the
-incremental kernel asserts running-cost == full re-sum and its edge
-lists == the diff table along the path after every accepted move) and
-exits non-zero if the kernels disagree anywhere or the incremental
-kernel is slower than 1.5x the reference on a random closure —
-suitable for CI.
+``--smoke`` runs a tiny configuration with ``debug_checks`` on (both
+incremental kernels check running cost == full re-sum after every
+accepted move) and exits non-zero if the kernels disagree anywhere or
+the native kernel is slower than 1.5x the reference on a random
+closure — suitable for CI.
 
 Not collected by pytest (no ``test_`` prefix) — run directly:
 
@@ -35,6 +37,7 @@ Not collected by pytest (no ``test_`` prefix) — run directly:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import json
 import os
@@ -56,7 +59,10 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 # The reference kernel is a test oracle: importable as tests.oracles
 # once the repo root is on the path.
 sys.path.insert(0, str(REPO_ROOT))
-from tests.oracles import reference_search_report  # noqa: E402
+from tests.oracles import (  # noqa: E402
+    python_search_report,
+    reference_search_report,
+)
 
 #: Timed runs per kernel row outside smoke mode; the median is reported.
 REPEATS = 5
@@ -109,57 +115,55 @@ def bench_size(n: int, iterations: int, restarts: int, seed: int,
                repeats: int = 1) -> Dict[str, object]:
     matrix = (pipeline_closure(n, seed) if closure == "steps_1_3"
               else random_closure(n, seed=n))
-    base = dict(iterations=iterations, restarts=restarts,
-                scale_with_objects=False)
-    incremental = run_kernel(
-        matrix, SAPSConfig(**base, debug_checks=debug_checks), seed, repeats,
-    )
-    reference = run_kernel(
-        matrix, SAPSConfig(**base), seed, repeats,
-        search=reference_search_report,
-    )
+    config = SAPSConfig(iterations=iterations, restarts=restarts,
+                        scale_with_objects=False, debug_checks=debug_checks)
+    native = run_kernel(matrix, config, seed, repeats)
+    python = run_kernel(matrix, config, seed, repeats,
+                        search=python_search_report)
+    reference = run_kernel(matrix, config, seed, repeats,
+                           search=reference_search_report)
     parallel = run_kernel(
-        matrix,
-        SAPSConfig(**base, parallel_restarts=4, debug_checks=debug_checks),
-        seed, repeats,
+        matrix, dataclasses.replace(config, parallel_restarts=4), seed,
+        repeats,
     )
-    same_ranking = incremental["ranking"] == reference["ranking"]
-    same_moves = (incremental["accepted_moves"]
-                  == reference["accepted_moves"])
-    cost_gap = abs(incremental["log_preference"]
-                   - reference["log_preference"])
-    parallel_identical = (
-        parallel["ranking"] == incremental["ranking"]
-        and parallel["log_preference"] == incremental["log_preference"]
-    )
-    speedup = (incremental["proposals_per_s"]
-               / reference["proposals_per_s"])
+    fields = ("ranking", "log_preference", "accepted_moves",
+              "proposed_moves")
     return {
         "n": n,
         "closure": closure,
         "iterations": iterations,
         "restarts": restarts,
-        "incremental": {k: v for k, v in incremental.items()
-                        if k != "ranking"},
-        "reference": {k: v for k, v in reference.items() if k != "ranking"},
-        "parallel_restarts_4": {k: v for k, v in parallel.items()
-                                if k != "ranking"},
-        "speedup": round(speedup, 2),
-        "same_ranking": same_ranking,
-        "same_moves": same_moves,
-        "cost_gap": cost_gap,
-        "serial_equals_parallel": parallel_identical,
+        "native": _without_ranking(native),
+        "python": _without_ranking(python),
+        "reference": _without_ranking(reference),
+        "parallel_restarts_4": _without_ranking(parallel),
+        "speedup_vs_python": round(
+            native["proposals_per_s"] / python["proposals_per_s"], 2),
+        "speedup": round(
+            native["proposals_per_s"] / reference["proposals_per_s"], 2),
+        "identical_to_python": all(native[k] == python[k] for k in fields),
+        "same_ranking": native["ranking"] == reference["ranking"],
+        "same_moves": native["accepted_moves"] == reference["accepted_moves"],
+        "cost_gap": abs(native["log_preference"]
+                        - reference["log_preference"]),
+        "serial_equals_parallel": all(native[k] == parallel[k]
+                                      for k in fields),
     }
 
 
-def backend_sweep(n: int, iterations: int, seed: int) -> Dict[str, object]:
+def _without_ranking(run: Dict[str, object]) -> Dict[str, object]:
+    return {k: v for k, v in run.items() if k != "ranking"}
+
+
+def backend_sweep(n: int, iterations: int, seed: int,
+                  repeats: int = 1) -> Dict[str, object]:
     """One annealing workload (4 restarts) on each execution backend.
 
-    The annealing kernel is pure Python, so the thread backend is
-    GIL-bound (~serial wall time) and the process backend is where the
-    multi-core speedup lives; ``process_vs_thread_speedup`` records it.
-    Rankings must be bit-identical across all three — the backends are
-    a performance knob, never a results knob.
+    The native kernel releases the GIL, so the thread and process
+    backends both run the four restarts in parallel, up to the core
+    count; ``thread_speedup`` and ``process_speedup`` are each over
+    serial.  Rankings must be bit-identical across all three — the
+    backends are a performance knob, never a results knob.
     """
     matrix = random_closure(n, seed=n)
     runs = {}
@@ -168,13 +172,14 @@ def backend_sweep(n: int, iterations: int, seed: int) -> Dict[str, object]:
             iterations=iterations, restarts=4, scale_with_objects=False,
             parallel_restarts=4, backend=backend,
         )
-        runs[backend] = run_kernel(matrix, config, seed)
+        runs[backend] = run_kernel(matrix, config, seed, repeats)
     identical = all(
         runs[backend]["ranking"] == runs["serial"]["ranking"]
         and runs[backend]["log_preference"]
         == runs["serial"]["log_preference"]
         for backend in ("thread", "process")
     )
+    serial = runs["serial"]["seconds"]
     return {
         "n": n,
         "iterations": iterations,
@@ -185,13 +190,11 @@ def backend_sweep(n: int, iterations: int, seed: int) -> Dict[str, object]:
                       "proposals_per_s": run["proposals_per_s"]}
             for backend, run in runs.items()
         },
-        "process_vs_thread_speedup": round(
-            runs["thread"]["seconds"] / runs["process"]["seconds"], 2),
+        "thread_speedup": round(serial / runs["thread"]["seconds"], 2),
+        "process_speedup": round(serial / runs["process"]["seconds"], 2),
         "identical_rankings": identical,
-        # The speedup is bounded by physical parallelism: on a 1-core
-        # host process == thread == serial (all pay the same CPU), and
-        # the number only becomes a multi-core scaling signal when
-        # cpu_count > 1.
+        # Speedups are bounded by physical parallelism: on a 1-core
+        # host all three backends pay the same CPU.
         "cpu_count": os.cpu_count(),
     }
 
@@ -205,9 +208,9 @@ def main() -> int:
                         help="anneal iterations per restart (default 4000)")
     parser.add_argument("--restarts", type=int, default=2,
                         help="restarts per run (default 2)")
-    parser.add_argument("--sweep-iterations", type=int, default=80000,
+    parser.add_argument("--sweep-iterations", type=int, default=500000,
                         help="anneal iterations per restart in the "
-                             "execution-backend sweep (default 80000; "
+                             "execution-backend sweep (default 500000; "
                              "heavy on purpose so pool overhead is "
                              "amortised)")
     parser.add_argument("--seed", type=int, default=42)
@@ -235,17 +238,23 @@ def main() -> int:
                              debug_checks=args.smoke, closure=closure,
                              repeats=repeats)
         results.append(summary)
-        print(f"n={n} ({closure}): incremental "
-              f"{summary['incremental']['proposals_per_s']:,.0f} p/s, "
+        print(f"n={n} ({closure}): native "
+              f"{summary['native']['proposals_per_s']:,.0f} p/s, "
+              f"python {summary['python']['proposals_per_s']:,.0f} p/s, "
               f"reference "
               f"{summary['reference']['proposals_per_s']:,.0f} p/s, "
-              f"speedup {summary['speedup']}x, "
-              f"same_ranking={summary['same_ranking']}, "
+              f"speedup {summary['speedup_vs_python']}x / "
+              f"{summary['speedup']}x, "
+              f"identical_to_python={summary['identical_to_python']}, "
               f"cost_gap={summary['cost_gap']:.2e}, "
               f"serial==parallel {summary['serial_equals_parallel']}")
+        if not summary["identical_to_python"]:
+            failures.append(f"n={n} ({closure}): native kernel differs "
+                            "from the Python kernel")
         if (not summary["same_ranking"] or not summary["same_moves"]
                 or summary["cost_gap"] > 1e-9):
-            failures.append(f"n={n} ({closure}): kernels disagree")
+            failures.append(f"n={n} ({closure}): native kernel and "
+                            "reference disagree")
         if not summary["serial_equals_parallel"]:
             failures.append(
                 f"n={n} ({closure}): parallel restarts changed the result")
@@ -255,7 +264,7 @@ def main() -> int:
         if (args.smoke and closure == "random"
                 and summary["speedup"] < 1.0 / 1.5):
             failures.append(
-                f"n={n} ({closure}): incremental kernel slower than "
+                f"n={n} ({closure}): native kernel slower than "
                 f"1.5x reference (speedup {summary['speedup']}x)"
             )
 
@@ -266,14 +275,15 @@ def main() -> int:
     sweep_iterations = 2000 if args.smoke else args.sweep_iterations
     sweeps = []
     for n in sizes:
-        sweep = backend_sweep(n, sweep_iterations, args.seed)
+        sweep = backend_sweep(n, sweep_iterations, args.seed, repeats)
         sweeps.append(sweep)
         backends = sweep["backends"]
         print(f"n={n} backends: "
               + ", ".join(f"{name} {info['seconds']}s"
                           for name, info in backends.items())
-              + f" -> process {sweep['process_vs_thread_speedup']}x "
-                f"vs thread, identical={sweep['identical_rankings']}")
+              + f" -> over serial: thread {sweep['thread_speedup']}x, "
+                f"process {sweep['process_speedup']}x, "
+                f"identical={sweep['identical_rankings']}")
         if not sweep["identical_rankings"]:
             failures.append(f"n={n}: backends disagree on the ranking")
 

@@ -199,19 +199,20 @@ class SAPSConfig:
         ``"thread"`` or ``"process"`` (see
         :mod:`repro.workers.backends`).  ``None`` (default) defers to
         the ``REPRO_BACKEND`` environment variable, then ``"thread"``.
-        The annealing kernel is pure Python, so only ``"process"``
-        escapes the GIL and uses multiple cores; results are
-        bit-identical across all three for the same seed.
+        The native annealing kernel releases the GIL, so threads and
+        processes both use multiple cores; results are bit-identical
+        across all three for the same seed.
     resync_every:
         Accepted moves between full re-summations of the anneal's
         running cost.  The resync bounds float drift from accumulated
         deltas; each one is O(n), so the amortised overhead is
         negligible.
     debug_checks:
-        When true, the anneal asserts after *every* accepted move
-        that the running cost matches a full
-        :func:`~repro.inference.delta.path_cost` re-computation (1e-9
-        relative).  For tests and debugging — O(n) per accepted move.
+        When true, the anneal checks after *every* accepted move that
+        the running cost matches a full re-sum of the path (1e-9
+        relative) and raises :class:`AssertionError` on a mismatch;
+        the running value is kept, so answers do not change.  For
+        tests and debugging — O(n) per accepted move.
     """
 
     iterations: int = 20000

@@ -7,7 +7,8 @@
 * :mod:`~repro.inference.taps` — Step 4 exact: threshold-based path
   search (plus a branch-and-bound exact search for moderate ``n``);
 * :mod:`~repro.inference.saps` — Step 4 heuristic: simulated-annealing
-  path search (Algorithms 2-3);
+  path search (Algorithms 2-3), whose anneal runs in the C kernel that
+  :mod:`~repro.inference.native` builds, caches and loads;
 * :mod:`~repro.inference.incidence` — shared sparse incidence assembly
   over the comparison graph (memoized per
   :class:`~repro.types.VoteArrays`);

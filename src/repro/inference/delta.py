@@ -21,8 +21,8 @@ computed from those few edges instead of re-summing all ``n - 1``:
   ``diff[a][b] = cost[b, a] - cost[a, b]`` over the old consecutive
   pairs ``(a, b)``, plus the two boundary swaps.  O(k) for a slice of
   length ``k`` (the cost matrix is directed, so the internal sum does
-  not cancel).  The SAPS kernel keeps ``diff`` of every path edge in a
-  list beside the path, so its internal sum is one C-level slice sum.
+  not cancel).  The native SAPS kernel sums ``diff`` along the slice
+  left to right from 0.0.
 
 * **Swap(i, j)** — at most four edges change (three when ``i``/``j``
   are adjacent, zero when equal).  O(1) per proposal.
@@ -36,10 +36,10 @@ The delta functions take the cost matrix as a *row-indexable* table —
 lookups into a list-of-lists are several times faster than
 ``ndarray[a, b]``) while casual callers pass the ndarray itself.  The
 ``apply_*`` helpers mutate the path (Python list or ndarray) in place;
-no per-proposal copies.  This module is the single statement of the
-formulas: :func:`repro.inference.local_search.polish_ranking` and the
-tests call it, and the SAPS annealing kernel
-(:func:`repro.inference.saps._anneal_incremental`) inlines the same
+no per-proposal copies.  This module is the single Python statement of
+the formulas: :func:`repro.inference.local_search.polish_ranking` and
+the tests call it, and the native SAPS kernel (``_anneal.c``, run by
+:func:`repro.inference.saps._anneal_incremental`) repeats the same
 arithmetic in the same order.
 
 Infinite edges: deltas are computed with ordinary float arithmetic, so
@@ -66,11 +66,6 @@ def path_cost(cost: np.ndarray, path: Sequence[int]) -> float:
     return float(cost[arr[:-1], arr[1:]].sum())
 
 
-def cost_rows(cost: np.ndarray) -> List[List[float]]:
-    """The cost matrix as a nested list for fast scalar lookups."""
-    return cost.tolist()
-
-
 def reverse_diff_matrix(cost: np.ndarray) -> np.ndarray:
     """``diff[a, b] = cost[b, a] - cost[a, b]``, the per-edge change of
     flipping edge ``(a, b)``; one lookup per internal Reverse edge.
@@ -81,11 +76,6 @@ def reverse_diff_matrix(cost: np.ndarray) -> np.ndarray:
     finite = cost.copy()
     np.fill_diagonal(finite, 0.0)
     return np.ascontiguousarray(finite.T - finite)
-
-
-def reverse_diff_rows(cost: np.ndarray) -> List[List[float]]:
-    """:func:`reverse_diff_matrix` as a nested list (scalar lookups)."""
-    return reverse_diff_matrix(cost).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +92,7 @@ def rotate_delta(
     """``d(P') - d(P)`` for Rotate(first, middle, last); O(1).
 
     Contract: ``0 <= first < middle < last <= len(path)`` (both blocks
-    non-empty), as guaranteed by
-    :func:`repro.inference.saps._slice_bounds` plus the middle draw.
+    non-empty), as the SAPS kernel's move decode guarantees.
     """
     a = path[first]          # head of the left block
     b = path[middle - 1]     # tail of the left block
@@ -128,8 +117,8 @@ def reverse_delta(
 ) -> float:
     """``d(P') - d(P)`` for Reverse(first, last); O(last - first).
 
-    ``diff`` must come from :func:`reverse_diff_rows` of the same cost
-    matrix as ``rows``.
+    ``diff`` must be :func:`reverse_diff_matrix` of the same cost
+    matrix as ``rows`` (or that matrix as a nested list).
     """
     delta = 0.0
     prev = path[first]

@@ -16,15 +16,18 @@ already reaches the plateau the paper reports.
 
 The anneal scores each proposal by the ``d(P') - d(P)`` of the few
 edges the move actually changes (the formulas of
-:mod:`repro.inference.delta`, inlined).  It keeps the flip cost
-``cost[b, a] - cost[a, b]`` of every path edge in a list beside the
-path, so a Reverse's O(k) internal sum is one C-level slice ``sum``;
-accepted moves update path and edge lists with slice assignments, and
-the running cost is re-synced against a full re-sum every
-``resync_every`` accepted moves to bound float drift.  Deltas need a
-finite cost on every edge, so the input must be a complete closure:
-every off-diagonal weight positive, as Step 3 guarantees (Theorem 5.1).
-An incomplete matrix raises :class:`InferenceError` up front.
+:mod:`repro.inference.delta`) in one C function, ``_anneal.c``, which
+:mod:`repro.inference.native` builds with the system C compiler,
+caches per user and calls through :mod:`ctypes` with the GIL released.
+It repeats the arithmetic of the Python kernel it replaced
+(``tests/oracles/saps.py``) operation for operation, so a seed gives
+the same ranking, the same ``log_preference`` bit for bit and the same
+accepted moves.  The running cost is re-synced against a full re-sum
+every ``resync_every`` accepted moves to bound float drift.  Deltas
+need a finite cost on every edge, so the input must be a complete
+closure: every off-diagonal weight positive, as Step 3 guarantees
+(Theorem 5.1).  An incomplete matrix raises :class:`InferenceError` up
+front.
 
 Restarts each get their own child stream spawned from the run RNG up
 front, which makes the restart loop embarrassingly parallel
@@ -32,9 +35,8 @@ front, which makes the restart loop embarrassingly parallel
 parallel runs reduce the same per-restart outcomes in the same order.
 The restart loop dispatches through :mod:`repro.workers.backends`
 (``SAPSConfig.backend``), so the same guarantee extends across the
-serial, thread and process backends — the anneal is pure Python and
-GIL-bound, which makes the process backend the only one that actually
-uses multiple cores.
+serial, thread and process backends; the kernel releases the GIL, so
+threads run restarts in parallel too.
 """
 
 from __future__ import annotations
@@ -50,15 +52,15 @@ from ..exceptions import InferenceError
 from ..rng import SeedLike, ensure_rng, spawn_rngs
 from ..types import Ranking
 from ..workers.pool import parallel_map
-from .delta import cost_rows, path_cost, reverse_diff_rows
+from . import native
+from .delta import path_cost, reverse_diff_matrix
 from .taps import _as_matrix
 
-#: Iterations' worth of random draws pre-fetched per block by the
-#: anneal (10 floats per iteration: 4 + 3 + 3).
-_RNG_BLOCK = 256
-
-#: Floats consumed per iteration (Rotate 4, Reverse 3, RandomSwap 3).
-_DRAWS_PER_ITERATION = 10
+#: Iterations' worth of uniforms drawn per block by the anneal
+#: (:data:`~repro.inference.native.DRAWS_PER_ITERATION` each).
+#: ``Generator.random`` fills in order, so the block size never
+#: changes the draws.
+_RNG_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -215,7 +217,7 @@ def _cost_matrix(matrix: np.ndarray) -> np.ndarray:
             "must be positive and finite (Theorem 5.1); run Steps 2-3 "
             "first"
         )
-    cost = -np.log(np.maximum(matrix, 1e-300))
+    cost = np.ascontiguousarray(-np.log(np.maximum(matrix, 1e-300)))
     np.fill_diagonal(cost, np.inf)
     return cost
 
@@ -292,13 +294,13 @@ class _RestartShared:
     """Read-only per-run state shared by every restart task.
 
     One instance is referenced by all restart tasks: the thread and
-    serial backends share it (and its lazily built kernel tables) in
+    serial backends share it (and its lazily built flip-cost table) in
     memory, while the process backend pickles only the raw matrices —
-    the derived tables are rebuilt once per worker process (O(n^2),
-    negligible next to the anneal) rather than shipped over the pipe.
+    the table is rebuilt once per worker process (O(n^2), negligible
+    next to the anneal) rather than shipped over the pipe.
     """
 
-    __slots__ = ("matrix", "cost", "iterations", "config", "_tables")
+    __slots__ = ("matrix", "cost", "iterations", "config", "_diff")
 
     def __init__(self, matrix: np.ndarray, cost: np.ndarray,
                  iterations: int, config: SAPSConfig):
@@ -306,26 +308,26 @@ class _RestartShared:
         self.cost = cost
         self.iterations = iterations
         self.config = config
-        self._tables = None
+        self._diff = None
 
-    def tables(self):
-        """(rows, diff) for the anneal.
+    def diff(self) -> np.ndarray:
+        """:func:`~repro.inference.delta.reverse_diff_matrix` of the cost.
 
         Built on first use; the single-attribute assignment keeps the
         lazy initialisation safe under concurrent restart threads.
         """
-        tables = self._tables
-        if tables is None:
-            tables = (cost_rows(self.cost), reverse_diff_rows(self.cost))
-            self._tables = tables
-        return tables
+        diff = self._diff
+        if diff is None:
+            diff = reverse_diff_matrix(self.cost)
+            self._diff = diff
+        return diff
 
     def __getstate__(self):
         return (self.matrix, self.cost, self.iterations, self.config)
 
     def __setstate__(self, state):
         (self.matrix, self.cost, self.iterations, self.config) = state
-        self._tables = None
+        self._diff = None
 
 
 def _run_restart(task) -> Tuple[float, List[int], int, int]:
@@ -344,8 +346,7 @@ def _run_restart(task) -> Tuple[float, List[int], int, int]:
     else:
         initial = _initial_path(shared.matrix, shared.cost, start, config,
                                 stream)
-    rows, diff = shared.tables()
-    return _anneal_incremental(shared.cost, rows, diff, initial,
+    return _anneal_incremental(shared.cost, shared.diff(), initial,
                                shared.iterations, config, stream)
 
 
@@ -355,207 +356,58 @@ def _run_restart(task) -> Tuple[float, List[int], int, int]:
 
 def _anneal_incremental(
     cost: np.ndarray,
-    rows: List[List[float]],
-    diff: List[List[float]],
+    diff: np.ndarray,
     initial: np.ndarray,
     iterations: int,
     config: SAPSConfig,
     stream: np.random.Generator,
 ) -> Tuple[float, List[int], int, int]:
-    """One restart with incremental move evaluation.
+    """One restart with incremental move evaluation, in the native
+    kernel (``_anneal.c``, through :mod:`repro.inference.native`).
 
-    The path is a Python list (scalar list-of-lists lookups beat
-    ``ndarray[a, b]`` severalfold here) kept beside two edge lists:
-    ``forward[i] = diff[p_i][p_{i+1}]``, the change in ``d(P)`` from
-    flipping edge ``i``, and its mirror ``backward[i] = -forward[i]``.
-    Rotate and RandomSwap cost O(1) boundary lookups; a Reverse's
-    internal change is a C-level ``sum`` over a slice of ``forward``.
-    The deltas are those of :mod:`repro.inference.delta`, inlined.
-    Move indices are decoded per block of draws (:func:`_slice_bounds`).
-    Requires every off-diagonal cost to be finite (:func:`_cost_matrix`
-    checks).
+    The uniforms are drawn in blocks of :data:`_RNG_BLOCK` iterations;
+    the kernel runs a block and returns early at every
+    ``resync_every``-th accepted move, where the running cost is
+    replaced by a full :func:`~repro.inference.delta.path_cost` re-sum
+    before the best-path check, exactly as the Python kernel did.  With
+    ``config.debug_checks`` the kernel compares the running cost with a
+    full re-sum after every accepted move and stops on a mismatch,
+    raised here as an :class:`AssertionError`.  Requires every
+    off-diagonal cost to be finite (:func:`_cost_matrix` checks).
     """
     n = len(initial)
-    path: List[int] = [int(v) for v in initial]
-    forward = [diff[a][b] for a, b in zip(path, path[1:])]
-    backward = [diff[b][a] for a, b in zip(path, path[1:])]
+    path = np.array(initial, dtype=np.int64)
+    if not np.array_equal(np.sort(path), np.arange(n)):
+        raise InferenceError(f"SAPS initial path must be a permutation of "
+                             f"the {n} objects")
+    best_path = path.copy()
     current = path_cost(cost, path)
-    best_cost = current
-    best_path = path[:]
-    accepted = 0
-    temperature = config.temperature
-    cooling = config.cooling_rate
-    resync_every = config.resync_every
-    debug = config.debug_checks
-    exp = math.exp
-
+    state = np.array([current, current, config.temperature, 0.0])
+    counts = np.zeros(2, dtype=np.int64)
+    # At most 3 * iterations moves are accepted, so any larger interval
+    # never resyncs: this one fits the kernel's int64 and means the same.
+    resync_every = min(config.resync_every, 3 * iterations + 1)
     done = 0
     while done < iterations:
         todo = min(iterations - done, _RNG_BLOCK)
         done += todo
-        block = stream.random(_DRAWS_PER_ITERATION * todo).reshape(
-            todo, _DRAWS_PER_ITERATION)
-        # Every array op below runs over one column of at most 256
-        # values: numpy drops the GIL on loops over 500 elements, and
-        # each drop hands it to a concurrent request's thread (measured
-        # 1.7-2x slower with two concurrent searches on 2 vCPUs).
-        rot_first, rot_last = _slice_bounds(block[:, 0], block[:, 1], n)
-        rot_middle = rot_first + 1 + (
-            block[:, 2] * (rot_last - rot_first - 1)).astype(np.int64)
-        rev_first, rev_last = _slice_bounds(block[:, 4], block[:, 5], n)
-        # A swap is symmetric in (i, j); order them once here.
-        swap_a = (block[:, 7] * n).astype(np.int64)
-        swap_b = (block[:, 8] * n).astype(np.int64)
-        swap_i = np.minimum(swap_a, swap_b)
-        swap_j = np.maximum(swap_a, swap_b)
-        # .tolist(): scalar reads from a Python list are ~3x cheaper
-        # than ndarray item access.
-        for (first, middle, last, u, rfirst, rlast, v, i, j, w) in zip(
-                rot_first.tolist(), rot_middle.tolist(), rot_last.tolist(),
-                block[:, 3].tolist(), rev_first.tolist(), rev_last.tolist(),
-                block[:, 6].tolist(), swap_i.tolist(), swap_j.tolist(),
-                block[:, 9].tolist()):
-            # Rotate(first, middle, last): P[first:last] becomes
-            # P[middle:last] + P[first:middle].
-            a = path[first]
-            b = path[middle - 1]
-            m = path[middle]
-            e = path[last - 1]
-            delta = rows[e][a] - rows[b][m]
-            if first > 0:
-                p = path[first - 1]
-                delta += rows[p][m] - rows[p][a]
-            if last < n:
-                q = path[last]
-                delta += rows[b][q] - rows[e][q]
-            if delta < 0.0 or u < exp(-delta / temperature):
-                path[first:last] = path[middle:last] + path[first:middle]
-                forward[first:last - 1] = (forward[middle:last - 1]
-                                           + [diff[e][a]]
-                                           + forward[first:middle - 1])
-                backward[first:last - 1] = (backward[middle:last - 1]
-                                            + [diff[a][e]]
-                                            + backward[first:middle - 1])
-                if first > 0:
-                    forward[first - 1] = diff[p][m]
-                    backward[first - 1] = diff[m][p]
-                if last < n:
-                    forward[last - 1] = diff[b][q]
-                    backward[last - 1] = diff[q][b]
-                current += delta
-                accepted += 1
-                if debug:
-                    _check_running(cost, diff, path, forward, backward,
-                                   current)
-                if accepted % resync_every == 0:
-                    current = path_cost(cost, path)
-                if current < best_cost:
-                    best_cost, best_path = current, path[:]
-
-            # Reverse(first, last): every internal edge flips.
-            first, last = rfirst, rlast
-            a = path[first]
-            e = path[last - 1]
-            delta = sum(forward[first:last - 1])
-            if first > 0:
-                p = path[first - 1]
-                delta += rows[p][e] - rows[p][a]
-            if last < n:
-                q = path[last]
-                delta += rows[a][q] - rows[e][q]
-            if delta < 0.0 or v < exp(-delta / temperature):
-                path[first:last] = path[first:last][::-1]
-                forward[first:last - 1], backward[first:last - 1] = (
-                    backward[first:last - 1][::-1],
-                    forward[first:last - 1][::-1])
-                if first > 0:
-                    forward[first - 1] = diff[p][e]
-                    backward[first - 1] = diff[e][p]
-                if last < n:
-                    forward[last - 1] = diff[a][q]
-                    backward[last - 1] = diff[q][a]
-                current += delta
-                accepted += 1
-                if debug:
-                    _check_running(cost, diff, path, forward, backward,
-                                   current)
-                if accepted % resync_every == 0:
-                    current = path_cost(cost, path)
-                if current < best_cost:
-                    best_cost, best_path = current, path[:]
-
-            # RandomSwap(i, j), i <= j: at most four edges change.
-            delta = 0.0
-            if i != j:
-                a = path[i]
-                b = path[j]
-                if j == i + 1:
-                    delta = rows[b][a] - rows[a][b]
-                if i > 0:
-                    p = path[i - 1]
-                    delta += rows[p][b] - rows[p][a]
-                if j > i + 1:
-                    s = path[i + 1]
-                    delta += rows[b][s] - rows[a][s]
-                    t = path[j - 1]
-                    delta += rows[t][a] - rows[t][b]
-                if j < n - 1:
-                    q = path[j + 1]
-                    delta += rows[a][q] - rows[b][q]
-            if delta < 0.0 or w < exp(-delta / temperature):
-                if i != j:
-                    path[i], path[j] = path[j], path[i]
-                    for k in (i - 1, i, j - 1, j):
-                        if 0 <= k < n - 1:
-                            forward[k] = diff[path[k]][path[k + 1]]
-                            backward[k] = diff[path[k + 1]][path[k]]
-                current += delta
-                accepted += 1
-                if debug:
-                    _check_running(cost, diff, path, forward, backward,
-                                   current)
-                if accepted % resync_every == 0:
-                    current = path_cost(cost, path)
-                if current < best_cost:
-                    best_cost, best_path = current, path[:]
-
-            temperature *= cooling
-            if temperature < 1e-300:
-                temperature = 1e-300
-    return best_cost, best_path, accepted, 3 * iterations
-
-
-def _slice_bounds(
-    first_draws: np.ndarray, last_draws: np.ndarray, n: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Slice bounds ``(first, last)`` for a block of draws.
-
-    For any ``n >= 2``: ``0 <= first < last <= n`` and
-    ``last - first >= 2`` — ``first`` uniform on ``[0, n-2]``, ``last``
-    uniform on ``[first+2, n]``.  Each bound is one float product
-    truncated to an int, so a fixed seed gives fixed moves.
-    """
-    first = (first_draws * (n - 1)).astype(np.int64)
-    return first, first + 2 + (last_draws * (n - first - 1)).astype(np.int64)
-
-
-def _check_running(
-    cost: np.ndarray,
-    diff: List[List[float]],
-    path: List[int],
-    forward: List[float],
-    backward: List[float],
-    current: float,
-) -> None:
-    """``debug_checks``: the running cost matches a full re-sum and both
-    edge lists match ``diff`` along the path."""
-    resummed = path_cost(cost, path)
-    assert abs(resummed - current) <= 1e-9 * max(1.0, abs(resummed)), (
-        f"incremental cost drifted: running={current!r} "
-        f"recomputed={resummed!r}"
-    )
-    assert forward == [diff[a][b] for a, b in zip(path, path[1:])], \
-        "forward edge list out of sync with the path"
-    assert backward == [diff[b][a] for a, b in zip(path, path[1:])], \
-        "backward edge list out of sync with the path"
-
+        draws = stream.random(native.DRAWS_PER_ITERATION * todo)
+        counts[1] = 0
+        while True:
+            status = native.anneal_block(
+                cost, diff, path, best_path, draws, todo,
+                config.cooling_rate, resync_every, config.debug_checks,
+                state, counts)
+            if status == native.BLOCK_DONE:
+                break
+            if status == native.DRIFTED:
+                raise AssertionError(
+                    f"incremental cost drifted: "
+                    f"running={float(state[0])!r} "
+                    f"recomputed={float(state[3])!r}")
+            state[0] = path_cost(cost, path)
+            if state[0] < state[1]:
+                state[1] = state[0]
+                best_path[:] = path
+    return float(state[1]), best_path.tolist(), int(counts[0]), \
+        3 * iterations

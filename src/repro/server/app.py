@@ -120,6 +120,7 @@ from ..exceptions import (
     TaskTimeoutError,
     WorkerCrashedError,
 )
+from ..inference import native
 from ..streaming import (
     SessionManager,
     session_config_from_payload,
@@ -543,6 +544,10 @@ class RankingServer:
         self._next_job_id = 1
         self._job_id_lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
+        # Built or loaded before the pool forks, so the workers inherit
+        # the native SAPS kernel and a host that cannot build it fails
+        # here, not on every request.
+        native.load()
         # Forked before the listener exists, so the workers do not hold
         # a copy of it.
         self._backend = _server_backend(self._config, self._metrics)

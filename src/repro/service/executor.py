@@ -53,7 +53,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
-    Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+    Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
 )
 
 import numpy as np
@@ -210,12 +210,14 @@ class BatchExecutor:
         """Execute every job; never raises for individual job failures.
 
         Results come back in submission order regardless of completion
-        order.  Duplicate jobs within one batch are executed
-        independently (later ones typically hit the cache warmed by the
-        first to finish).  ``keys`` optionally holds each job's cache
-        key, :func:`~repro.service.cache.fingerprint_job` computed by
-        the caller (the server computes it where it decoded the job); a
-        ``None`` entry is fingerprinted here.
+        order.  Every job the cache holds when the batch starts is
+        answered first (:meth:`_answer_cached`), so no job's result can
+        evict it first; the rest run.  Duplicate jobs within one batch
+        are executed independently (later ones typically hit the cache
+        warmed by the first to finish).  ``keys`` optionally holds each
+        job's cache key, :func:`~repro.service.cache.fingerprint_job`
+        computed by the caller (the server computes it where it decoded
+        the job); a ``None`` entry is fingerprinted here.
         """
         job_list = list(jobs)
         key_list = [None] * len(job_list) if keys is None else list(keys)
@@ -228,11 +230,24 @@ class BatchExecutor:
         batch_start = time.perf_counter()
         if not job_list:
             return BatchReport(results=(), metrics=self._metrics.snapshot())
+        results: List[Optional[JobResult]] = [None] * len(job_list)
+        missed = (set() if self._cache is None
+                  else self._answer_cached(job_list, key_list, results))
+        pending = [i for i, result in enumerate(results) if result is None]
+
+        def execute(index: int) -> JobResult:
+            if index in missed:
+                return self._run_miss(job_list[index], key_list[index],
+                                      time.perf_counter())
+            return self._execute(job_list[index], key_list[index])
+
         if self._workers == 1 or self._backend.name == "serial":
-            results = list(map(self._execute, job_list, key_list))
+            outcomes = list(map(execute, pending))
         else:
             with ThreadPoolExecutor(max_workers=self._workers) as pool:
-                results = list(pool.map(self._execute, job_list, key_list))
+                outcomes = list(pool.map(execute, pending))
+        for index, outcome in zip(pending, outcomes):
+            results[index] = outcome
         self._metrics.observe("batch.seconds",
                               time.perf_counter() - batch_start)
         report = BatchReport(results=tuple(results),
@@ -244,10 +259,46 @@ class BatchExecutor:
         )
         return report
 
+    def _answer_cached(self, jobs: List[RankingJob],
+                       keys: List[Optional[str]],
+                       results: List[Optional[JobResult]]) -> Set[int]:
+        """Answer, in order, every job the cache holds as the batch
+        starts, before any job runs: run concurrently, a miss's stored
+        result could evict a sibling's entry before the sibling's own
+        lookup.  Fills ``keys`` (fingerprinting where ``None``) and
+        ``results`` for the hits; returns the indices that missed,
+        which run without a second lookup.  A key seen earlier in the
+        batch is not looked up here but by :meth:`_execute`, so a
+        duplicate can still be answered by its twin's result; so is a
+        job whose fingerprint or lookup fails, which :meth:`_execute`
+        reports."""
+        seen = set()
+        missed = set()
+        for index, job in enumerate(jobs):
+            start = time.perf_counter()
+            try:
+                key = keys[index]
+                if key is None:
+                    key = keys[index] = fingerprint_job(job)
+                if key in seen:
+                    continue
+                entry = self._cache.get_entry(key)
+            except Exception:  # noqa: BLE001 — reported by _execute
+                continue
+            seen.add(key)
+            if entry is None:
+                missed.add(index)
+            else:
+                _log.debug("job %s: served from cache", job.job_id)
+                results[index] = serve_cache_hit(self._metrics, job.job_id,
+                                                 entry, start)
+        return missed
+
     # -- one job ------------------------------------------------------------
 
     def _execute(self, job: RankingJob, key: Optional[str]) -> JobResult:
-        """Run one job end to end; converts every failure into a result."""
+        """Run one job end to end, answering it from the cache when that
+        holds ``key``; converts every failure into a result."""
         start = time.perf_counter()
         try:
             if self._cache is None:
@@ -260,18 +311,22 @@ class BatchExecutor:
                     _log.debug("job %s: served from cache", job.job_id)
                     return serve_cache_hit(self._metrics, job.job_id, cached,
                                            start)
+        except Exception as error:  # noqa: BLE001 — isolation boundary
+            outcome = _unexpected_failure(job, error, start)
+            record_job(self._metrics, outcome)
+            return outcome
+        return self._run_miss(job, key, start)
+
+    def _run_miss(self, job: RankingJob, key: Optional[str],
+                  start: float) -> JobResult:
+        """Run a job the cache did not answer (``key`` ``None``: no
+        cache); converts every failure into a result."""
+        try:
+            if key is not None:
                 self._metrics.increment("cache.misses")
             outcome = self._run_job(job, key, start)
         except Exception as error:  # noqa: BLE001 — isolation boundary
-            # Unexpected orchestration failure: still never escapes.
-            _log.exception("job %s: unexpected executor error", job.job_id)
-            outcome = JobResult(
-                job_id=job.job_id,
-                status=JobStatus.FAILED,
-                error=f"{type(error).__name__}: {error}",
-                attempts=1,
-                seconds=time.perf_counter() - start,
-            )
+            outcome = _unexpected_failure(job, error, start)
         record_job(self._metrics, outcome)
         return outcome
 
@@ -485,6 +540,20 @@ def record_job(metrics: MetricsRegistry, outcome: JobResult) -> None:
     # from_cache first: reading a hit's result would decode it.
     if not outcome.from_cache and outcome.result is not None:
         metrics.observe_steps(outcome.result.step_seconds)
+
+
+def _unexpected_failure(job: RankingJob, error: Exception,
+                        start: float) -> JobResult:
+    """The failed outcome of an orchestration error, which still never
+    escapes :class:`BatchExecutor`."""
+    _log.exception("job %s: unexpected executor error", job.job_id)
+    return JobResult(
+        job_id=job.job_id,
+        status=JobStatus.FAILED,
+        error=f"{type(error).__name__}: {error}",
+        attempts=1,
+        seconds=time.perf_counter() - start,
+    )
 
 
 def serve_cache_hit(metrics: MetricsRegistry, job_id: str,

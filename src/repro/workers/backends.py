@@ -351,6 +351,51 @@ def _die_with_parent(parent_pid: Optional[int]) -> None:
         os._exit(1)
 
 
+#: OpenBLAS's thread-count setter under the names its builds export
+#: (plain, 64-bit-integer and the scipy-openblas wheels numpy ships).
+_BLAS_THREAD_SETTERS = (
+    "openblas_set_num_threads", "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_",
+)
+
+
+def _single_threaded_blas() -> None:
+    """Run this worker's OpenBLAS on one thread.
+
+    A pool worker is already one core's share of the host, so BLAS
+    threads inside it only oversubscribe the cores.  Worse, an idle
+    OpenBLAS thread spins for about 0.1 s after each call: since Step 4
+    runs in native code and no longer outlasts that spin, a Step 3
+    matrix product left a core busy after the job returned, slowing
+    the request threads' cache hits.  Best effort: a numpy without
+    OpenBLAS, or a host without ``/proc``, is left as it is.
+    """
+    import ctypes
+
+    import numpy  # noqa: F401 — loads the BLAS library if not yet loaded
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps
+                     if "openblas" in line.lower() and "/" in line}
+    except OSError:
+        return
+    for path in sorted(paths):
+        try:
+            library = ctypes.CDLL(path)  # already mapped: a new handle
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SETTERS:
+            setter = getattr(library, name, None)
+            if setter is not None:
+                # The "64_" builds take a 64-bit integer.
+                setter.argtypes = [ctypes.c_int64 if name.endswith("64_")
+                                   else ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                break
+
+
 def _failure_payload(error: BaseException) -> tuple:
     """The reply reporting ``error`` as the task's outcome: the
     exception itself when it pickles, else its type name, message and
@@ -378,6 +423,7 @@ def _worker_main(conn, parent_pid: Optional[int]) -> None:
     shutdown sentinel.
     """
     _die_with_parent(parent_pid)
+    _single_threaded_blas()
     # The heap inherited at start lives as long as the worker.  Frozen,
     # it stays out of the worker's collections, which would otherwise
     # walk it and write to every object's header: under fork that
@@ -597,7 +643,13 @@ class _WorkerSet:
         for worker in busy:
             worker.kill()
         if self._spawner is not None:
-            self._spawner.shutdown(wait=True)
+            # No join: the spawner is idle (forks run under _cond), so
+            # its thread exits by itself.  This also runs as the
+            # backend's GC finalizer, in whatever thread collects it
+            # and under whatever lock that thread holds; a new
+            # thread's bootstrap holds threading's shutdown-locks lock,
+            # which every thread join takes, and deadlocked here.
+            self._spawner.shutdown(wait=False)
 
 
 class ProcessBackend(ExecutionBackend):

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import faulthandler
+import os
 import signal
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +19,23 @@ from repro.datasets import hostile_votes, make_scenario
 from repro.experiments.runner import collect_votes
 from repro.types import Ranking, Vote, VoteSet
 from repro.workers import QualityLevel, WorkerPool, gaussian_preset
+
+
+def pytest_sessionfinish(session):
+    """Watch the end of the run as ``faulthandler_timeout`` watches a test.
+
+    pytest's own dump timer covers each test only.  Re-armed here, it
+    also covers session teardown and interpreter exit, where pool
+    workers and executor threads are joined: if those stall for
+    ``faulthandler_timeout`` seconds, every thread's stack goes to
+    stderr (nothing is killed).  A normal exit cancels the timer.  The
+    stream is a private copy of stderr's descriptor, since pytest
+    closes its own copy at unconfigure.
+    """
+    timeout = float(session.config.getini("faulthandler_timeout") or 0)
+    if timeout > 0:
+        faulthandler.dump_traceback_later(
+            timeout, exit=False, file=os.dup(sys.__stderr__.fileno()))
 
 
 @pytest.fixture

@@ -12,9 +12,11 @@ nothing here (no ``test_`` modules).
   (:func:`smooth_preferences`), one 1-edge and one vote at a time;
 * :mod:`.pipeline` — Steps 1-4 through that object graph
   (:func:`object_closure`, :func:`object_pipeline`);
-* :mod:`.saps` — the SAPS anneal that copies the path and re-sums all
-  ``n - 1`` edges per proposal (:func:`reference_search_report`), with
-  its pure moves;
+* :mod:`.saps` — the two Python SAPS anneals: the incremental kernel
+  the native one replaced (:func:`python_search_report`, which the
+  native kernel must match bit for bit), and the one that copies the
+  path and re-sums all ``n - 1`` edges per proposal
+  (:func:`reference_search_report`), with its pure moves;
 * :mod:`.held_karp` — the exact max-probability Hamiltonian path by
   bitmask DP (:func:`best_hamiltonian_path_dp`), the third exact Step-4
   search next to TAPS and branch-and-bound;
@@ -32,7 +34,7 @@ from .bdp import bdp_scores_reference
 from .held_karp import best_hamiltonian_path_dp
 from .pipeline import ObjectClosure, object_closure, object_pipeline
 from .rank_centrality import dense_rank_centrality
-from .saps import reference_search_report
+from .saps import python_search_report, reference_search_report
 from .smoothing import SmoothingResult, smooth_preferences
 
 __all__ = [
@@ -43,6 +45,7 @@ __all__ = [
     "dense_rank_centrality",
     "object_closure",
     "object_pipeline",
+    "python_search_report",
     "reference_search_report",
     "smooth_preferences",
 ]

@@ -3,7 +3,10 @@
 :func:`assert_result_invariants` holds for any result an engine returns
 on a vote set, whatever the votes: the engine tests call it on each
 result they make, so a new engine or a changed one is held to the same
-contract.
+contract.  Entry points that return less than an
+:class:`~repro.types.InferenceResult` are held to the parts they carry:
+a baseline's bare ranking to :func:`assert_ranking_invariants`, a
+session view to :func:`assert_view_invariants`.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ def assert_result_invariants(result: InferenceResult, votes: VoteSet,
       JSON-scalar metadata, as :func:`~repro.io.result_to_payload`
       documents).
     """
-    assert sorted(result.ranking.order) == list(range(votes.n_objects))
+    assert_ranking_invariants(result.ranking.order, votes.n_objects)
     log_preference = result.log_preference
     assert math.isfinite(log_preference) or log_preference == -math.inf, \
         log_preference
@@ -61,3 +64,20 @@ def assert_result_invariants(result: InferenceResult, votes: VoteSet,
         json.loads(json.dumps(result_to_payload(result))))
     assert round_trip == dataclasses.replace(
         result, metadata=json_scalars(result.metadata))
+
+
+def assert_ranking_invariants(order, n_objects: int) -> None:
+    """The ranking is a permutation of the object ids ``0..n-1``."""
+    assert sorted(int(v) for v in order) == list(range(n_objects)), order
+
+
+def assert_view_invariants(view) -> None:
+    """A session view (``RankingSession.view()``, or the JSON of a
+    sessions endpoint): before the first ranking, no ranking and no
+    ``log_preference``; after it, a permutation ranking and a finite
+    ``log_preference`` (sessions anneal complete closures only)."""
+    if view["ranking"] is None:
+        assert view["log_preference"] is None
+        return
+    assert_ranking_invariants(view["ranking"], view["n_objects"])
+    assert math.isfinite(view["log_preference"]), view["log_preference"]

@@ -102,6 +102,29 @@ def _frozen_objects(_):
     return gc.get_freeze_count()
 
 
+def _blas_helper_ticks(_):
+    """CPU clock ticks that threads other than the main one spend while
+    this process runs 40 BLAS matrix products."""
+    import numpy as np
+
+    def helpers():
+        total = 0
+        for tid in os.listdir("/proc/self/task"):
+            if int(tid) != os.getpid():
+                with open(f"/proc/self/task/{tid}/stat") as stat:
+                    fields = stat.read().rsplit(")", 1)[1].split()
+                total += int(fields[11]) + int(fields[12])
+        return total
+
+    matrix = np.random.default_rng(0).random((400, 400))
+    matrix @ matrix
+    time.sleep(0.3)  # past any start-up spin of BLAS threads
+    before = helpers()
+    for _ in range(40):
+        matrix @ matrix
+    return helpers() - before
+
+
 def _crash_once_attempt(job):
     """First call kills its worker; later calls run the real attempt."""
     if not os.path.exists(_CRASH_FLAG):
@@ -416,6 +439,44 @@ class TestPersistentPool:
         del backend
         gc.collect()
         assert all(map(_gone, pids))
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/task"),
+                        reason="reads per-thread CPU time from /proc")
+    def test_workers_run_blas_on_one_thread(self):
+        """A worker is one core's share: its BLAS products run on its
+        own thread (with OpenBLAS's default, a helper thread took 5-8
+        ticks here on 2 vCPUs, and spun on after each product)."""
+        backend = ProcessBackend(workers=1)
+        try:
+            (ticks,) = backend.map(_blas_helper_ticks, [0], max_workers=1)
+            assert ticks <= 1
+        finally:
+            backend.close()
+
+    @pytest.mark.skipif(not hasattr(threading, "_shutdown_locks_lock"),
+                        reason="CPython < 3.13 thread-shutdown internals")
+    def test_collection_inside_a_thread_start_does_not_deadlock(self):
+        """A collection can run a dropped pool's finalizer inside a new
+        thread's bootstrap, which holds threading's shutdown-locks lock;
+        joining the spawner thread there took that lock again and hung
+        a tier-1 run.  In a child process, so a regression times out
+        instead of wedging the suite."""
+        code = (
+            "import threading\n"
+            "from repro.workers.backends import ProcessBackend\n"
+            "backend = ProcessBackend(workers=1)\n"
+            "backend.start()\n"
+            "with threading._shutdown_locks_lock:\n"
+            "    backend.close()\n"
+            "print('closed')\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        completed = subprocess.run([sys.executable, "-c", code], env=env,
+                                   capture_output=True, text=True,
+                                   timeout=60)
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.strip() == "closed"
 
 
 class TestInlineFanout:

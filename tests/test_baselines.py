@@ -10,7 +10,9 @@ from repro.baselines import (
     bradley_terry_mle,
     copeland_ranking,
     crowd_bt_rank,
+    kemeny_local_search,
     quicksort_ranking,
+    rank_centrality,
     repeat_choice,
 )
 from repro.exceptions import ConfigurationError, InferenceError
@@ -18,6 +20,8 @@ from repro.metrics import ranking_accuracy
 from repro.platform import InteractivePlatform
 from repro.types import Ranking, Vote, VoteSet
 from repro.workers import QualityLevel, WorkerPool, gaussian_preset
+
+from tests.result_invariants import assert_ranking_invariants
 
 
 def perfect_votes(n, n_workers=3, coverage=1.0, seed=0):
@@ -36,6 +40,33 @@ def perfect_votes(n, n_workers=3, coverage=1.0, seed=0):
         for i, j in pairs:
             votes.append(Vote(worker=worker, winner=i, loser=j))
     return VoteSet.from_votes(n, votes)
+
+
+#: Every non-interactive baseline as ``votes -> Ranking``.
+BASELINES = {
+    "repeat_choice": lambda votes: repeat_choice(votes, rng=0),
+    "quicksort": lambda votes: quicksort_ranking(votes, rng=0),
+    "borda": lambda votes: borda_count(votes, rng=0),
+    "copeland": lambda votes: copeland_ranking(votes, rng=0),
+    "btl": lambda votes: bradley_terry_mle(votes)[0],
+    "rank_centrality": lambda votes: rank_centrality(votes)[0],
+    "kemeny": lambda votes: kemeny_local_search(votes, rng=0)[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASELINES))
+@pytest.mark.parametrize("votes", [
+    perfect_votes(7),
+    perfect_votes(12, coverage=0.2, seed=3),
+    VoteSet.from_votes(4, [Vote(worker=0, winner=0, loser=1),
+                           Vote(worker=0, winner=1, loser=2),
+                           Vote(worker=0, winner=2, loser=0),
+                           Vote(worker=1, winner=3, loser=2)]),
+], ids=["complete", "sparse", "cyclic"])
+def test_every_baseline_returns_a_permutation(name, votes):
+    """Baselines return a bare ranking: the part of the result contract
+    they carry."""
+    assert_ranking_invariants(BASELINES[name](votes).order, votes.n_objects)
 
 
 class TestRepeatChoice:

@@ -39,6 +39,7 @@ SERVE_PATH_MODULES = [
     "repro.truth.crh",
     "repro.inference.pipeline",
     "repro.inference.saps",
+    "repro.inference.native",
     "repro.service.executor",
     "repro.streaming.incremental",
 ]

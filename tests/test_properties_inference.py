@@ -9,12 +9,18 @@ from hypothesis import given, settings, strategies as st
 from repro.config import PropagationConfig, SAPSConfig, SmoothingConfig
 from repro.graphs import PreferenceGraph
 from repro.inference.propagation import _adaptive_hops, propagate_matrix
-from repro.inference.saps import _slice_bounds, saps_search_report
+from repro.inference.saps import saps_search_report
 from repro.truth import discover_truth, discover_truth_em
 from repro.types import Vote, VoteSet
 from repro.workers import parallel_map
 
-from tests.oracles.saps import _random_swap, _reverse, _rotate, _two_indices
+from tests.oracles.saps import (
+    _random_swap,
+    _reverse,
+    _rotate,
+    _slice_bounds,
+    _two_indices,
+)
 from tests.oracles.smoothing import smooth_preferences
 
 
@@ -91,8 +97,9 @@ class TestSAPSMoveProperties:
     @given(st.integers(2, 200), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_slice_bounds_match_two_indices(self, n, seed):
-        """The kernel's block decode gives the oracle's scalar bounds
-        from the same draws — the reason both accept the same moves."""
+        """The Python kernel's block decode (which the native kernel
+        repeats) gives the full-re-sum oracle's scalar bounds from the
+        same draws — the reason all three accept the same moves."""
         draws = np.random.default_rng(seed).random((16, 2))
         first, last = _slice_bounds(draws[:, 0], draws[:, 1], n)
         replay = iter(draws.ravel().tolist())

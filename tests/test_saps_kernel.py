@@ -1,21 +1,20 @@
-"""Equivalence and unit tests for the incremental SAPS kernel.
+"""Equivalence and unit tests for the native SAPS kernel.
 
-The contract under test: the incremental kernel (delta evaluation,
-in-place moves, pre-fetched RNG blocks) is *observationally identical*
-to the reference anneal in ``tests/oracles`` (full re-sum per proposal,
-scalar RNG draws) for any seed — same accepted moves, same best
-ranking, same cost to float precision — while being several times
-faster (benchmarked by ``benchmarks/bench_saps.py``, not here).
+Two contracts are under test.  The native kernel (``_anneal.c``) is
+*exactly* the Python incremental kernel it replaced
+(``tests/oracles/saps.py``): for any seed, the same ranking, the same
+``log_preference`` bit for bit and the same accepted moves, on every
+interpreter.  And both are *observationally identical* to the
+full-re-sum reference anneal: same accepted moves and best ranking,
+cost to 1e-9 (its full re-sums add in another order).  Speed is
+benchmarked by ``benchmarks/bench_saps.py``, not here.
 ``TestGoldenReports`` pins the kernel's answers on Steps 1-3 closures
 to recorded values, so a kernel rewrite cannot drift from the answers
 of the kernel it replaces.
-
-Costs are compared to 1e-9, never exactly: from Python 3.12 ``sum()``
-of floats is compensated, so the kernel's Reverse sums may differ in
-the last bits between interpreter versions.
 """
 
 import json
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -26,27 +25,31 @@ from hypothesis import strategies as st
 from repro.adaptive import _interim_closure
 from repro.config import PipelineConfig, SAPSConfig
 from repro.exceptions import ConfigurationError, InferenceError
+from repro.inference import native, saps
 from repro.inference.delta import (
     apply_reverse,
     apply_rotate,
     apply_swap,
-    cost_rows,
     path_cost,
     reverse_delta,
     reverse_diff_matrix,
-    reverse_diff_rows,
     rotate_delta,
     swap_delta,
 )
 from repro.inference.saps import (
-    _check_running,
+    _anneal_incremental,
     saps_search,
     saps_search_report,
 )
 from repro.types import VoteSet
 from repro.workers import parallel_map
 
-from tests.oracles import reference_search_report
+from tests.oracles import python_search_report, reference_search_report
+from tests.oracles.saps import (
+    _check_running,
+    cost_rows,
+    reverse_diff_rows,
+)
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "saps_golden.json").read_text()
@@ -284,6 +287,183 @@ class TestKernelEquivalence:
             saps_search(matrix, SAPSConfig(iterations=50, restarts=1), rng=0)
 
 
+class TestNativeKernel:
+    """The native kernel equals the Python kernel it replaced, exactly."""
+
+    @staticmethod
+    def assert_identical(native_report, python_report):
+        assert native_report.ranking == python_report.ranking
+        assert native_report.log_preference == python_report.log_preference
+        assert native_report.accepted_moves == python_report.accepted_moves
+        assert native_report.proposed_moves == python_report.proposed_moves
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 60, 150, 300])
+    def test_random_closures(self, n, warm):
+        matrix = random_closure(n, seed=n + 300)
+        config = SAPSConfig(iterations=1500, restarts=2,
+                            scale_with_objects=False)
+        warm_start = (np.random.default_rng(n).permutation(n) if warm
+                      else None)
+        self.assert_identical(
+            saps_search_report(matrix, config, rng=n, warm_start=warm_start),
+            python_search_report(matrix, config, rng=n,
+                                 warm_start=warm_start))
+
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 16, 50, 100])
+    def test_steps_1_to_3_closures(self, n, warm):
+        """Default config (20,000 iterations: five native draw blocks
+        against the oracle's 79) on the closures the pipeline builds."""
+        closure = steps_1_to_3(synthetic_votes(n, seed=n + 1), seed=n)
+        warm_start = (saps.degree_order(closure)[::-1] if warm else None)
+        self.assert_identical(
+            saps_search_report(closure, SAPSConfig(), rng=n + 7,
+                               warm_start=warm_start),
+            python_search_report(closure, SAPSConfig(), rng=n + 7,
+                                 warm_start=warm_start))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 60), seed=st.integers(0, 2**32 - 1),
+           iterations=st.integers(1, 5000),
+           resync_every=st.integers(1, 600),
+           cooling_rate=st.sampled_from([0.9995, 0.9, 1e-3]))
+    def test_property(self, n, seed, iterations, resync_every,
+                      cooling_rate):
+        """A fast cooling rate reaches the ``1e-300`` temperature floor
+        within a few hundred iterations."""
+        matrix = random_closure(n, seed=seed % 1000)
+        config = SAPSConfig(iterations=iterations, restarts=1,
+                            resync_every=resync_every,
+                            cooling_rate=cooling_rate)
+        self.assert_identical(
+            saps_search_report(matrix, config, rng=seed),
+            python_search_report(matrix, config, rng=seed))
+
+    def test_ties_keep_the_earliest_best_path(self):
+        """On a closure of equal weights every move has a zero delta, so
+        only the strict ``<`` keeps the initial path (the start vertex,
+        then the rest in degree order: by id on a tie) as the best."""
+        n = 12
+        matrix = np.full((n, n), 0.5)
+        np.fill_diagonal(matrix, 0.0)
+        config = SAPSConfig(iterations=400, restarts=1)
+        report = saps_search_report(matrix, config, rng=3)
+        self.assert_identical(report,
+                              python_search_report(matrix, config, rng=3))
+        start, *rest = report.ranking.order
+        assert rest == sorted(set(range(n)) - {start})
+
+    def test_debug_checks_keep_answers(self):
+        matrix = random_closure(40, seed=12)
+        base = dict(iterations=3000, restarts=2, resync_every=10**9)
+        plain = saps_search_report(matrix, SAPSConfig(**base), rng=4)
+        checked = saps_search_report(
+            matrix, SAPSConfig(**base, debug_checks=True), rng=4)
+        self.assert_identical(checked, plain)
+
+    def test_debug_checks_catch_drift(self, monkeypatch):
+        """A running cost that starts 1.0 off its path fails the check
+        at the first accepted move, with ``_check_running``'s text; with
+        the check off the kernel carries the offset silently."""
+        true_cost = saps.path_cost
+        monkeypatch.setattr(saps, "path_cost",
+                            lambda cost, path: true_cost(cost, path) + 1.0)
+        matrix = random_closure(12, seed=3)
+        base = dict(iterations=200, restarts=1, resync_every=10**9)
+        with pytest.raises(AssertionError,
+                           match="incremental cost drifted: running="):
+            saps_search_report(
+                matrix, SAPSConfig(**base, debug_checks=True), rng=1)
+        saps_search_report(matrix, SAPSConfig(**base), rng=1)
+
+    def test_large_n_on_a_thread(self):
+        """n=3000 on a non-main thread: the kernel keeps nothing sized
+        by ``n`` on the (smaller) thread stack."""
+        n = 3000
+        rng = np.random.default_rng(5)
+        cost = -np.log(rng.uniform(0.05, 0.95, (n, n)))
+        np.fill_diagonal(cost, np.inf)
+        diff = reverse_diff_matrix(cost)
+        initial = rng.permutation(n)
+        config = SAPSConfig(iterations=50)
+        outcome = []
+        worker = threading.Thread(target=lambda: outcome.append(
+            _anneal_incremental(cost, diff, initial, 50, config,
+                                np.random.default_rng(6))))
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive()
+        best_cost, best_path, accepted, proposed = outcome[0]
+        assert sorted(best_path) == list(range(n))
+        assert best_cost == pytest.approx(path_cost(cost, best_path),
+                                          rel=1e-9)
+        assert proposed == 150 and accepted > 0
+
+    @pytest.mark.parametrize("name, bad", [
+        ("cost", lambda a: a["cost"].astype(np.float32)),
+        ("diff", lambda a: np.asfortranarray(a["diff"])),
+        ("path", lambda a: a["path"].astype(np.int32)),
+        ("best_path", lambda a: a["best_path"][:-1]),
+        ("draws", lambda a: a["draws"][:-1]),
+        ("state", lambda a: a["state"][:3]),
+        ("counts", lambda a: a["counts"][::-1].copy().astype(np.float64)),
+    ])
+    def test_buffers_are_checked(self, name, bad):
+        """The kernel trusts its buffers, so the Python side refuses a
+        wrong dtype, layout or shape before the call."""
+        n = 6
+        cost = random_cost(n, seed=1)
+        buffers = dict(cost=cost, diff=reverse_diff_matrix(cost),
+                       path=np.arange(n, dtype=np.int64),
+                       best_path=np.arange(n, dtype=np.int64),
+                       draws=np.random.default_rng(0).random(
+                           native.DRAWS_PER_ITERATION * 4),
+                       state=np.array([0.0, 0.0, 0.2, 0.0]),
+                       counts=np.zeros(2, dtype=np.int64))
+        buffers[name] = bad(buffers)
+        with pytest.raises(InferenceError, match=name):
+            native.anneal_block(buffers["cost"], buffers["diff"],
+                                buffers["path"], buffers["best_path"],
+                                buffers["draws"], 4, 0.99, 512, False,
+                                buffers["state"], buffers["counts"])
+
+    @pytest.mark.parametrize("resync_every", [2**64, 2**64 + 5, 2**63])
+    def test_resync_interval_beyond_int64(self, resync_every):
+        """An interval past int64 (JSON allows any int) never resyncs,
+        as in the Python kernel: it is not wrapped into the kernel's
+        int64 (2**64 would arrive as a modulus of zero)."""
+        matrix = random_closure(20, seed=8)
+        config = SAPSConfig(iterations=600, restarts=2,
+                            resync_every=resync_every)
+        report = saps_search_report(matrix, config, rng=2)
+        self.assert_identical(report,
+                              python_search_report(matrix, config, rng=2))
+        never = SAPSConfig(iterations=600, restarts=2, resync_every=10**9)
+        self.assert_identical(report,
+                              saps_search_report(matrix, never, rng=2))
+
+    @pytest.mark.parametrize("iterations, resync_every",
+                             [(4, 2**64), (4, 2**63), (2**63, 512)])
+    def test_ints_outside_int64_are_refused(self, iterations, resync_every):
+        n = 6
+        cost = random_cost(n, seed=1)
+        with pytest.raises(InferenceError):
+            native.anneal_block(
+                cost, reverse_diff_matrix(cost),
+                np.arange(n, dtype=np.int64), np.arange(n, dtype=np.int64),
+                np.zeros(native.DRAWS_PER_ITERATION * 4), iterations, 0.99,
+                resync_every, False, np.array([0.0, 0.0, 0.2, 0.0]),
+                np.zeros(2, dtype=np.int64))
+
+    def test_initial_path_must_be_a_permutation(self):
+        cost = random_cost(5, seed=2)
+        with pytest.raises(InferenceError, match="permutation"):
+            _anneal_incremental(cost, reverse_diff_matrix(cost),
+                                np.array([0, 1, 2, 3, 7]), 10, SAPSConfig(),
+                                np.random.default_rng(0))
+
+
 class TestGoldenReports:
     """Default-config SAPS on Steps 1-3 closures of seeded crowds.
 
@@ -304,6 +484,9 @@ class TestGoldenReports:
         assert report.proposed_moves == golden["proposed_moves"]
         assert report.log_preference == pytest.approx(
             golden["log_preference"], abs=1e-9)
+        # The Python kernel the native one replaced, bit for bit.
+        TestNativeKernel.assert_identical(
+            report, python_search_report(closure, SAPSConfig(), rng=n + 1))
 
     @pytest.mark.parametrize("golden", GOLDEN[:2],
                              ids=[f"n{g['n']}" for g in GOLDEN[:2]])

@@ -107,6 +107,22 @@ class TestProbes:
 
 
 class TestRank:
+    def test_resync_interval_beyond_int64_is_served(self, thread_server):
+        """A ``resync_every`` past int64 reaches the native kernel on the
+        request thread and is answered like any interval that never
+        resyncs, not wrapped to a modulus of zero (a crash of the
+        whole process)."""
+        answers = []
+        for resync_every in (2**64, 10**9):
+            request = dict(SCENARIO_REQUEST, config={
+                "saps": {"resync_every": resync_every}})
+            status, body = _post(thread_server.url + "/v1/rank", request)
+            assert status == 200 and body["status"] == "succeeded", body
+            assert body["result"]["metadata"]["search_algorithm"] == "saps"
+            answers.append((body["ranking"],
+                            body["result"]["log_preference"]))
+        assert answers[0] == answers[1]
+
     def test_scenario_round_trip_matches_rank_with_crowd(self, server):
         status, body = _post(server.url + "/v1/rank", SCENARIO_REQUEST)
         assert status == 200

@@ -13,6 +13,8 @@ from repro.experiments.runner import collect_votes
 from repro.server import RankingServer, ServerConfig
 from repro.service.retry import NO_RETRY
 
+from tests.result_invariants import assert_view_invariants
+
 FAST_SESSION_CONFIG = {
     "pipeline": {
         "saps": {"iterations": 1000, "restarts": 1},
@@ -64,15 +66,18 @@ class TestSessionLifecycle:
         session_id = view["session_id"]
         assert view["verdict"] == "collecting"
         assert view["ranking"] is None
+        assert_view_invariants(view)
 
         for start in range(0, len(votes), 40):
             view = client.submit_votes(session_id,
                                        votes[start:start + 40])
+            assert_view_invariants(view)
         assert view["votes_ingested"] == len(votes)
         assert view["update_mode"] in ("full", "incremental")
         assert sorted(view["ranking"]) == list(range(10))
 
         ranking = client.session_ranking(session_id)
+        assert_view_invariants(ranking)
         assert ranking["ranking"] == view["ranking"]
         assert ranking["updates"]["full"] >= 1
 

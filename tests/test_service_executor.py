@@ -124,6 +124,19 @@ class TestCaching:
         assert report.results[0].result.ranking == \
                report.results[1].result.ranking
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_batch_answers_its_hits_before_its_misses_evict_them(
+            self, workers):
+        """A two-entry cache holds b and c; a batch of (a, b) must serve
+        b from the cache even though storing a's result evicts b: the
+        batch answers its hits before it runs a miss."""
+        a, b, c = scenario_jobs(3)
+        cache = ResultCache(max_entries=2)
+        executor = BatchExecutor(workers=workers, cache=cache)
+        executor.run([b, c])
+        report = executor.run([a, b])
+        assert [r.from_cache for r in report.results] == [False, True]
+
     def test_unseeded_jobs_never_cached(self):
         spec = ScenarioSpec(8, 0.6, n_workers=6, workers_per_task=3)
         jobs = [RankingJob(job_id=f"u{i}", scenario=spec, config=QUICK)

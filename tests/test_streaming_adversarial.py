@@ -11,6 +11,8 @@ import pytest
 from repro.config import PipelineConfig, PropagationConfig, SAPSConfig
 from repro.streaming import VERDICTS, RankingSession, SessionConfig
 
+from tests.result_invariants import assert_view_invariants
+
 FAST = PipelineConfig(
     saps=SAPSConfig(iterations=400, restarts=1),
     propagation=PropagationConfig(max_hops=4, method="walks"),
@@ -35,6 +37,7 @@ def test_session_survives_hostile_streams(family, hostile_vote_stream):
         assert sorted(report.ranking.order) == list(
             range(scenario.n_objects)
         )
+        assert_view_invariants(session.view())
     assert session.verdict in VERDICTS
     assert session.votes_ingested == len(votes)
 

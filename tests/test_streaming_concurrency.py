@@ -20,6 +20,8 @@ from repro.service import MetricsRegistry
 from repro.streaming import SessionConfig, SessionManager
 from repro.workers.backends import ProcessBackend, ThreadBackend
 
+from tests.result_invariants import assert_view_invariants
+
 FAST = SessionConfig(
     pipeline=PipelineConfig(
         saps=SAPSConfig(iterations=1000, restarts=1),
@@ -108,6 +110,8 @@ class TestPooledUpdates:
         finally:
             pool.close()
         assert views["pooled"] == views["thread"] == views["closed"]
+        for view in views["pooled"]:
+            assert_view_invariants(view)
         updates = len(views["pooled"])
         assert counts == {"pooled": (updates, 0), "thread": (0, updates),
                           "closed": (0, updates)}

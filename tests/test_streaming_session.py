@@ -35,6 +35,11 @@ from repro.streaming import (
 from repro.streaming import session as session_module
 from repro.types import Ranking, Vote, VoteSet
 
+from tests.result_invariants import (
+    assert_result_invariants,
+    assert_view_invariants,
+)
+
 
 def _fast_pipeline(iterations=4000, restarts=1):
     return PipelineConfig(
@@ -111,9 +116,11 @@ class TestWarmConvergence:
         chunk = max(1, len(votes) // 6)
         for start in range(0, len(votes), chunk):
             session.ingest(votes[start:start + chunk])
+            assert_view_invariants(session.view())
         warm = list(session.ranking.order)
-        batch = list(session.recompute().ranking.order)
-        assert warm == batch
+        recomputed = session.recompute()
+        assert_result_invariants(recomputed, session.buffer.to_vote_set())
+        assert warm == list(recomputed.ranking.order)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_larger_universe_statistical_match(self, seed):
@@ -154,6 +161,7 @@ class TestWarmConvergence:
             seed=seed, early_stop=False))
         for start in range(0, len(votes), 100):
             session.ingest(votes[start:start + 100])
+            assert_view_invariants(session.view())
         final = workloads.kendall_accuracy(generated.truth,
                                            session.ranking.order)
         batch = workloads.kendall_accuracy(
