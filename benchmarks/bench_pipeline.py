@@ -14,6 +14,14 @@ budget, not the vote representation.  Every run also hard-checks the
 fast path's contract: the ranking and ``log_preference`` must be
 *bit-identical* to the object path for every benched seed.
 
+A second block, ``step3_reachability``, times Step 3's support-graph
+reachability (``repro.graphs.closure._reachability``: two breadth-first
+searches prove the graph strongly connected) against the repeated
+boolean squaring it ran on every graph before
+(``_reachability_by_squaring``, now only for graphs that are not) on
+Step 2 matrices at n=400 and n=800, next to the whole of Step 3, and
+checks that both give the same boolean matrix.
+
 ``--smoke`` runs two tiny sizes with the identity checks only (no file
 written, no timing thresholds — CI boxes are noisy) and exits non-zero
 on any divergence.
@@ -31,13 +39,20 @@ import json
 import os
 import platform
 import sys
+import time
 from pathlib import Path
 from typing import Dict, List
+
+import numpy as np
 
 from repro.config import PipelineConfig, SAPSConfig
 from repro.datasets import make_scenario
 from repro.experiments.runner import collect_votes
+from repro.graphs.closure import _reachability, _reachability_by_squaring
 from repro.inference import RankingPipeline
+from repro.inference.propagation import propagate_matrix
+from repro.inference.smoothing import direct_preference_matrix, smooth_matrix
+from repro.truth import discover_truth
 from repro.types import VoteSet
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -130,6 +145,57 @@ def bench_size(n: int, seeds: List[int], repeats: int,
     }
 
 
+#: Selection ratio of the Step 3 block's vote sets (the e2e n=400 shape).
+STEP3_RATIO = 0.1
+
+
+def step2_matrix(n: int, seed: int) -> np.ndarray:
+    """Step 2's smoothed matrix for a ``STEP3_RATIO`` vote set."""
+    scenario = make_scenario(n, STEP3_RATIO, n_workers=max(10, n // 8),
+                             workers_per_task=WORKERS_PER_TASK, rng=seed)
+    arrays = collect_votes(scenario, rng=seed).arrays()
+    config = PipelineConfig()
+    truth = discover_truth(arrays, config.truth)
+    direct = direct_preference_matrix(arrays, truth.preference_vector)
+    return smooth_matrix(direct, truth.preference_vector, arrays,
+                         truth.quality_vector, config.smoothing,
+                         np.random.default_rng(seed)).matrix
+
+
+def _median_ms(call, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - start)
+    return round(float(np.median(times)) * 1e3, 3)
+
+
+def bench_step3(n: int, seeds: List[int], repeats: int) -> Dict[str, object]:
+    """Per seed: median ms of the reachability kernel and of the
+    repeated squaring on one Step 2 matrix, of the whole of Step 3, and
+    whether both kernels agree."""
+    per_seed = []
+    for seed in seeds:
+        matrix = step2_matrix(n, seed)
+        support = matrix > 0.0
+        per_seed.append({
+            "seed": seed,
+            "edges": int(np.count_nonzero(support)),
+            "reachability_ms": _median_ms(
+                lambda: _reachability(matrix), repeats),
+            "squaring_ms": _median_ms(
+                lambda: _reachability_by_squaring(support), repeats),
+            "step3_ms": _median_ms(lambda: propagate_matrix(matrix),
+                                   repeats),
+            "identical": bool(np.array_equal(
+                _reachability(matrix), _reachability_by_squaring(support))),
+        })
+    return {"n": n, "ratio": STEP3_RATIO, "repeats": repeats,
+            "per_seed": per_seed,
+            "identical": all(entry["identical"] for entry in per_seed)}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", type=int, nargs="+",
@@ -143,6 +209,10 @@ def main() -> int:
     parser.add_argument("--iterations", type=int, default=200,
                         help="anneal iterations for the (untimed-metric) "
                              "Step-4 search (default 200)")
+    parser.add_argument("--step3-sizes", type=int, nargs="+",
+                        default=[400, 800],
+                        help="sizes of the Step 3 reachability block "
+                             "(default 400 800)")
     parser.add_argument("--smoke", action="store_true",
                         help="tiny CI mode: identity checks only, no "
                              "file written, no timing thresholds")
@@ -154,10 +224,12 @@ def main() -> int:
 
     if args.smoke:
         sizes: List[int] = [20, 40]
+        step3_sizes = [30, 60]
         seeds = [0, 1]
         repeats = 1
     else:
         sizes = args.sizes
+        step3_sizes = args.step3_sizes
         seeds = args.seeds
         repeats = args.repeats
 
@@ -187,6 +259,18 @@ def main() -> int:
                         f"n={n} seed={entry['seed']}: {path} path did "
                         f"not record step timings {missing}"
                     )
+    step3 = []
+    for n in step3_sizes:
+        block = bench_step3(n, seeds, max(repeats, 5))
+        step3.append(block)
+        for entry in block["per_seed"]:
+            print(f"n={n} seed={entry['seed']}: Step 3 reachability "
+                  f"{entry['squaring_ms']} -> {entry['reachability_ms']} "
+                  f"ms, Step 3 {entry['step3_ms']} ms, "
+                  f"identical={entry['identical']}")
+        if not block["identical"]:
+            failures.append(f"n={n}: the reachability kernel differs "
+                            "from repeated squaring")
     if not args.smoke and results:
         top = results[-1]
         if top["speedup_steps_1_3_min"] < 3.0:
@@ -209,6 +293,7 @@ def main() -> int:
             "workers_per_task": WORKERS_PER_TASK,
         },
         "results": results,
+        "step3_reachability": step3,
         "failures": failures,
     }
     if not args.smoke:

@@ -32,14 +32,22 @@ the cold one except for ``attempts``, ``from_cache`` and ``seconds``.
 
 A large-``n`` codec block times, in process, each layer one cold
 ``/v1/rank`` request crosses at the e2e ``rank-sparse`` shape (n=1000,
-ratio 0.01, 50 workers, ``engine: "hodge"``): body decode (with the
-cyclic GC on, as a request thread runs it, and paused, as a pool task
-runs it), job decode, fingerprint, the pickle round trip of the attempt
-task to a worker, the attempt, the result encode and the pickle round
-trip of the outcome back.  Rounds are interleaved (every layer once per
-round) and each layer gets a median and IQR.  ``--smoke`` runs it at a
-smaller ``n`` and fails unless the columnar result encoder writes the
-same bytes as the per-pair dict encoder it replaced.
+ratio 0.01, 50 workers, ``engine: "hodge"``): body decode (vote rows
+lifted by the native library; with the cyclic GC on, as a request
+thread runs it, and paused, as a pool task runs it), job decode, next
+to the plain ``json.loads`` and list walk they replaced, then
+fingerprint, the pickle round trip of the attempt task to a worker,
+the attempt, the result encode and the pickle round trip of the
+outcome back.  Rounds are interleaved (every layer once per round) and
+each layer gets a median and IQR.  ``rank_cold_codec`` repeats it at
+the e2e ``rank-cold`` shape (n=100, ratio 0.3, the default engine).
+``--smoke`` runs it at a smaller ``n`` and fails unless the lifted
+decode gives the same job as the plain one and the columnar result
+encoder writes the same bytes as the per-pair dict encoder it replaced.
+
+A serve CPU block sends 40 distinct rank-sparse bodies to a ``repro
+serve`` subprocess and records the CPU time per request of the parent
+and of its pool workers, read from ``/proc/<pid>/stat`` (Linux).
 
 Not collected by pytest (no ``test_`` prefix) — run directly:
 
@@ -74,6 +82,7 @@ from repro.io import EncodedResult, decode_json, result_to_payload
 from repro.server import RankingServer, ServerConfig
 from repro.service import (
     BatchExecutor,
+    decode_job_json,
     MetricsRegistry,
     RankingJob,
     ResultCache,
@@ -376,8 +385,15 @@ LARGE_N_SHAPE = {"n_objects": 1000, "ratio": 0.01, "n_workers": 50,
 #: Votes per compared pair, as in the e2e workloads.
 VOTES_PER_PAIR = 5
 
-#: Interleaved rounds of the large-n codec block.
+#: The e2e ``rank-cold`` shape, for the codec block's second row.
+RANK_COLD_SHAPE = {"n_objects": 100, "ratio": 0.3, "n_workers": 20,
+                   "engine": "crh_saps"}
+
+#: Interleaved rounds of each codec block.
 LARGE_N_CODEC_ROUNDS = 25
+
+#: Timed requests of the serve CPU block.
+SERVE_CPU_REQUESTS = 40
 
 
 def large_n_body(seed: int, n_objects: int, ratio: float, n_workers: int,
@@ -442,35 +458,47 @@ def dict_encoded(result) -> Tuple[bytes, bytes]:
             json.dumps(payload, indent=2).encode("utf-8"))
 
 
-def bench_large_n_codec(rounds: int, n_objects: int,
+def bench_large_n_codec(rounds: int, shape: Dict[str, object],
                         vote_sets: int = 4) -> Dict[str, object]:
-    """Median and IQR per layer of a cold large-``n`` request.
+    """Median and IQR per layer of a cold ``/v1/rank`` request of
+    ``shape`` (``large_n_body``'s arguments).
 
     The start-up heap is frozen first, as a pool worker freezes it, so
     the collector only walks what the layers allocate.  Every layer but
     ``body_decode_gc_on`` runs with the collector paused, as a pool
-    task does.  Also checks, every round, that the columnar encoder's
-    bytes equal :func:`dict_encoded`'s; ``encoder_match`` records it.
+    task does.  ``body_decode`` and ``job_decode`` are the served codec
+    (:func:`decode_job_json`, vote rows lifted by the native library);
+    ``plain_body_decode`` and ``plain_job_decode`` are ``json.loads``
+    and the list walk it replaced.  Every round also checks that both
+    decode to the same job (``lifted_match``) and that the columnar
+    result encoder's bytes equal :func:`dict_encoded`'s
+    (``encoder_match``).
     """
-    shape = dict(LARGE_N_SHAPE, n_objects=n_objects)
     bodies = [large_n_body(seed, **shape) for seed in range(vote_sets)]
     layers: Dict[str, List[float]] = {name: [] for name in (
-        "body_decode_gc_on", "body_decode", "job_decode", "fingerprint",
-        "pickle_task", "attempt", "result_encode", "pickle_outcome")}
-    encoder_match = True
+        "plain_body_decode", "plain_job_decode", "body_decode_gc_on",
+        "body_decode", "job_decode", "fingerprint", "pickle_task",
+        "attempt", "result_encode", "pickle_outcome")}
+    encoder_match = lifted_match = True
     gc.collect()
     gc.freeze()
     try:
         for index in range(rounds):
             body = bodies[index % len(bodies)]
             _timed(layers, "body_decode_gc_on",
-                   lambda: decode_json(body, "bench"))
+                   lambda: decode_job_json(body, "bench"))
             gc.disable()
             try:
+                plain = _timed(layers, "plain_body_decode",
+                               lambda: decode_json(body, "bench"))
+                expected = _timed(
+                    layers, "plain_job_decode", lambda: job_from_payload(
+                        dict(plain, schema="repro.job/1"), source="bench"))
                 payload = _timed(layers, "body_decode",
-                                 lambda: decode_json(body, "bench"))
+                                 lambda: decode_job_json(body, "bench"))
                 job = _timed(layers, "job_decode", lambda: job_from_payload(
                     dict(payload, schema="repro.job/1"), source="bench"))
+                lifted_match = lifted_match and job == expected
                 _timed(layers, "fingerprint", lambda: fingerprint_job(job))
                 job = _timed(layers, "pickle_task", lambda: pickle.loads(
                     pickle.dumps((_attempt_job, job)))[1])
@@ -481,7 +509,7 @@ def bench_large_n_codec(rounds: int, n_objects: int,
                 encoded, extras = _timed(
                     layers, "pickle_outcome", lambda: pickle.loads(
                         pickle.dumps(("ok", (encoded, extras))))[1])
-                del payload
+                del payload, plain, expected
             finally:
                 gc.enable()
             by_dict = dict_encoded(encoded.result)
@@ -494,11 +522,72 @@ def bench_large_n_codec(rounds: int, n_objects: int,
         "shape": dict(shape, votes_per_pair=VOTES_PER_PAIR,
                       vote_sets=vote_sets),
         "rounds": rounds,
+        "body_kb": round(len(bodies[0]) / 1024, 1),
         "result_kb": round(len(encoded.result_json) / 1024, 1),
         "layers": {name: _median_iqr(values)
                    for name, values in layers.items()},
+        "lifted_match": lifted_match,
         "encoder_match": encoder_match,
     }
+
+
+def _cpu_seconds(pid: int) -> float:
+    """User plus system CPU seconds of ``pid`` (``/proc/<pid>/stat``)."""
+    with open(f"/proc/{pid}/stat") as handle:
+        fields = handle.read().rsplit(")", 1)[1].split()
+    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+
+
+def _children(pid: int) -> List[int]:
+    """Child pids of every thread of ``pid`` (the pool forks from a
+    thread of its own)."""
+    children = []
+    for task in os.listdir(f"/proc/{pid}/task"):
+        with open(f"/proc/{pid}/task/{task}/children") as handle:
+            children += [int(child) for child in handle.read().split()]
+    return sorted(children)
+
+
+def bench_serve_cpu(shape: Dict[str, object], requests: int,
+                    workers: int = 2) -> Dict[str, object]:
+    """CPU milliseconds per cold ``/v1/rank`` request of ``shape``, for
+    a ``repro serve`` parent and for its pool workers together, read
+    from ``/proc/<pid>/stat`` before and after ``requests`` distinct
+    bodies sent one at a time.  Linux only."""
+    bodies = [large_n_body(1000 + seed, **shape) for seed in range(requests)]
+    with tempfile.TemporaryDirectory(prefix="bench-service-cpu-") \
+            as cache_dir:
+        server = ServeProcess(cache_dir, workers=workers, queue_depth=8)
+        try:
+            pool = _children(server.proc.pid)
+            # Warm every worker (imports, first-call caches) off the clock.
+            for body in [large_n_body(seed, **shape) for seed in range(4)]:
+                _post_raw(server.url + "/v1/rank", body)
+            before = [_cpu_seconds(pid) for pid in [server.proc.pid, *pool]]
+            start = time.perf_counter()
+            for body in bodies:
+                _post_raw(server.url + "/v1/rank", body)
+            wall = time.perf_counter() - start
+            after = [_cpu_seconds(pid) for pid in [server.proc.pid, *pool]]
+        finally:
+            server.stop()
+    used = [(b - a) * 1e3 / requests for a, b in zip(before, after)]
+    return {
+        "shape": dict(shape), "requests": requests, "workers": len(pool),
+        "parent_cpu_ms_per_request": round(used[0], 2),
+        "workers_cpu_ms_per_request": round(sum(used[1:]), 2),
+        "wall_ms_per_request": round(wall * 1e3 / requests, 2),
+    }
+
+
+def _post_raw(url: str, body: bytes) -> None:
+    request = urllib.request.Request(
+        url, method="POST", data=body,
+        headers={"Content-Type": "application/json"})
+    with urllib.request.urlopen(request, timeout=300.0) as response:
+        if response.status != 200:
+            raise SystemExit(f"{url} answered {response.status}")
+        response.read()
 
 
 # ---------------------------------------------------------------------------
@@ -520,12 +609,17 @@ def run_smoke() -> int:
        empty: no memo hit, one decode per job), and each body equals
        the cold one except for :data:`PER_REQUEST_MEMBERS`.
     """
-    codec = bench_large_n_codec(rounds=2, n_objects=300)
+    codec = bench_large_n_codec(2, dict(LARGE_N_SHAPE, n_objects=300))
     if not codec["encoder_match"]:
         print("smoke: FAIL — the columnar result encoder's bytes differ "
               "from the per-pair dict encoder's")
         return 1
-    print("smoke: columnar result encoder matches the dict encoder "
+    if not codec["lifted_match"]:
+        print("smoke: FAIL — the lifted vote rows decode to another job "
+              "than json.loads plus the list walk")
+        return 1
+    print("smoke: columnar result encoder matches the dict encoder, "
+          "lifted decode matches json.loads plus the list walk "
           f"(n=300, {codec['result_kb']} KiB result)")
     jobs = make_jobs(6, 8, repeat_every=0)
     oracle = oracle_rankings(jobs)
@@ -650,15 +744,24 @@ def main() -> int:
 
     serving = serving_pass(args)
 
-    print("large-n codec layers [n=1000, in process] ...")
-    large_n_codec = bench_large_n_codec(LARGE_N_CODEC_ROUNDS,
-                                        LARGE_N_SHAPE["n_objects"])
-    if not large_n_codec["encoder_match"]:
-        raise SystemExit("the columnar result encoder diverged from the "
-                         "dict encoder")
-    for name, layer in large_n_codec["layers"].items():
-        print(f"  {name}: {layer['median_ms']} ms "
-              f"(IQR {layer['iqr_ms']})")
+    codecs = {}
+    for name, shape in (("large_n_codec", LARGE_N_SHAPE),
+                        ("rank_cold_codec", RANK_COLD_SHAPE)):
+        print(f"{name} layers [n={shape['n_objects']}, in process] ...")
+        codecs[name] = bench_large_n_codec(LARGE_N_CODEC_ROUNDS, shape)
+        if not codecs[name]["encoder_match"]:
+            raise SystemExit("the columnar result encoder diverged from "
+                             "the dict encoder")
+        if not codecs[name]["lifted_match"]:
+            raise SystemExit("the lifted vote rows diverged from "
+                             "json.loads plus the list walk")
+        for layer_name, layer in codecs[name]["layers"].items():
+            print(f"  {layer_name}: {layer['median_ms']} ms "
+                  f"(IQR {layer['iqr_ms']})")
+    print("serve CPU per request [rank-sparse shape] ...")
+    serve_cpu = bench_serve_cpu(LARGE_N_SHAPE, SERVE_CPU_REQUESTS)
+    print(f"  parent {serve_cpu['parent_cpu_ms_per_request']} ms, "
+          f"workers {serve_cpu['workers_cpu_ms_per_request']} ms")
 
     payload = {
         "generated_utc": datetime.datetime.now(
@@ -677,7 +780,8 @@ def main() -> int:
         "executor_backends": executor_backends,
         "server_backends": server_backends,
         "serving": serving,
-        "large_n_codec": large_n_codec,
+        **codecs,
+        "serve_cpu": serve_cpu,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")

@@ -89,18 +89,44 @@ def propagate_walks(
 
 
 def _reachability(weights: np.ndarray) -> np.ndarray:
-    """Boolean reachability of the support graph of ``weights``."""
+    """Boolean reachability (by a path of one or more edges) of the
+    support graph of ``weights``.
+
+    When vertex 0 reaches every vertex and every vertex reaches it, the
+    graph is one strongly connected component and every vertex reaches
+    every vertex: two breadth-first searches, O(n²), decide it.  That
+    is the graph Step 2 leaves whenever the comparison graph is
+    connected.  Any other graph takes repeated boolean squaring, O(n³
+    log n) without BLAS.
+    """
     adj = weights > 0.0
-    n = adj.shape[0]
+    if _reaches_every_vertex(adj, 0) and _reaches_every_vertex(adj.T, 0):
+        return np.ones(adj.shape, dtype=bool)
+    return _reachability_by_squaring(adj)
+
+
+def _reachability_by_squaring(adj: np.ndarray) -> np.ndarray:
+    """Reachability of the boolean adjacency matrix ``adj``: after k
+    rounds of ``reach | reach @ reach`` it covers paths up to 2^k
+    edges, so O(log n) boolean matmuls suffice."""
     reach = adj.copy()
-    # Repeated squaring: after k rounds reach covers paths up to 2^k, so
-    # O(log n) boolean matmuls suffice.
-    for _ in range(int(np.ceil(np.log2(max(n, 2)))) + 1):
+    for _ in range(int(np.ceil(np.log2(max(adj.shape[0], 2)))) + 1):
         new = reach | (reach @ reach)
         if np.array_equal(new, reach):
             break
         reach = new
     return reach
+
+
+def _reaches_every_vertex(adj: np.ndarray, source: int) -> bool:
+    """Whether ``source`` reaches every vertex, itself included, along
+    the edges of the boolean adjacency matrix ``adj`` (breadth first)."""
+    seen = adj[source].copy()
+    frontier = seen
+    while frontier.any() and not seen.all():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
 
 
 def propagate_exact_paths(

@@ -1,10 +1,17 @@
-"""Build, cache and call the native SAPS anneal (``_anneal.c``).
+"""Build, cache and call the native library.
 
-The kernel is one C function, compiled by the system C compiler on
-first use and loaded with stdlib :mod:`ctypes`, which releases the GIL
-for the length of each call.  The shared library is cached per user in
+The library holds two C functions, each in its own source file:
+
+* ``saps_anneal_block`` (``_anneal.c``), Step 4's SAPS anneal, called
+  through :func:`anneal_block`;
+* ``vote_rows_scan`` (``_vote_rows.c``), which lifts the vote rows out
+  of a JSON request body, called through :func:`vote_rows`.
+
+It is compiled by the system C compiler on first use and loaded with
+stdlib :mod:`ctypes`, which releases the GIL for the length of each
+call.  The shared library is cached per user in
 ``$XDG_CACHE_HOME/repro`` (``~/.cache/repro`` when that is unset or
-relative), named by a SHA-256 of the source, the compile command and
+relative), named by a SHA-256 of the sources, the compile command and
 the platform, so an edited source or another machine type builds its
 own copy and every later process only loads it.  Deleting the
 directory forces a rebuild.
@@ -15,7 +22,7 @@ workers of a pool, say) each end with a complete library and the
 directory holds one.  The directory must belong to the user and be
 writable by no one else: a library loaded from it runs in-process.
 
-A host that cannot build the kernel gets an :class:`InferenceError`
+A host that cannot build the library gets an :class:`InferenceError`
 naming the compile command and the tail of the compiler's stderr.
 There is no pure-Python fallback; ``repro serve`` calls :func:`load`
 before it forks its pool, so such a host fails at start-up.
@@ -31,17 +38,18 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..exceptions import InferenceError
 
-#: The kernel's source, shipped as package data next to this module.
-SOURCE = Path(__file__).with_name("_anneal.c")
+#: The library's sources, shipped as package data next to this module.
+SOURCES: Tuple[Path, ...] = tuple(
+    Path(__file__).with_name(name) for name in ("_anneal.c", "_vote_rows.c"))
 
 #: Compiler and flags.  ``-ffp-contract=off`` and no ``-ffast-math`` /
-#: ``-march``: the kernel must round exactly like the Python kernel it
+#: ``-march``: the anneal must round exactly like the Python kernel it
 #: replaced, on any machine of the same type.
 COMPILE_COMMAND: Tuple[str, ...] = (
     "cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared",
@@ -52,6 +60,10 @@ _BUILD_TIMEOUT = 120.0
 
 #: ``saps_anneal_block`` return codes (``_anneal.c``).
 BLOCK_DONE, RESYNC, DRIFTED = 0, 1, 2
+
+#: ``vote_rows_scan``'s return code for a completed scan
+#: (``_vote_rows.c``).
+SCANNED = 0
 
 #: Uniforms drawn per iteration: Rotate 3 + 1, Reverse 2 + 1,
 #: RandomSwap 2 + 1 (``DRAWS`` in ``_anneal.c``).
@@ -77,11 +89,11 @@ def cache_dir() -> Path:
         info = path.stat()
     except OSError as error:
         raise InferenceError(
-            f"cannot create the SAPS kernel cache {path}: {error}"
+            f"cannot create the native library cache {path}: {error}"
         ) from None
     if info.st_uid != os.getuid() or info.st_mode & 0o022:
         raise InferenceError(
-            f"the SAPS kernel cache {path} must be owned by this user "
+            f"the native library cache {path} must be owned by this user "
             f"and writable by no one else (mode "
             f"{info.st_mode & 0o777:o}); fix or delete it"
         )
@@ -89,30 +101,30 @@ def cache_dir() -> Path:
 
 
 def library_path() -> Path:
-    """The compiled kernel in :func:`cache_dir`, built if missing."""
+    """The compiled library in :func:`cache_dir`, built if missing."""
     try:
-        source = SOURCE.read_bytes()
+        sources = [source.read_bytes() for source in SOURCES]
     except OSError as error:
         raise InferenceError(
-            f"cannot read the SAPS kernel source: {error}") from None
+            f"cannot read the native library source: {error}") from None
     key = hashlib.sha256()
-    for part in (source, " ".join(COMPILE_COMMAND).encode(),
+    for part in (*sources, " ".join(COMPILE_COMMAND).encode(),
                  f"{sys.platform} {platform.machine()}".encode()):
         key.update(part)
         key.update(b"\0")
     directory = cache_dir()
-    target = directory / f"anneal-{key.hexdigest()[:32]}.so"
+    target = directory / f"native-{key.hexdigest()[:32]}.so"
     if target.exists():
         return target
     try:
-        handle, partial = tempfile.mkstemp(prefix=".anneal-", suffix=".so",
+        handle, partial = tempfile.mkstemp(prefix=".native-", suffix=".so",
                                            dir=directory)
     except OSError as error:
         raise InferenceError(
-            f"cannot write to the SAPS kernel cache {directory}: {error}"
-        ) from None
+            f"cannot write to the native library cache {directory}: "
+            f"{error}") from None
     os.close(handle)
-    command = [*COMPILE_COMMAND, "-o", partial, str(SOURCE), "-lm"]
+    command = [*COMPILE_COMMAND, "-o", partial, *map(str, SOURCES), "-lm"]
     try:
         try:
             completed = subprocess.run(
@@ -129,7 +141,7 @@ def library_path() -> Path:
             os.replace(partial, target)
         except OSError as error:
             raise InferenceError(
-                f"cannot write to the SAPS kernel cache {directory}: "
+                f"cannot write to the native library cache {directory}: "
                 f"{error}") from None
     finally:
         if os.path.exists(partial):
@@ -146,28 +158,28 @@ def _tail(stderr: str, lines: int = 4, chars: int = 600) -> str:
 
 def _build_error(command, detail: str) -> InferenceError:
     return InferenceError(
-        "cannot build the native SAPS kernel (a C compiler is required): "
+        "cannot build the native library (a C compiler is required): "
         f"`{' '.join(command)}` failed: {detail}"
     )
 
 
 def load():
-    """The kernel's ``saps_anneal_block``, built or loaded once per
-    process (see the module docstring).
+    """The native library, built or loaded once per process (see the
+    module docstring), with both functions' signatures declared.
 
     A failed build or load is remembered too, and raised again on every
     later call: a host whose compiler fails runs it once per process,
-    not once per anneal.  Fix the cause and start a new process.
+    not once per call.  Fix the cause and start a new process.
     """
-    kernel = _build_and_load()
-    if isinstance(kernel, str):
-        raise InferenceError(kernel)
-    return kernel
+    library = _build_and_load()
+    if isinstance(library, str):
+        raise InferenceError(library)
+    return library
 
 
 @functools.lru_cache(maxsize=None)
 def _build_and_load():
-    """:func:`load`'s kernel, or the message of the error building or
+    """:func:`load`'s library, or the message of the error building or
     loading it raised."""
     try:
         return _open(library_path())
@@ -176,22 +188,25 @@ def _build_and_load():
 
 
 def _open(path: Path):
-    """``saps_anneal_block`` of the library at ``path``."""
+    """The library at ``path``, its functions' signatures declared."""
     import ctypes
 
     try:
         library = ctypes.CDLL(str(path))
     except OSError as error:
         raise InferenceError(
-            f"cannot load the native SAPS kernel {path}: {error}; delete "
+            f"cannot load the native library {path}: {error}; delete "
             f"{path.parent} to rebuild it"
         ) from None
-    kernel = library.saps_anneal_block
     pointer, int64 = ctypes.c_void_p, ctypes.c_int64
-    kernel.argtypes = [pointer, pointer, int64, pointer, pointer, pointer,
+    anneal = library.saps_anneal_block
+    anneal.argtypes = [pointer, pointer, int64, pointer, pointer, pointer,
                        int64, ctypes.c_double, int64, int64, pointer, pointer]
-    kernel.restype = int64
-    return kernel
+    anneal.restype = int64
+    scan = library.vote_rows_scan
+    scan.argtypes = [pointer, int64, pointer, pointer, pointer]
+    scan.restype = int64
+    return library
 
 
 def anneal_block(cost: np.ndarray, diff: np.ndarray, path: np.ndarray,
@@ -221,10 +236,33 @@ def anneal_block(cost: np.ndarray, diff: np.ndarray, path: np.ndarray,
             and 1 <= resync_every <= _INT64_MAX
             and 0 <= counts[1] <= 3 * iterations):
         raise InferenceError("SAPS kernel called out of contract")
-    return load()(cost.ctypes.data, diff.ctypes.data, n, path.ctypes.data,
-                  best_path.ctypes.data, draws.ctypes.data, iterations,
-                  cooling, resync_every, int(debug), state.ctypes.data,
-                  counts.ctypes.data)
+    return load().saps_anneal_block(
+        cost.ctypes.data, diff.ctypes.data, n, path.ctypes.data,
+        best_path.ctypes.data, draws.ctypes.data, iterations, cooling,
+        resync_every, int(debug), state.ctypes.data, counts.ctypes.data)
+
+
+def vote_rows(body: bytes) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """The vote rows ``vote_rows_scan`` lifts out of the JSON ``body``
+    (rules in ``_vote_rows.c``): an int64 ``(k, 3)`` array of every
+    lifted value's rows in document order, and an int64 ``(s, 3)``
+    array of ``[start, end, rows]`` per lifted value.  ``None`` when
+    nothing was lifted or the body holds a ``NaN`` or ``Infinity`` of
+    its own.
+
+    A counting call sizes both arrays exactly; a second call fills them.
+    """
+    scan = load().vote_rows_scan
+    counts = np.zeros(2, dtype=np.int64)
+    if scan(body, len(body), None, None, counts.ctypes.data) != SCANNED \
+            or not counts[1]:
+        return None
+    rows = np.empty((int(counts[0]), 3), dtype=np.int64)
+    spans = np.empty((int(counts[1]), 3), dtype=np.int64)
+    if scan(body, len(body), rows.ctypes.data, spans.ctypes.data,
+            counts.ctypes.data) != SCANNED:
+        raise InferenceError("vote row scan counted differently twice")
+    return rows, spans
 
 
 def _check(array: np.ndarray, dtype, shape, name: str,

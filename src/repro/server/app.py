@@ -145,6 +145,7 @@ from ..service import (
     RankingJob,
     ResultCache,
     RetryPolicy,
+    decode_job_json,
     encode_job_result,
     fingerprint_job,
     job_from_payload,
@@ -349,10 +350,10 @@ def _reject_request_fanout(config: PipelineConfig, source: str) -> None:
         )
 
 
-def _decode_body(body: bytes) -> object:
+def _decode_body(body: bytes, decode=decode_json) -> object:
     """A request body's JSON value; 400 when it does not decode."""
     try:
-        return decode_json(body, "request body")
+        return decode(body, "request body")
     except DataFormatError as error:
         raise _HttpError(400, str(error)) from None
 
@@ -421,7 +422,8 @@ class PreparedRequest(NamedTuple):
 def prepare_request(task: CodecTask) -> PreparedRequest:
     """Decode a ``/v1/rank`` or ``/v1/batch`` body into jobs and keys.
 
-    The whole request codec short of the cache: JSON decode, the body
+    The whole request codec short of the cache: JSON decode (vote rows
+    lifted by :func:`~repro.service.jobs.decode_job_json`), the body
     shape checks, :func:`~repro.service.job_from_payload`, the request
     fan-out rule and :func:`~repro.service.fingerprint_job`.  It needs
     nothing of the server's state, so it runs on an idle pool worker or
@@ -429,7 +431,7 @@ def prepare_request(task: CodecTask) -> PreparedRequest:
     :class:`_HttpError`.
     """
     config = task.config
-    payload = _decode_body(task.body)
+    payload = _decode_body(task.body, decode_job_json)
     if task.route == "rank":
         if not isinstance(payload, dict):
             raise _HttpError(400, "request body must be a JSON object")
@@ -545,7 +547,7 @@ class RankingServer:
         self._job_id_lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
         # Built or loaded before the pool forks, so the workers inherit
-        # the native SAPS kernel and a host that cannot build it fails
+        # the native library and a host that cannot build it fails
         # here, not on every request.
         native.load()
         # Forked before the listener exists, so the workers do not hold

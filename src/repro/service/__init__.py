@@ -34,6 +34,7 @@ from .jobs import (
     JobStatus,
     RankingJob,
     ScenarioSpec,
+    decode_job_json,
     dump_results_jsonl,
     encode_job_result,
     iter_jobs_jsonl,
@@ -80,6 +81,7 @@ __all__ = [
     "TransientJobError",
     "call_with_retry",
     "default_is_transient",
+    "decode_job_json",
     "dump_results_jsonl",
     "encode_job_result",
     "fingerprint_job",

@@ -26,6 +26,7 @@ import dataclasses
 import enum
 import functools
 import itertools
+import json
 import typing
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,6 +44,7 @@ from ..config import (
     TruthDiscoveryConfig,
 )
 from ..exceptions import ConfigurationError, DataFormatError
+from ..inference import native
 from ..io import (
     EncodedResult,
     decode_json,
@@ -380,8 +382,10 @@ def _votes_from_payload(raw: object, source: str) -> VoteSet:
     The rows become one int64 array, validated as a whole: ids must be
     JSON integers (no booleans, floats, strings or values beyond
     int64), every object id must lie in ``[0, n_objects)`` and no vote
-    may compare an object with itself.  Zero votes decode to an empty set; inference
-    rejects it later.
+    may compare an object with itself.  Rows that
+    :func:`decode_job_json` lifted arrive as that int64 array already,
+    which no JSON value can forge, so only a list of rows is walked.
+    Zero votes decode to an empty set; inference rejects it later.
     """
     if not isinstance(raw, dict):
         raise DataFormatError(f"{source}: votes must be an object")
@@ -398,26 +402,10 @@ def _votes_from_payload(raw: object, source: str) -> VoteSet:
         raise DataFormatError(
             f"{source}: votes.n_objects must be an integer within int64"
         )
-    if type(rows) is not list or not (
-        set(map(type, rows)) <= {list} and set(map(len, rows)) <= {3}
-    ):
-        raise DataFormatError(
-            f"{source}: malformed votes: expected a list of "
-            "[worker, winner, loser] rows of integers"
-        )
-    flat = list(itertools.chain.from_iterable(rows))
-    # Exact types: bool is an int subclass, and np.array would read a
-    # JSON true/false as 1/0.
-    if not set(map(type, flat)) <= {int}:
-        raise DataFormatError(
-            f"{source}: vote ids must be integers within int64"
-        )
-    try:
-        rows = np.fromiter(flat, dtype=np.int64, count=len(flat)).reshape(-1, 3)
-    except OverflowError:
-        raise DataFormatError(
-            f"{source}: vote ids must be integers within int64"
-        ) from None
+    if isinstance(rows, VoteRows):
+        rows = rows.view(np.ndarray)
+    else:
+        rows = _rows_from_lists(rows, source)
     objects = rows[:, 1:]
     outside = np.flatnonzero(
         ((objects < 0) | (objects >= n_objects)).any(axis=1)
@@ -433,6 +421,85 @@ def _votes_from_payload(raw: object, source: str) -> VoteSet:
                                     rows[:, 2])
     except ConfigurationError as error:
         raise DataFormatError(f"{source}: malformed votes ({error})") from None
+
+
+def _rows_from_lists(rows: object, source: str) -> np.ndarray:
+    """JSON ``[[worker, winner, loser], ...]`` lists as an int64
+    ``(k, 3)`` array; each id an exact ``int`` within int64."""
+    if type(rows) is not list or not (
+        set(map(type, rows)) <= {list} and set(map(len, rows)) <= {3}
+    ):
+        raise DataFormatError(
+            f"{source}: malformed votes: expected a list of "
+            "[worker, winner, loser] rows of integers"
+        )
+    flat = list(itertools.chain.from_iterable(rows))
+    # Exact types: bool is an int subclass, and np.array would read a
+    # JSON true/false as 1/0.
+    if not set(map(type, flat)) <= {int}:
+        raise DataFormatError(
+            f"{source}: vote ids must be integers within int64"
+        )
+    try:
+        return np.fromiter(flat, dtype=np.int64,
+                           count=len(flat)).reshape(-1, 3)
+    except OverflowError:
+        raise DataFormatError(
+            f"{source}: vote ids must be integers within int64"
+        ) from None
+
+
+class VoteRows(np.ndarray):
+    """An int64 ``(k, 3)`` array of vote rows that :func:`decode_job_json`
+    lifted out of JSON text.
+
+    It prints as the list of rows it was decoded from, so an error
+    message that quotes a value holding it (a ``seed`` or ``schema``
+    that is an object with a ``votes`` member, say) reads exactly as it
+    would for the lists :func:`json.loads` builds.
+    """
+
+    def __repr__(self) -> str:
+        return repr(self.tolist())
+
+    __str__ = __repr__
+
+
+def decode_job_json(text: Union[str, bytes], source: str) -> object:
+    """:func:`~repro.io.decode_json` for job and batch bodies, with no
+    Python object per vote.
+
+    The native library (:func:`repro.inference.native.vote_rows`) lifts
+    every ``"votes"`` member whose value is an array of ``[worker,
+    winner, loser]`` rows of JSON integers within int64.  ``json.loads``
+    decodes the rest, each lifted value swapped for the token ``NaN``,
+    which its ``parse_constant`` hook turns into that value's rows as a
+    :class:`VoteRows` array.  The decoder calls the hook in document
+    order, so a repeated key keeps its last value, as with lists.  A
+    body with a ``NaN`` or ``Infinity`` of its own, or whose reduced
+    form does not decode, goes through :func:`decode_json` as it is, so
+    every error names the original text.  The value equals
+    ``decode_json(text, source)`` with each lifted list of rows an array.
+    """
+    if isinstance(text, str):
+        # A str may hold lone surrogates, which json.loads accepts.
+        raw, errors = text.encode("utf-8", "surrogatepass"), "surrogatepass"
+    else:
+        raw, errors = text, "strict"
+    lifted = native.vote_rows(raw)
+    if lifted is None:
+        return decode_json(text, source)
+    rows, spans = lifted
+    starts, ends, counts = spans.T.tolist()
+    pieces = [raw[begin:end] for begin, end
+              in zip([0, *ends], [*starts, len(raw)])]
+    blocks = iter(np.split(rows.view(VoteRows),
+                           np.cumsum(counts[:-1], dtype=np.int64)))
+    try:
+        return json.loads(b"NaN".join(pieces).decode("utf-8", errors),
+                          parse_constant=lambda _: next(blocks))
+    except (ValueError, RecursionError):
+        return decode_json(text, source)
 
 
 def _job_result_envelope(outcome: JobResult) -> Dict[str, object]:
@@ -554,7 +621,7 @@ def iter_jobs_jsonl(lines: Iterable[str], source: str = "<stream>") -> Iterator[
         if not text or text.startswith("#"):
             continue
         where = f"{source}:{lineno}"
-        yield job_from_payload(decode_json(text, where), source=where)
+        yield job_from_payload(decode_job_json(text, where), source=where)
 
 
 def load_jobs_jsonl(path: Union[str, Path]) -> List[RankingJob]:

@@ -22,6 +22,9 @@ nothing here (no ``test_`` modules).
   search next to TAPS and branch-and-bound;
 * :mod:`.rank_centrality` — Rank Centrality on the dense ``n x n``
   chain (:func:`dense_rank_centrality`), the twin of the CSR chain;
+* :mod:`.closure` — Step 3's support-graph reachability by a
+  depth-first search from every vertex (:func:`reachability_by_search`),
+  the twin of :func:`repro.graphs.closure._reachability`;
 * :mod:`.bdp` — BDP value-of-information scoring as literal loops
   (:func:`bdp_scores_reference`), the twin of the vectorized
   :class:`~repro.acquisition.BDPScorer`.
@@ -31,6 +34,7 @@ repo root on ``sys.path``.
 """
 
 from .bdp import bdp_scores_reference
+from .closure import reachability_by_search
 from .held_karp import best_hamiltonian_path_dp
 from .pipeline import ObjectClosure, object_closure, object_pipeline
 from .rank_centrality import dense_rank_centrality
@@ -46,6 +50,7 @@ __all__ = [
     "object_closure",
     "object_pipeline",
     "python_search_report",
+    "reachability_by_search",
     "reference_search_report",
     "smooth_preferences",
 ]

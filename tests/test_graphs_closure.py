@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import GraphError
 from repro.graphs.closure import (
@@ -9,6 +11,7 @@ from repro.graphs.closure import (
     propagate_exact_paths,
     propagate_walks,
 )
+from tests.oracles import reachability_by_search
 
 
 def weight_matrix(n, edges):
@@ -46,6 +49,28 @@ class TestTransitiveClosureBool:
         closure = _reachability(cycle)
         off_diagonal = ~np.eye(3, dtype=bool)
         assert closure[off_diagonal].all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 24), st.floats(0.0, 0.6), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_equals_a_search_from_every_vertex(self, n, density, loops,
+                                               seed):
+        """Any support graph, strongly connected or not, with or
+        without self-loops."""
+        rng = np.random.default_rng(seed)
+        weights = rng.random((n, n)) * (rng.random((n, n)) < density)
+        if not loops:
+            np.fill_diagonal(weights, 0.0)
+        assert np.array_equal(_reachability(weights),
+                              reachability_by_search(weights))
+
+    def test_two_components_and_a_self_loop(self):
+        weights = weight_matrix(5, [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 1.0),
+                                    (3, 3, 1.0), (3, 4, 1.0)])
+        closure = _reachability(weights)
+        assert np.array_equal(closure, reachability_by_search(weights))
+        assert closure[0, 0] and closure[0, 2] and not closure[2, 2]
+        assert closure[3, 3] and closure[3, 4] and not closure[4, 4]
 
 
 class TestPropagateExactPaths:

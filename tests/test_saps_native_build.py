@@ -1,4 +1,4 @@
-"""Building, caching and loading the native SAPS kernel.
+"""Building, caching and loading the native library.
 
 Every test points ``XDG_CACHE_HOME`` at a temporary directory, so the
 build cache it checks is its own, and faults are injected by patching
@@ -167,6 +167,6 @@ def test_serve_exits_2_when_the_kernel_cannot_build(tmp_path):
     assert child.returncode == 2
     lines = err.strip().splitlines()
     assert len(lines) == 1, err
-    assert lines[0].startswith("error: cannot build the native SAPS kernel")
+    assert lines[0].startswith("error: cannot build the native library")
     assert "-no-such-flag-xyz" in lines[0]
     assert "serving on" not in err
