@@ -45,9 +45,12 @@ the e2e ``rank-cold`` shape (n=100, ratio 0.3, the default engine).
 decode gives the same job as the plain one and the columnar result
 encoder writes the same bytes as the per-pair dict encoder it replaced.
 
-A serve CPU block sends 40 distinct rank-sparse bodies to a ``repro
-serve`` subprocess and records the CPU time per request of the parent
-and of its pool workers, read from ``/proc/<pid>/stat`` (Linux).
+A serve CPU block sends 40 distinct bodies to a ``repro serve``
+subprocess and records the CPU time per request of the parent and of
+its pool workers, read from ``/proc/<pid>/stat`` (Linux): one row of
+rank-sparse ``/v1/rank`` bodies from one client, one row of
+batch-cold ``/v1/batch`` bodies (8 distinct n=16 vote sets each) from
+two clients at once.
 
 Not collected by pytest (no ``test_`` prefix) — run directly:
 
@@ -392,17 +395,21 @@ RANK_COLD_SHAPE = {"n_objects": 100, "ratio": 0.3, "n_workers": 20,
 #: Interleaved rounds of each codec block.
 LARGE_N_CODEC_ROUNDS = 25
 
-#: Timed requests of the serve CPU block.
+#: The e2e ``batch-cold`` shape: a ``/v1/batch`` of ``jobs`` distinct
+#: vote sets under the workload's job config.
+BATCH_COLD_SHAPE = {"n_objects": 16, "ratio": 0.5, "n_workers": 20,
+                    "jobs": 8, "config": {"saps": {"iterations": 2000}}}
+
+#: Timed requests of each serve CPU row.
 SERVE_CPU_REQUESTS = 40
 
 
-def large_n_body(seed: int, n_objects: int, ratio: float, n_workers: int,
-                 engine: str) -> bytes:
-    """A ``/v1/rank`` body: ``round(ratio * C(n, 2))`` distinct pairs
-    (a random Hamiltonian path first, so the graph is connected), each
-    voted by :data:`VOTES_PER_PAIR` distinct workers of quality
-    ``U(0.6, 0.95)``, rows in random order."""
-    rng = np.random.default_rng(seed)
+def vote_rows(rng: np.random.Generator, n_objects: int, ratio: float,
+              n_workers: int) -> np.ndarray:
+    """``round(ratio * C(n, 2))`` distinct pairs (a random Hamiltonian
+    path first, so the graph is connected), each voted by
+    :data:`VOTES_PER_PAIR` distinct workers of quality ``U(0.6, 0.95)``,
+    as ``(worker, winner, loser)`` rows in random order."""
     truth_position = rng.permutation(n_objects)
     path = rng.permutation(n_objects)
     keys = set((np.minimum(path[:-1], path[1:]) * n_objects
@@ -423,12 +430,35 @@ def large_n_body(seed: int, n_objects: int, ratio: float, n_workers: int,
     winner = np.where(correct == lo_first, lo[:, None], hi[:, None])
     loser = np.where(correct == lo_first, hi[:, None], lo[:, None])
     rows = np.stack([workers, winner, loser], axis=-1).reshape(-1, 3)
-    rows = rows[rng.permutation(len(rows))]
+    return rows[rng.permutation(len(rows))]
+
+
+def large_n_body(seed: int, n_objects: int, ratio: float, n_workers: int,
+                 engine: str) -> bytes:
+    """A ``/v1/rank`` body of one :func:`vote_rows` vote set."""
+    rows = vote_rows(np.random.default_rng(seed), n_objects, ratio,
+                     n_workers)
     return json.dumps({
         "job_id": f"large-n-{seed}", "seed": seed,
         "config": {"engine": engine},
         "votes": {"n_objects": n_objects, "votes": rows.tolist()},
     }).encode("utf-8")
+
+
+def batch_cold_body(seed: int, n_objects: int, ratio: float,
+                    n_workers: int, jobs: int,
+                    config: Dict[str, object]) -> bytes:
+    """A ``/v1/batch`` body of ``jobs`` distinct :func:`vote_rows` vote
+    sets, each job with ``config``."""
+    rng = np.random.default_rng(seed)
+    return json.dumps({"jobs": [
+        {"job_id": f"batch-{seed}-{index}", "seed": seed * jobs + index,
+         "config": config,
+         "votes": {"n_objects": n_objects,
+                   "votes": vote_rows(rng, n_objects, ratio,
+                                      n_workers).tolist()}}
+        for index in range(jobs)
+    ]}).encode("utf-8")
 
 
 def _timed(layers: Dict[str, List[float]], name: str,
@@ -548,32 +578,38 @@ def _children(pid: int) -> List[int]:
     return sorted(children)
 
 
-def bench_serve_cpu(shape: Dict[str, object], requests: int,
-                    workers: int = 2) -> Dict[str, object]:
-    """CPU milliseconds per cold ``/v1/rank`` request of ``shape``, for
-    a ``repro serve`` parent and for its pool workers together, read
-    from ``/proc/<pid>/stat`` before and after ``requests`` distinct
-    bodies sent one at a time.  Linux only."""
-    bodies = [large_n_body(1000 + seed, **shape) for seed in range(requests)]
+def bench_serve_cpu(route: str, make_body: Callable[..., bytes],
+                    shape: Dict[str, object], requests: int,
+                    clients: int = 1, workers: int = 2) -> Dict[str, object]:
+    """CPU milliseconds per cold request to ``/v1/<route>`` of bodies
+    ``make_body(seed, **shape)``, for a ``repro serve --workers
+    <workers>`` parent and for its pool workers together, read from
+    ``/proc/<pid>/stat`` before and after ``requests`` distinct bodies
+    sent by ``clients`` threads at once.  Linux only."""
+    url_path = f"/v1/{route}"
+    bodies = [make_body(1000 + seed, **shape) for seed in range(requests)]
     with tempfile.TemporaryDirectory(prefix="bench-service-cpu-") \
             as cache_dir:
         server = ServeProcess(cache_dir, workers=workers, queue_depth=8)
         try:
             pool = _children(server.proc.pid)
             # Warm every worker (imports, first-call caches) off the clock.
-            for body in [large_n_body(seed, **shape) for seed in range(4)]:
-                _post_raw(server.url + "/v1/rank", body)
+            for body in [make_body(seed, **shape) for seed in range(4)]:
+                _post_raw(server.url + url_path, body)
             before = [_cpu_seconds(pid) for pid in [server.proc.pid, *pool]]
             start = time.perf_counter()
-            for body in bodies:
-                _post_raw(server.url + "/v1/rank", body)
+            with ThreadPoolExecutor(max_workers=clients) as senders:
+                list(senders.map(
+                    lambda body: _post_raw(server.url + url_path, body),
+                    bodies))
             wall = time.perf_counter() - start
             after = [_cpu_seconds(pid) for pid in [server.proc.pid, *pool]]
         finally:
             server.stop()
     used = [(b - a) * 1e3 / requests for a, b in zip(before, after)]
     return {
-        "shape": dict(shape), "requests": requests, "workers": len(pool),
+        "route": url_path, "shape": dict(shape), "requests": requests,
+        "clients": clients, "slots": workers, "workers": len(pool),
         "parent_cpu_ms_per_request": round(used[0], 2),
         "workers_cpu_ms_per_request": round(sum(used[1:]), 2),
         "wall_ms_per_request": round(wall * 1e3 / requests, 2),
@@ -758,10 +794,17 @@ def main() -> int:
         for layer_name, layer in codecs[name]["layers"].items():
             print(f"  {layer_name}: {layer['median_ms']} ms "
                   f"(IQR {layer['iqr_ms']})")
-    print("serve CPU per request [rank-sparse shape] ...")
-    serve_cpu = bench_serve_cpu(LARGE_N_SHAPE, SERVE_CPU_REQUESTS)
-    print(f"  parent {serve_cpu['parent_cpu_ms_per_request']} ms, "
-          f"workers {serve_cpu['workers_cpu_ms_per_request']} ms")
+    # The batch row runs the e2e server's default 4 slots.
+    serve_cpu = {}
+    for name, route, make_body, shape, clients, slots in (
+            ("rank_sparse", "rank", large_n_body, LARGE_N_SHAPE, 1, 2),
+            ("batch_cold", "batch", batch_cold_body, BATCH_COLD_SHAPE, 2, 4)):
+        print(f"serve CPU per request [{name} shape, {clients} "
+              f"client(s)] ...")
+        serve_cpu[name] = bench_serve_cpu(route, make_body, shape,
+                                          SERVE_CPU_REQUESTS, clients, slots)
+        print(f"  parent {serve_cpu[name]['parent_cpu_ms_per_request']} ms, "
+              f"workers {serve_cpu[name]['workers_cpu_ms_per_request']} ms")
 
     payload = {
         "generated_utc": datetime.datetime.now(

@@ -179,7 +179,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="JSONL job file (repro.job/1 lines); '-' reads "
                             "stdin")
     batch.add_argument("--workers", type=int, default=4,
-                       help="concurrent worker threads (default 4)")
+                       help="jobs run at once: threads, or runs of jobs "
+                            "on --backend process (default 4)")
     batch.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                        help="per-job attempt timeout (default: unbounded)")
     batch.add_argument("--max-attempts", type=int, default=3,
@@ -213,7 +214,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="bind port; 0 picks an ephemeral port "
                             "(default 8080)")
     serve.add_argument("--workers", type=int, default=4,
-                       help="concurrent job execution slots (default 4)")
+                       help="execution slots: requests executing jobs "
+                            "at once, one slot each, a /v1/batch included "
+                            "(default 4)")
     serve.add_argument("--queue-depth", type=int, default=32,
                        help="max requests in flight before 429 "
                             "backpressure (default 32)")

@@ -96,7 +96,20 @@ def _normalise_matrix(combined: np.ndarray) -> np.ndarray:
     For each unordered pair ``{i, j}``: ``p = c_ij / (c_ij + c_ji)``
     (0.5 when both are zero — no evidence either way), clipped away from
     {0, 1} so both directed edges exist.
+
+    Raises
+    ------
+    InferenceError
+        When an entry is not finite: a NaN total would otherwise read as
+        "no evidence" and become 0.5 without a word.
     """
+    if not np.isfinite(combined).all():
+        raise InferenceError(
+            "Step 3: the propagated preference matrix is not finite (its "
+            "walk sums overflowed, as they do on a dense core far from "
+            "Algorithm 1's near-regular task graph); a sparse engine "
+            "(engine \"hodge\" or \"lsq\") ranks such votes"
+        )
     total = combined + combined.T
     # Divide by the true total even when it is subnormal (a tiny alpha
     # on a pair without indirect evidence): flooring it would push both

@@ -9,19 +9,21 @@ jobs directly, governed by two explicit limits:
   requests may be in flight at once (``queue_depth``); a saturated gate
   answers ``429`` with ``Retry-After`` instead of queueing unboundedly;
 * **execution slots** (a semaphore of ``workers``) bounding how many
-  jobs actually run concurrently; admitted requests wait for a slot
-  only as long as their deadline allows, then give up with ``503``.
-  Batches hold one slot per internal executor worker (taking extra
-  slots only when free), so total running jobs never exceed
-  ``workers`` even across concurrent batch requests.
+  requests execute jobs concurrently; admitted requests wait for a
+  slot only as long as their deadline allows, then give up with
+  ``503``.  A request holds exactly one slot, a ``/v1/batch`` included:
+  its jobs run one after another, so total running jobs never exceed
+  ``workers``, and a batch's parallelism comes from concurrent
+  requests.
 
 Job attempts run, by default, on a persistent pool of
 ``min(workers, usable CPUs)`` worker processes that the server forks
-when it is built and closes in :meth:`RankingServer.stop`: Steps 1-4
-are pure Python, and threads under one GIL would hold every cold job
-to one core.  Request threads
-borrow an idle worker for each attempt and wait while none is free;
-the worker sends the result back already encoded.  The request codec
+when it is built and closes in :meth:`RankingServer.stop`: Steps 1-3
+and the codec are Python, and threads under one GIL would hold every
+cold job to one core.  A request thread borrows one worker, waiting
+while none is free, and sends it the request's uncached jobs as one
+run; the worker attempts them back to back and sends each result back
+already encoded as it finishes.  The request codec
 (:func:`prepare_request`: body JSON decode, job decode, fingerprint)
 runs on a worker only if one is idle at that moment, else on the
 request thread, and a request whose every job is cached is answered
@@ -43,7 +45,7 @@ body, capped by ``max_timeout``, defaulting to ``default_timeout``)
 are enforced as one absolute instant for the whole request: slot
 wait, every job attempt, and retry backoff all draw from the same
 budget (the executor's ``deadline`` machinery), so a request cannot
-hold its slots much past the deadline the client asked for.
+hold its slot much past the deadline the client asked for.
 
 A request cannot widen its own fan-out: a job or session config that
 sets ``saps.backend`` or a ``saps.parallel_restarts`` other than 1 is
@@ -83,7 +85,8 @@ Endpoints
     engine which pairs to query next (``?k=N``, scored by the session's
     configured :mod:`repro.acquisition` scorer), and tear down.
     Session errors map onto HTTP: unknown/evicted id -> 404,
-    early-stopped session refusing votes -> 409, session cap -> 429,
+    early-stopped session refusing votes -> 409, votes inference cannot
+    rank (a non-finite Step 3 matrix) -> 422, session cap -> 429,
     an update that lost its pool worker -> 503, one past
     ``max_timeout`` -> 504.
 
@@ -114,6 +117,7 @@ from ..diagnostics import get_logger
 from ..exceptions import (
     ConfigurationError,
     DataFormatError,
+    InferenceError,
     SessionLimitError,
     SessionNotFoundError,
     SessionStoppedError,
@@ -175,7 +179,9 @@ class ServerConfig:
         Bind address; port 0 picks an ephemeral port (read it back from
         :attr:`RankingServer.port`).
     workers:
-        Execution slots — jobs running concurrently across requests.
+        Execution slots — requests executing jobs at once (a request
+        holds one slot, a ``/v1/batch`` included; cache hits take
+        none).
     queue_depth:
         Admission capacity — requests in flight (running *or* waiting
         for a slot).  Beyond it new work is rejected with 429.
@@ -796,7 +802,6 @@ class RankingServer:
                     return self._respond(
                         route, self._serve_hits(job_ids, entries, start))
         prepared = self.prepare(route, body)
-        report = None
         start = time.perf_counter()
         entries = None if self._cache is None or None in prepared.keys \
             else self._cache.get_entries(prepared.keys)
@@ -804,15 +809,15 @@ class RankingServer:
             results = self._serve_hits([job.job_id for job in prepared.jobs],
                                        entries, start)
         else:
-            report = self.execute_batch(list(prepared.jobs),
-                                        prepared.timeout, prepared.keys)
-            results = report.results
+            results = self.execute_batch(list(prepared.jobs),
+                                         prepared.timeout, prepared.keys,
+                                         snapshot=False).results
         if digest is not None and None not in prepared.keys and all(
                 outcome.status is JobStatus.SUCCEEDED for outcome in results):
             with self._memo_lock:
                 self._memo.put(digest, _Memoised(prepared.keys,
                                                  prepared.named_ids))
-        return self._respond(route, results, report)
+        return self._respond(route, results)
 
     def _serve_hits(self, job_ids: Sequence[str],
                     entries: Sequence[CacheEntry],
@@ -825,42 +830,29 @@ class RankingServer:
         self._metrics.observe("batch.seconds", time.perf_counter() - start)
         return results
 
-    def _respond(self, route: str, results: Sequence[JobResult],
-                 report: Optional[BatchReport] = None) -> Tuple[int, bytes]:
-        """Encode ``results`` as the route's response (``report``: the
-        executor's, when it ran them)."""
+    def _respond(self, route: str,
+                 results: Sequence[JobResult]) -> Tuple[int, bytes]:
+        """Encode ``results`` as the route's response; only a
+        ``/v1/batch`` body carries a metrics snapshot."""
         if route == "rank":
             (outcome,) = results
             return _STATUS_CODES[outcome.status], encode_job_result(outcome)
-        if report is None:
-            report = BatchReport(tuple(results), self._metrics.snapshot())
-        return 200, encode_batch_report(report)
+        return 200, encode_batch_report(
+            BatchReport(tuple(results), self._metrics.snapshot()))
 
     def execute_batch(self, jobs: List[RankingJob],
                       timeout: Optional[float],
                       keys: Optional[Sequence[Optional[str]]] = None,
-                      ) -> BatchReport:
-        """Run an admitted batch (one admission slot; one execution slot
-        per internal executor worker, so batch parallelism is bounded by
-        the slots currently free rather than multiplying ``workers``)."""
-        return self._run_in_slots(
-            jobs, timeout, max_workers=min(self._config.workers, len(jobs)),
-            keys=keys,
-        )
+                      *, snapshot: bool = True) -> BatchReport:
+        """Run an admitted batch on one execution slot.
 
-    def _run_in_slots(self, jobs: List[RankingJob],
-                      timeout: Optional[float], max_workers: int,
-                      keys: Optional[Sequence[Optional[str]]] = None,
-                      ) -> BatchReport:
-        """Run ``jobs`` holding one execution slot per executor worker.
-
-        One slot is acquired blocking (bounded by the request deadline);
-        up to ``max_workers - 1`` further slots are taken only if free
-        right now, so a batch widens opportunistically without ever
-        pushing total running jobs past ``config.workers`` — and two
-        requests each holding one slot can never deadlock waiting on
-        each other.  The request deadline is enforced as an absolute
+        The slot is acquired blocking, bounded by the request deadline
+        (or ``max_timeout``), so total running requests never exceed
+        ``config.workers``; a batch's jobs run one after another on one
+        pool worker, and a batch's parallelism comes from concurrent
+        requests.  The request deadline is enforced as an absolute
         instant across slot wait, every attempt, and retry backoff.
+        ``snapshot``: see :meth:`BatchExecutor.run`.
         """
         wait_budget = timeout if timeout is not None \
             else self._config.max_timeout
@@ -869,27 +861,23 @@ class RankingServer:
             self._metrics.increment("http.rejected.slot_timeout")
             raise _HttpError(503, "no execution slot within deadline",
                              headers={"Retry-After": "1"})
-        held = 1
         try:
             if deadline is not None \
                     and deadline - time.monotonic() <= 1e-3:
                 self._metrics.increment("http.rejected.slot_timeout")
                 raise _HttpError(503, "deadline exhausted while queued",
                                  headers={"Retry-After": "1"})
-            while held < max_workers and self._slots.acquire(blocking=False):
-                held += 1
             executor = BatchExecutor(
-                held,
+                1,
                 cache=self._cache,
                 retry=self._retry,
                 deadline=deadline,
                 metrics=self._metrics,
                 backend=self._backend,
             )
-            return executor.run(jobs, keys)
+            return executor.run(jobs, keys, snapshot=snapshot)
         finally:
-            for _ in range(held):
-                self._slots.release()
+            self._slots.release()
 
     # -- observability ------------------------------------------------------
 
@@ -1150,6 +1138,8 @@ class _Handler(BaseHTTPRequestHandler):
         if isinstance(error, TaskTimeoutError):
             return _HttpError(504, f"session update timed out "
                                    f"(TaskTimeoutError: {error})")
+        if isinstance(error, InferenceError):
+            return _HttpError(422, str(error))
         return _HttpError(400, str(error))
 
     def _handle_sessions_create(self) -> None:
@@ -1188,8 +1178,9 @@ class _Handler(BaseHTTPRequestHandler):
                 votes = votes_from_payload(raw_votes, source="request")
                 view = server.sessions.ingest(session_id, votes)
             except (DataFormatError, ConfigurationError,
-                    SessionNotFoundError, SessionStoppedError,
-                    WorkerCrashedError, TaskTimeoutError) as error:
+                    InferenceError, SessionNotFoundError,
+                    SessionStoppedError, WorkerCrashedError,
+                    TaskTimeoutError) as error:
                 raise self._session_error(error) from None
             self._send_json(200, view)
         finally:

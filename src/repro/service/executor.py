@@ -1,7 +1,7 @@
 """Concurrent batch execution of ranking jobs.
 
 :class:`BatchExecutor` drives many independent :class:`RankingJob`\\ s
-through the inference pipeline over a thread pool, with:
+through the inference pipeline, with:
 
 * **caching** — each job is fingerprinted
   (:func:`~repro.service.cache.fingerprint_job`, unless the caller
@@ -20,25 +20,27 @@ through the inference pipeline over a thread pool, with:
   :class:`~repro.service.metrics.MetricsRegistry`, including the
   per-step latency breakdown aggregated from each result.
 
-Batch fan-out always happens on threads: results flow straight into
-the shared in-memory cache and metrics registry, and jobs need no
-pickling to reach a thread.  The pluggable part is where each
-*attempt*'s actual work runs, selected by the ``backend`` parameter
+Where a batch's jobs run is selected by the ``backend`` parameter
 (see :mod:`repro.workers.backends`):
 
 * ``serial`` — the whole batch degenerates to a sequential in-thread
   loop (the determinism oracle);
-* ``thread`` (default) — the attempt runs inline or, when a budget
-  applies, on a daemon thread that is *abandoned* (not killed — Python
-  cannot) when the deadline passes;
-* ``process`` — the attempt runs on a worker of the backend's
-  persistent process pool, which also encodes the result: the job
-  goes down the pipe and the result comes back with its encoding
-  (:meth:`~repro.io.EncodedResult.eager`), while the cache lookup
-  stays here.  A timed-out worker is genuinely killed and replaced,
-  and a crashed worker (segfault, ``os._exit``, OOM kill) surfaces as
-  a transient :class:`~repro.exceptions.WorkerCrashedError` that the
-  retry loop re-runs on a fresh worker instead of hanging the batch.
+* ``thread`` (default) — the jobs fan out over a thread pool, results
+  flowing straight into the shared cache and metrics registry; an
+  attempt runs inline or, when a budget applies, on a daemon thread
+  that is *abandoned* (not killed — Python cannot) when the deadline
+  passes;
+* ``process`` — the cache misses go to the backend's persistent
+  process pool in one ``map``: one contiguous run of jobs per worker
+  the executor may use, each run one streamed task that attempts its
+  jobs back to back and encodes their results where they ran
+  (:meth:`~repro.io.EncodedResult.eager`), while the cache lookups
+  and stores stay here.  A job running at its budget has its worker
+  genuinely killed and replaced, jobs the run deadline passes before
+  they start come back without running, and a crashed worker
+  (segfault, ``os._exit``, OOM kill) surfaces as a transient
+  :class:`~repro.exceptions.WorkerCrashedError` that the retry loop
+  re-runs on a fresh worker instead of hanging the batch.
 
 Per-job seeds keep parallel execution bit-identical to serial
 execution on every backend — each attempt builds its own generator
@@ -60,7 +62,12 @@ import numpy as np
 
 from ..config import PipelineConfig
 from ..diagnostics import get_logger
-from ..exceptions import ConfigurationError, ReproError, TaskTimeoutError
+from ..exceptions import (
+    ConfigurationError,
+    ExecutionBackendError,
+    ReproError,
+    TaskTimeoutError,
+)
 from ..inference import RankingPipeline
 from ..io import EncodedResult
 from ..types import InferenceResult
@@ -131,8 +138,10 @@ class BatchExecutor:
     Parameters
     ----------
     workers:
-        Pool width.  1 degenerates to serial execution (still with
-        cache, retries and timeouts) — useful as the determinism oracle.
+        How many jobs run at once: threads on the thread backend, runs
+        of jobs on the process backend (no more than the pool is wide).
+        1 degenerates to serial execution (still with cache, retries
+        and timeouts) — useful as the determinism oracle.
     cache:
         Result cache; ``None`` disables caching entirely.
     retry:
@@ -152,7 +161,7 @@ class BatchExecutor:
     metrics:
         Registry to record into (a fresh one is created if omitted);
         exposed as :attr:`metrics` and snapshotted into every
-        :class:`BatchReport`.
+        :class:`BatchReport` (unless ``run`` is told not to).
     backend:
         Where each attempt's work runs: ``"serial"``, ``"thread"``,
         ``"process"``, an :class:`~repro.workers.backends.ExecutionBackend`
@@ -206,7 +215,8 @@ class BatchExecutor:
         return self._cache
 
     def run(self, jobs: Iterable[RankingJob],
-            keys: Optional[Sequence[Optional[str]]] = None) -> BatchReport:
+            keys: Optional[Sequence[Optional[str]]] = None, *,
+            snapshot: bool = True) -> BatchReport:
         """Execute every job; never raises for individual job failures.
 
         Results come back in submission order regardless of completion
@@ -217,7 +227,9 @@ class BatchExecutor:
         warmed by the first to finish).  ``keys`` optionally holds each
         job's cache key, :func:`~repro.service.cache.fingerprint_job`
         computed by the caller (the server computes it where it decoded
-        the job); a ``None`` entry is fingerprinted here.
+        the job); a ``None`` entry is fingerprinted here.  With
+        ``snapshot`` false the report's ``metrics`` stay empty, for a
+        caller that does not read them.
         """
         job_list = list(jobs)
         key_list = [None] * len(job_list) if keys is None else list(keys)
@@ -229,35 +241,64 @@ class BatchExecutor:
                   self._workers)
         batch_start = time.perf_counter()
         if not job_list:
-            return BatchReport(results=(), metrics=self._metrics.snapshot())
+            return BatchReport(
+                results=(),
+                metrics=self._metrics.snapshot() if snapshot else {},
+            )
         results: List[Optional[JobResult]] = [None] * len(job_list)
-        missed = (set() if self._cache is None
-                  else self._answer_cached(job_list, key_list, results))
-        pending = [i for i, result in enumerate(results) if result is None]
-
-        def execute(index: int) -> JobResult:
-            if index in missed:
-                return self._run_miss(job_list[index], key_list[index],
-                                      time.perf_counter())
-            return self._execute(job_list[index], key_list[index])
-
-        if self._workers == 1 or self._backend.name == "serial":
-            outcomes = list(map(execute, pending))
+        if self._cache is None:
+            key_list = [None] * len(job_list)
+            missed = set(range(len(job_list)))
         else:
-            with ThreadPoolExecutor(max_workers=self._workers) as pool:
-                outcomes = list(pool.map(execute, pending))
-        for index, outcome in zip(pending, outcomes):
-            results[index] = outcome
+            missed = self._answer_cached(job_list, key_list, results)
+        pending = [i for i, result in enumerate(results) if result is None]
+        if self._backend.name == "process":
+            self._run_on_pool(job_list, key_list, missed, results)
+        else:
+            def execute(index: int) -> JobResult:
+                if index in missed:
+                    return self._run_miss(job_list[index], key_list[index],
+                                          time.perf_counter())
+                return self._execute(job_list[index], key_list[index])
+
+            if self._workers == 1 or self._backend.name == "serial":
+                outcomes = list(map(execute, pending))
+            else:
+                with ThreadPoolExecutor(max_workers=self._workers) as pool:
+                    outcomes = list(pool.map(execute, pending))
+            for index, outcome in zip(pending, outcomes):
+                results[index] = outcome
         self._metrics.observe("batch.seconds",
                               time.perf_counter() - batch_start)
-        report = BatchReport(results=tuple(results),
-                             metrics=self._metrics.snapshot())
+        report = BatchReport(
+            results=tuple(results),
+            metrics=self._metrics.snapshot() if snapshot else {},
+        )
         _log.info(
             "batch done: %d succeeded, %d failed, %d timed out",
             len(report.succeeded), len(report.failed),
             len(report.timed_out),
         )
         return report
+
+    def _run_on_pool(self, jobs: List[RankingJob], keys: List[Optional[str]],
+                     missed: Set[int],
+                     results: List[Optional[JobResult]]) -> None:
+        """Fill ``results`` on the process backend: the ``missed`` jobs'
+        first attempts run in one :meth:`_attempt_on_pool` call, then
+        each goes through the retry loop with that attempt as its first;
+        the other unanswered jobs (a duplicate key, a failed lookup) run
+        after them one by one, so a duplicate finds its twin's result
+        in the cache."""
+        start = time.perf_counter()
+        runs = sorted(missed)
+        firsts = self._attempt_on_pool([jobs[index] for index in runs])
+        for index, first in zip(runs, firsts):
+            results[index] = self._run_miss(jobs[index], keys[index], start,
+                                            first)
+        for index, result in enumerate(results):
+            if result is None:
+                results[index] = self._execute(jobs[index], keys[index])
 
     def _answer_cached(self, jobs: List[RankingJob],
                        keys: List[Optional[str]],
@@ -318,26 +359,31 @@ class BatchExecutor:
         return self._run_miss(job, key, start)
 
     def _run_miss(self, job: RankingJob, key: Optional[str],
-                  start: float) -> JobResult:
+                  start: float, first: object = None) -> JobResult:
         """Run a job the cache did not answer (``key`` ``None``: no
-        cache); converts every failure into a result."""
+        cache; ``first``: see :meth:`_run_job`); converts every failure
+        into a result."""
         try:
             if key is not None:
                 self._metrics.increment("cache.misses")
-            outcome = self._run_job(job, key, start)
+            outcome = self._run_job(job, key, start, first)
         except Exception as error:  # noqa: BLE001 — isolation boundary
             outcome = _unexpected_failure(job, error, start)
         record_job(self._metrics, outcome)
         return outcome
 
     def _run_job(self, job: RankingJob, key: Optional[str],
-                 start: float) -> JobResult:
+                 start: float, first: object = None) -> JobResult:
         """Run a job the cache did not answer, storing a success under
-        ``key`` (``None``: no cache)."""
+        ``key`` (``None``: no cache).  ``first`` is the outcome of an
+        attempt already made (its value, or the exception it raised),
+        which counts as attempt 1; ``None``: none was."""
         attempt_count = [0]
 
         def one_attempt() -> Tuple[_Attempted, Dict[str, object]]:
             attempt_count[0] += 1
+            if attempt_count[0] == 1 and first is not None:
+                return _value(first)
             return self._run_with_timeout(job)
 
         try:
@@ -424,16 +470,17 @@ class BatchExecutor:
     ) -> Tuple[_Attempted, Dict[str, object]]:
         """One attempt, bounded by the per-job timeout / run deadline.
 
-        On the process backend the attempt runs in a child process that
-        is genuinely killed at the budget.  On the serial/thread paths
-        a budgeted attempt runs on a daemon thread; if it outlives its
+        On the process backend the attempt is a run of one job
+        (:meth:`_attempt_on_pool`).  On the serial/thread paths a
+        budgeted attempt runs on a daemon thread; if it outlives its
         budget it is abandoned and :class:`JobTimeoutError` is raised
         (the stray thread cannot poison later jobs — it shares no
         mutable state with them).
         """
-        budget = self._attempt_budget()
         if self._backend.name == "process":
-            return self._attempt_in_process(job, budget)
+            (outcome,) = self._attempt_on_pool([job])
+            return _value(outcome)
+        budget = self._attempt_budget()
         if budget is None:
             return self._attempt(job)
         box: List[Tuple[str, object]] = []
@@ -459,33 +506,34 @@ class BatchExecutor:
             raise payload  # type: ignore[misc]
         return payload  # type: ignore[return-value]
 
-    def _attempt_in_process(
-        self, job: RankingJob, budget: Optional[float]
-    ) -> Tuple[EncodedResult, Dict[str, object]]:
-        """One attempt in an isolated worker process, which also encodes
-        the result.
+    def _attempt_on_pool(self, jobs: List[RankingJob]) -> List[object]:
+        """The outcome of one attempt of each job on the process pool:
+        its value, the result encoded where it ran, or the exception it
+        raised.
 
-        The attempt body is :func:`_attempt_job` as this module holds
-        it at call time, pickled by reference.  A budget overrun kills
-        the worker and raises
-        :class:`JobTimeoutError`; a worker death mid-attempt surfaces
-        as :class:`~repro.exceptions.WorkerCrashedError`, which the
-        default retry classifier treats as transient (the crash may be
-        environmental — OOM kill, operator signal — and a fresh worker
-        gets a clean chance).
+        One ``map`` runs the jobs as contiguous runs, one per worker (at
+        most ``workers``), each attempt bounded by ``timeout`` from its
+        own start and by the run ``deadline``.  :func:`_attempt_job`
+        goes as this module holds it at call time, pickled by reference.
+        A killed attempt, or one the deadline passed before it started,
+        comes back as :class:`JobTimeoutError`; a worker death as
+        :class:`~repro.exceptions.WorkerCrashedError`, which the default
+        retry classifier treats as transient (the crash may be
+        environmental, and a fresh worker gets a clean chance).
         """
         try:
-            (value,) = self._backend.map(
-                functools.partial(_encoded_attempt, _attempt_job), [job],
-                max_workers=1, timeout=budget,
+            outcomes = self._backend.map(
+                functools.partial(_encoded_attempt, _attempt_job), jobs,
+                max_workers=self._workers, timeout=self._timeout,
+                deadline=self._deadline, return_exceptions=True,
             )
-        except TaskTimeoutError as error:
-            # Either the worker was killed at the deadline or no pool
-            # worker came free in time; the cause says which.
-            raise JobTimeoutError(
-                f"attempt exceeded {budget:g}s: {error}"
-            ) from error
-        return value
+        except ExecutionBackendError as error:  # the pool closed
+            return [error] * len(jobs)
+        # Killed at the budget, not started by the deadline or no pool
+        # worker free in time; the cause says which.
+        return [JobTimeoutError(f"attempt timed out: {outcome}")
+                if isinstance(outcome, TaskTimeoutError) else outcome
+                for outcome in outcomes]
 
     def _attempt(
         self, job: RankingJob
@@ -494,7 +542,7 @@ class BatchExecutor:
 
         Serial/thread attempts flow through this method, so tests can
         replace it per instance; process attempts pickle the
-        module-level :func:`_attempt_job` into the child instead (a
+        module-level :func:`_attempt_job` into the worker instead (a
         bound method would drag the executor's locks along).
         """
         return _attempt_job(job)
@@ -596,6 +644,13 @@ def _attempt_job(
         pipeline = RankingPipeline(job.config)
         return pipeline.run(job.votes, rng), {}
     return BatchExecutor._run_scenario(job, job.scenario, rng)
+
+
+def _value(outcome: object) -> object:
+    """An attempt's value, or the exception it raised raised again."""
+    if isinstance(outcome, BaseException):
+        raise outcome
+    return outcome
 
 
 def _encoded_attempt(

@@ -94,16 +94,13 @@ class TimerStats:
         """
         if not 0 < q <= 100:
             raise ConfigurationError(f"percentile must be in (0, 100], got {q}")
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-        return ordered[rank - 1]
+        return _nearest_rank(sorted(self._samples), q)
 
     def percentiles(self) -> Dict[str, float]:
         """The reported tail percentiles as ``{"p50": ..., ...}``."""
+        ordered = sorted(self._samples)
         return {
-            f"p{q:g}": self.percentile(q) for q in REPORTED_PERCENTILES
+            f"p{q:g}": _nearest_rank(ordered, q) for q in REPORTED_PERCENTILES
         }
 
     def as_dict(self) -> Dict[str, float]:
@@ -118,6 +115,14 @@ class TimerStats:
         for name, value in self.percentiles().items():
             payload[name] = round(value, 6)
         return payload
+
+
+def _nearest_rank(ordered: List[float], q: float) -> float:
+    """Nearest-rank percentile ``q`` of sorted ``ordered`` (0.0 when
+    empty)."""
+    if not ordered:
+        return 0.0
+    return ordered[max(1, math.ceil(q / 100.0 * len(ordered))) - 1]
 
 
 class MetricsRegistry:
@@ -148,7 +153,10 @@ class MetricsRegistry:
         if seconds < 0:
             raise ConfigurationError("duration must be non-negative")
         with self._lock:
-            self._timers.setdefault(name, TimerStats()).observe(seconds)
+            stats = self._timers.get(name)
+            if stats is None:  # built on first use: it seeds a picker
+                stats = self._timers[name] = TimerStats()
+            stats.observe(seconds)
 
     def observe_steps(self, step_seconds: Mapping[str, float]) -> None:
         """Fold a result's per-step timings into ``step.<name>`` timers."""

@@ -21,14 +21,16 @@ interchangeable implementations of it:
     A persistent ``multiprocessing`` pool with pickle-safe dispatch,
     per-task deadlines and crash isolation.  Workers are forked once
     and reused by every later ``map`` call, from any thread; each call
-    borrows idle workers and returns them when done.  Each worker runs
-    one task at a time over a dedicated pipe; a worker that dies
-    mid-task (signal, ``os._exit``, OOM kill) surfaces a typed
-    :class:`~repro.exceptions.WorkerCrashedError` for that task and is
-    **respawned**, so the remaining tasks still complete and the pool
-    never hangs.  A task that outlives its deadline has its worker
-    killed (a real cancellation, unlike threads) and replaced, and
-    raises :class:`~repro.exceptions.TaskTimeoutError`.  Tasks, their
+    borrows idle workers and returns them when done.  Each borrowed
+    worker takes one contiguous run of the call's tasks in one message
+    over a dedicated pipe and answers each task as it finishes; a
+    worker that dies mid-task (signal, ``os._exit``, OOM kill) surfaces
+    a typed :class:`~repro.exceptions.WorkerCrashedError` for that task
+    and is **respawned**, and the replacement takes the rest of the
+    run, so the remaining tasks still complete and the pool never
+    hangs.  A task that outlives its deadline has its worker killed (a
+    real cancellation, unlike threads) and replaced, and raises
+    :class:`~repro.exceptions.TaskTimeoutError`.  Tasks, their
     arguments and their results must be picklable; the task function
     must be importable from the worker (module-level, or a
     ``functools.partial`` over one).  On Linux the workers die with
@@ -169,13 +171,6 @@ class ExecutionBackend:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
-
-
-def _first_failure(outcomes: List[object]) -> Optional[BaseException]:
-    for outcome in outcomes:
-        if isinstance(outcome, BaseException):
-            return outcome
-    return None
 
 
 class SerialBackend(ExecutionBackend):
@@ -409,18 +404,51 @@ def _failure_payload(error: BaseException) -> tuple:
         ))
 
 
-def _worker_main(conn, parent_pid: Optional[int]) -> None:
-    """Entry point of one pool worker process: serve tasks, recv
-    ``(fn, item)`` and send the outcome (the parent knows which task
-    each worker holds).
+#: What follows an outcome on a worker's pipe, the third member of
+#: every reply: the run's next item has started (``_NEXT``); the run is
+#: over, because that was its last item or because the deadline passed
+#: before the next one could start (``_END``); the run did not unpickle,
+#: so the outcome stands for every item of it (``_ALL``).
+_NEXT, _END, _ALL = "next", "end", "all"
 
-    Exceptions are pickled back when possible; unpicklable ones travel
-    as (type name, message, traceback text) and re-raise as
-    :class:`RemoteTaskError` in the parent.  A task that does not
-    unpickle here (say, a function the worker cannot import) fails
-    with that error and the worker serves on: the message was read
-    whole, so the pipe stays in step.  A ``None`` message is the
-    shutdown sentinel.
+
+def _reply(conn, payload: tuple, rest: str) -> bool:
+    """Send one outcome and what follows it; False once the parent is
+    gone.  An outcome that does not pickle goes as a
+    :class:`RemoteTaskError` instead: nothing was written, so the pipe
+    stays in step."""
+    try:
+        conn.send(payload + (rest,))
+        return True
+    except BaseException:  # noqa: BLE001 — parent gone / result unpicklable
+        try:
+            conn.send(("remote_err", (
+                type(payload[1]).__name__ if payload[0] == "ok"
+                else "UnknownError",
+                "task outcome could not be pickled back to the parent",
+                "",
+            ), rest))
+            return True
+        except BaseException:  # noqa: BLE001 — give up, parent sees EOF
+            return False
+
+
+def _worker_main(conn, parent_pid: Optional[int]) -> None:
+    """Entry point of one pool worker process: serve runs, each one
+    message ``(fn, items, deadline)``, and send one outcome per item, in
+    order, as each finishes (the parent knows which run each worker
+    holds).
+
+    Before starting each item after the first, the worker checks the
+    run's absolute ``deadline`` (a :func:`time.monotonic` instant,
+    system-wide on Linux, or ``None``); once it has passed, the rest of
+    the run is not started and the last reply says so.  Exceptions are
+    pickled back when possible; unpicklable ones travel as (type name,
+    message, traceback text) and re-raise as :class:`RemoteTaskError` in
+    the parent.  A run that does not unpickle here (say, a function the
+    worker cannot import) fails every item with that error and the
+    worker serves on: the message was read whole, so the pipe stays in
+    step.  A ``None`` message is the shutdown sentinel.
     """
     _die_with_parent(parent_pid)
     _single_threaded_blas()
@@ -435,17 +463,19 @@ def _worker_main(conn, parent_pid: Optional[int]) -> None:
             message = conn.recv()
         except (EOFError, OSError):
             return
-        except Exception as error:  # noqa: BLE001 — the task did not unpickle
-            payload = _failure_payload(error)
-        else:
-            if message is None:
+        except Exception as error:  # noqa: BLE001 — the run did not unpickle
+            if not _reply(conn, _failure_payload(error), _ALL):
                 return
-            fn, item = message
-            # No cyclic collection while the task runs: a task's objects
-            # are acyclic in bulk (a decoded body's vote lists, 25,000 at
-            # n=1000) and die by reference counting when it returns, but
-            # the collector would walk them again and again as they are
-            # allocated.  Re-enabled, it collects between tasks.
+            continue
+        if message is None:
+            return
+        fn, items, deadline = message
+        for position, item in enumerate(items):
+            # No cyclic collection while a task runs: a task's objects
+            # are acyclic in bulk (a decoded body's vote lists, 25,000
+            # at n=1000) and die by reference counting when it returns,
+            # but the collector would walk them again and again as they
+            # are allocated.  Re-enabled, it collects between tasks.
             gc.disable()
             try:
                 payload = ("ok", fn(item))
@@ -453,24 +483,20 @@ def _worker_main(conn, parent_pid: Optional[int]) -> None:
                 payload = _failure_payload(error)
             finally:
                 gc.enable()
-        try:
-            conn.send(payload)
-        except BaseException:  # noqa: BLE001 — parent gone / result unpicklable
-            try:
-                conn.send(("remote_err", (
-                    type(payload[1]).__name__ if payload[0] == "ok"
-                    else "UnknownError",
-                    "task outcome could not be pickled back to the parent",
-                    "",
-                )))
-            except BaseException:  # noqa: BLE001 — give up, parent sees EOF
+            more = position + 1 < len(items) and (
+                deadline is None or time.monotonic() < deadline)
+            if not _reply(conn, payload, _NEXT if more else _END):
                 return
+            if not more:
+                break
 
 
 class _ProcessWorker:
-    """One worker process plus its parent-side pipe end and task slot."""
+    """One worker process plus its parent-side pipe end and the run it
+    holds: the ``(index, item)`` pairs not yet answered, the one in
+    flight first, and the instant that one is killed at."""
 
-    __slots__ = ("process", "conn", "task_index", "deadline")
+    __slots__ = ("process", "conn", "run", "deadline")
 
     def __init__(self, ctx):
         parent_conn, child_conn = ctx.Pipe(duplex=True)
@@ -484,23 +510,28 @@ class _ProcessWorker:
         )
         self.process.start()
         child_conn.close()
-        self.task_index: Optional[int] = None
+        self.run: List[tuple] = []
         self.deadline: Optional[float] = None
 
     @property
     def busy(self) -> bool:
-        return self.task_index is not None
+        return bool(self.run)
 
-    def assign(self, index: int, fn, item,
-               timeout: Optional[float]) -> None:
-        self.task_index = index
-        self.deadline = None if timeout is None \
-            else time.monotonic() + timeout
-        self.conn.send((fn, item))
+    def assign(self, run: List[tuple], fn, timeout: Optional[float],
+               deadline: Optional[float]) -> None:
+        """Send ``run`` as one message; its first item starts now."""
+        self.run = run
+        self.arm(timeout, deadline)
+        self.conn.send((fn, [item for _, item in run], deadline))
 
-    def clear(self) -> None:
-        self.task_index = None
-        self.deadline = None
+    def arm(self, timeout: Optional[float],
+            deadline: Optional[float]) -> None:
+        """The item in flight started now: it is killed ``timeout``
+        seconds on, or at ``deadline``, whichever comes first."""
+        limit = None if timeout is None else time.monotonic() + timeout
+        if deadline is not None and (limit is None or deadline < limit):
+            limit = deadline
+        self.deadline = limit
 
     def shutdown(self, grace: float = 1.0) -> None:
         try:
@@ -629,7 +660,8 @@ class _WorkerSet:
             self._cond.notify_all()
 
     def close(self) -> None:
-        """Stop every worker (idle ones gracefully), then the spawner."""
+        """Stop every worker (idle ones gracefully, borrowed ones by a
+        kill their map sees as a crash), then the spawner."""
         with self._cond:
             if self._closed:
                 return
@@ -641,7 +673,9 @@ class _WorkerSet:
         for worker in idle:
             worker.shutdown()
         for worker in busy:
-            worker.kill()
+            # The map that borrowed it reads the EOF and closes the
+            # pipe: closing it from this thread would race that map's.
+            worker.process.kill()
         if self._spawner is not None:
             # No join: the spawner is idle (forks run under _cond), so
             # its thread exits by itself.  This also runs as the
@@ -668,13 +702,18 @@ class ProcessBackend(ExecutionBackend):
     collection of the backend) stops the workers, and on Linux they die
     with the parent process, SIGKILL included.
 
-    Dispatch is explicit — one task in flight per worker over a
-    dedicated pipe — which is what makes crash detection exact: a dead
-    worker's pipe reads EOF, the task that was on it becomes a
-    :class:`WorkerCrashedError`, and a replacement worker is forked.
-    A task that outlives its deadline has its worker killed and
-    replaced the same way.  Time spent waiting for a free worker counts
-    against every task's ``timeout``.
+    Dispatch is explicit: a call splits its items into one contiguous
+    run per borrowed worker, sends each run as one message over the
+    worker's dedicated pipe, and the worker runs the items back to back,
+    answering each as it finishes.  That is what makes crash detection
+    exact: a dead worker's pipe reads EOF, the item in flight becomes a
+    :class:`WorkerCrashedError`, and a replacement worker is forked and
+    takes the rest of the run.  An item that outlives its ``timeout``,
+    counted from its own start, or the call's absolute ``deadline`` has
+    its worker killed and replaced the same way; items the ``deadline``
+    passes before they start fail with :class:`TaskTimeoutError`
+    without running.  Time spent waiting for a free worker counts
+    against every item's ``timeout``.
 
     Unlike the serial backend's fail-fast loop, all tasks run to
     completion even in raising mode (the earliest-indexed failure is
@@ -714,16 +753,20 @@ class ProcessBackend(ExecutionBackend):
         self._finalizer()
 
     def map(self, fn, items, *, max_workers, timeout=None,
-            return_exceptions=False):
+            return_exceptions=False, deadline=None):
+        """See :meth:`ExecutionBackend.map`; ``deadline`` is an absolute
+        :func:`time.monotonic` instant no item runs past (``None``:
+        none)."""
         outcomes = self.map_if_open(fn, items, max_workers=max_workers,
                                     timeout=timeout,
-                                    return_exceptions=return_exceptions)
+                                    return_exceptions=return_exceptions,
+                                    deadline=deadline)
         if outcomes is None:
             raise ExecutionBackendError("process pool is closed")
         return outcomes
 
     def map_if_open(self, fn, items, *, max_workers, timeout=None,
-                    return_exceptions=False):
+                    return_exceptions=False, deadline=None):
         """:meth:`map`, or ``None`` (nothing ran) when the pool is
         closed, so a caller can run ``fn`` itself instead."""
         _validate_width(max_workers)
@@ -733,9 +776,17 @@ class ProcessBackend(ExecutionBackend):
         if not items:
             return []
         asked = time.monotonic()
+        if deadline is not None and asked >= deadline:
+            return _unwrap([_Failure(_not_started(index))
+                            for index in range(len(items))],
+                           return_exceptions)
+        wait = timeout
+        if deadline is not None and (wait is None
+                                     or deadline - asked < wait):
+            wait = deadline - asked
         try:
             workers = self._workers.borrow(min(max_workers, len(items)),
-                                           timeout)
+                                           wait)
         except TaskTimeoutError as error:
             return _unwrap([_Failure(error) for _ in items],
                            return_exceptions)
@@ -743,7 +794,8 @@ class ProcessBackend(ExecutionBackend):
             return None
         if timeout is not None:
             timeout = max(0.0, timeout - (time.monotonic() - asked))
-        return self._run(workers, fn, items, timeout, return_exceptions)
+        return self._run(workers, fn, items, timeout, deadline,
+                         return_exceptions)
 
     def map_if_idle(self, fn, items, *, max_workers, timeout=None,
                     return_exceptions=False):
@@ -763,123 +815,181 @@ class ProcessBackend(ExecutionBackend):
         workers = self._workers.take_idle(min(max_workers, len(items)))
         if not workers:
             return None
-        return self._run(workers, fn, items, timeout, return_exceptions)
+        return self._run(workers, fn, items, timeout, None,
+                         return_exceptions)
 
     def _run(self, workers: List[_ProcessWorker], fn, items: List[object],
-             timeout: Optional[float], return_exceptions: bool):
+             timeout: Optional[float], deadline: Optional[float],
+             return_exceptions: bool):
         """Run ``items`` on the borrowed ``workers``, then hand them back."""
-        pending = list(enumerate(items))  # consumed front-first
-        outcomes: List[object] = [None] * len(items)
-        done = 0
+        call = _MapCall(self._workers, workers, fn, timeout, deadline,
+                        len(items))
         try:
-            while done < len(items):
-                for slot, worker in enumerate(workers):
-                    if not worker.busy and pending:
-                        index, item = pending.pop(0)
-                        try:
-                            worker.assign(index, fn, item, timeout)
-                        except (BrokenPipeError, OSError):
-                            # The worker died while idle; replace it and
-                            # requeue the task for the fresh one.
-                            worker.kill()
-                            workers[slot] = self._workers.replace(worker)
-                            pending.insert(0, (index, item))
-                done += self._collect(workers, outcomes)
-                done += self._reap_timeouts(workers, outcomes)
+            call.start(list(enumerate(items)))
+            while any(worker.busy for worker in workers):
+                call.collect()
+                call.reap_timeouts()
         finally:
             for worker in [w for w in workers if w.busy]:
                 workers.remove(worker)
                 self._workers.discard(worker)
             self._workers.give_back(workers)
-        return _unwrap(
-            [o if isinstance(o, (_Success, _Failure)) else _Success(o)
-             for o in outcomes],
-            return_exceptions,
-        )
+        return _unwrap(call.outcomes, return_exceptions)
 
-    # -- event handling -----------------------------------------------------
+    def __repr__(self) -> str:
+        return f"ProcessBackend(workers={self.width})"
 
-    def _collect(self, workers: List[_ProcessWorker],
-                 outcomes: List[object]) -> int:
-        """Wait for one pipe event; record results/crashes.  Returns the
-        number of tasks that reached a terminal outcome."""
+
+def _not_started(index: int) -> TaskTimeoutError:
+    return TaskTimeoutError(f"task {index} not started: the deadline "
+                            "passed")
+
+
+class _MapCall:
+    """The parent's side of one :class:`ProcessBackend` map: the
+    borrowed workers, each holding one contiguous run of the items, and
+    the outcome of every item so far."""
+
+    def __init__(self, pool: _WorkerSet, workers: List[_ProcessWorker],
+                 fn, timeout: Optional[float], deadline: Optional[float],
+                 count: int):
+        self.pool = pool
+        self.workers = workers  # replacements take their slot in place
+        self.fn = fn
+        self.timeout = timeout
+        self.deadline = deadline
+        self.outcomes: List[object] = [None] * count
+
+    def start(self, pairs: List[tuple]) -> None:
+        """Split the ``(index, item)`` pairs into one contiguous run per
+        worker, the runs' lengths differing by at most one."""
+        size, extra = divmod(len(pairs), len(self.workers))
+        begin = 0
+        for number, worker in enumerate(list(self.workers)):
+            end = begin + size + (number < extra)
+            self._dispatch(self.workers.index(worker), pairs[begin:end])
+            begin = end
+
+    def _dispatch(self, slot: int, run: List[tuple]) -> None:
+        """Hand ``run`` to the worker in ``slot``; once the deadline has
+        passed, its items fail without running."""
+        while run:
+            if self.deadline is not None \
+                    and time.monotonic() >= self.deadline:
+                for index, _ in run:
+                    self.outcomes[index] = _Failure(_not_started(index))
+                return
+            worker = self.workers[slot]
+            try:
+                worker.assign(run, self.fn, self.timeout, self.deadline)
+                return
+            except (BrokenPipeError, OSError):
+                # The worker died while idle; a fresh one takes the run.
+                worker.run = []
+                worker.kill()
+                if not self._respawn(slot, worker, run):
+                    return
+
+    def _respawn(self, slot: int, dead: _ProcessWorker,
+                 run: List[tuple]) -> bool:
+        """Fork a worker into ``slot`` in place of ``dead``; False, with
+        the items of ``run`` failed, once the pool is closed."""
+        try:
+            self.workers[slot] = self.pool.replace(dead)
+            return True
+        except ExecutionBackendError as error:
+            del self.workers[slot]
+            for index, _ in run:
+                self.outcomes[index] = _Failure(error)
+            return False
+
+    def _replace(self, worker: _ProcessWorker) -> None:
+        """Fork a worker in place of a dead or killed one; it takes the
+        items of the run after the one in flight."""
+        rest = worker.run[1:]
+        worker.run = []
+        slot = self.workers.index(worker)
+        if self._respawn(slot, worker, rest):
+            self._dispatch(slot, rest)
+
+    def collect(self) -> None:
+        """Wait for pipe events; record outcomes and crashes."""
         from multiprocessing.connection import wait as conn_wait
 
-        busy = [w for w in workers if w.busy]
+        busy = [w for w in self.workers if w.busy]
         if not busy:
-            return 0
+            return
         # A short tick keeps deadline checks responsive even when no
         # worker speaks; readiness of any pipe wakes us immediately.
         ready = conn_wait([w.conn for w in busy], timeout=0.05)
-        finished = 0
         for worker in busy:
             if worker.conn not in ready:
                 # A pipe end inherited by a process forked elsewhere
                 # can hide the EOF of a dead worker: ask the process.
                 if worker.process.is_alive() or worker.conn.poll():
                     continue
-                finished += self._handle_crash(workers, worker, outcomes)
+                self._crashed(worker)
                 continue
             try:
-                kind, payload = worker.conn.recv()
+                # Every reply already sent, so that no finished item
+                # is mistaken for one running past its deadline.
+                while True:
+                    self._record(worker, *worker.conn.recv())
+                    if not worker.busy or not worker.conn.poll():
+                        break
             except (EOFError, OSError):
-                finished += self._handle_crash(workers, worker, outcomes)
-                continue
-            index = worker.task_index
-            if kind == "ok":
-                outcomes[index] = _Success(payload)
-            elif kind == "err":
-                outcomes[index] = _Failure(payload)
-            else:  # remote_err
-                type_name, message, trace = payload
-                outcomes[index] = _Failure(
-                    RemoteTaskError(type_name, message, trace)
-                )
-            worker.clear()
-            finished += 1
-        return finished
+                self._crashed(worker)
 
-    def _handle_crash(self, workers: List[_ProcessWorker],
-                      worker: _ProcessWorker,
-                      outcomes: List[object]) -> int:
+    def _record(self, worker: _ProcessWorker, kind: str, payload,
+                rest: str) -> None:
+        if kind == "ok":
+            outcome = _Success(payload)
+        elif kind == "err":
+            outcome = _Failure(payload)
+        else:  # remote_err
+            outcome = _Failure(RemoteTaskError(*payload))
+        index, _ = worker.run.pop(0)
+        self.outcomes[index] = outcome
+        if rest == _NEXT:
+            worker.arm(self.timeout, self.deadline)
+            return
+        for index, _ in worker.run:
+            # The run did not unpickle, or the deadline passed first.
+            self.outcomes[index] = outcome if rest == _ALL \
+                else _Failure(_not_started(index))
+        worker.run = []
+
+    def _crashed(self, worker: _ProcessWorker) -> None:
         """A worker died mid-task: record the crash, respawn in place."""
-        index = worker.task_index
+        index = worker.run[0][0]
         worker.process.join(1.0)
         code = worker.process.exitcode
         _log.warning(
             "worker pid=%s crashed (exitcode=%s) while running task %s; "
             "respawning", worker.process.pid, code, index,
         )
-        outcomes[index] = _Failure(WorkerCrashedError(
+        self.outcomes[index] = _Failure(WorkerCrashedError(
             f"worker process (pid {worker.process.pid}) died with exit "
             f"code {code} while running task {index}"
         ))
         worker.conn.close()
-        workers[workers.index(worker)] = self._workers.replace(worker)
-        return 1
+        self._replace(worker)
 
-    def _reap_timeouts(self, workers: List[_ProcessWorker],
-                       outcomes: List[object]) -> int:
+    def reap_timeouts(self) -> None:
         """Kill workers whose task overran its deadline; respawn."""
         now = time.monotonic()
-        finished = 0
-        for slot, worker in enumerate(workers):
+        for worker in list(self.workers):
             if not worker.busy or worker.deadline is None \
                     or now < worker.deadline:
                 continue
-            index = worker.task_index
+            index = worker.run[0][0]
             _log.warning("task %s exceeded its deadline; killing worker "
                          "pid=%s", index, worker.process.pid)
             worker.kill()
-            outcomes[index] = _Failure(TaskTimeoutError(
+            self.outcomes[index] = _Failure(TaskTimeoutError(
                 f"task {index} exceeded its deadline (worker killed)"
             ))
-            workers[slot] = self._workers.replace(worker)
-            finished += 1
-        return finished
-
-    def __repr__(self) -> str:
-        return f"ProcessBackend(workers={self.width})"
+            self._replace(worker)
 
 
 # ---------------------------------------------------------------------------

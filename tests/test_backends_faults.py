@@ -134,6 +134,37 @@ def _crash_once_attempt(job):
     return _attempt_job(job)
 
 
+def _touch_then_hold(item):
+    """Create the file ``item[0]``, then sleep ``item[1]`` seconds: the
+    file shows the item started."""
+    path, seconds = item
+    with open(path, "w"):
+        pass
+    time.sleep(seconds)
+    return os.getpid()
+
+
+def _crash_once_if_marked(job):
+    """The real attempt, but a job whose id is a path ending ``.crash``
+    kills its worker the first time (the file records that it did).
+    Everything it needs travels with the job, so it behaves the same in
+    a worker forked from a fork server."""
+    if job.job_id.endswith(".crash") and not os.path.exists(job.job_id):
+        with open(job.job_id, "w"):
+            pass
+        os._exit(3)
+    return _attempt_job(job)
+
+
+def _slow_attempt(job):
+    """The real attempt after marking its start (the job id is a path)
+    and sleeping half a second."""
+    with open(job.job_id, "w"):
+        pass
+    time.sleep(0.5)
+    return _attempt_job(job)
+
+
 # -- backend-level crash isolation ------------------------------------------
 
 class TestProcessCrashIsolation:
@@ -500,6 +531,196 @@ class TestInlineFanout:
         report = executor.run([RankingJob(job_id="v", votes=votes, seed=1)])
         (result,) = report.results
         assert result.status.value == "succeeded", result.error
+
+
+# -- streamed runs: one message per worker, one reply per item --------------
+
+class TestStreamedRuns:
+    """A map hands each borrowed worker one contiguous run of its items
+    in one message; the worker answers each item as it finishes."""
+
+    def test_a_run_stays_on_one_worker(self):
+        backend = ProcessBackend(workers=2)
+        try:
+            pids = backend.map(_pid, range(6), max_workers=2)
+            assert len(set(pids[:3])) == len(set(pids[3:])) == 1
+            assert pids[0] != pids[3]
+        finally:
+            backend.close()
+
+    def test_crash_at_item_k_hands_the_rest_to_the_replacement(self):
+        respawns = []
+        backend = ProcessBackend(workers=1,
+                                 on_respawn=lambda: respawns.append(1))
+        try:
+            outcomes = backend.map(_die_on_three, list(range(6)),
+                                   max_workers=1, return_exceptions=True)
+            assert outcomes[:3] == [0, 1, 4] and outcomes[4:] == [16, 25]
+            assert isinstance(outcomes[3], WorkerCrashedError)
+            assert "task 3" in str(outcomes[3])
+            assert respawns == [1] and len(backend.pids) == 1
+        finally:
+            backend.close()
+
+    def test_hang_at_item_k_is_killed_at_its_deadline(self):
+        respawns = []
+        backend = ProcessBackend(workers=1,
+                                 on_respawn=lambda: respawns.append(1))
+        try:
+            _warm(backend)
+            start = time.monotonic()
+            # Generous: item 3's timeout also covers its replacement
+            # worker's start, a fraction of a second under forkserver.
+            outcomes = backend.map(_sleep_if_negative, [1, 2, -1, 3],
+                                   max_workers=1, timeout=2.0,
+                                   return_exceptions=True)
+            assert time.monotonic() - start < 10.0
+            assert [outcomes[i] for i in (0, 1, 3)] == [1, 2, 3]
+            assert isinstance(outcomes[2], TaskTimeoutError)
+            assert "task 2" in str(outcomes[2])
+            assert "worker killed" in str(outcomes[2])
+            assert respawns == [1]
+        finally:
+            backend.close()
+
+    def test_each_item_timeout_runs_from_its_own_start(self, tmp_path):
+        backend = ProcessBackend(workers=1)
+        try:
+            _warm(backend)
+            items = [(str(tmp_path / f"i{i}"), 0.3) for i in range(4)]
+            pids = backend.map(_touch_then_hold, items, max_workers=1,
+                               timeout=0.9)
+            assert len(set(pids)) == 1  # 1.2 s in all, on one worker
+        finally:
+            backend.close()
+
+    def test_items_past_the_deadline_do_not_start(self, tmp_path):
+        respawns = []
+        backend = ProcessBackend(workers=1,
+                                 on_respawn=lambda: respawns.append(1))
+        try:
+            _warm(backend)
+            (pid,) = backend.pids
+            items = [(str(tmp_path / f"i{i}"), 0.5) for i in range(4)]
+            outcomes = backend.map(_touch_then_hold, items, max_workers=1,
+                                   deadline=time.monotonic() + 0.8,
+                                   return_exceptions=True)
+            assert outcomes[0] == pid
+            assert isinstance(outcomes[1], TaskTimeoutError)
+            assert "worker killed" in str(outcomes[1])
+            for index in (2, 3):
+                assert isinstance(outcomes[index], TaskTimeoutError)
+                assert "not started" in str(outcomes[index])
+                assert "deadline" in str(outcomes[index])
+            assert [os.path.exists(path) for path, _ in items] \
+                == [True, True, False, False]
+            assert respawns == [1]  # the worker killed in item 1
+        finally:
+            backend.close()
+
+    def test_closing_mid_run_keeps_the_finished_items(self, tmp_path):
+        """A pool closed under a run (a server stopping past its drain
+        grace) kills the worker: the finished item keeps its result and
+        the rest fail as closed, instead of the whole map raising."""
+        backend = ProcessBackend(workers=1)
+        _warm(backend)
+        items = [(str(tmp_path / f"i{i}"), seconds)
+                 for i, seconds in enumerate([0.0, 60.0, 0.0])]
+        closer = threading.Timer(1.0, backend.close)
+        closer.start()
+        try:
+            outcomes = backend.map(_touch_then_hold, items, max_workers=1,
+                                   return_exceptions=True)
+        finally:
+            closer.join(timeout=30)
+        assert isinstance(outcomes[0], int)
+        assert isinstance(outcomes[1], WorkerCrashedError)
+        assert isinstance(outcomes[2], ExecutionBackendError)
+        assert "closed" in str(outcomes[2])
+        assert not os.path.exists(items[2][0])
+
+    def test_a_passed_deadline_starts_nothing(self, tmp_path):
+        backend = ProcessBackend(workers=1)
+        try:
+            items = [(str(tmp_path / f"i{i}"), 0.0) for i in range(2)]
+            outcomes = backend.map(_touch_then_hold, items, max_workers=1,
+                                   deadline=time.monotonic() - 0.1,
+                                   return_exceptions=True)
+            assert all("not started" in str(o) for o in outcomes)
+            assert not any(os.path.exists(path) for path, _ in items)
+            assert backend.pids == []  # no worker was even forked
+        finally:
+            backend.close()
+
+
+def _warm(backend):
+    """Start ``backend``'s workers and wait until they serve a task
+    from this module, so no timed item pays for a worker's start."""
+    backend.map(_identity, range(backend.width), max_workers=backend.width)
+
+
+def _marked_jobs(tmp_path, count, crash=()):
+    """Scenario jobs whose ids are paths under ``tmp_path`` (``.crash``
+    for the indices in ``crash``)."""
+    return [
+        RankingJob(
+            job_id=str(tmp_path / (f"j{i}.crash" if i in crash
+                                   else f"j{i}")),
+            scenario=ScenarioSpec(n_objects=10, selection_ratio=0.5,
+                                  n_workers=8),
+            seed=90 + i,
+        )
+        for i in range(count)
+    ]
+
+
+class TestStreamedBatches:
+    """The executor sends a batch's misses as one run per worker; a
+    job's status, error kind and ``attempts`` stay what one task per
+    job gave."""
+
+    def test_crashed_job_is_retried_and_the_rest_of_the_run_completes(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(executor_module, "_attempt_job",
+                            _crash_once_if_marked)
+        from repro.server import RankingServer, ServerConfig
+
+        server = RankingServer(ServerConfig(workers=1, no_cache=True))
+        try:
+            jobs = _marked_jobs(tmp_path, 6, crash=(2, 4))
+            report = server.execute_batch(jobs, timeout=None)
+            assert [r.status.value for r in report.results] \
+                == ["succeeded"] * 6
+            assert [r.attempts for r in report.results] \
+                == [1, 1, 2, 1, 2, 1]
+            # One respawn per crash, counted where the server counts it.
+            assert server.metrics.counter("workers.respawned") == 2
+            assert server.metrics.counter("retry.recovered") == 2
+        finally:
+            server.stop(drain_timeout=5.0)
+
+    def test_deadline_times_out_the_running_job_and_skips_the_rest(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(executor_module, "_attempt_job", _slow_attempt)
+        backend = ProcessBackend(workers=1)
+        try:
+            _warm(backend)
+            executor = BatchExecutor(
+                1, backend=backend, retry=NO_RETRY,
+                deadline=time.monotonic() + 0.8,
+            )
+            jobs = _marked_jobs(tmp_path, 4)
+            report = executor.run(jobs)
+            statuses = [r.status.value for r in report.results]
+            assert statuses == ["succeeded"] + ["timed_out"] * 3
+            assert all(r.attempts == 1 for r in report.results)
+            assert "worker killed" in report.results[1].error
+            assert all("JobTimeoutError" in r.error and "deadline" in r.error
+                       for r in report.results[1:])
+            assert [os.path.exists(job.job_id) for job in jobs] \
+                == [True, True, False, False]
+        finally:
+            backend.close()
 
 
 # -- the executor built on top ----------------------------------------------

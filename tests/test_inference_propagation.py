@@ -107,6 +107,37 @@ class TestPropagateMatrix:
         assert closure[0, 1] > closure[1, 0]
 
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("method, bad", [
+        ("walks", np.inf), ("walks", np.nan), ("exact", np.inf),
+    ])
+    def test_non_finite_matrix_is_an_inference_error(self, smoothed_chain,
+                                                     method, bad):
+        """A non-finite entry, as an overflowing walk sum leaves, is
+        refused; its pair used to normalise to 0.5 without a word (the
+        exact kernel refuses a NaN input itself)."""
+        smoothed = smoothed_chain.copy()
+        smoothed[0, 1] = bad
+        with pytest.raises(InferenceError, match="not finite"):
+            propagate_matrix(smoothed, PropagationConfig(method=method))
+
+    def test_small_lollipop_ranks_in_truth_order(self):
+        """A fully compared 6-clique with an 8-chain off its last
+        member, each pair won by the lower id 3 votes to 0: the walk
+        sums stay finite and every pair keeps its direction."""
+        from repro.inference import RankingPipeline
+        from repro.types import Vote, VoteSet
+
+        pairs = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        pairs += [(k, k + 1) for k in range(5, 13)]
+        votes = VoteSet.from_votes(14, [
+            Vote(worker=w, winner=i, loser=j)
+            for i, j in pairs for w in range(3)
+        ])
+        result = RankingPipeline().run(votes, np.random.default_rng(1))
+        assert list(result.ranking.order) == list(range(14))
+
+
 class TestPropagatePreferences:
     def test_returns_complete_graph(self, smoothed_chain):
         closure = closure_graph(smoothed_chain)

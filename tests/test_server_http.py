@@ -332,6 +332,26 @@ class TestCachedResponses:
             json.dumps(result_to_payload(outcome.result)))
 
 
+@pytest.mark.slow
+class TestStepThreeOverflow:
+    def test_lollipop_body_gets_a_4xx(self, server):
+        """A fully compared 120-clique with a 380-chain off its last
+        member, each pair won by the lower id 3 votes to 0: Step 3's
+        walk sums overflow to inf and NaN, and the request is refused
+        instead of ranked from pairs silently set to 0.5."""
+        clique, n = 120, 500
+        pairs = [(i, j) for i in range(clique) for j in range(i + 1, clique)]
+        pairs += [(k, k + 1) for k in range(clique - 1, n - 1)]
+        status, body = _post(server.url + "/v1/rank", {
+            "seed": 1,
+            "votes": {"n_objects": n,
+                      "votes": [[w, i, j] for i, j in pairs
+                                for w in range(3)]},
+        }, timeout=120)
+        assert 400 <= status < 500
+        assert "not finite" in body["error"]
+
+
 class TestBatch:
     def test_batch_round_trip(self, server):
         jobs = [
@@ -566,10 +586,41 @@ class TestKeepAlive:
             conn.close()
 
 
+#: An attempt's outcome for tests that replace ``BatchExecutor._attempt``.
+_TINY = (InferenceResult(ranking=Ranking([0, 1]), log_preference=0.0), {})
+
+
+def _free_slots(server):
+    """How many of ``server``'s execution slots are free right now (all
+    are taken and given straight back)."""
+    taken = 0
+    while server._slots.acquire(blocking=False):
+        taken += 1
+    for _ in range(taken):
+        server._slots.release()
+    return taken
+
+
+def _run_batches(server, batches):
+    """``server.execute_batch`` on each batch, all from threads at once."""
+    reports = [None] * len(batches)
+
+    def run(index):
+        reports[index] = server.execute_batch(batches[index], timeout=30.0)
+
+    threads = [threading.Thread(target=run, args=(index,))
+               for index in range(len(batches))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    return reports
+
+
 class TestExecutionSlots:
-    """Batches must hold one execution slot per internal worker, so
-    concurrent batch requests can never run more than ``config.workers``
-    jobs in total."""
+    """A request, a batch included, holds exactly one execution slot, so
+    concurrent requests can never run more than ``config.workers`` jobs
+    in total."""
 
     @staticmethod
     def _recording_executor(recorded):
@@ -578,7 +629,9 @@ class TestExecutionSlots:
                 recorded["workers"] = workers
                 recorded["deadline"] = kwargs.get("deadline")
 
-            def run(self, jobs, keys=None):
+            def run(self, jobs, keys=None, **options):
+                if "server" in recorded:
+                    recorded["free_slots"] = _free_slots(recorded["server"])
                 return BatchReport(results=())
 
         return Recorder
@@ -587,35 +640,51 @@ class TestExecutionSlots:
         return [server.decode_job(dict(SCENARIO_REQUEST, job_id=f"s{i}"))
                 for i in range(count)]
 
-    def test_batch_uses_full_width_when_slots_free(self, monkeypatch):
+    def test_batch_holds_one_slot_and_releases_it(self, monkeypatch):
         from repro.server import app as app_module
 
-        recorded = {}
+        server = RankingServer(ServerConfig(workers=3, no_cache=True))
+        recorded = {"server": server}
         monkeypatch.setattr(app_module, "BatchExecutor",
                             self._recording_executor(recorded))
-        server = RankingServer(ServerConfig(workers=3, no_cache=True))
         server.execute_batch(self._jobs(server, 5), timeout=None)
-        assert recorded["workers"] == 3
-        # Every slot was released afterwards.
-        for _ in range(3):
-            assert server._slots.acquire(blocking=False)
+        assert recorded["workers"] == 1
+        assert recorded["free_slots"] == 2
+        assert _free_slots(server) == 3
 
-    def test_batch_narrows_to_free_slots(self, monkeypatch):
-        from repro.server import app as app_module
+    def test_concurrent_batches_run_side_by_side(self, monkeypatch):
+        # Each batch's first job waits for the other batch's: both
+        # pass only if the two batches run at once.
+        barrier = threading.Barrier(2, timeout=10)
+        monkeypatch.setattr(BatchExecutor, "_attempt",
+                            lambda self, job: (barrier.wait(), _TINY)[1])
+        server = RankingServer(ServerConfig(workers=2, no_cache=True,
+                                            backend="thread"))
+        reports = _run_batches(server, [self._jobs(server, 2)
+                                        for _ in range(2)])
+        assert [[r.status for r in report.results] for report in reports] \
+            == [[JobStatus.SUCCEEDED] * 2] * 2
 
-        recorded = {}
-        monkeypatch.setattr(app_module, "BatchExecutor",
-                            self._recording_executor(recorded))
-        server = RankingServer(ServerConfig(workers=3, no_cache=True))
-        # Simulate another in-flight request holding one slot: the
-        # batch must narrow to the remaining two instead of stacking
-        # three more workers on top.
-        assert server._slots.acquire(blocking=False)
-        server.execute_batch(self._jobs(server, 5), timeout=None)
-        assert recorded["workers"] == 2
-        for _ in range(2):
-            assert server._slots.acquire(blocking=False)
-        assert not server._slots.acquire(blocking=False)
+    def test_running_jobs_never_exceed_workers(self, monkeypatch):
+        lock = threading.Lock()
+        running = [0, 0]  # now, most ever
+
+        def attempt(self, job):
+            with lock:
+                running[0] += 1
+                running[1] = max(running)
+            time.sleep(0.02)
+            with lock:
+                running[0] -= 1
+            return _TINY
+
+        monkeypatch.setattr(BatchExecutor, "_attempt", attempt)
+        server = RankingServer(ServerConfig(workers=2, no_cache=True,
+                                            backend="thread"))
+        reports = _run_batches(server, [self._jobs(server, 3)
+                                        for _ in range(4)])
+        assert all(report.ok for report in reports)
+        assert running == [0, 2]
 
     def test_request_timeout_becomes_absolute_deadline(self, monkeypatch):
         from repro.server import app as app_module

@@ -194,6 +194,28 @@ class TestSessionErrors:
         assert status == 200 and view["votes_ingested"] == 1
         assert "\nrepro_session_votes_buffered 1.0\n" in client.metrics_text()
 
+    def test_unrankable_ingest_422(self, monkeypatch, votes):
+        """An update whose Step 3 matrix is not finite answers 422 with
+        the inference error, and the session keeps its votes as they
+        were."""
+        from repro.exceptions import InferenceError
+        from repro.streaming import incremental
+
+        def overflowing(*args, **kwargs):
+            raise InferenceError("Step 3: the propagated preference "
+                                 "matrix is not finite")
+
+        monkeypatch.setattr(incremental, "propagate_matrix", overflowing)
+        with RankingServer(ServerConfig(port=0, no_cache=True,
+                                        backend="thread")) as server:
+            client = RankingClient(server.url, retry=NO_RETRY)
+            view = client.create_session(10, config=FAST_SESSION_CONFIG)
+            url = f"{server.url}/v1/sessions/{view['session_id']}/votes"
+            status, decoded = _request(url, "POST", {"votes": votes})
+            assert status == 422
+            assert "not finite" in decoded["error"]
+            assert client.session_ranking(view["session_id"]) == view
+
     @pytest.mark.parametrize("votes", [
         [[0, 1.7, 2]],
         [["3", True, 0.2]],

@@ -6,6 +6,7 @@ hit-rate on resubmission, and poisoned / timing-out / flaky jobs never
 taking the batch down.
 """
 
+import json
 import time
 
 import pytest
@@ -164,6 +165,55 @@ class TestCaching:
         executor.run(jobs)
         report = executor.run(jobs)
         assert all(not r.from_cache for r in report.results)
+
+
+class TestBackendsAgree:
+    """One batch gives the same outcomes, ``attempts`` and cache
+    contents on every backend: the process backend's streamed runs
+    change where the jobs run, not what a job comes back as."""
+
+    @staticmethod
+    def _answer(encoded):
+        """An encoded result without its step timings."""
+        payload = json.loads(encoded.result_json)
+        del payload["step_seconds"]
+        return payload
+
+    def _observed(self, executor, batches):
+        outcomes = []
+        for jobs in batches:
+            report = executor.run(jobs)
+            outcomes.append([
+                (r.job_id, r.status, r.attempts, r.from_cache, r.error,
+                 self._answer(r.encoded), r.extras)
+                for r in report.results
+            ])
+        cache = executor.cache
+        entries = {}
+        for job in {job.job_id: job for jobs in batches for job in jobs} \
+                .values():
+            entry = cache.get_entry(fingerprint_job(job))
+            entries[job.job_id] = (self._answer(entry.encoded), entry.extras)
+        return outcomes, len(cache), entries
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_outcomes_attempts_and_cache_agree(self, workers):
+        jobs = scenario_jobs(6, prefix="agree")
+        # A cold batch, then one of hits and misses; at one worker also
+        # a duplicate, answered by its twin's stored result.
+        batches = [jobs[:4], jobs[2:]]
+        if workers == 1:
+            twin = RankingJob(job_id="twin", scenario=jobs[0].scenario,
+                              config=jobs[0].config, seed=jobs[0].seed)
+            batches.append([jobs[0], twin] + jobs[4:] + [twin])
+        observed = {
+            backend: self._observed(
+                BatchExecutor(workers, cache=ResultCache(), backend=backend),
+                batches)
+            for backend in ("serial", "thread", "process")
+        }
+        assert observed["thread"] == observed["serial"]
+        assert observed["process"] == observed["serial"]
 
 
 class TestIsolation:

@@ -1,5 +1,8 @@
 """Unit tests for the service metrics registry."""
 
+import hashlib
+import json
+import random
 import threading
 
 import pytest
@@ -122,6 +125,26 @@ class TestSnapshot:
         snap = metrics.snapshot()
         snap["counters"]["a"] = 999
         assert metrics.counter("a") == 1
+
+    def test_seeded_series_snapshot_is_byte_identical(self):
+        """A fixed observation series, past the reservoir's capacity on
+        one timer, renders exactly the bytes it rendered when every
+        observation built a throwaway timer and each percentile sorted
+        the reservoir again (digest recorded from that code)."""
+        metrics = MetricsRegistry()
+        draw = random.Random(20261019)
+        names = ["job.seconds", "batch.seconds", "step.truth",
+                 "http.request.seconds"]
+        for index in range(3000):
+            metrics.observe(names[index % 4] if index % 7 else names[0],
+                            draw.expovariate(40.0))
+            if index % 5 == 0:
+                metrics.increment("cache.hits" if index % 3
+                                  else "cache.misses")
+        text = json.dumps(metrics.snapshot(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "aad649717d025db4d20ebb6cc72498252a8d673a52da720bfcbc7374bf926b72"
+        )
 
     def test_timer_is_a_point_in_time_copy(self):
         metrics = MetricsRegistry()
