@@ -11,7 +11,12 @@ overhead and tail latency over time.
 A backend sweep repeats both modes once per execution backend
 (serial / thread / process) and records each one's p95 — the cost of
 pool overhead and the benefit of process isolation, measured at the
-same workload.
+same workload.  That workload repeats jobs, so its executor rows also
+measure the cache; ``executor_backends.distinct_jobs`` times the
+executor on 32 distinct vote jobs of the e2e rank-cold (n=100) and
+batch-cold (n=16) shapes, 9 repeats with the arm order alternating:
+serial, 2 threads, a warm 2-worker pool and a pool forked inside the
+timed run.
 
 A serving pass then drives a ``python -m repro serve`` subprocess, so
 this process only runs clients: a closed-loop pass for throughput with
@@ -95,6 +100,7 @@ from repro.service import (
     job_to_payload,
 )
 from repro.service.executor import _attempt_job
+from repro.workers.backends import ProcessBackend
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -461,6 +467,67 @@ def batch_cold_body(seed: int, n_objects: int, ratio: float,
     ]}).encode("utf-8")
 
 
+#: The distinct-job executor rows: jobs per run, repeats and pool
+#: width, then per row the job shape (the e2e rank-cold and batch-cold
+#: jobs) and its job config.
+DISTINCT_JOBS, DISTINCT_REPEATS, DISTINCT_WIDTH = 32, 9, 2
+DISTINCT_ROWS = (("n100", RANK_COLD_SHAPE, {"engine": "crh_saps"}),
+                 ("n16", BATCH_COLD_SHAPE, BATCH_COLD_SHAPE["config"]))
+
+
+def bench_distinct_jobs() -> Dict[str, object]:
+    """Executor jobs/s on distinct jobs (no cache hit) per backend arm,
+    the arm order alternating from one repeat to the next."""
+    warm_pool = ProcessBackend(workers=DISTINCT_WIDTH)
+    arms: Dict[str, Callable[[], object]] = {
+        "serial": lambda: "serial",
+        "thread": lambda: "thread",
+        "warm_pool": lambda: warm_pool,
+        "fresh_pool": lambda: ProcessBackend(workers=DISTINCT_WIDTH),
+    }
+    block: Dict[str, object] = {"jobs": DISTINCT_JOBS,
+                                "repeats": DISTINCT_REPEATS,
+                                "workers": DISTINCT_WIDTH}
+    try:
+        for name, shape, config in DISTINCT_ROWS:
+            jobs = [job_from_payload({
+                "schema": "repro.job/1",
+                "job_id": f"distinct-{seed}", "seed": seed,
+                "config": config,
+                "votes": {"n_objects": shape["n_objects"],
+                          "votes": vote_rows(
+                              np.random.default_rng(seed),
+                              shape["n_objects"], shape["ratio"],
+                              shape["n_workers"]).tolist()},
+            }) for seed in range(DISTINCT_JOBS)]
+            BatchExecutor(DISTINCT_WIDTH, backend=warm_pool).run(jobs[:4])
+            rates: Dict[str, List[float]] = {arm: [] for arm in arms}
+            for repeat in range(DISTINCT_REPEATS):
+                order = list(arms) if repeat % 2 == 0 else list(arms)[::-1]
+                for arm in order:
+                    backend = arms[arm]()
+                    executor = BatchExecutor(
+                        DISTINCT_WIDTH, cache=ResultCache(),
+                        metrics=MetricsRegistry(), backend=backend)
+                    start = time.perf_counter()
+                    report = executor.run(jobs)
+                    elapsed = time.perf_counter() - start
+                    if arm == "fresh_pool":
+                        backend.close()
+                    assert report.ok, "benchmark jobs must all succeed"
+                    rates[arm].append(len(jobs) / elapsed)
+            block[name] = {
+                arm: {f"{key}_jobs_per_s": round(float(value), 1)
+                      for key, value in zip(
+                          ("q1", "median", "q3"),
+                          np.percentile(values, [25, 50, 75]))}
+                for arm, values in rates.items()
+            }
+    finally:
+        warm_pool.close()
+    return block
+
+
 def _timed(layers: Dict[str, List[float]], name: str,
            call: Callable[[], object]) -> object:
     start = time.perf_counter()
@@ -777,6 +844,15 @@ def main() -> int:
         print(f"  executor p95 "
               f"{executor_backends[backend]['latency_p95_s']}s, "
               f"server p95 {server_backends[backend]['latency_p95_s']}s")
+
+    print("distinct-job executor rows ...")
+    distinct = bench_distinct_jobs()
+    executor_backends["distinct_jobs"] = distinct
+    for name, _, _ in DISTINCT_ROWS:
+        row = distinct[name]
+        print(f"  {name}: " + ", ".join(
+            f"{arm} {rates['median_jobs_per_s']}"
+            for arm, rates in row.items()) + " jobs/s")
 
     serving = serving_pass(args)
 

@@ -16,7 +16,17 @@ Two experiments over the synthetic scenario suite, written to
    within 0.05 of the run-to-exhaustion session).  A row that saves no
    votes records why (``no_stop_reason``).
 
-Every row of both experiments records the final session ranking's
+3. **Warm vs cold Steps 1-2** (``warm_vs_cold``) — the one piece of
+   state a session update carries is Step 1's warm start (the previous
+   truth and weights).  Two sessions replay the same votes in lockstep,
+   the arm that goes first alternating per update: the shipped update,
+   and one whose Step 1 starts cold every time.  Recorded per update:
+   wall milliseconds of the ingest and the ranking's accuracy, for
+   100-vote ingests at n=50 (the e2e session shape) and single-vote
+   ingests at n=50 and n=200, over ``WARM_VS_COLD_SEEDS`` seeds.  No
+   bar: it is the evidence that the warm start pays.
+
+Every row of the first two experiments records the final session ranking's
 accuracy next to ``recompute()``'s on the same votes; a session more
 than 0.05 below the batch answer fails the run.  Every latency run
 also hard-checks the differential contract: the session's ``recompute()``
@@ -24,8 +34,9 @@ must be bit-identical to the batch pipeline on the identical final
 vote pool.
 
 ``--smoke`` runs n=100 with one seed and the identity and accuracy
-checks only (no file written, no timing thresholds — CI boxes are
-noisy) and exits non-zero on any violation.  The size is chosen so
+checks only, plus one seed of the n=50 ``warm_vs_cold`` shapes (no
+file written, no timing thresholds — CI boxes are noisy), and exits
+non-zero on any violation.  The size is chosen so
 the smoke catches sessions that drift from the batch answer: a session
 that anneals from its previous ranking at the full start temperature
 ends 0.07 below ``recompute()`` at n=100, but within 0.03 at n=30-50.
@@ -45,7 +56,7 @@ import platform
 import statistics
 import time
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.config import PipelineConfig
 from repro.datasets import make_scenario
@@ -59,6 +70,17 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: Single-vote ingests timed per (size, seed) in the latency experiment.
 TIMED_VOTES = 10
+
+#: Seeds of the warm-vs-cold experiment, and its shapes:
+#: ``(name, n, votes per update, timed updates or None for the whole
+#: replay)``.  Single-vote shapes prime the session with all but the
+#: timed votes.
+WARM_VS_COLD_SEEDS = list(range(8))
+WARM_VS_COLD_SHAPES = [
+    ("n50_ingest100", 50, 100, None),
+    ("n50_ingest1", 50, 1, 20),
+    ("n200_ingest1", 200, 1, 20),
+]
 
 #: Largest accuracy a row's final session ranking may lose against
 #: ``recompute()`` on the same votes, and early stopping against the
@@ -188,6 +210,74 @@ def bench_early_stop(n: int, seed: int, warm_iterations: int,
     return row
 
 
+def _cold_step_one(session: RankingSession) -> None:
+    """Drop the engine's carried truth, so its next update runs Step 1
+    from the cold start (the arm the warm start is measured against)."""
+    session._engine._truth = None
+
+
+def bench_warm_vs_cold(name: str, n: int, per_update: int,
+                       timed: Optional[int], seeds: List[int],
+                       warm_iterations: int, ratio: float
+                       ) -> Dict[str, object]:
+    """Per-update ms and accuracy, shipped update vs cold Step 1."""
+    arms = ("warm", "cold")
+    samples = {arm: {"ms": [], "accuracy": []} for arm in arms}
+    rows = []
+    for seed in seeds:
+        scenario, votes = make_workload(n, seed, ratio)
+        config = SessionConfig(pipeline=PipelineConfig(), seed=seed,
+                               warm_iterations=warm_iterations,
+                               early_stop=False)
+        sessions = {arm: RankingSession(f"{arm}-{n}-{seed}", n, config)
+                    for arm in arms}
+        if timed is not None:
+            for session in sessions.values():
+                session.ingest(votes[:-timed])  # prime, untimed
+            votes = votes[-timed:]
+        seed_samples = {arm: {"ms": [], "accuracy": []} for arm in arms}
+        for step, start in enumerate(range(0, len(votes), per_update)):
+            chunk = votes[start:start + per_update]
+            for arm in arms if (seed + step) % 2 == 0 else arms[::-1]:
+                session = sessions[arm]
+                if arm == "cold":
+                    _cold_step_one(session)
+                began = time.perf_counter()
+                report = session.ingest(chunk)
+                elapsed = time.perf_counter() - began
+                seed_samples[arm]["ms"].append(elapsed * 1e3)
+                seed_samples[arm]["accuracy"].append(ranking_accuracy(
+                    scenario.ground_truth, report.ranking))
+        row = {"seed": seed, "updates": len(seed_samples["warm"]["ms"])}
+        for arm in arms:
+            row[f"{arm}_ms_mean"] = round(
+                statistics.mean(seed_samples[arm]["ms"]), 3)
+            row[f"{arm}_accuracy_mean"] = round(
+                statistics.mean(seed_samples[arm]["accuracy"]), 4)
+            for key in ("ms", "accuracy"):
+                samples[arm][key].extend(seed_samples[arm][key])
+        rows.append(row)
+
+    def summary(values: List[float], digits: int) -> Dict[str, float]:
+        q1, median, q3 = statistics.quantiles(values, n=4)
+        return {"median": round(median, digits), "q1": round(q1, digits),
+                "q3": round(q3, digits)}
+
+    result = {"shape": name, "n": n, "votes_per_update": per_update,
+              "seeds": seeds, "updates": len(samples["warm"]["ms"])}
+    for arm in arms:
+        result[arm] = {
+            "update_ms": summary(samples[arm]["ms"], 3),
+            "accuracy_mean": round(
+                statistics.mean(samples[arm]["accuracy"]), 4),
+        }
+    result["cold_over_warm_ms"] = round(
+        result["cold"]["update_ms"]["median"]
+        / result["warm"]["update_ms"]["median"], 2)
+    result["per_seed"] = rows
+    return result
+
+
 def bench_size(n: int, seeds: List[int], warm_iterations: int,
                ratio: float, chunk: int) -> Dict[str, object]:
     latency = [bench_latency(n, seed, warm_iterations, ratio)
@@ -274,6 +364,21 @@ def main() -> int:
                 f"{summary['accuracy_gap_worst']:.3f} accuracy below "
                 f"recompute() (> {ACCURACY_BAR} bar)"
             )
+    warm_vs_cold = []
+    for name, n, per_update, timed in WARM_VS_COLD_SHAPES:
+        if args.smoke and n > 50:
+            continue
+        shape = bench_warm_vs_cold(
+            name, n, per_update, timed,
+            seeds[:1] if args.smoke else WARM_VS_COLD_SEEDS,
+            args.warm_iterations, args.ratio)
+        warm_vs_cold.append(shape)
+        print(f"warm_vs_cold {name}: update ms median "
+              f"{shape['warm']['update_ms']['median']} warm vs "
+              f"{shape['cold']['update_ms']['median']} cold; accuracy "
+              f"{shape['warm']['accuracy_mean']} vs "
+              f"{shape['cold']['accuracy_mean']}")
+
     if not args.smoke:
         for summary in results:
             if summary["n"] >= 200 and summary["speedup_min"] < 5.0:
@@ -299,6 +404,7 @@ def main() -> int:
             "timed_votes": TIMED_VOTES,
         },
         "results": results,
+        "warm_vs_cold": warm_vs_cold,
         "failures": failures,
     }
     if not args.smoke:

@@ -623,8 +623,7 @@ def _cmd_stream(args: argparse.Namespace) -> int:
               + (f" (stability {score:.4f})" if score is not None else ""))
         print(f"ranking (most preferred first): {view['ranking']}")
         print(f"updates: {updates['full']} full, "
-              f"{updates['incremental']} incremental, "
-              f"{updates['damped_restarts']} damped restarts")
+              f"{updates['incremental']} incremental")
         if replayed < len(votes):
             saved = len(votes) - replayed
             print(f"early stop saved {saved} votes "

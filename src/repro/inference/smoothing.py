@@ -18,8 +18,7 @@ of errors introduced by estimation".
 :func:`smooth_matrix` works on the columnar vote arrays
 (:class:`~repro.types.VoteArrays`): it identifies 1-edges from the
 Step-1 truth vector, computes ``sigma_k`` once per distinct worker, and
-applies every shift with ``np.bincount``; :func:`resmooth_pairs` is the
-streaming session's per-pair refresh of the same arithmetic.
+applies every shift with ``np.bincount``.
 
 **Sampled-mode RNG draw-order contract.**  One ``|N(0, sigma_k^2)|``
 draw is consumed per (1-edge, vote): 1-edges in lexicographic
@@ -58,14 +57,23 @@ class MatrixSmoothingResult:
     n_one_edges:
         How many unanimous edges were smoothed (the quantity the paper's
         Fig. 4 discussion ties to the Gaussian-vs-Uniform runtime gap).
-    adjustments:
-        Per smoothed directed edge, the amount moved to the reverse
+    edges:
+        ``(source, target, shift)`` arrays, one entry per smoothed
+        directed edge in draw order: the amount moved to the reverse
         direction.
     """
 
     matrix: np.ndarray
     n_one_edges: int
-    adjustments: Dict[Tuple[int, int], float]
+    edges: Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    @property
+    def adjustments(self) -> Dict[Tuple[int, int], float]:
+        """:attr:`edges` as ``{(source, target): shift}``, built on
+        read: no caller on the inference path needs the dict."""
+        source, target, shift = self.edges
+        return dict(zip(zip(source.tolist(), target.tolist()),
+                        shift.tolist()))
 
 
 def worker_sigma(quality: float, config: SmoothingConfig) -> float:
@@ -147,92 +155,13 @@ def smooth_matrix(
     x = np.asarray(truth_vector, dtype=np.float64)
     sigma = _sigma_vector(arrays, worker_quality, config)
     src, dst, pair_of_edge = _one_edge_table(x, arrays)
-    n_edges = int(src.shape[0])
-
     smoothed = np.array(direct, dtype=np.float64, copy=True)
-    if n_edges == 0:
-        return MatrixSmoothingResult(matrix=smoothed, n_one_edges=0,
-                                     adjustments={})
-
     shift = _edge_shifts(arrays, sigma, pair_of_edge, config, generator)
     smoothed[src, dst] = 1.0 - shift
     smoothed[dst, src] = shift
-    adjustments = {
-        (u, v): s
-        for u, v, s in zip(src.tolist(), dst.tolist(), shift.tolist())
-    }
-    return MatrixSmoothingResult(
-        matrix=smoothed,
-        n_one_edges=n_edges,
-        adjustments=adjustments,
-    )
-
-
-def resmooth_pairs(
-    previous: np.ndarray,
-    truth_vector: np.ndarray,
-    arrays: VoteArrays,
-    worker_quality: Union[Mapping[WorkerId, float], np.ndarray],
-    pair_mask: np.ndarray,
-    config: Optional[SmoothingConfig] = None,
-    rng: SeedLike = None,
-) -> MatrixSmoothingResult:
-    """Steps 1-2 applied to a *subset* of pairs over a previous matrix.
-
-    The streaming session's incremental update: given the last smoothed
-    matrix, refresh only the entries of pairs flagged in ``pair_mask``
-    (a boolean vector over the columnar pair table — the pairs that
-    received new votes, plus every pair answered by a worker who did).
-    For each flagged pair the entry is rebuilt exactly as the full path
-    would: the direct weight from the current truth vector, then the
-    1-edge smoothing shift where the pair is unanimous.  Entries of
-    unflagged pairs are carried over untouched — the incremental
-    approximation that makes per-vote updates cheap; a periodic full
-    :func:`smooth_matrix` rebuild (and the batch-equivalence guarantee
-    of a session's full recompute) bounds the drift.
-
-    With ``pair_mask`` all-true and ``previous`` the direct matrix of
-    the same truth vector, the result is identical to
-    :func:`smooth_matrix` (pinned by a regression test).
-    """
-    config = config if config is not None else SmoothingConfig()
-    generator = ensure_rng(rng)
-    x = np.asarray(truth_vector, dtype=np.float64)
-    mask = np.asarray(pair_mask, dtype=bool)
-    if x.shape != (arrays.n_pairs,) or mask.shape != (arrays.n_pairs,):
-        raise InferenceError(
-            f"truth vector {x.shape} / pair mask {mask.shape} do not "
-            f"match the {arrays.n_pairs}-pair vote table"
-        )
-    smoothed = np.array(previous, dtype=np.float64, copy=True)
-    if not mask.any():
-        return MatrixSmoothingResult(matrix=smoothed, n_one_edges=0,
-                                     adjustments={})
-
-    # Direct weights for the flagged pairs (same zero-for-absent rule
-    # as direct_preference_matrix, both directions rewritten).
-    lo, hi, xm = arrays.pair_lo[mask], arrays.pair_hi[mask], x[mask]
-    smoothed[lo, hi] = np.where(xm > 0.0, xm, 0.0)
-    smoothed[hi, lo] = np.where(xm < 1.0, 1.0 - xm, 0.0)
-
-    sigma = _sigma_vector(arrays, worker_quality, config)
-    src, dst, pair_of_edge = _one_edge_table(x, arrays, mask)
-    n_edges = int(src.shape[0])
-    if n_edges == 0:
-        return MatrixSmoothingResult(matrix=smoothed, n_one_edges=0,
-                                     adjustments={})
-    shift = _edge_shifts(arrays, sigma, pair_of_edge, config, generator)
-    smoothed[src, dst] = 1.0 - shift
-    smoothed[dst, src] = shift
-    adjustments = {
-        (u, v): s
-        for u, v, s in zip(src.tolist(), dst.tolist(), shift.tolist())
-    }
-    return MatrixSmoothingResult(
-        matrix=smoothed,
-        n_one_edges=n_edges,
-        adjustments=adjustments,
-    )
+    return MatrixSmoothingResult(matrix=smoothed,
+                                 n_one_edges=int(src.shape[0]),
+                                 edges=(src, dst, shift))
 
 
 def _sigma_vector(
@@ -261,19 +190,11 @@ def _sigma_vector(
                     dtype=np.float64)
 
 
-def _one_edge_table(
-    x: np.ndarray,
-    arrays: VoteArrays,
-    pair_mask: Optional[np.ndarray] = None,
-) -> tuple:
+def _one_edge_table(x: np.ndarray, arrays: VoteArrays) -> tuple:
     """1-edges from the truth vector, in the documented draw order:
-    lexicographic ``(source, target)``.  ``pair_mask`` restricts the
-    table to a subset of pairs (the incremental path)."""
+    lexicographic ``(source, target)``."""
     one_forward = x >= 1.0 - ONE_EDGE_TOLERANCE
     one_reverse = (1.0 - x) >= 1.0 - ONE_EDGE_TOLERANCE
-    if pair_mask is not None:
-        one_forward = one_forward & pair_mask
-        one_reverse = one_reverse & pair_mask
     src = np.concatenate([arrays.pair_lo[one_forward],
                           arrays.pair_hi[one_reverse]])
     dst = np.concatenate([arrays.pair_hi[one_forward],

@@ -10,9 +10,9 @@ collection can stop as soon as the ranking has converged.
 
 * :class:`VoteBuffer` — mutable columnar vote accumulator whose
   snapshots are bit-identical to the frozen batch arrays;
-* :class:`IncrementalEngine` — Steps 1-4 with carried warm state
-  (warm CRH/EM, dirty-pair re-smoothing, a cold-tail SAPS anneal from
-  the closure's degree order);
+* :class:`IncrementalEngine` — Steps 1-4 rerun per update, with
+  warm-started CRH/EM and a cold-tail SAPS anneal from the closure's
+  degree order;
 * :class:`StabilityMonitor` — rolling Kendall distance between
   successive rankings, driving ``collecting``/``stable``/``stopped``;
 * :class:`RankingSession` / :class:`SessionManager` — the stateful
@@ -21,7 +21,7 @@ collection can stop as soon as the ranking has converged.
 """
 
 from .buffer import VoteBuffer
-from .incremental import IncrementalEngine, UpdateReport, dirty_pair_mask
+from .incremental import IncrementalEngine, UpdateReport
 from .session import (
     SESSION_SCHEMA,
     RankingSession,
@@ -38,7 +38,6 @@ __all__ = [
     "VoteBuffer",
     "IncrementalEngine",
     "UpdateReport",
-    "dirty_pair_mask",
     "StabilityMonitor",
     "VERDICTS",
     "RankingSession",

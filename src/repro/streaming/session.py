@@ -32,6 +32,7 @@ only feeds the view until then.
 from __future__ import annotations
 
 import copy
+import sys
 import threading
 import time
 import uuid
@@ -86,10 +87,6 @@ class SessionConfig:
     warm_iterations:
         SAPS budget of every update: the last ``warm_iterations``
         iterations of the pipeline's schedule, from the degree order.
-    quality_shift_threshold / truth_damping:
-        The damped-restart guard of the incremental engine.
-    full_rebuild_fraction:
-        Dirty-pair fraction above which Step 2 rebuilds in full.
     scorer:
         Acquisition scorer (registry name, see
         :func:`repro.acquisition.make_scorer`) backing
@@ -103,9 +100,6 @@ class SessionConfig:
     min_votes: int = 0
     early_stop: bool = True
     warm_iterations: int = 1500
-    quality_shift_threshold: float = 0.25
-    truth_damping: float = 0.5
-    full_rebuild_fraction: float = 0.5
     scorer: str = "bdp"
 
     def __post_init__(self) -> None:
@@ -123,15 +117,6 @@ class SessionConfig:
         if self.warm_iterations < 1:
             raise ConfigurationError(
                 f"warm_iterations must be >= 1, got {self.warm_iterations}"
-            )
-        if not 0.0 <= self.truth_damping <= 1.0:
-            raise ConfigurationError(
-                f"truth_damping must be in [0, 1], got {self.truth_damping}"
-            )
-        if not 0.0 <= self.full_rebuild_fraction <= 1.0:
-            raise ConfigurationError(
-                "full_rebuild_fraction must be in [0, 1], got "
-                f"{self.full_rebuild_fraction}"
             )
 
 
@@ -179,12 +164,14 @@ class RankingSession:
         self.config = config if config is not None else SessionConfig()
         self.lock = threading.RLock()
         self.buffer = VoteBuffer(n_objects)
+        if n_objects ** 2 * 8 > sys.maxsize:
+            raise ConfigurationError(
+                f"n_objects {n_objects} is too large: its dense n x n "
+                "float64 matrix exceeds the addressable size"
+            )
         self._engine = IncrementalEngine(
             self.config.pipeline,
             warm_iterations=self.config.warm_iterations,
-            quality_shift_threshold=self.config.quality_shift_threshold,
-            truth_damping=self.config.truth_damping,
-            full_rebuild_fraction=self.config.full_rebuild_fraction,
         )
         self._monitor = StabilityMonitor(
             window=self.config.stability_window,
@@ -197,7 +184,6 @@ class RankingSession:
         self.votes_ingested = 0
         self.updates_full = 0
         self.updates_incremental = 0
-        self.damped_restarts = 0
 
     @property
     def n_objects(self) -> int:
@@ -269,8 +255,6 @@ class RankingSession:
                 self.updates_full += 1
             else:
                 self.updates_incremental += 1
-            if report.damped_restart:
-                self.damped_restarts += 1
             self._ranking = report.ranking
             self._monitor.observe(report.ranking)
             if self.config.early_stop and self._stable():
@@ -283,8 +267,8 @@ class RankingSession:
 
         Builds the acquisition belief state from the session's votes —
         weighted by the engine's current worker-quality estimates and
-        conditioned on the warm smoothed matrix's closure when one
-        exists — and scores it with the configured scorer.  Purely a
+        conditioned on the Step 3 closure of the last update when there
+        is one — and scores it with the configured scorer.  Purely a
         read: the session's warm state, stability window and lifecycle
         are untouched, and the result is deterministic for a fixed
         session state and seed (stable tie-break by pair id).
@@ -295,24 +279,17 @@ class RankingSession:
         if k < 1:
             raise ConfigurationError(f"k must be >= 1, got {k}")
         from ..acquisition import AcquisitionPolicy
-        from ..inference.propagation import propagate_matrix
 
         with self.lock:
             arrays = self.buffer.snapshot()
             engine = self._engine
             quality = None
-            if (engine._reported_quality is not None
-                    and engine._worker_ids is not None):
+            if engine.worker_quality is not None:
                 quality = {
                     int(worker): float(q)
-                    for worker, q in zip(engine._worker_ids,
-                                         engine._reported_quality)
+                    for worker, q in zip(engine.worker_ids,
+                                         engine.worker_quality)
                 }
-            closure = None
-            if engine._smoothed is not None:
-                closure = propagate_matrix(
-                    engine._smoothed, self.config.pipeline.propagation
-                )
             seed = (self.config.seed
                     if isinstance(self.config.seed, int) else 0)
             policy = AcquisitionPolicy(
@@ -320,7 +297,7 @@ class RankingSession:
             )
             if arrays.n_votes:
                 policy.observe_votes(arrays, quality)
-            policy.attach_closure(closure)
+            policy.attach_closure(engine.closure)
             return policy.suggest(k)
 
     def recompute(self, rng: SeedLike = None) -> InferenceResult:
@@ -360,7 +337,6 @@ class RankingSession:
                 "updates": {
                     "full": self.updates_full,
                     "incremental": self.updates_incremental,
-                    "damped_restarts": self.damped_restarts,
                 },
             }
 
@@ -454,8 +430,12 @@ def votes_from_payload(
 # ---------------------------------------------------------------------------
 
 #: The lifecycle counters a snapshot carries, by attribute name.
-_COUNTERS = ("votes_ingested", "updates_full", "updates_incremental",
-             "damped_restarts")
+_COUNTERS = ("votes_ingested", "updates_full", "updates_incremental")
+
+#: Session-config knobs that earlier snapshots carry and that no longer
+#: exist (the retired damped restart and dirty-pair re-smoothing).
+_RETIRED_KNOBS = ("quality_shift_threshold", "truth_damping",
+                  "full_rebuild_fraction")
 
 
 def session_to_payload(session: RankingSession) -> Dict[str, object]:
@@ -506,6 +486,7 @@ def session_from_payload(
     through :func:`session_config_from_payload`, the votes through
     :func:`votes_from_payload`); a forged or truncated field raises
     :class:`DataFormatError` here rather than failing a later ingest.
+    The retired knobs older snapshots carry are dropped.
     """
     if not isinstance(payload, dict) or payload.get("schema") != SESSION_SCHEMA:
         raise DataFormatError(
@@ -515,6 +496,8 @@ def session_from_payload(
     knobs = payload.get("session_config", {})
     if not isinstance(knobs, dict):
         raise DataFormatError(f"{source}: session_config must be an object")
+    knobs = {name: value for name, value in knobs.items()
+             if name not in _RETIRED_KNOBS}
     config = session_config_from_payload(
         {**knobs, "pipeline": payload.get("config")},
         source=f"{source}.session_config",
@@ -735,8 +718,6 @@ class SessionManager:
             report = session.ingest(votes, self._run_update)
             self._count("session_votes_ingested", len(votes))
             self._count(f"session_updates_{report.mode}")
-            if report.damped_restart:
-                self._count("session_damped_restarts")
             if session.stopped and not was_stopped:
                 with self._lock:
                     self.early_stops += 1

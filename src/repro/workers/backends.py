@@ -404,6 +404,10 @@ def _failure_payload(error: BaseException) -> tuple:
         ))
 
 
+#: A worker's first message, sent once it has started up and loaded
+#: its first run (a fresh worker imports the run function's module).
+_READY = "ready"
+
 #: What follows an outcome on a worker's pipe, the third member of
 #: every reply: the run's next item has started (``_NEXT``); the run is
 #: over, because that was its last item or because the deadline passed
@@ -437,7 +441,7 @@ def _worker_main(conn, parent_pid: Optional[int]) -> None:
     """Entry point of one pool worker process: serve runs, each one
     message ``(fn, items, deadline)``, and send one outcome per item, in
     order, as each finishes (the parent knows which run each worker
-    holds).
+    holds).  The first run loaded is preceded by ``_READY``.
 
     Before starting each item after the first, the worker checks the
     run's absolute ``deadline`` (a :func:`time.monotonic` instant,
@@ -458,6 +462,7 @@ def _worker_main(conn, parent_pid: Optional[int]) -> None:
     # unshares the parent's pages (about 10 MiB per worker once the
     # worker decodes request bodies).
     gc.freeze()
+    ready = False
     while True:
         try:
             message = conn.recv()
@@ -469,6 +474,14 @@ def _worker_main(conn, parent_pid: Optional[int]) -> None:
             continue
         if message is None:
             return
+        if not ready:
+            # Started up and holding its first run: the parent times
+            # the run's first item from here.
+            try:
+                conn.send(_READY)
+            except OSError:  # the parent is gone
+                return
+            ready = True
         fn, items, deadline = message
         for position, item in enumerate(items):
             # No cyclic collection while a task runs: a task's objects
@@ -519,7 +532,9 @@ class _ProcessWorker:
 
     def assign(self, run: List[tuple], fn, timeout: Optional[float],
                deadline: Optional[float]) -> None:
-        """Send ``run`` as one message; its first item starts now."""
+        """Send ``run`` as one message; its first item starts now, or,
+        on a worker still starting up, when it reports ready (a start-up
+        that outlasts ``timeout`` still has the worker killed)."""
         self.run = run
         self.arm(timeout, deadline)
         self.conn.send((fn, [item for _, item in run], deadline))
@@ -709,7 +724,8 @@ class ProcessBackend(ExecutionBackend):
     exact: a dead worker's pipe reads EOF, the item in flight becomes a
     :class:`WorkerCrashedError`, and a replacement worker is forked and
     takes the rest of the run.  An item that outlives its ``timeout``,
-    counted from its own start, or the call's absolute ``deadline`` has
+    counted from its own start (on a fresh worker, from when the worker
+    reports ready), or the call's absolute ``deadline`` has
     its worker killed and replaced the same way; items the ``deadline``
     passes before they start fail with :class:`TaskTimeoutError`
     without running.  Time spent waiting for a free worker counts
@@ -934,7 +950,12 @@ class _MapCall:
                 # Every reply already sent, so that no finished item
                 # is mistaken for one running past its deadline.
                 while True:
-                    self._record(worker, *worker.conn.recv())
+                    message = worker.conn.recv()
+                    if message == _READY:
+                        # The first item's timeout runs from here.
+                        worker.arm(self.timeout, self.deadline)
+                    else:
+                        self._record(worker, *message)
                     if not worker.busy or not worker.conn.poll():
                         break
             except (EOFError, OSError):

@@ -134,6 +134,17 @@ def _crash_once_attempt(job):
     return _attempt_job(job)
 
 
+class _SlowToLoad:
+    """An item whose unpickling sleeps a minute: a fresh worker loading
+    it never reports ready."""
+
+    def __init__(self):
+        self.seconds = 60.0
+
+    def __setstate__(self, state):
+        time.sleep(state["seconds"])
+
+
 def _touch_then_hold(item):
     """Create the file ``item[0]``, then sleep ``item[1]`` seconds: the
     file shows the item started."""
@@ -591,6 +602,34 @@ class TestStreamedRuns:
             pids = backend.map(_touch_then_hold, items, max_workers=1,
                                timeout=0.9)
             assert len(set(pids)) == 1  # 1.2 s in all, on one worker
+        finally:
+            backend.close()
+
+    @pytest.mark.skipif(
+        "forkserver" not in multiprocessing.get_all_start_methods(),
+        reason="needs the forkserver start method")
+    def test_a_fresh_workers_start_up_is_not_charged_to_its_item(self):
+        """A forkserver worker takes a fraction of a second to start;
+        its first item's timeout runs from when it reports ready.  The
+        task is ``time.sleep``, so loading the run imports nothing."""
+        backend = ProcessBackend(workers=2, start_method="forkserver")
+        try:
+            outcomes = backend.map(time.sleep, [0.4] * 4, max_workers=2,
+                                   timeout=0.5, return_exceptions=True)
+            assert outcomes == [None] * 4
+        finally:
+            backend.close()
+
+    def test_a_worker_never_ready_is_killed_at_its_timeout(self):
+        backend = ProcessBackend(workers=1)
+        try:
+            start = time.monotonic()
+            (outcome,) = backend.map(_identity, [_SlowToLoad()],
+                                     max_workers=1, timeout=0.5,
+                                     return_exceptions=True)
+            assert time.monotonic() - start < 10.0
+            assert isinstance(outcome, TaskTimeoutError)
+            assert "worker killed" in str(outcome)
         finally:
             backend.close()
 

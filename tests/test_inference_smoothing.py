@@ -11,7 +11,6 @@ from repro.exceptions import InferenceError
 from repro.graphs import PreferenceGraph
 from repro.inference.smoothing import (
     direct_preference_matrix,
-    resmooth_pairs,
     smooth_matrix,
     worker_sigma,
 )
@@ -274,79 +273,3 @@ class TestSampledDrawOrderContract:
         assert result.n_one_edges == 0
         assert result.adjustments == {}
         assert np.array_equal(result.matrix, direct)
-
-
-class TestResmoothPairs:
-    """The masked incremental Step 2 used by streaming sessions.
-
-    The anchor invariant: with every pair masked, ``resmooth_pairs``
-    reproduces ``smooth_matrix`` bit for bit on every cell belonging to
-    a voted pair — the incremental path can never drift from the batch
-    semantics it shortcuts.  Cells no pair covers are carried from
-    ``previous`` (in the engine, the prior smoothed matrix).
-    """
-
-    def _scenario(self):
-        votes = [
-            Vote(worker=0, winner=0, loser=1),
-            Vote(worker=1, winner=2, loser=1),
-            Vote(worker=1, winner=0, loser=1),
-            Vote(worker=2, winner=2, loser=3),
-            Vote(worker=0, winner=2, loser=3),
-            Vote(worker=2, winner=0, loser=3),
-            Vote(worker=1, winner=3, loser=0),
-        ]
-        vote_set = VoteSet.from_votes(4, votes)
-        arrays = vote_set.arrays()
-        preferences = {(0, 1): 1.0, (1, 2): 0.0, (2, 3): 1.0, (0, 3): 0.5}
-        truth = np.array([preferences[p] for p in arrays.pairs()])
-        quality = {0: 0.9, 1: 0.7, 2: 0.8}
-        return arrays, truth, quality
-
-    @pytest.mark.parametrize("mode", ["expected", "sampled"])
-    def test_full_mask_equals_smooth_matrix(self, mode):
-        arrays, truth, quality = self._scenario()
-        config = SmoothingConfig(mode=mode)
-        direct = direct_preference_matrix(arrays, truth)
-        batch = smooth_matrix(direct, truth, arrays, quality, config,
-                              rng=42)
-        garbage = np.full((4, 4), 0.123)
-        incremental = resmooth_pairs(
-            garbage, truth, arrays, quality,
-            np.ones(arrays.n_pairs, dtype=bool), config, rng=42,
-        )
-        covered = np.zeros((4, 4), dtype=bool)
-        for lo, hi in arrays.pairs():
-            covered[lo, hi] = covered[hi, lo] = True
-        np.testing.assert_array_equal(incremental.matrix[covered],
-                                      batch.matrix[covered])
-        # Cells outside every voted pair come from `previous`, verbatim.
-        np.testing.assert_array_equal(incremental.matrix[~covered],
-                                      garbage[~covered])
-        assert incremental.adjustments == batch.adjustments
-        assert incremental.n_one_edges == batch.n_one_edges
-
-    def test_empty_mask_returns_previous_copy(self):
-        arrays, truth, quality = self._scenario()
-        previous = np.full((4, 4), 0.4)
-        result = resmooth_pairs(
-            previous, truth, arrays, quality,
-            np.zeros(arrays.n_pairs, dtype=bool),
-        )
-        assert np.array_equal(result.matrix, previous)
-        assert result.matrix is not previous  # caller's array untouched
-        assert result.adjustments == {}
-
-    def test_partial_mask_touches_only_masked_pairs(self):
-        arrays, truth, quality = self._scenario()
-        direct = direct_preference_matrix(arrays, truth)
-        batch = smooth_matrix(direct, truth, arrays, quality)
-        previous = batch.matrix.copy()
-        pairs = arrays.pairs()
-        mask = np.zeros(arrays.n_pairs, dtype=bool)
-        mask[pairs.index((2, 3))] = True
-        result = resmooth_pairs(previous, truth, arrays, quality, mask)
-        # Re-smoothing an unchanged pair over its own output is a
-        # fixed point; unmasked entries are carried verbatim.
-        np.testing.assert_array_equal(result.matrix, batch.matrix)
-        assert set(result.adjustments) == {(2, 3)}

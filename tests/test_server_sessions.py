@@ -155,6 +155,7 @@ class TestSessionErrors:
         {"n_objects": True},                  # bool is not an int here
         {"n_objects": 0},                     # out of range
         {"n_objects": 5, "config": {"bogus": 1}},
+        {"n_objects": 5, "config": {"truth_damping": 0.5}},  # retired
     ])
     def test_bad_create_400(self, server, body):
         status, decoded = _request(
@@ -172,6 +173,18 @@ class TestSessionErrors:
         )
         assert status == 400
         assert "within int64" in decoded["error"]
+        assert len(server.sessions) == 0
+
+    @pytest.mark.parametrize("n_objects", [2**62, 2**32])
+    def test_n_objects_past_the_addressable_matrix_is_400(self, server,
+                                                          n_objects):
+        # Within int64, such a session was created (201) and its first
+        # ingest answered 500 (numpy: "array is too big").
+        status, decoded = _request(
+            server.url + "/v1/sessions", "POST", {"n_objects": n_objects}
+        )
+        assert status == 400
+        assert "addressable size" in decoded["error"]
         assert len(server.sessions) == 0
 
     def test_bad_votes_400(self, server, client):

@@ -300,6 +300,34 @@ class TestSnapshotCodec:
         forged.ingest(votes[:5])
         assert forged.view() == original.view()
 
+    def test_snapshot_with_retired_knobs_restores_and_ingests(self):
+        """Snapshots written while the damped restart and dirty-pair
+        re-smoothing existed carry their three knobs and a
+        ``damped_restarts`` counter; they restore and ingest."""
+        session, votes = self._session()
+        payload = json.loads(json.dumps(session_to_payload(session)))
+        payload["session_config"].update(quality_shift_threshold=0.25,
+                                         truth_damping=0.5,
+                                         full_rebuild_fraction=0.5)
+        payload["counters"]["damped_restarts"] = 2
+        restored = session_from_payload(payload)
+        assert restored.config == session.config
+        assert restored.view()["updates"] == session.view()["updates"]
+        report = restored.ingest(votes[:5])
+        assert report.mode == "full"
+        assert restored.votes_ingested == session.votes_ingested + 5
+        assert_view_invariants(restored.view())
+
+    def test_n_objects_past_the_addressable_matrix_rejected(self):
+        session, _ = self._session()
+        payload = json.loads(json.dumps(session_to_payload(session)))
+        payload["n_objects"] = 2 ** 62
+        payload["ranking"] = None
+        with pytest.raises(DataFormatError, match="addressable size"):
+            session_from_payload(payload)
+        with pytest.raises(ConfigurationError, match="addressable size"):
+            RankingSession("big", 2 ** 62)
+
     def test_bad_schema_rejected(self):
         with pytest.raises(DataFormatError):
             session_from_payload({"schema": "repro.result/1"})
@@ -388,6 +416,13 @@ class TestPayloadCodecs:
     def test_session_config_unknown_key_rejected(self):
         with pytest.raises(DataFormatError):
             session_config_from_payload({"stability_windw": 3})
+
+    @pytest.mark.parametrize("knob", [
+        "quality_shift_threshold", "truth_damping", "full_rebuild_fraction",
+    ])
+    def test_session_config_retired_knob_rejected(self, knob):
+        with pytest.raises(DataFormatError):
+            session_config_from_payload({knob: 3})
 
 
 class TestEngineGuards:

@@ -57,6 +57,23 @@ class TestSuggest:
             batches[scorer] = session.suggest(8)
         assert batches["bdp"] != batches["random"]
 
+    def test_suggest_reads_the_updates_closure(self, votes, monkeypatch):
+        """suggest conditions on the Step 3 closure the last update
+        computed; it runs no propagation of its own."""
+        from repro.inference import propagation
+        from repro.streaming import incremental
+
+        session = RankingSession("s", 10, fast_config())
+        session.ingest(votes[:120])
+        expected = session.suggest(6)
+
+        def no_step_three(*args, **kwargs):
+            raise AssertionError("suggest ran Step 3")
+
+        monkeypatch.setattr(propagation, "propagate_matrix", no_step_three)
+        monkeypatch.setattr(incremental, "propagate_matrix", no_step_three)
+        assert session.suggest(6) == expected
+
     def test_k_validated(self):
         session = RankingSession("s", 10, fast_config())
         with pytest.raises(ConfigurationError):
