@@ -42,9 +42,10 @@ lifted by the native library; with the cyclic GC on, as a request
 thread runs it, and paused, as a pool task runs it), job decode, next
 to the plain ``json.loads`` and list walk they replaced, then
 fingerprint, the pickle round trip of the attempt task to a worker,
-the attempt, the result encode and the pickle round trip of the
-outcome back.  Rounds are interleaved (every layer once per round) and
-each layer gets a median and IQR.  ``rank_cold_codec`` repeats it at
+the attempt (and Step 1's share of it, from ``step_seconds``), the
+result encode and the pickle round trip of the outcome back.  Rounds
+are interleaved (every layer once per round) and each layer gets a
+median and IQR.  ``rank_cold_codec`` repeats it at
 the e2e ``rank-cold`` shape (n=100, ratio 0.3, the default engine).
 ``--smoke`` runs it at a smaller ``n`` and fails unless the lifted
 decode gives the same job as the plain one and the columnar result
@@ -566,16 +567,17 @@ def bench_large_n_codec(rounds: int, shape: Dict[str, object],
     task does.  ``body_decode`` and ``job_decode`` are the served codec
     (:func:`decode_job_json`, vote rows lifted by the native library);
     ``plain_body_decode`` and ``plain_job_decode`` are ``json.loads``
-    and the list walk it replaced.  Every round also checks that both
-    decode to the same job (``lifted_match``) and that the columnar
-    result encoder's bytes equal :func:`dict_encoded`'s
-    (``encoder_match``).
+    and the list walk it replaced.  ``truth_discovery`` is Step 1's
+    share of ``attempt``, read from the result's ``step_seconds``.
+    Every round also checks that both decode to the same job
+    (``lifted_match``) and that the columnar result encoder's bytes
+    equal :func:`dict_encoded`'s (``encoder_match``).
     """
     bodies = [large_n_body(seed, **shape) for seed in range(vote_sets)]
     layers: Dict[str, List[float]] = {name: [] for name in (
         "plain_body_decode", "plain_job_decode", "body_decode_gc_on",
         "body_decode", "job_decode", "fingerprint", "pickle_task",
-        "attempt", "result_encode", "pickle_outcome")}
+        "attempt", "truth_discovery", "result_encode", "pickle_outcome")}
     encoder_match = lifted_match = True
     gc.collect()
     gc.freeze()
@@ -601,6 +603,8 @@ def bench_large_n_codec(rounds: int, shape: Dict[str, object],
                     pickle.dumps((_attempt_job, job)))[1])
                 result, extras = _timed(layers, "attempt",
                                         lambda: _attempt_job(job))
+                layers["truth_discovery"].append(
+                    result.step_seconds["truth_discovery"] * 1e3)
                 encoded = _timed(layers, "result_encode",
                                  lambda: EncodedResult.eager(result))
                 encoded, extras = _timed(

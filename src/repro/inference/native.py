@@ -1,11 +1,16 @@
 """Build, cache and call the native library.
 
-The library holds two C functions, each in its own source file:
+The library holds four C functions, each in its own source file:
 
 * ``saps_anneal_block`` (``_anneal.c``), Step 4's SAPS anneal, called
   through :func:`anneal_block`;
 * ``vote_rows_scan`` (``_vote_rows.c``), which lifts the vote rows out
-  of a JSON request body, called through :func:`vote_rows`.
+  of a JSON request body, called through :func:`vote_rows`;
+* ``crh_iterate`` (``_crh.c``), Step 1's CRH iteration loop, called
+  through :func:`crh_iterate`;
+* ``direct_preferences_json`` (``_result_json.c``), which writes a
+  result's ``direct_preferences`` member as ``json.dumps`` would,
+  called through :func:`direct_preferences_json`.
 
 It is compiled by the system C compiler on first use and loaded with
 stdlib :mod:`ctypes`, which releases the GIL for the length of each
@@ -46,11 +51,12 @@ from ..exceptions import InferenceError
 
 #: The library's sources, shipped as package data next to this module.
 SOURCES: Tuple[Path, ...] = tuple(
-    Path(__file__).with_name(name) for name in ("_anneal.c", "_vote_rows.c"))
+    Path(__file__).with_name(name)
+    for name in ("_anneal.c", "_vote_rows.c", "_crh.c", "_result_json.c"))
 
 #: Compiler and flags.  ``-ffp-contract=off`` and no ``-ffast-math`` /
-#: ``-march``: the anneal must round exactly like the Python kernel it
-#: replaced, on any machine of the same type.
+#: ``-march``: the anneal and the CRH loop must round exactly like the
+#: Python kernels they replaced, on any machine of the same type.
 COMPILE_COMMAND: Tuple[str, ...] = (
     "cc", "-O2", "-ffp-contract=off", "-fPIC", "-shared",
 )
@@ -71,6 +77,15 @@ DRAWS_PER_ITERATION = 10
 
 #: The largest ``int64_t``, the C type of the kernel's integer arguments.
 _INT64_MAX = 2**63 - 1
+
+#: The output bytes ``direct_preferences_json`` needs per member, and
+#: the exponent range of its power-of-ten table (``POW10_MIN`` and
+#: ``POW10_MAX`` in ``_result_json.c``).
+_MAX_MEMBER = 72
+_POW10_RANGE = range(-292, 325)
+
+#: Bytes of one ``struct lex_key`` (``_result_json.c``).
+_LEX_KEY_BYTES = 16
 
 
 def cache_dir() -> Path:
@@ -206,6 +221,15 @@ def _open(path: Path):
     scan = library.vote_rows_scan
     scan.argtypes = [pointer, int64, pointer, pointer, pointer]
     scan.restype = int64
+    crh = library.crh_iterate
+    crh.argtypes = [pointer, pointer, pointer, int64, int64, int64, pointer,
+                    ctypes.c_double, ctypes.c_double, int64, int64, pointer,
+                    pointer, pointer, pointer, pointer, pointer]
+    crh.restype = None
+    encode = library.direct_preferences_json
+    encode.argtypes = [pointer, pointer, pointer, int64, pointer, pointer,
+                       pointer, pointer]
+    encode.restype = int64
     return library
 
 
@@ -265,12 +289,95 @@ def vote_rows(body: bytes) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     return rows, spans
 
 
+def crh_iterate(pair_idx: np.ndarray, worker_idx: np.ndarray,
+                value: np.ndarray, chi2_scale: np.ndarray, truth: np.ndarray,
+                quality: np.ndarray, min_error: float, tolerance: float,
+                max_iterations: int,
+                use_max: bool) -> Tuple[int, bool, np.ndarray]:
+    """Run Step 1's CRH loop (Eq. 4-5, ``_crh.c``) from ``truth`` and
+    ``quality``, which end as the last iteration's; returns the
+    iteration count, whether the deltas fell below ``tolerance``, and
+    an ``(max_iterations, 2)`` array whose first rows hold each
+    iteration's ``(pref_delta, qual_delta)``: the mean absolute change,
+    or the largest with ``use_max``.
+
+    Every buffer's dtype, contiguity and shape is checked first, and
+    every vote's pair and worker index must address ``truth`` and
+    ``quality``: the kernel trusts them.
+    """
+    n_votes, n_pairs, n_workers = len(pair_idx), len(truth), len(quality)
+    _check(pair_idx, np.int64, (n_votes,), "pair_idx")
+    _check(worker_idx, np.int64, (n_votes,), "worker_idx")
+    _check(value, np.float64, (n_votes,), "value")
+    _check(chi2_scale, np.float64, (n_workers,), "chi2_scale")
+    _check(truth, np.float64, (n_pairs,), "truth", writable=True)
+    _check(quality, np.float64, (n_workers,), "quality", writable=True)
+    if not (n_votes and 1 <= max_iterations <= _INT64_MAX
+            and 0 <= pair_idx.min() and pair_idx.max() < n_pairs
+            and 0 <= worker_idx.min() and worker_idx.max() < n_workers):
+        raise InferenceError("CRH kernel called out of contract")
+    deltas = np.empty((max_iterations, 2), dtype=np.float64)
+    index_scratch = np.empty(n_pairs + n_workers + 2 + 2 * n_votes,
+                             dtype=np.int64)
+    value_scratch = np.empty(n_pairs + n_workers + 2 * n_votes,
+                             dtype=np.float64)
+    counts = np.empty(2, dtype=np.int64)
+    load().crh_iterate(
+        pair_idx.ctypes.data, worker_idx.ctypes.data, value.ctypes.data,
+        n_votes, n_pairs, n_workers, chi2_scale.ctypes.data, min_error,
+        tolerance, max_iterations, int(use_max), truth.ctypes.data,
+        quality.ctypes.data, deltas.ctypes.data, index_scratch.ctypes.data,
+        value_scratch.ctypes.data, counts.ctypes.data)
+    return int(counts[0]), bool(counts[1]), deltas
+
+
+def direct_preferences_json(lo: np.ndarray, hi: np.ndarray,
+                            values: np.ndarray) -> bytes:
+    """The JSON object ``{"lo,hi": value}`` of the three columns,
+    byte for byte as ``json.dumps(..., sort_keys=True)`` writes it
+    (rules in ``_result_json.c``)."""
+    n = len(values)
+    _check(lo, np.int64, (n,), "lo")
+    _check(hi, np.int64, (n,), "hi")
+    _check(values, np.float64, (n,), "values")
+    out = np.empty(_MAX_MEMBER * n + 2, dtype=np.uint8)
+    keys = np.empty(2 * n * _LEX_KEY_BYTES, dtype=np.uint8)
+    order = np.empty(2 * n, dtype=np.int64)
+    length = load().direct_preferences_json(
+        lo.ctypes.data, hi.ctypes.data, values.ctypes.data, n,
+        _pow10_table().ctypes.data, keys.ctypes.data, order.ctypes.data,
+        out.ctypes.data)
+    return out[:length].tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def _pow10_table() -> np.ndarray:
+    """``_result_json.c``'s table: for each ``e`` of :data:`_POW10_RANGE`,
+    ``g = floor(10**e * 2**(127 - floor(log2(10**e)))) + 1`` as its
+    high and low 64-bit words, in exact integer arithmetic."""
+    words = []
+    for e in _POW10_RANGE:
+        if e >= 0:
+            power = 10**e
+            shift = 127 - (power.bit_length() - 1)
+            g = (power << shift if shift >= 0 else power >> -shift) + 1
+        else:
+            # floor(log2(10**e)) = -bit_length(10**-e): no power of ten
+            # above 1 is a power of two.
+            power = 10**-e
+            g = (1 << (127 + power.bit_length())) // power + 1
+        words += (g >> 64, g & (2**64 - 1))
+    table = np.array(words, dtype=np.uint64)
+    table.setflags(write=False)
+    return table
+
+
 def _check(array: np.ndarray, dtype, shape, name: str,
            writable: bool = False) -> None:
     if not (isinstance(array, np.ndarray) and array.dtype == dtype
             and array.shape == shape and array.flags.c_contiguous
             and (array.flags.writeable or not writable)):
         raise InferenceError(
-            f"SAPS kernel buffer {name!r} must be a C-contiguous "
+            f"native kernel buffer {name!r} must be a C-contiguous "
             f"{np.dtype(dtype).name} array of shape {shape}"
         )

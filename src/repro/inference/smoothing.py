@@ -215,19 +215,20 @@ def _edge_shifts(
     """Per-1-edge smoothing shift: the mean worker error over the
     edge's votes, clipped into ``[min_weight, 0.5]``.
 
-    Gathers each edge's votes edge-major, original order within edge:
-    votes stably sorted by pair give contiguous per-pair blocks.
+    Gathers the 1-edges' votes in vote order, so each edge's sum runs
+    in vote order; ``"sampled"`` draws its errors edge-major, so there
+    the votes are stably sorted by edge first.
     """
     n_edges = int(pair_of_edge.shape[0])
-    by_pair_order = np.argsort(arrays.pair_idx, kind="stable")
-    counts = np.bincount(arrays.pair_idx, minlength=arrays.n_pairs)
-    block_start = np.concatenate(([0], np.cumsum(counts)))[:-1]
-    lengths = counts[pair_of_edge]
-    out_start = np.cumsum(lengths) - lengths
-    flat = np.arange(int(lengths.sum()))
-    within = flat - np.repeat(out_start, lengths)
-    vote_rows = by_pair_order[np.repeat(block_start[pair_of_edge], lengths)
-                              + within]
+    edge_of_pair = np.full(arrays.n_pairs, n_edges, dtype=np.int64)
+    edge_of_pair[pair_of_edge] = np.arange(n_edges)
+    vote_edge = edge_of_pair[arrays.pair_idx]
+    vote_rows = np.flatnonzero(vote_edge < n_edges)
+    if config.mode != "expected":
+        vote_rows = vote_rows[np.argsort(vote_edge[vote_rows],
+                                         kind="stable")]
+    edge_of_vote = vote_edge[vote_rows]
+    lengths = np.bincount(edge_of_vote, minlength=n_edges)
 
     per_vote_sigma = sigma[arrays.worker_idx[vote_rows]]
     if config.mode == "expected":
@@ -235,7 +236,6 @@ def _edge_shifts(
     else:
         errors = np.abs(generator.normal(0.0, per_vote_sigma))
 
-    edge_of_vote = np.repeat(np.arange(n_edges), lengths)
     shift = (np.bincount(edge_of_vote, weights=errors, minlength=n_edges)
              / lengths)
     return np.clip(shift, config.min_weight, 0.5)

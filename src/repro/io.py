@@ -33,7 +33,10 @@ import tempfile
 from pathlib import Path
 from typing import Dict, Optional, Union
 
+import numpy as np
+
 from .exceptions import ConfigurationError, DataFormatError
+from .inference import native
 from .types import InferenceResult, Ranking
 
 #: Current schema tag written to / required from files.
@@ -98,6 +101,17 @@ def result_to_payload(result: InferenceResult) -> Dict[str, object]:
     encoding ``sorted(direct_preferences.items())``.
     """
     direct = result.direct_preferences
+    return _payload(result, {
+        f"{i},{j}": value for i, j, value in zip(
+            direct.lo.tolist(), direct.hi.tolist(),
+            direct.values_array.tolist(),
+        )
+    })
+
+
+def _payload(result: InferenceResult, direct_preferences: object
+             ) -> Dict[str, object]:
+    """:func:`result_to_payload` with ``direct_preferences`` given."""
     return {
         "schema": SCHEMA,
         "ranking": list(result.ranking.order),
@@ -106,12 +120,7 @@ def result_to_payload(result: InferenceResult) -> Dict[str, object]:
             str(worker): quality
             for worker, quality in sorted(result.worker_quality.items())
         },
-        "direct_preferences": {
-            f"{i},{j}": value for i, j, value in zip(
-                direct.lo.tolist(), direct.hi.tolist(),
-                direct.values_array.tolist(),
-            )
-        },
+        "direct_preferences": direct_preferences,
         "step_seconds": dict(result.step_seconds),
         "metadata": json_scalars(result.metadata),
     }
@@ -232,7 +241,17 @@ class EncodedResult:
 
 
 def _encode_result(result: InferenceResult) -> bytes:
-    return json.dumps(result_to_payload(result), sort_keys=True).encode("utf-8")
+    """``json.dumps(result_to_payload(result), sort_keys=True)``, with
+    ``direct_preferences`` written from its columns by the native
+    library."""
+    payload = _payload(result, None)
+    del payload["direct_preferences"]
+    direct = result.direct_preferences
+    return splice_json(payload, {
+        "direct_preferences": native.direct_preferences_json(
+            np.ascontiguousarray(direct.lo), np.ascontiguousarray(direct.hi),
+            np.ascontiguousarray(direct.values_array)),
+    })
 
 
 def _encode_ranking(result: InferenceResult) -> bytes:

@@ -19,11 +19,12 @@ class ConvergenceTrace:
     Attributes
     ----------
     preference_deltas:
-        Max absolute change of the estimated preferences ``x_ij`` at
-        each iteration.
+        Change of the estimated preferences ``x_ij`` at each iteration:
+        the mean absolute change over pairs under the default
+        ``criterion="mean"``, the largest under ``"max"``.
     quality_deltas:
-        Max absolute change of the worker qualities ``q_k`` at each
-        iteration.
+        Change of the worker iteration weights ``q_k`` at each
+        iteration, reduced the same way over workers.
     converged:
         Whether the tolerance was reached before the iteration cap.
     """

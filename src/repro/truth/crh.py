@@ -131,57 +131,53 @@ def discover_truth(
     ------
     InferenceError
         If the vote set is empty, or a warm start's vectors do not
-        match the vote set's pair/worker tables.
+        match the vote set's pair/worker tables or hold a non-finite
+        value.
     ConvergenceError
         If ``config.strict`` and the iteration cap is reached first.
     """
+    # Imported here: importing the repro.inference package imports this
+    # module.
+    from ..inference import native
+
     config = config if config is not None else TruthDiscoveryConfig()
     if len(votes) == 0:
         raise InferenceError("cannot discover truth from an empty vote set")
     start = time.perf_counter()
 
     # The columnar view is flattened once and cached on the vote set;
-    # the iteration below is pure numpy over its parallel arrays.
+    # the native loop runs over its parallel arrays.
     arrays = votes.arrays() if isinstance(votes, VoteSet) else votes
-    vote_pair, vote_worker = arrays.pair_idx, arrays.worker_idx
-    vote_value = arrays.value
-    n_pairs, n_workers = arrays.n_pairs, arrays.n_workers
+    tasks_per_worker, chi2_scale = _chi2_scale(arrays, config)
+    quality, truth = _initial_state(warm_start, arrays.n_pairs,
+                                    arrays.n_workers)
+    iterations, converged, deltas = native.crh_iterate(
+        arrays.pair_idx, arrays.worker_idx, arrays.value, chi2_scale,
+        truth, quality, config.min_error, config.tolerance,
+        config.max_iterations, config.criterion == "max")
+    trace = ConvergenceTrace(deltas[:iterations, 0].tolist(),
+                             deltas[:iterations, 1].tolist(), converged)
+    return _result(arrays, config, truth, quality, trace, tasks_per_worker,
+                   start)
 
-    tasks_per_worker = np.bincount(vote_worker, minlength=n_workers)
-    # Eq. 5's chi-square numerator depends only on the task count, so it
-    # is a per-worker constant across iterations.
+
+def _chi2_scale(arrays: VoteArrays, config: TruthDiscoveryConfig) -> tuple:
+    """``(tasks_per_worker, chi2_scale)``: Eq. 5's chi-square numerator
+    depends only on the task count, so it is a per-worker constant
+    across iterations."""
+    tasks_per_worker = np.bincount(arrays.worker_idx,
+                                   minlength=arrays.n_workers)
     chi2_scale = _chi2_ppf(config.alpha / 2.0, tasks_per_worker)
-    chi2_scale = np.maximum(chi2_scale, 1e-12)
+    return tasks_per_worker, np.maximum(chi2_scale, 1e-12)
 
-    quality, truth = _initial_state(warm_start, n_pairs, n_workers)
-    trace = ConvergenceTrace()
 
-    for _ in range(config.max_iterations):
-        # Eq. 4: weighted average of votes per pair.
-        weights = quality[vote_worker]
-        numer = np.bincount(vote_pair, weights=weights * vote_value,
-                            minlength=n_pairs)
-        denom = np.bincount(vote_pair, weights=weights, minlength=n_pairs)
-        new_truth = numer / np.maximum(denom, 1e-300)
-
-        # Eq. 5: quality inversely proportional to squared disagreement.
-        sq_err = (vote_value - new_truth[vote_pair]) ** 2
-        err_per_worker = np.bincount(vote_worker, weights=sq_err,
-                                     minlength=n_workers)
-        new_quality = chi2_scale / np.maximum(err_per_worker, config.min_error)
-        # Rescale so the iteration weights stay O(1); relative ratios are
-        # all that matters for the Eq. 4 weighted average.
-        new_quality = new_quality / new_quality.max()
-
-        reduce = np.mean if config.criterion == "mean" else np.max
-        pref_delta = float(reduce(np.abs(new_truth - truth)))
-        qual_delta = float(reduce(np.abs(new_quality - quality)))
-        truth, quality = new_truth, new_quality
-        trace.record(pref_delta, qual_delta)
-        if pref_delta < config.tolerance and qual_delta < config.tolerance:
-            trace.converged = True
-            break
-
+def _result(arrays: VoteArrays, config: TruthDiscoveryConfig,
+            truth: np.ndarray, quality: np.ndarray, trace: ConvergenceTrace,
+            tasks_per_worker: np.ndarray,
+            start: float) -> TruthDiscoveryResult:
+    """The result of a finished loop, with the calibrated reported
+    quality; raises :class:`ConvergenceError` if ``config.strict`` and
+    the loop did not converge."""
     if config.strict and not trace.converged:
         raise ConvergenceError(
             f"truth discovery did not converge within "
@@ -195,9 +191,9 @@ def discover_truth(
     # with E|N(0, sigma^2)| = p_k is sigma_hat = p_k * sqrt(pi/2), and
     # q_k = exp(-sigma_hat) makes Step 2's -log(q_k) recover it exactly.
     rounded_truth = (truth >= 0.5).astype(np.float64)
-    mismatch = np.abs(vote_value - rounded_truth[vote_pair])
+    mismatch = np.abs(arrays.value - rounded_truth[arrays.pair_idx])
     misvote_rate = np.bincount(
-        vote_worker, weights=mismatch, minlength=n_workers
+        arrays.worker_idx, weights=mismatch, minlength=arrays.n_workers
     ) / np.maximum(tasks_per_worker, 1)
     sigma_hat = misvote_rate * np.sqrt(np.pi / 2.0)
     reported_quality = np.exp(-sigma_hat)
@@ -228,6 +224,8 @@ def _initial_state(
             f"warm start of shapes {truth.shape}/{weights.shape} does not "
             f"match the {n_pairs}-pair / {n_workers}-worker vote tables"
         )
+    if not (np.isfinite(truth).all() and np.isfinite(weights).all()):
+        raise InferenceError("warm start holds a non-finite value")
     # Copies: the iteration must never mutate the caller's state.
     return weights.copy(), truth.copy()
 

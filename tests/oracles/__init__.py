@@ -7,6 +7,9 @@ it.  Nothing in ``repro`` imports this package and no config field
 reaches it: a test selects an oracle by importing it.  pytest collects
 nothing here (no ``test_`` modules).
 
+* :mod:`.crh` — Step 1's CRH loop in numpy (:func:`crh_iterations`,
+  wrapped as :func:`discover_truth_reference`), the loop the native one
+  replaced, which must match it bit for bit;
 * :mod:`.smoothing` — Step 2 over a
   :class:`~repro.graphs.preference_graph.PreferenceGraph`
   (:func:`smooth_preferences`), one 1-edge and one vote at a time;
@@ -35,6 +38,7 @@ repo root on ``sys.path``.
 
 from .bdp import bdp_scores_reference
 from .closure import reachability_by_search
+from .crh import discover_truth_reference
 from .held_karp import best_hamiltonian_path_dp
 from .pipeline import ObjectClosure, object_closure, object_pipeline
 from .rank_centrality import dense_rank_centrality
@@ -47,6 +51,7 @@ __all__ = [
     "bdp_scores_reference",
     "best_hamiltonian_path_dp",
     "dense_rank_centrality",
+    "discover_truth_reference",
     "object_closure",
     "object_pipeline",
     "python_search_report",

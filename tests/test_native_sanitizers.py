@@ -1,14 +1,18 @@
 """The native library under AddressSanitizer and UndefinedBehaviorSanitizer.
 
-Both C functions take input that arrives from the network: the vote row
-scanner reads request bytes, and the anneal's arguments come from
-request JSON through :func:`repro.inference.native.anneal_block`'s
-checks.  This test builds the library with ``-fsanitize=address,undefined``
-into a private ``XDG_CACHE_HOME`` (the cache key hashes the compile
-command) and runs the scanner's tests and the anneal's native and
-golden tests in a child interpreter with the ASan runtime preloaded,
-since ASan must be loaded before anything else.  Any invalid read or
-write, or any undefined behaviour, aborts the child.
+Every C function takes input that arrives from the network: the vote
+row scanner reads request bytes; the anneal's and the CRH loop's
+arguments come from request JSON through the checks of
+:func:`repro.inference.native.anneal_block` and
+:func:`~repro.inference.native.crh_iterate`; and the result writer
+formats whatever a request's inference computed.  This test builds the
+library with ``-fsanitize=address,undefined`` into a private
+``XDG_CACHE_HOME`` (the cache key hashes the compile command) and runs
+the scanner's tests, the anneal's native and golden tests, the CRH
+loop's tests and the result writer's tests in a child interpreter with
+the ASan runtime preloaded, since ASan must be loaded before anything
+else.  Any invalid read or write, or any undefined behaviour, aborts
+the child.
 
 Slow (about a minute), so outside tier-1: run it with ``pytest -m slow
 tests/test_native_sanitizers.py``.  Skipped where the compiler has no
@@ -40,6 +44,10 @@ SELECTION = [
     "tests/test_vote_rows_codec.py",
     "tests/test_saps_kernel.py::TestNativeKernel",
     "tests/test_saps_kernel.py::TestGoldenReports",
+    "tests/test_crh_native.py::TestNativeLoop",
+    "tests/test_crh_native.py::TestKernelContract",
+    "tests/test_result_json.py::TestFloatWriter",
+    "tests/test_result_json.py::TestMemberOrder",
 ]
 
 CHILD = (

@@ -170,3 +170,14 @@ def test_serve_exits_2_when_the_kernel_cannot_build(tmp_path):
     assert lines[0].startswith("error: cannot build the native library")
     assert "-no-such-flag-xyz" in lines[0]
     assert "serving on" not in err
+
+
+def test_every_source_is_declared_package_data():
+    # An installed package carries only the files pyproject declares;
+    # a source missing there breaks the first build after install.
+    # Read without tomllib, which Python 3.10 lacks.
+    text = (Path(SRC_DIR).parent / "pyproject.toml").read_text()
+    section = text.split("[tool.setuptools.package-data]", 1)[1]
+    declared = section.split("]", 1)[0]
+    for source in native.SOURCES:
+        assert f'"inference/{source.name}"' in declared, source.name

@@ -141,7 +141,7 @@ def _counting(monkeypatch, name):
 class TestEncodeOnce:
     def test_cold_job_encodes_its_result_once(self, tiny_votes, tmp_path,
                                               monkeypatch):
-        encodes = _counting(monkeypatch, "result_to_payload")
+        encodes = _counting(monkeypatch, "_encode_result")
         cache = ResultCache(persist_dir=tmp_path)
         job = RankingJob(job_id="a", votes=tiny_votes, seed=3)
         (outcome,) = BatchExecutor(cache=cache).run([job]).results
@@ -152,7 +152,7 @@ class TestEncodeOnce:
         assert json.loads(body)["result"] == json.loads(spilled)
 
     def test_process_attempt_arrives_encoded(self, tiny_votes, monkeypatch):
-        encodes = _counting(monkeypatch, "result_to_payload")
+        encodes = _counting(monkeypatch, "_encode_result")
         job = RankingJob(job_id="a", votes=tiny_votes, seed=3)
         (outcome,) = BatchExecutor(backend="process").run([job]).results
         encoded = outcome.encoded
@@ -160,7 +160,7 @@ class TestEncodeOnce:
         lazy = EncodedResult(outcome.result)
         assert (encoded.result_json, encoded.ranking_json) == \
             (lazy.result_json, lazy.ranking_json)
-        assert encodes == ["result_to_payload"]  # only ``lazy``, here
+        assert encodes == ["_encode_result"]  # only ``lazy``, here
 
     def test_hit_decodes_only_when_read(self, tiny_votes, monkeypatch):
         cache = ResultCache()
