@@ -3,7 +3,7 @@
 The paper's Algorithm 1 spends the whole budget in one non-interactive
 shot.  This subsystem is the active counterpart: a Bayesian belief state
 over pairwise preferences, pluggable scorers that price the next
-comparison, and a policy that turns prices into budgeted query batches.
+comparison, and a policy that turns prices into query batches.
 
 * :mod:`~repro.acquisition.posterior` — :class:`PairPosterior`:
   quality-weighted Beta beliefs per pair + Dirichlet/Luce strengths per
@@ -13,8 +13,6 @@ comparison, and a policy that turns prices into budgeted query batches.
   (:func:`make_scorer` registry);
 * :mod:`~repro.acquisition.bdp` — :class:`BDPScorer`, the vectorized
   stage-wise expected value-of-information score;
-* :mod:`~repro.acquisition.ledger` — :class:`BudgetLedger` spend
-  tracking;
 * :mod:`~repro.acquisition.policy` — :class:`AcquisitionPolicy`, the
   suggest/observe/stop loop drivers embed.
 """
@@ -23,10 +21,9 @@ from .._lazy import lazy_exports
 
 # Submodules load on first use: a session create checks its scorer name
 # against ``scorers.SCORER_CHOICES`` without loading the BDP scorer
-# (scipy.special), the ledger or the policy.
+# (scipy.special) or the policy.
 __getattr__, __dir__ = lazy_exports(__name__, {
     ".bdp": ("BDPScorer",),
-    ".ledger": ("BudgetLedger",),
     ".policy": ("AcquisitionPolicy",),
     ".posterior": ("PairPosterior",),
     ".scorers": ("SCORER_CHOICES", "AcquisitionState", "InfoMaxScorer",
@@ -38,7 +35,6 @@ __all__ = [
     "AcquisitionPolicy",
     "AcquisitionState",
     "BDPScorer",
-    "BudgetLedger",
     "InfoMaxScorer",
     "PairPosterior",
     "PairScorer",

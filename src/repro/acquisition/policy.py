@@ -1,17 +1,16 @@
-"""AcquisitionPolicy: scores -> next query batch, under the budget.
+"""AcquisitionPolicy: scores -> next query batch.
 
 The policy is the subsystem's front door.  It owns the belief state
 (:class:`~repro.acquisition.PairPosterior`), consults one
-:class:`~repro.acquisition.PairScorer`, spends against a
-:class:`~repro.acquisition.BudgetLedger`, and optionally watches a
-:class:`~repro.streaming.StabilityMonitor` so acquisition stops when
-either the money or the ranking churn runs out.  The driving loop —
-``adaptive.adaptive_rank``, a live :class:`~repro.streaming.\
-RankingSession`, or the ``repro stream --active`` replay — is always the
-same:
+:class:`~repro.acquisition.PairScorer`, and optionally watches a
+:class:`~repro.streaming.StabilityMonitor` so acquisition stops once
+the ranking churn dies down.  The caller sizes each batch from its own
+budget.  The driving loop — ``adaptive.adaptive_rank``, a live
+:class:`~repro.streaming.RankingSession`, or the ``repro stream
+--active`` replay — is always the same:
 
-    while not policy.should_stop():
-        pairs = policy.suggest()
+    while budget_left and not policy.should_stop():
+        pairs = policy.suggest(k)
         votes = collect(pairs)                  # platform / buffer / log
         policy.observe_votes(votes, quality)
         policy.observe_ranking(current_ranking)  # optional stability feed
@@ -41,13 +40,12 @@ from ..exceptions import ConfigurationError
 from ..rng import SeedLike
 from ..streaming.stability import StabilityMonitor
 from ..types import Pair, Ranking, Vote, VoteArrays, WorkerId
-from .ledger import BudgetLedger
 from .posterior import PairPosterior
 from .scorers import AcquisitionState, PairScorer, make_scorer
 
 
 class AcquisitionPolicy:
-    """Turns pair scores into budgeted query batches.
+    """Turns pair scores into query batches.
 
     Parameters
     ----------
@@ -56,13 +54,10 @@ class AcquisitionPolicy:
     scorer:
         A :class:`PairScorer` instance or registry name (default
         ``"bdp"``; see :func:`~repro.acquisition.make_scorer`).
-    ledger:
-        Vote budget to spend against; ``None`` runs unbudgeted (callers
-        must pass ``k`` to :meth:`suggest` and stopping falls to the
-        stability monitor alone).
     workers_per_query:
         Votes each suggested pair is expected to collect (redundant
-        querying); batch sizing divides the ledger's vote batches by it.
+        querying): the workers :meth:`build_assignment` gives each
+        pair.
     monitor:
         Optional stability monitor fed via :meth:`observe_ranking`.
     prior:
@@ -77,7 +72,6 @@ class AcquisitionPolicy:
         self,
         n_objects: int,
         scorer: Union[PairScorer, str] = "bdp",
-        ledger: Optional[BudgetLedger] = None,
         *,
         workers_per_query: int = 1,
         monitor: Optional[StabilityMonitor] = None,
@@ -92,7 +86,6 @@ class AcquisitionPolicy:
             scorer = make_scorer(scorer, seed=seed)
         self.scorer: PairScorer = scorer
         self.seed = int(seed)
-        self.ledger = ledger
         self.workers_per_query = int(workers_per_query)
         self.monitor = monitor
         self.posterior = PairPosterior(n_objects, prior=prior)
@@ -120,21 +113,15 @@ class AcquisitionPolicy:
         votes: Union[VoteArrays, Iterable[Vote]],
         worker_quality: Union[Mapping[WorkerId, float], np.ndarray, None]
         = None,
-        *,
-        charge: bool = True,
     ) -> int:
-        """Fold collected votes into the posterior and (by default)
-        charge them to the ledger.  Returns the number of votes folded."""
+        """Fold collected votes into the posterior.  Returns the number
+        of votes folded."""
         if isinstance(votes, VoteArrays):
             self.posterior.observe_arrays(votes, worker_quality)
-            count = votes.n_votes
-        else:
-            votes = list(votes)
-            self.posterior.observe_votes(votes, worker_quality)
-            count = len(votes)
-        if charge and self.ledger is not None and count:
-            self.ledger.charge(count)
-        return count
+            return votes.n_votes
+        votes = list(votes)
+        self.posterior.observe_votes(votes, worker_quality)
+        return len(votes)
 
     def rebuild(
         self,
@@ -147,13 +134,12 @@ class AcquisitionPolicy:
         Round-driven loops (``adaptive_rank``) re-estimate worker
         quality each round; rebuilding re-weights *all* votes with the
         fresh estimates instead of leaving old votes at stale weights.
-        Never charges the ledger (the votes were already paid for).
         Returns the number of votes folded.
         """
         self.posterior = PairPosterior(
             self.n_objects, prior=self.posterior.prior
         )
-        return self.observe_votes(votes, worker_quality, charge=False)
+        return self.observe_votes(votes, worker_quality)
 
     def observe_ranking(
         self, ranking: Union[Ranking, Sequence[int]]
@@ -176,23 +162,14 @@ class AcquisitionPolicy:
         """Raw scorer output over the full pair universe."""
         return np.asarray(self.scorer.score(self.state()), dtype=np.float64)
 
-    def suggest(self, k: Optional[int] = None) -> List[Pair]:
+    def suggest(self, k: int) -> List[Pair]:
         """The ``k`` highest-value canonical pairs, best first.
 
-        Without ``k`` the batch is sized from the ledger: the next vote
-        batch divided by ``workers_per_query`` (zero once the remaining
-        budget cannot cover one full query).  Exact score ties resolve
-        via a permutation keyed on ``(seed, observation count)`` —
-        deterministic for a fixed belief state and seed, yet spread
-        across the universe instead of clustered on low pair ids (see
-        the module docstring).
+        Exact score ties resolve via a permutation keyed on ``(seed,
+        observation count)`` — deterministic for a fixed belief state
+        and seed, yet spread across the universe instead of clustered on
+        low pair ids (see the module docstring).
         """
-        if k is None:
-            if self.ledger is None:
-                raise ConfigurationError(
-                    "suggest() needs an explicit k when no ledger is attached"
-                )
-            k = self.ledger.next_batch() // self.workers_per_query
         if k < 0:
             raise ConfigurationError(f"k must be >= 0, got {k}")
         if k == 0:
@@ -235,11 +212,6 @@ class AcquisitionPolicy:
 
     # -- stopping -------------------------------------------------------------
     def should_stop(self) -> bool:
-        """True once the budget cannot cover one more query, or the
-        stability monitor (when attached) reports a settled ranking."""
-        if self.ledger is not None:
-            if self.ledger.next_batch() < self.workers_per_query:
-                return True
-        if self.monitor is not None and self.monitor.is_stable:
-            return True
-        return False
+        """True once the stability monitor (when attached) reports a
+        settled ranking."""
+        return self.monitor is not None and self.monitor.is_stable

@@ -3,7 +3,7 @@
 A scorer maps the current :class:`~repro.acquisition.AcquisitionState`
 to one value per candidate pair of the full universe (higher = more
 worth querying next); an :class:`~repro.acquisition.AcquisitionPolicy`
-turns the scores into the next batch under the budget ledger.  Four
+turns the scores into the next batch.  Four
 scorers ship:
 
 * :class:`RandomScorer` — the uniform-selection control every

@@ -24,15 +24,11 @@ class TruthDiscoveryConfig:
         Hard cap on CRH iterations.  The paper reports convergence within
         10 iterations for most cases; the default leaves headroom.
     tolerance:
-        Convergence threshold on the change of both the estimated
-        preferences ``x_ij`` and worker qualities ``q_k`` between
-        consecutive iterations.
-    criterion:
-        Norm used for the change: ``"mean"`` (average absolute delta,
-        default — under it the algorithm matches the paper's
-        "convergence within 10 iterations for most cases") or ``"max"``
-        (worst single delta; stricter, a few stragglers keep it busy
-        for tens of iterations).  The paper does not specify the norm.
+        Convergence threshold on the mean absolute change of both the
+        estimated preferences ``x_ij`` and worker qualities ``q_k``
+        between consecutive iterations.  The paper does not specify
+        the norm; under the mean the algorithm matches its
+        "convergence within 10 iterations for most cases".
     alpha:
         Confidence-interval parameter of the chi-square weight (Eq. 5);
         the weight uses the ``alpha/2`` percentile.
@@ -52,7 +48,6 @@ class TruthDiscoveryConfig:
 
     max_iterations: int = 50
     tolerance: float = 1e-4
-    criterion: str = "mean"
     alpha: float = 0.05
     min_error: float = 0.25
     strict: bool = False
@@ -62,10 +57,6 @@ class TruthDiscoveryConfig:
             raise ConfigurationError("max_iterations must be >= 1")
         if not 0 < self.tolerance < 1:
             raise ConfigurationError("tolerance must be in (0, 1)")
-        if self.criterion not in ("mean", "max"):
-            raise ConfigurationError(
-                f"criterion must be 'mean' or 'max', got {self.criterion!r}"
-            )
         if not 0 < self.alpha < 1:
             raise ConfigurationError("alpha must be in (0, 1)")
         if self.min_error <= 0:
@@ -168,11 +159,9 @@ class SAPSConfig:
         Number of start vertices.  Algorithm 2 restarts from *every*
         vertex; that is O(n) full anneals, so the default caps restarts
         and ``restarts=None`` restores the faithful every-vertex loop.
-    init:
-        Initial-path heuristic per Algorithm 2 line 3: ``"greedy"``
-        (nearest-neighbour by weight), ``"degree"`` (rank by out-minus-in
-        weight difference — the default; nearest-neighbour chains into
-        degenerate zigzags on noisy closures) or ``"random"``.
+        Each restart starts from Algorithm 2 line 3's degree order
+        (objects by out-minus-in weight difference) with its start
+        vertex moved to the front.
     scale_with_objects:
         When true (default) the iteration budget grows linearly past
         100 objects (``iterations * n / 100``): the move space is
@@ -219,7 +208,6 @@ class SAPSConfig:
     temperature: float = 0.2
     cooling_rate: float = 0.9995
     restarts: Optional[int] = 2
-    init: str = "degree"
     scale_with_objects: bool = True
     polish: bool = False
     parallel_restarts: int = 1
@@ -236,10 +224,6 @@ class SAPSConfig:
             raise ConfigurationError("cooling_rate must be in (0, 1)")
         if self.restarts is not None and self.restarts < 1:
             raise ConfigurationError("restarts must be >= 1 or None")
-        if self.init not in ("greedy", "degree", "random"):
-            raise ConfigurationError(
-                f"init must be 'greedy', 'degree' or 'random', got {self.init!r}"
-            )
         if self.parallel_restarts < 1:
             raise ConfigurationError("parallel_restarts must be >= 1")
         if self.backend is not None and \
@@ -257,50 +241,27 @@ class SparseEngineConfig:
     """Sparse large-``n`` engine knobs (``PipelineConfig.engine`` =
     ``"hodge"`` or ``"lsq"``; see :mod:`repro.inference.engines`).
 
+    Both engines fit scores to the uniform-model gradient flow
+    ``2x - 1`` of each edge's preference ``x in [0, 1]`` (HodgeRank's
+    arithmetic-mean model) by LSQR on the weighted least-squares
+    system; no dense ``n x n`` matrix is built.
+
     Attributes
     ----------
-    solver:
-        ``"lsqr"`` (default) solves the weighted least-squares system
-        directly; ``"cg"`` runs conjugate gradients on the normal
-        equations (the weighted graph Laplacian).  Both are sparse
-        iterative methods — no dense ``n x n`` matrix is built.
-    flow:
-        Mapping from per-edge preference ``x in [0, 1]`` to the
-        gradient flow the scores must fit: ``"linear"`` is
-        ``2x - 1`` (HodgeRank's uniform/arithmetic-mean model,
-        default); ``"logit"`` is the Bradley-Terry log-odds
-        ``log(x / (1 - x))``.
     tol:
-        Solver tolerance (LSQR ``atol``/``btol``; CG ``rtol``).
+        LSQR tolerance (its ``atol`` and ``btol``).
     max_solver_iterations:
-        Iteration cap for either solver.
-    logit_clip:
-        With ``flow="logit"``, preferences are clipped into
-        ``[clip, 1 - clip]`` so unanimous edges keep a finite flow —
-        the sparse analogue of Step 2's 1-edge smoothing.
+        LSQR's iteration cap.
     """
 
-    solver: str = "lsqr"
-    flow: str = "linear"
     tol: float = 1e-8
     max_solver_iterations: int = 2000
-    logit_clip: float = 0.01
 
     def __post_init__(self) -> None:
-        if self.solver not in ("lsqr", "cg"):
-            raise ConfigurationError(
-                f"solver must be 'lsqr' or 'cg', got {self.solver!r}"
-            )
-        if self.flow not in ("linear", "logit"):
-            raise ConfigurationError(
-                f"flow must be 'linear' or 'logit', got {self.flow!r}"
-            )
         if not 0 < self.tol < 1:
             raise ConfigurationError("tol must be in (0, 1)")
         if self.max_solver_iterations < 1:
             raise ConfigurationError("max_solver_iterations must be >= 1")
-        if not 0 < self.logit_clip < 0.5:
-            raise ConfigurationError("logit_clip must be in (0, 0.5)")
 
 
 @dataclass(frozen=True)

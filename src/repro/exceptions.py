@@ -29,10 +29,6 @@ class GraphError(ReproError):
     """A structural graph invariant was violated (unknown vertex, bad edge)."""
 
 
-class EdgeNotFoundError(GraphError):
-    """The requested edge does not exist in the graph."""
-
-
 class VertexNotFoundError(GraphError):
     """The requested vertex does not exist in the graph."""
 

@@ -13,8 +13,8 @@
  *     runs in a register;
  *   - np.maximum's floor keeps a NaN (only a value below the floor is
  *     raised to it);
- *   - the "mean" delta is numpy's pairwise sum (pairwise_sum below)
- *     divided by the length; the "max" delta is exact in any order;
+ *   - each delta is numpy's pairwise sum (pairwise_sum below) divided
+ *     by the length, as np.mean takes it;
  *   - a NaN anywhere in a max makes the max NaN, as np.max does.
  *
  * Build with -ffp-contract=off and without -ffast-math: a fused
@@ -63,23 +63,10 @@ static double pairwise_sum(const double *a, const double *b, int64_t n)
         + pairwise_sum(a + half, b + half, n - half);
 }
 
-/* The largest |a[i] - b[i]|, NaN if any is NaN. */
-static double max_abs_diff(const double *a, const double *b, int64_t n)
+/* The mean |a[i] - b[i]|, as np.mean(np.abs(a - b)). */
+static double delta(const double *a, const double *b, int64_t n)
 {
-    double best = fabs(a[0] - b[0]);
-    for (int64_t i = 1; i < n && !isnan(best); i++) {
-        double value = fabs(a[i] - b[i]);
-        if (value > best || isnan(value))
-            best = value;
-    }
-    return best;
-}
-
-static double delta(const double *a, const double *b, int64_t n,
-                    int64_t use_max)
-{
-    return use_max ? max_abs_diff(a, b, n)
-                   : pairwise_sum(a, b, n) / (double)n;
+    return pairwise_sum(a, b, n) / (double)n;
 }
 
 /* np.maximum(value, floor) for a finite floor. */
@@ -126,7 +113,7 @@ void crh_iterate(const int64_t *pair_idx, const int64_t *worker_idx,
                  const double *value, int64_t n_votes, int64_t n_pairs,
                  int64_t n_workers, const double *chi2_scale,
                  double min_error, double tolerance, int64_t max_iterations,
-                 int64_t use_max, double *truth, double *quality,
+                 double *truth, double *quality,
                  double *deltas, int64_t *index_scratch,
                  double *value_scratch, int64_t *counts)
 {
@@ -176,8 +163,8 @@ void crh_iterate(const int64_t *pair_idx, const int64_t *worker_idx,
         for (int64_t w = 0; w < n_workers; w++)
             new_quality[w] = new_quality[w] / top;
 
-        pref_delta = delta(new_truth, truth, n_pairs, use_max);
-        qual_delta = delta(new_quality, quality, n_workers, use_max);
+        pref_delta = delta(new_truth, truth, n_pairs);
+        qual_delta = delta(new_quality, quality, n_workers);
         memcpy(truth, new_truth, (size_t)n_pairs * sizeof *truth);
         memcpy(quality, new_quality, (size_t)n_workers * sizeof *quality);
         deltas[2 * iteration] = pref_delta;

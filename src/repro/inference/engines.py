@@ -21,9 +21,8 @@ flow and weights come from:
 * ``engine="hodge"`` — **HodgeRank** (Jiang et al.; Xu et al., "HodgeRank
   with Information Maximization").  Step 1 truth discovery (CRH or EM)
   runs first, exactly as in the paper's pipeline; the discovered per-pair
-  preference ``x_e`` becomes the flow (``y_e = 2 x_e - 1`` linearly, or
-  the Bradley-Terry log-odds with ``flow="logit"``) and the edge weight
-  is the answering workers' **quality mass** ``w_e = sum_k q_k`` — the
+  preference ``x_e`` becomes the uniform-model flow ``y_e = 2 x_e - 1``
+  and the edge weight is the answering workers' **quality mass** ``w_e = sum_k q_k`` — the
   same quality signal Step 2 smoothing uses, so spammers are
   down-weighted in the solve.
 * ``engine="lsq"`` — the **graph least-squares ranker** of Christoforou
@@ -33,8 +32,8 @@ flow and weights come from:
   ``y_e = 2 mean(x_e) - 1`` with ``w_e = counts_e``.  Cheaper (skips
   Step 1) and the natural unweighted control for the engine matrix.
 
-The least-squares system is solved with LSQR (default) or CG on the
-normal equations; no dense ``n x n`` matrix is ever materialised.
+The least-squares system is solved with LSQR; no dense ``n x n``
+matrix is ever materialised.
 
 **Degenerate comparison graphs.**  ``B``'s null space is one constant
 vector per connected component, so scores are only determined *within*
@@ -56,7 +55,6 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
-from scipy import sparse
 from scipy.sparse import linalg as sparse_linalg
 
 from ..config import PipelineConfig
@@ -166,11 +164,9 @@ def solve_sparse_engine(
 
     # Sparse weighted least-squares solve on the gradient flow.
     start = time.perf_counter()
-    flow = _flow(x, sp.flow, sp.logit_clip)
     raw_scores, solver_meta = _solve(
-        incidence, flow, np.maximum(edge_weights, 1e-12),
-        solver=sp.solver, tol=sp.tol,
-        max_iterations=sp.max_solver_iterations,
+        incidence, 2.0 * x - 1.0, np.maximum(edge_weights, 1e-12),
+        tol=sp.tol, max_iterations=sp.max_solver_iterations,
     )
     step_seconds["solve"] = time.perf_counter() - start
 
@@ -241,61 +237,19 @@ def graph_lsq_rank(
 # Internals
 # ---------------------------------------------------------------------------
 
-def _flow(x: np.ndarray, flow: str, clip: float) -> np.ndarray:
-    """Map per-edge preferences ``x in [0, 1]`` to gradient flows.
-
-    ``linear`` is the uniform-model flow ``2x - 1`` (HodgeRank's
-    arithmetic-mean flow); ``logit`` is the Bradley-Terry log-odds,
-    clipped so unanimous edges stay finite — the sparse analogue of the
-    dense path's Step-2 treatment of 1-edges.
-    """
-    if flow == "logit":
-        xc = np.clip(x, clip, 1.0 - clip)
-        return np.log(xc / (1.0 - xc))
-    return 2.0 * x - 1.0
-
-
 def _solve(
     incidence: SparseIncidence,
     flow: np.ndarray,
     edge_weights: np.ndarray,
     *,
-    solver: str,
     tol: float,
     max_iterations: int,
 ) -> Tuple[np.ndarray, Dict[str, object]]:
-    """Solve ``min_s ||diag(sqrt(w)) (B s - y)||`` without densifying."""
+    """Solve ``min_s ||diag(sqrt(w)) (B s - y)||`` by LSQR, without
+    densifying."""
     scale = np.sqrt(edge_weights)
     system = incidence.incidence.multiply(scale[:, None]).tocsr()
     rhs = scale * flow
-    if solver == "cg":
-        # Normal equations L s = B^T W y.  The weighted graph Laplacian
-        # L is singular (one null vector per component) but PSD, and the
-        # right-hand side lies in its range, so CG converges to a valid
-        # minimiser; a vanishing Tikhonov shift guards the edge cases
-        # without moving the minimiser beyond solver tolerance.
-        laplacian = (system.T @ system).tocsr()
-        laplacian = laplacian + 1e-10 * sparse.identity(
-            laplacian.shape[0], format="csr"
-        )
-        b = system.T @ rhs
-        iterations = 0
-
-        def _count(_):
-            nonlocal iterations
-            iterations += 1
-
-        scores, info = sparse_linalg.cg(
-            laplacian, b, rtol=tol, maxiter=max_iterations,
-            callback=_count,
-        )
-        residual = float(np.linalg.norm(laplacian @ scores - b))
-        return scores, {
-            "solver": "cg",
-            "solver_iterations": iterations,
-            "solver_stop": int(info),
-            "solver_residual": residual,
-        }
     scores, istop, itn, r1norm = sparse_linalg.lsqr(
         system, rhs, atol=tol, btol=tol, iter_lim=max_iterations
     )[:4]

@@ -223,7 +223,7 @@ def _open(path: Path):
     scan.restype = int64
     crh = library.crh_iterate
     crh.argtypes = [pointer, pointer, pointer, int64, int64, int64, pointer,
-                    ctypes.c_double, ctypes.c_double, int64, int64, pointer,
+                    ctypes.c_double, ctypes.c_double, int64, pointer,
                     pointer, pointer, pointer, pointer, pointer]
     crh.restype = None
     encode = library.direct_preferences_json
@@ -292,14 +292,13 @@ def vote_rows(body: bytes) -> Optional[Tuple[np.ndarray, np.ndarray]]:
 def crh_iterate(pair_idx: np.ndarray, worker_idx: np.ndarray,
                 value: np.ndarray, chi2_scale: np.ndarray, truth: np.ndarray,
                 quality: np.ndarray, min_error: float, tolerance: float,
-                max_iterations: int,
-                use_max: bool) -> Tuple[int, bool, np.ndarray]:
+                max_iterations: int) -> Tuple[int, bool, np.ndarray]:
     """Run Step 1's CRH loop (Eq. 4-5, ``_crh.c``) from ``truth`` and
     ``quality``, which end as the last iteration's; returns the
     iteration count, whether the deltas fell below ``tolerance``, and
     an ``(max_iterations, 2)`` array whose first rows hold each
-    iteration's ``(pref_delta, qual_delta)``: the mean absolute change,
-    or the largest with ``use_max``.
+    iteration's ``(pref_delta, qual_delta)``: the mean absolute
+    change.
 
     Every buffer's dtype, contiguity and shape is checked first, and
     every vote's pair and worker index must address ``truth`` and
@@ -325,7 +324,7 @@ def crh_iterate(pair_idx: np.ndarray, worker_idx: np.ndarray,
     load().crh_iterate(
         pair_idx.ctypes.data, worker_idx.ctypes.data, value.ctypes.data,
         n_votes, n_pairs, n_workers, chi2_scale.ctypes.data, min_error,
-        tolerance, max_iterations, int(use_max), truth.ctypes.data,
+        tolerance, max_iterations, truth.ctypes.data,
         quality.ctypes.data, deltas.ctypes.data, index_scratch.ctypes.data,
         value_scratch.ctypes.data, counts.ctypes.data)
     return int(counts[0]), bool(counts[1]), deltas

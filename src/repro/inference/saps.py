@@ -9,10 +9,12 @@ Boltzmann rule of Algorithm 3 (better always; worse with probability
 ``exp(-(d_next - d_i) / T)``), then cools ``T <- T * c``.
 
 Algorithm 2 restarts the anneal from every vertex with a greedy initial
-path ("selecting the nearest neighbors, or by ranking the nodes based on
-the difference of their out-/in- edge weights"); the config can cap the
-restart count, since on large complete closures a handful of restarts
-already reaches the plateau the paper reports.
+path; of its two heuristics ("selecting the nearest neighbors, or by
+ranking the nodes based on the difference of their out-/in- edge
+weights") this module uses the second, computed once per search: each
+restart moves its start vertex to the front of that degree order.  The
+config can cap the restart count, since on large complete closures a
+handful of restarts already reaches the plateau the paper reports.
 
 The anneal scores each proposal by the ``d(P') - d(P)`` of the few
 edges the move actually changes (the formulas of
@@ -138,7 +140,7 @@ def saps_search_report(
     generator = ensure_rng(rng)
 
     start_vertices: List[Union[int, np.ndarray]] = \
-        _restart_vertices(matrix, config, n, generator)
+        _restart_vertices(config, n, generator)
     if warm_start is not None:
         warm = np.array([int(v) for v in warm_start], dtype=np.int64)
         if warm.shape != (n,) or \
@@ -150,7 +152,7 @@ def saps_search_report(
         start_vertices[0] = warm
     iterations = _schedule_iterations(config, n)
 
-    shared = _RestartShared(matrix=matrix, cost=cost,
+    shared = _RestartShared(order=degree_order(matrix), cost=cost,
                             iterations=iterations, config=config)
 
     # One child stream per restart: restarts become order-independent
@@ -245,9 +247,7 @@ def degree_order(matrix: np.ndarray) -> np.ndarray:
     return np.argsort(-score, kind="stable")
 
 
-def _restart_vertices(
-    matrix: np.ndarray, config: SAPSConfig, n: int, generator
-) -> List[int]:
+def _restart_vertices(config: SAPSConfig, n: int, generator) -> List[int]:
     """Start vertices: all (faithful Algorithm 2) or a sampled cap."""
     if config.restarts is None or config.restarts >= n:
         return list(range(n))
@@ -255,35 +255,10 @@ def _restart_vertices(
     return [int(v) for v in chosen]
 
 
-def _initial_path(
-    matrix: np.ndarray,
-    cost: np.ndarray,
-    start: int,
-    config: SAPSConfig,
-    generator,
-) -> np.ndarray:
-    """Algorithm 2 line 3: greedy / degree-difference / random init."""
-    n = matrix.shape[0]
-    if config.init == "random":
-        path = generator.permutation(n)
-        # Rotate the start vertex to the front to honour the restart.
-        idx = int(np.where(path == start)[0][0])
-        return np.roll(path, -idx)
-    if config.init == "degree":
-        order = degree_order(matrix)
-        return np.concatenate(([start], order[order != start]))
-    # "greedy": nearest neighbour by weight (lowest cost edge).
-    visited = np.zeros(n, dtype=bool)
-    visited[start] = True
-    path = [start]
-    current = start
-    for _ in range(n - 1):
-        row = np.where(visited, np.inf, cost[current])
-        nxt = int(np.argmin(row))
-        visited[nxt] = True
-        path.append(nxt)
-        current = nxt
-    return np.array(path, dtype=np.int64)
+def _initial_path(order: np.ndarray, start: int) -> np.ndarray:
+    """Algorithm 2 line 3: ``start``, then the other objects in the
+    :func:`degree_order` ``order``."""
+    return np.concatenate(([start], order[order != start]))
 
 
 # ---------------------------------------------------------------------------
@@ -295,16 +270,17 @@ class _RestartShared:
 
     One instance is referenced by all restart tasks: the thread and
     serial backends share it (and its lazily built flip-cost table) in
-    memory, while the process backend pickles only the raw matrices —
-    the table is rebuilt once per worker process (O(n^2), negligible
-    next to the anneal) rather than shipped over the pipe.
+    memory, while the process backend pickles only the degree order and
+    the cost matrix — the table is rebuilt once per worker process
+    (O(n^2), negligible next to the anneal) rather than shipped over
+    the pipe.
     """
 
-    __slots__ = ("matrix", "cost", "iterations", "config", "_diff")
+    __slots__ = ("order", "cost", "iterations", "config", "_diff")
 
-    def __init__(self, matrix: np.ndarray, cost: np.ndarray,
+    def __init__(self, order: np.ndarray, cost: np.ndarray,
                  iterations: int, config: SAPSConfig):
-        self.matrix = matrix
+        self.order = order
         self.cost = cost
         self.iterations = iterations
         self.config = config
@@ -323,10 +299,10 @@ class _RestartShared:
         return diff
 
     def __getstate__(self):
-        return (self.matrix, self.cost, self.iterations, self.config)
+        return (self.order, self.cost, self.iterations, self.config)
 
     def __setstate__(self, state):
-        (self.matrix, self.cost, self.iterations, self.config) = state
+        (self.order, self.cost, self.iterations, self.config) = state
         self._diff = None
 
 
@@ -344,8 +320,7 @@ def _run_restart(task) -> Tuple[float, List[int], int, int]:
         # Warm restart: the task carries the initial path itself.
         initial = start
     else:
-        initial = _initial_path(shared.matrix, shared.cost, start, config,
-                                stream)
+        initial = _initial_path(shared.order, start)
     return _anneal_incremental(shared.cost, shared.diff(), initial,
                                shared.iterations, config, stream)
 

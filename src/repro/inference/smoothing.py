@@ -94,9 +94,9 @@ def direct_preference_matrix(
 ) -> np.ndarray:
     """Step-1 output as a dense weight matrix (``G_P``).
 
-    The matrix analogue of :meth:`PreferenceGraph.from_direct_preferences
-    <repro.graphs.preference_graph.PreferenceGraph.from_direct_preferences>`:
-    for each compared pair ``(i, j)`` (canonical ``i < j``) with
+    The matrix analogue of the Sec. III preference graph (the
+    ``PreferenceGraph.from_direct_preferences`` oracle under
+    ``tests/oracles``): for each compared pair ``(i, j)`` (canonical ``i < j``) with
     estimated preference ``x_ij``, entry ``[i, j] = x_ij`` when positive and
     ``[j, i] = 1 - x_ij`` when ``x_ij < 1``; absent edges stay 0.
     """

@@ -66,7 +66,7 @@ CACHE_ENTRY_SCHEMA = "repro.cache_entry/1"
 
 #: Version tag hashed first into every fingerprint.  Bump it whenever
 #: the hashed material changes, so old spill files become misses.
-FINGERPRINT_VERSION = "repro.fp/2"
+FINGERPRINT_VERSION = "repro.fp/3"
 
 
 def fingerprint_job(job: RankingJob) -> str:

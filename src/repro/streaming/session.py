@@ -437,6 +437,41 @@ _COUNTERS = ("votes_ingested", "updates_full", "updates_incremental")
 _RETIRED_KNOBS = ("quality_shift_threshold", "truth_damping",
                   "full_rebuild_fraction")
 
+#: Pipeline-config fields that earlier snapshots carry and that no
+#: longer exist, by sub-config, with the one value the code still
+#: implements (``None``: any value, as ``logit_clip`` only applied to
+#: the retired logit flow).  A snapshot holding that value restores; one
+#: naming a retired alternative cannot be restored faithfully.
+_RETIRED_PIPELINE_FIELDS = {
+    "saps": {"init": "degree"},
+    "truth": {"criterion": "mean"},
+    "sparse": {"solver": "lsqr", "flow": "linear", "logit_clip": None},
+}
+
+
+def _drop_retired_fields(config: object, source: str) -> object:
+    """``config`` without the :data:`_RETIRED_PIPELINE_FIELDS` it holds;
+    a retired alternative raises :class:`DataFormatError` naming it."""
+    if not isinstance(config, dict):
+        return config
+    config = dict(config)
+    for section, retired in _RETIRED_PIPELINE_FIELDS.items():
+        values = config.get(section)
+        if not isinstance(values, dict):
+            continue
+        values = dict(values)
+        for name, kept in retired.items():
+            if name in values:
+                value = values.pop(name)
+                if kept is not None and value != kept:
+                    raise DataFormatError(
+                        f"{source}: config.{section}.{name}={value!r} "
+                        f"selects a retired alternative; only {kept!r} "
+                        "remains"
+                    )
+        config[section] = values
+    return config
+
 
 def session_to_payload(session: RankingSession) -> Dict[str, object]:
     """Encode a session as a versioned JSON-ready payload.
@@ -486,7 +521,8 @@ def session_from_payload(
     through :func:`session_config_from_payload`, the votes through
     :func:`votes_from_payload`); a forged or truncated field raises
     :class:`DataFormatError` here rather than failing a later ingest.
-    The retired knobs older snapshots carry are dropped.
+    The retired knobs older snapshots carry are dropped, and so are
+    retired pipeline fields that hold the value still implemented.
     """
     if not isinstance(payload, dict) or payload.get("schema") != SESSION_SCHEMA:
         raise DataFormatError(
@@ -499,7 +535,8 @@ def session_from_payload(
     knobs = {name: value for name, value in knobs.items()
              if name not in _RETIRED_KNOBS}
     config = session_config_from_payload(
-        {**knobs, "pipeline": payload.get("config")},
+        {**knobs,
+         "pipeline": _drop_retired_fields(payload.get("config"), source)},
         source=f"{source}.session_config",
     )
     n_objects = payload.get("n_objects")

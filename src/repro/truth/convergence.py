@@ -20,11 +20,10 @@ class ConvergenceTrace:
     ----------
     preference_deltas:
         Change of the estimated preferences ``x_ij`` at each iteration:
-        the mean absolute change over pairs under the default
-        ``criterion="mean"``, the largest under ``"max"``.
+        the mean absolute change over pairs.
     quality_deltas:
         Change of the worker iteration weights ``q_k`` at each
-        iteration, reduced the same way over workers.
+        iteration: the mean absolute change over workers.
     converged:
         Whether the tolerance was reached before the iteration cap.
     """

@@ -154,7 +154,7 @@ def discover_truth(
     iterations, converged, deltas = native.crh_iterate(
         arrays.pair_idx, arrays.worker_idx, arrays.value, chi2_scale,
         truth, quality, config.min_error, config.tolerance,
-        config.max_iterations, config.criterion == "max")
+        config.max_iterations)
     trace = ConvergenceTrace(deltas[:iterations, 0].tolist(),
                              deltas[:iterations, 1].tolist(), converged)
     return _result(arrays, config, truth, quality, trace, tasks_per_worker,

@@ -113,9 +113,8 @@ def discover_truth_em(
                                        minlength=n_workers)
         new_accuracy = (agree_per_worker + 1.0) / (tasks_per_worker + 2.0)
 
-        reduce = np.mean if config.criterion == "mean" else np.max
-        pref_delta = float(reduce(np.abs(new_posterior - posterior)))
-        acc_delta = float(reduce(np.abs(new_accuracy - accuracy)))
+        pref_delta = float(np.mean(np.abs(new_posterior - posterior)))
+        acc_delta = float(np.mean(np.abs(new_accuracy - accuracy)))
         posterior, accuracy = new_posterior, new_accuracy
         trace.record(pref_delta, acc_delta)
         if pref_delta < config.tolerance and acc_delta < config.tolerance:

@@ -10,8 +10,14 @@ nothing here (no ``test_`` modules).
 * :mod:`.crh` — Step 1's CRH loop in numpy (:func:`crh_iterations`,
   wrapped as :func:`discover_truth_reference`), the loop the native one
   replaced, which must match it bit for bit;
-* :mod:`.smoothing` — Step 2 over a
-  :class:`~repro.graphs.preference_graph.PreferenceGraph`
+* :mod:`.digraph`, :mod:`.preference_graph` and :mod:`.hamiltonian` —
+  Sec. III's object model, which Steps 1-4 replaced with dense
+  matrices: the weighted digraph (:class:`WeightedDigraph`), the
+  preference graph with its 1-edges and in/out nodes
+  (:class:`PreferenceGraph`) and Hamiltonian-path existence
+  (:func:`has_hamiltonian_path`); the paper walkthrough and theorem
+  tests and the object-graph oracles below build on it;
+* :mod:`.smoothing` — Step 2 over a :class:`PreferenceGraph`
   (:func:`smooth_preferences`), one 1-edge and one vote at a time;
 * :mod:`.pipeline` — Steps 1-4 through that object graph
   (:func:`object_closure`, :func:`object_pipeline`);
@@ -39,19 +45,25 @@ repo root on ``sys.path``.
 from .bdp import bdp_scores_reference
 from .closure import reachability_by_search
 from .crh import discover_truth_reference
+from .digraph import WeightedDigraph
+from .hamiltonian import has_hamiltonian_path
 from .held_karp import best_hamiltonian_path_dp
 from .pipeline import ObjectClosure, object_closure, object_pipeline
+from .preference_graph import PreferenceGraph
 from .rank_centrality import dense_rank_centrality
 from .saps import python_search_report, reference_search_report
 from .smoothing import SmoothingResult, smooth_preferences
 
 __all__ = [
     "ObjectClosure",
+    "PreferenceGraph",
     "SmoothingResult",
+    "WeightedDigraph",
     "bdp_scores_reference",
     "best_hamiltonian_path_dp",
     "dense_rank_centrality",
     "discover_truth_reference",
+    "has_hamiltonian_path",
     "object_closure",
     "object_pipeline",
     "python_search_report",

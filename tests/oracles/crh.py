@@ -57,9 +57,8 @@ def crh_iterations(
         new_quality = chi2_scale / np.maximum(err_per_worker, config.min_error)
         new_quality = new_quality / new_quality.max()
 
-        reduce = np.mean if config.criterion == "mean" else np.max
-        pref_delta = float(reduce(np.abs(new_truth - truth)))
-        qual_delta = float(reduce(np.abs(new_quality - quality)))
+        pref_delta = float(np.mean(np.abs(new_truth - truth)))
+        qual_delta = float(np.mean(np.abs(new_quality - quality)))
         truth, quality = new_truth, new_quality
         trace.record(pref_delta, qual_delta)
         if pref_delta < config.tolerance and qual_delta < config.tolerance:

@@ -1,7 +1,7 @@
 """Steps 1-4 oracle: the pipeline through the object graph.
 
 Step 1's preferences become a
-:class:`~repro.graphs.preference_graph.PreferenceGraph`, Step 2 runs
+:class:`~tests.oracles.preference_graph.PreferenceGraph`, Step 2 runs
 the per-edge :func:`~tests.oracles.smoothing.smooth_preferences`, and
 Step 3 propagates the smoothed graph.  The random stream is consumed in
 :class:`~repro.inference.RankingPipeline`'s order (smoothing, then
@@ -18,7 +18,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.config import PipelineConfig
-from repro.graphs.preference_graph import PreferenceGraph
 from repro.inference.propagation import propagate_matrix
 from repro.inference.saps import saps_search_report
 from repro.rng import SeedLike, ensure_rng
@@ -26,6 +25,7 @@ from repro.truth.crh import TruthDiscoveryResult, discover_truth
 from repro.truth.dawid_skene import discover_truth_em
 from repro.types import InferenceResult, VoteSet
 
+from .preference_graph import PreferenceGraph
 from .smoothing import SmoothingResult, smooth_preferences
 
 

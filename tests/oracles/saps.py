@@ -41,6 +41,7 @@ from repro.inference.saps import (
     SAPSReport,
     _cost_matrix,
     _initial_path,
+    degree_order,
     _restart_vertices,
     _schedule_iterations,
 )
@@ -102,12 +103,13 @@ def _search_report(weights, config: Optional[SAPSConfig], rng: SeedLike,
         return SAPSReport(Ranking([0]), 0.0, 0, config.iterations, 0, 0)
     cost = _cost_matrix(matrix)
     generator = ensure_rng(rng)
-    start_vertices = _restart_vertices(matrix, config, n, generator)
+    start_vertices = _restart_vertices(config, n, generator)
     if warm_start is not None:
         start_vertices[0] = np.array(warm_start, dtype=np.int64)
     iterations = _schedule_iterations(config, n)
     streams = spawn_rngs(generator, len(start_vertices))
-    tasks = [(matrix, cost, start, iterations, config, stream, anneal)
+    order = degree_order(matrix)
+    tasks = [(order, cost, start, iterations, config, stream, anneal)
              for start, stream in zip(start_vertices, streams)]
     outcomes = parallel_map(_restart, tasks,
                             max_workers=config.parallel_restarts,
@@ -136,11 +138,11 @@ def _search_report(weights, config: Optional[SAPSConfig], rng: SeedLike,
 
 def _restart(task) -> Tuple[float, List[int], int, int]:
     """One restart; module-level so the process backend can pickle it."""
-    matrix, cost, start, iterations, config, stream, anneal = task
+    order, cost, start, iterations, config, stream, anneal = task
     if isinstance(start, np.ndarray):
         initial = start
     else:
-        initial = _initial_path(matrix, cost, start, config, stream)
+        initial = _initial_path(order, start)
     return anneal(cost, initial, iterations, config, stream)
 
 

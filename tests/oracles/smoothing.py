@@ -6,7 +6,7 @@ The per-edge object implementation that
 order, drawing one ``|N(0, sigma_k^2)|`` per vote in sampled mode — the
 draw-order contract the columnar path reproduces bit for bit.  For
 Step-1 graphs built by
-:meth:`~repro.graphs.preference_graph.PreferenceGraph.from_direct_preferences`
+:meth:`~tests.oracles.preference_graph.PreferenceGraph.from_direct_preferences`
 over the sorted pair table, ``one_edges()`` is lexicographic
 ``(source, target)`` order.
 """
@@ -21,10 +21,11 @@ import numpy as np
 
 from repro.config import SmoothingConfig
 from repro.exceptions import InferenceError
-from repro.graphs.preference_graph import PreferenceGraph
 from repro.inference.smoothing import worker_sigma
 from repro.rng import SeedLike, ensure_rng
 from repro.types import VoteSet, WorkerId, canonical_pair
+
+from .preference_graph import PreferenceGraph
 
 
 @dataclass(frozen=True)

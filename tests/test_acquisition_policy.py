@@ -1,17 +1,12 @@
-"""Tests for :class:`repro.acquisition.AcquisitionPolicy` and
-:class:`repro.acquisition.BudgetLedger`: batch selection, determinism,
-budget bookkeeping and the worker-assignment bridge."""
+"""Tests for :class:`repro.acquisition.AcquisitionPolicy`: batch
+selection, determinism, belief updates, stopping and the
+worker-assignment bridge."""
 
 import numpy as np
 import pytest
 
-from repro.acquisition import (
-    AcquisitionPolicy,
-    BudgetLedger,
-    PairPosterior,
-)
-from repro.budget import BudgetModel
-from repro.exceptions import BudgetError, ConfigurationError
+from repro.acquisition import AcquisitionPolicy, PairPosterior
+from repro.exceptions import ConfigurationError
 from repro.streaming import StabilityMonitor
 from repro.types import Vote, VoteArrays
 
@@ -24,40 +19,6 @@ def make_votes(n, count, seed=0):
             rng.choice(n, size=2, replace=False) for _ in range(count)
         )
     ]
-
-
-class TestLedger:
-    def test_counts_down(self):
-        ledger = BudgetLedger(10, batch_size=4)
-        assert ledger.remaining == 10
-        assert ledger.next_batch() == 4
-        ledger.charge(4)
-        ledger.charge(4)
-        assert ledger.remaining == 2
-        assert ledger.next_batch() == 2
-
-    def test_overdraft_raises(self):
-        ledger = BudgetLedger(3)
-        ledger.charge(3)
-        assert ledger.exhausted
-        with pytest.raises(BudgetError):
-            ledger.charge(1)
-
-    def test_negative_charge_raises(self):
-        with pytest.raises(BudgetError):
-            BudgetLedger(3).charge(-1)
-
-    def test_zero_total_is_born_exhausted(self):
-        ledger = BudgetLedger(0)
-        assert ledger.exhausted
-        assert ledger.next_batch() == 0
-        assert not ledger.can_spend()
-
-    def test_from_model_prices_in_redundancy(self):
-        model = BudgetModel(total=1.0, workers_per_task=2, reward=0.025)
-        ledger = BudgetLedger.from_model(model, batch_size=8)
-        # 20 affordable unique comparisons x 2 votes each.
-        assert ledger.remaining == 40
 
 
 class TestSuggest:
@@ -103,31 +64,15 @@ class TestSuggest:
         with pytest.raises(ConfigurationError):
             policy.suggest(-1)
 
-    def test_needs_k_without_ledger(self):
-        with pytest.raises(ConfigurationError):
-            AcquisitionPolicy(4, "uncertainty").suggest()
-
-    def test_ledger_sizes_the_default_batch(self):
-        ledger = BudgetLedger(12, batch_size=6)
-        policy = AcquisitionPolicy(6, "uncertainty", ledger,
-                                   workers_per_query=2)
-        assert len(policy.suggest()) == 3  # 6 votes / 2 per query
-
 
 class TestObserveAndCharge:
-    def test_observe_votes_charges_the_ledger(self):
-        ledger = BudgetLedger(10)
-        policy = AcquisitionPolicy(6, "uncertainty", ledger)
-        policy.observe_votes(make_votes(6, 4))
-        assert ledger.remaining == 6
-
     def test_rebuild_never_charges(self):
-        ledger = BudgetLedger(10)
-        policy = AcquisitionPolicy(6, "uncertainty", ledger)
+        """A rebuild re-folds the votes once: they are not counted
+        again on top of the first fold."""
+        policy = AcquisitionPolicy(6, "uncertainty")
         votes = make_votes(6, 4)
         policy.observe_votes(votes)
         policy.rebuild(votes, worker_quality={0: 0.9})
-        assert ledger.remaining == 6
         assert policy.posterior.n_observed == 4
 
     def test_rebuild_reweights_history(self):
@@ -162,15 +107,6 @@ class TestAssignmentBridge:
 
 
 class TestStopping:
-    def test_stops_when_budget_cannot_cover_a_query(self):
-        ledger = BudgetLedger(3, batch_size=2)
-        policy = AcquisitionPolicy(5, "uncertainty", ledger,
-                                   workers_per_query=2)
-        assert not policy.should_stop()
-        ledger.charge(2)
-        # One vote left cannot cover a 2-worker query.
-        assert policy.should_stop()
-
     def test_stops_on_stable_ranking(self):
         monitor = StabilityMonitor(window=2, threshold=0.5)
         policy = AcquisitionPolicy(4, "uncertainty", monitor=monitor)

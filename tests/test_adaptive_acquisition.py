@@ -5,7 +5,7 @@ legacy heuristic."""
 import numpy as np
 import pytest
 
-from repro.acquisition import AcquisitionPolicy, BudgetLedger
+from repro.acquisition import AcquisitionPolicy
 from repro.adaptive import _most_uncertain_pairs, adaptive_rank
 from repro.config import FAST_PIPELINE
 from repro.exceptions import ConfigurationError
@@ -105,12 +105,3 @@ class TestHeuristicTieBreak:
         pairs = _most_uncertain_pairs(closure, 4, Degenerate())
         assert pairs == [(0, 1), (0, 2), (0, 3), (0, 4)]
 
-
-class TestLedgeredAdaptive:
-    def test_policy_with_ledger_tracks_spend(self):
-        truth, platform = make_platform(budget_queries=120)
-        ledger = BudgetLedger(120, batch_size=40)
-        policy = AcquisitionPolicy(12, "uncertainty", ledger)
-        adaptive_rank(platform, config=FAST_PIPELINE, rng=3,
-                      policy=policy, rounds=2)
-        assert platform.remaining_queries() == 0

@@ -1,11 +1,10 @@
-"""Edge-regime tests for the budget planner/optimizer and the
-acquisition ledger: zero remaining budget, single-pair universes, and
-budgets smaller than one round's batch."""
+"""Edge-regime tests for the budget planner/optimizer: zero budget,
+single-pair universes, and budgets below the spanning minimum."""
 
 import numpy as np
 import pytest
 
-from repro.acquisition import AcquisitionPolicy, BudgetLedger
+from repro.acquisition import AcquisitionPolicy
 from repro.budget import (
     BudgetModel,
     BudgetPlan,
@@ -33,14 +32,6 @@ class TestZeroBudget:
     def test_negative_budget_rejected(self):
         with pytest.raises(BudgetError):
             BudgetModel(total=-1.0, workers_per_task=1)
-
-    def test_exhausted_ledger_yields_empty_batches(self):
-        ledger = BudgetLedger.from_model(
-            BudgetModel(total=0.0, workers_per_task=2)
-        )
-        policy = AcquisitionPolicy(4, "uncertainty", ledger)
-        assert policy.suggest() == []
-        assert policy.should_stop()
 
 
 class TestFloatBoundary:
@@ -86,21 +77,7 @@ class TestSinglePairUniverse:
 
 
 class TestSubBatchBudget:
-    """Budgets smaller than one round's batch must degrade gracefully."""
-
-    def test_ledger_clips_the_final_batch(self):
-        ledger = BudgetLedger(5, batch_size=8)
-        assert ledger.next_batch() == 5
-        ledger.charge(5)
-        assert ledger.next_batch() == 0
-
-    def test_batch_smaller_than_redundancy_stops(self):
-        # 3 votes left but every query needs 4 answers: unaffordable.
-        ledger = BudgetLedger(3, batch_size=8)
-        policy = AcquisitionPolicy(6, "uncertainty", ledger,
-                                   workers_per_query=4)
-        assert policy.suggest() == []
-        assert policy.should_stop()
+    """Budgets too small for a full plan must degrade gracefully."""
 
     def test_budget_below_spanning_minimum_cannot_plan(self):
         # Affords 3 comparisons; a connected plan over 10 needs 9.

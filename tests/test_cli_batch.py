@@ -120,6 +120,25 @@ class TestBatchCommand:
         assert main(["batch", str(binary)]) == 2
         assert "error: input is not UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, name, value", [
+        ("saps", "init", "degree"),
+        ("truth", "criterion", "max"),
+        ("sparse", "solver", "cg"),
+        ("sparse", "flow", "linear"),
+        ("sparse", "logit_clip", 0.01),
+    ])
+    def test_retired_config_field_reports_error(self, tmp_path, capsys,
+                                                section, name, value):
+        payload = job_to_payload(RankingJob(
+            job_id="retired", seed=1, config=QUICK,
+            scenario=ScenarioSpec(8, 0.6, n_workers=6, workers_per_task=3)))
+        payload["config"][section][name] = value
+        jobs = tmp_path / "jobs.jsonl"
+        jobs.write_text(json.dumps(payload) + "\n")
+        assert main(["batch", str(jobs)]) == 2
+        assert f"unknown config field 'config.{section}.{name}'" in \
+            capsys.readouterr().err
+
     def test_missing_jobs_file_reports_error(self, tmp_path, capsys):
         assert main(["batch", str(tmp_path / "absent.jsonl")]) == 2
         assert "error:" in capsys.readouterr().err

@@ -86,7 +86,7 @@ class TestSAPSConfig:
             {"cooling_rate": 0.0},
             {"cooling_rate": 1.0},
             {"restarts": 0},
-            {"init": "nope"},
+            {"resync_every": 0},
         ],
     )
     def test_invalid_rejected(self, kwargs):

@@ -72,7 +72,6 @@ configs = st.builds(
     TruthDiscoveryConfig,
     max_iterations=st.integers(1, 60),
     tolerance=st.sampled_from([1e-4, 1e-2, 1e-8]),
-    criterion=st.sampled_from(["mean", "max"]),
     alpha=st.sampled_from([0.05, 0.2]),
     min_error=st.sampled_from([0.25, 1e-6]),
     strict=st.booleans(),
@@ -113,8 +112,7 @@ class TestNativeLoop:
         arrays = VoteArrays.from_columns(
             2, np.zeros(5, np.int64), np.array([0, 1, 0, 0, 1]),
             np.array([1, 0, 1, 1, 0]))
-        for criterion in ("mean", "max"):
-            check(arrays, TruthDiscoveryConfig(criterion=criterion))
+        check(arrays, TruthDiscoveryConfig())
 
     def test_single_vote_pairs(self):
         rng = np.random.default_rng(3)
@@ -124,22 +122,20 @@ class TestNativeLoop:
         assert arrays.n_pairs == len(arrays)
         check(arrays, TruthDiscoveryConfig())
 
-    @pytest.mark.parametrize("criterion", ["mean", "max"])
-    def test_one_iteration(self, criterion):
+    def test_one_iteration(self):
         arrays = vote_arrays(np.random.default_rng(4), 30, 500, 8)
-        config = TruthDiscoveryConfig(max_iterations=1, criterion=criterion)
+        config = TruthDiscoveryConfig(max_iterations=1)
         assert check(arrays, config).trace.iterations == 1
         with pytest.raises(ConvergenceError):
             discover_truth(arrays, TruthDiscoveryConfig(
-                max_iterations=1, criterion=criterion, strict=True))
+                max_iterations=1, strict=True))
 
-    @pytest.mark.parametrize("criterion", ["mean", "max"])
-    def test_past_numpy_buffer_size(self, criterion):
+    def test_past_numpy_buffer_size(self):
         # More pairs than one 8192-element reduction buffer: the mean
         # delta's pairwise sum splits the same way numpy's does.
         arrays = vote_arrays(np.random.default_rng(5), 400, 40_000, 60)
         assert arrays.n_pairs > 8192
-        config = TruthDiscoveryConfig(criterion=criterion)
+        config = TruthDiscoveryConfig()
         cold = check(arrays, config)
         warm = TruthWarmStart(cold.preference_vector[::-1].copy(),
                               cold.iteration_weights)
@@ -154,7 +150,7 @@ class TestKernelContract:
             value=arrays.value, chi2_scale=np.ones(arrays.n_workers),
             truth=np.full(arrays.n_pairs, 0.5),
             quality=np.ones(arrays.n_workers), min_error=0.25,
-            tolerance=1e-4, max_iterations=5, use_max=False)
+            tolerance=1e-4, max_iterations=5)
 
     @pytest.mark.parametrize("name, index", [
         ("pair_idx", -1), ("pair_idx", 10**6), ("worker_idx", -1),

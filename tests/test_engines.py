@@ -147,21 +147,6 @@ class TestDifferentialVsDense:
         )
         assert list(result.ranking.order) == list(range(n))
 
-    @pytest.mark.parametrize(
-        "variant",
-        [
-            SparseEngineConfig(solver="cg"),
-            SparseEngineConfig(flow="logit"),
-            SparseEngineConfig(solver="cg", flow="logit"),
-        ],
-        ids=["cg", "logit", "cg-logit"],
-    )
-    def test_solver_and_flow_variants_exact_on_clean_votes(self, variant):
-        votes = clean_votes(12)
-        config = PipelineConfig(engine="hodge", sparse=variant)
-        ranking, _ = hodge_rank(votes, config, rng=0)
-        assert list(ranking.order) == list(range(12))
-
 
 class TestEngineReport:
     def test_wrappers_agree_with_pipeline_seam(self):
@@ -377,12 +362,12 @@ class TestConfigPlumbing:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"solver": "gauss"},
-            {"flow": "cubic"},
             {"tol": 0.0},
+            {"tol": 1.0},
             {"tol": 2.0},
+            {"tol": float("nan")},
             {"max_solver_iterations": 0},
-            {"logit_clip": 0.5},
+            {"max_solver_iterations": -1},
         ],
     )
     def test_sparse_config_validation(self, kwargs):
@@ -392,11 +377,9 @@ class TestConfigPlumbing:
     def test_codec_round_trip(self):
         config = config_from_payload({
             "engine": "hodge",
-            "sparse": {"solver": "cg", "flow": "logit", "tol": 1e-6},
+            "sparse": {"tol": 1e-6},
         })
         assert config.engine == "hodge"
-        assert config.sparse.solver == "cg"
-        assert config.sparse.flow == "logit"
         assert config.sparse.tol == 1e-6
         # Defaults survive partial payloads.
         assert config.sparse.max_solver_iterations == 2000

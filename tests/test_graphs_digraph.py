@@ -1,10 +1,11 @@
-"""Unit tests for repro.graphs.digraph."""
+"""Unit tests for the Sec. III weighted-digraph oracle."""
 
 import numpy as np
 import pytest
 
-from repro.exceptions import EdgeNotFoundError, GraphError, VertexNotFoundError
-from repro.graphs import PreferenceGraph, WeightedDigraph
+from repro.exceptions import GraphError, VertexNotFoundError
+from tests.oracles import PreferenceGraph, WeightedDigraph
+from tests.oracles.digraph import EdgeNotFoundError
 
 
 @pytest.fixture

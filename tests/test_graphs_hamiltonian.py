@@ -1,4 +1,4 @@
-"""Unit tests for repro.graphs.hamiltonian, the Held-Karp oracle and the
+"""Unit tests for the Hamiltonian-path oracle, the Held-Karp oracle and the
 path-scoring helpers Step 4 shares (``path_cost``, SAPS's initial
 paths)."""
 
@@ -8,15 +8,16 @@ import math
 import numpy as np
 import pytest
 
-from repro.config import SAPSConfig
 from repro.exceptions import GraphError, InferenceError
-from repro.graphs import WeightedDigraph
-from repro.graphs.hamiltonian import has_hamiltonian_path
 from repro.inference.delta import path_cost
 from repro.inference.local_search import polish_ranking
-from repro.inference.saps import _cost_matrix, _initial_path
+from repro.inference.saps import _initial_path, degree_order
 from repro.types import Ranking
-from tests.oracles import best_hamiltonian_path_dp
+from tests.oracles import (
+    WeightedDigraph,
+    best_hamiltonian_path_dp,
+    has_hamiltonian_path,
+)
 
 
 def complete_graph(weights):
@@ -142,20 +143,12 @@ class TestBestHamiltonianPathDP:
         assert best_hamiltonian_path_dp(np.zeros((1, 1))) == Ranking([0])
 
 
-class TestGreedyPath:
-    def test_follows_heaviest_edges(self, sharp_weights):
-        """SAPS's nearest-neighbour initial path (Algorithm 2 line 3)."""
-        path = _initial_path(sharp_weights, _cost_matrix(sharp_weights), 0,
-                             SAPSConfig(init="greedy"), None)
-        assert path.tolist() == [0, 1, 2, 3]
-
-
 class TestWeightDifferenceOrder:
     def test_winner_floats_to_front(self, sharp_weights):
         """SAPS's out-/in-weight difference initial path: the vertex
         that mostly wins floats to the front, whatever the start."""
+        order = degree_order(sharp_weights)
         for start in range(4):
-            path = _initial_path(sharp_weights, _cost_matrix(sharp_weights),
-                                 start, SAPSConfig(init="degree"), None)
+            path = _initial_path(order, start)
             rest = [v for v in [0, 1, 2, 3] if v != start]
             assert path.tolist() == [start] + rest

@@ -1,10 +1,11 @@
-"""Unit tests for repro.graphs.preference_graph."""
+"""Unit tests for the Sec. III preference-graph oracle."""
 
 import pytest
 
 from repro.exceptions import GraphError
-from repro.graphs import PreferenceGraph, TaskGraph
+from repro.graphs import TaskGraph
 from repro.inference.propagation import _normalise_matrix
+from tests.oracles import PreferenceGraph
 
 
 @pytest.fixture

@@ -5,8 +5,8 @@ import pytest
 
 from repro.config import PropagationConfig
 from repro.exceptions import InferenceError
-from repro.graphs import PreferenceGraph
 from repro.inference.propagation import propagate_matrix
+from tests.oracles import PreferenceGraph
 
 
 @pytest.fixture
@@ -146,7 +146,7 @@ class TestPropagatePreferences:
 
     def test_theorem_5_1_hp_always_exists(self, smoothed_chain):
         """A complete graph is always Hamiltonian."""
-        from repro.graphs.hamiltonian import has_hamiltonian_path
+        from tests.oracles import has_hamiltonian_path
 
         closure = closure_graph(smoothed_chain)
         assert has_hamiltonian_path(closure)

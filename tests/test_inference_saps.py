@@ -77,11 +77,10 @@ class TestSAPSSearch:
         assert ranking == Ranking(range(10))
         assert log_pref == pytest.approx(9 * math.log(0.9))
 
-    @pytest.mark.parametrize("init", ["greedy", "degree", "random"])
-    def test_all_inits_work_on_sharp_instance(self, init):
+    def test_one_restart_solves_sharp_instance(self):
         matrix = sharp_matrix(8)
         ranking, _ = saps_search(
-            matrix, SAPSConfig(iterations=2000, restarts=1, init=init), rng=1
+            matrix, SAPSConfig(iterations=2000, restarts=1), rng=1
         )
         assert ranking == Ranking(range(8))
 
@@ -262,11 +261,10 @@ class TestSchedule:
 
     def test_degree_init_starts_at_the_vertex_then_follows_the_order(self):
         matrix = random_closure(9, seed=3)
-        order = degree_order(matrix).tolist()
-        config = SAPSConfig(init="degree")
+        order = degree_order(matrix)
         for start in range(9):
-            path = _initial_path(matrix, None, start, config, None)
-            assert path.tolist() == [start] + [v for v in order
+            path = _initial_path(order, start)
+            assert path.tolist() == [start] + [v for v in order.tolist()
                                                if v != start]
 
     def test_tail_temperature_is_the_schedule_after_the_skipped_part(self):

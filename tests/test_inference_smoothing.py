@@ -8,7 +8,6 @@ import pytest
 
 from repro.config import SmoothingConfig
 from repro.exceptions import InferenceError
-from repro.graphs import PreferenceGraph
 from repro.inference.smoothing import (
     direct_preference_matrix,
     smooth_matrix,
@@ -16,6 +15,7 @@ from repro.inference.smoothing import (
 )
 from repro.types import Vote, VoteSet
 
+from tests.oracles import PreferenceGraph
 from tests.oracles import smoothing as smoothing_mod
 from tests.oracles.smoothing import smooth_preferences
 

@@ -87,7 +87,7 @@ class TestTAPS:
         assert probability == 1.0
 
     def test_graph_input_accepted(self):
-        from repro.graphs import PreferenceGraph
+        from tests.oracles import PreferenceGraph
 
         graph = PreferenceGraph(3)
         for i in range(3):

@@ -4,14 +4,10 @@ arithmetic, as executable documentation."""
 import pytest
 
 from repro.budget import BudgetModel
-from repro.graphs import (
-    PreferenceGraph,
-    TaskGraph,
-    count_preference_instances,
-)
-from repro.graphs.hamiltonian import has_hamiltonian_path
+from repro.graphs import TaskGraph, count_preference_instances
 from repro.inference.propagation import propagate_matrix
 from repro.config import PropagationConfig
+from tests.oracles import PreferenceGraph, has_hamiltonian_path
 
 
 class TestFigure1:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graphs import PreferenceGraph, TaskGraph, WeightedDigraph
 from repro.graphs.analysis import hp_likelihood_lower_bound, prob_in_or_out_node
 from repro.graphs.closure import propagate_exact_paths, propagate_walks
 from repro.graphs.generators import near_regular_task_graph
@@ -20,6 +19,7 @@ from repro.metrics import (
 from repro.truth import discover_truth, majority_vote
 from repro.types import Ranking, Vote, VoteSet
 
+from tests.oracles import PreferenceGraph
 from tests.oracles.saps import _random_swap, _reverse, _rotate
 
 

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import PropagationConfig, SAPSConfig, SmoothingConfig
-from repro.graphs import PreferenceGraph
 from repro.inference.propagation import _adaptive_hops, propagate_matrix
 from repro.inference.saps import saps_search_report
 from repro.truth import discover_truth, discover_truth_em
 from repro.types import Vote, VoteSet
 from repro.workers import parallel_map
 
+from tests.oracles import PreferenceGraph
 from tests.oracles.saps import (
     _random_swap,
     _reverse,

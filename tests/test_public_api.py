@@ -2,104 +2,34 @@
 
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
 import repro
 
-SUBPACKAGES = [
-    "repro.graphs",
-    "repro.budget",
-    "repro.assignment",
-    "repro.workers",
-    "repro.platform",
-    "repro.truth",
-    "repro.inference",
-    "repro.baselines",
-    "repro.metrics",
-    "repro.datasets",
-    "repro.experiments",
-    "repro.service",
-    "repro.streaming",
-    "repro.server",
-]
+SOURCE = Path(repro.__file__).parent
 
-MODULES = SUBPACKAGES + [
-    "repro.types",
-    "repro.config",
-    "repro.rng",
-    "repro.exceptions",
-    "repro.diagnostics",
-    "repro.service.jobs",
-    "repro.service.cache",
-    "repro.service.shared_cache",
-    "repro.service.retry",
-    "repro.service.metrics",
-    "repro.service.executor",
-    "repro.server.app",
-    "repro.server.prometheus",
-    "repro.client",
-    "repro.session",
-    "repro.topk",
-    "repro.adaptive",
-    "repro.io",
-    "repro.cli",
-    "repro.graphs.digraph",
-    "repro.graphs.task_graph",
-    "repro.graphs.preference_graph",
-    "repro.graphs.analysis",
-    "repro.graphs.closure",
-    "repro.graphs.hamiltonian",
-    "repro.graphs.generators",
-    "repro.budget.model",
-    "repro.budget.planner",
-    "repro.budget.optimizer",
-    "repro.assignment.hits" if False else "repro.assignment.generator",
-    "repro.assignment.fairness",
-    "repro.assignment.assigner",
-    "repro.workers.quality",
-    "repro.workers.worker",
-    "repro.workers.pool",
-    "repro.workers.behaviors",
-    "repro.platform.events",
-    "repro.platform.pricing",
-    "repro.platform.simulator",
-    "repro.platform.interactive",
-    "repro.truth.crh",
-    "repro.truth.majority",
-    "repro.truth.convergence",
-    "repro.truth.dawid_skene",
-    "repro.inference.smoothing",
-    "repro.inference.propagation",
-    "repro.inference.taps",
-    "repro.inference.saps",
-    "repro.inference.local_search",
-    "repro.inference.pipeline",
-    "repro.baselines.repeat_choice",
-    "repro.baselines.quicksort",
-    "repro.baselines.crowd_bt",
-    "repro.baselines.btl",
-    "repro.baselines.borda",
-    "repro.baselines.copeland",
-    "repro.baselines.rank_centrality",
-    "repro.baselines.kemeny",
-    "repro.metrics.kendall",
-    "repro.metrics.spearman",
-    "repro.metrics.accuracy",
-    "repro.metrics.topk",
-    "repro.datasets.synthetic",
-    "repro.datasets.images",
-    "repro.datasets.amt",
-    "repro.experiments.scenarios",
-    "repro.experiments.runner",
-    "repro.experiments.reporting",
-    "repro.experiments.export",
-    "repro.experiments.replicate",
-    "repro.streaming.buffer",
-    "repro.streaming.incremental",
-    "repro.streaming.stability",
-    "repro.streaming.session",
-]
+
+def _source_modules():
+    """Every module under ``src/repro`` by dotted name, packages
+    included, except the ``python -m repro`` script."""
+    names = []
+    for path in sorted(SOURCE.rglob("*.py")):
+        parts = path.relative_to(SOURCE.parent).with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        names.append(".".join(parts))
+    names.remove("repro.__main__")
+    return names
+
+
+MODULES = _source_modules()
+
+SUBPACKAGES = sorted(
+    ".".join(path.parent.relative_to(SOURCE.parent).parts)
+    for path in SOURCE.rglob("__init__.py") if path.parent != SOURCE
+)
 
 
 @pytest.mark.parametrize("module_name", MODULES)
@@ -132,11 +62,10 @@ def test_public_callables_documented(package_name):
 
 
 def test_public_classes_have_documented_public_methods():
-    from repro.graphs import PreferenceGraph, TaskGraph, WeightedDigraph
+    from repro.graphs import TaskGraph
     from repro.types import Ranking, VoteSet
 
-    for cls in (WeightedDigraph, TaskGraph, PreferenceGraph, Ranking,
-                VoteSet):
+    for cls in (TaskGraph, Ranking, VoteSet):
         for name, member in inspect.getmembers(cls):
             if name.startswith("_") or not callable(member):
                 continue

@@ -267,17 +267,15 @@ class TestKernelEquivalence:
         assert inc.log_preference == pytest.approx(ref.log_preference,
                                                    abs=1e-9)
 
-    @pytest.mark.parametrize("init", ["greedy", "degree", "random"])
     @pytest.mark.parametrize("bad", [0.0, float("nan")])
-    def test_incomplete_closure_raises_typed_error(self, init, bad):
+    def test_incomplete_closure_raises_typed_error(self, bad):
         """One missing (or NaN) off-diagonal weight is not a Step-3
-        closure: SAPS refuses it up front, under every init."""
+        closure: SAPS refuses it up front."""
         matrix = random_closure(8, seed=5)
         matrix[2, 6] = bad
         with pytest.raises(InferenceError, match="Theorem 5.1"):
             saps_search_report(
-                matrix, SAPSConfig(iterations=300, restarts=2, init=init),
-                rng=11,
+                matrix, SAPSConfig(iterations=300, restarts=2), rng=11,
             )
 
     def test_incomplete_graph_still_raises_without_path(self):

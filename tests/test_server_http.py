@@ -62,6 +62,17 @@ SCENARIO_REQUEST = {
 }
 
 
+#: ``(sub-config, field, a value it took)`` of every retired config
+#: field: each selected an alternative that no entry point used.
+RETIRED_CONFIG_FIELDS = [
+    ("saps", "init", "greedy"),
+    ("truth", "criterion", "mean"),
+    ("sparse", "solver", "cg"),
+    ("sparse", "flow", "logit"),
+    ("sparse", "logit_clip", 0.01),
+]
+
+
 @pytest.fixture
 def server(tmp_path):
     ranking_server = RankingServer(ServerConfig(
@@ -229,6 +240,25 @@ class TestRank:
                                            "selection_ratio": 0.5}})
         assert status == 400
         assert "unknown config field" in body["error"]
+
+    @pytest.mark.parametrize("section, name, value", RETIRED_CONFIG_FIELDS)
+    def test_retired_config_field_is_400_everywhere(self, server, section,
+                                                    name, value):
+        """A config field that selected a retired alternative is an
+        unknown field on every route that takes a config, even when it
+        names the value still implemented."""
+        config = {section: {name: value}}
+        requests = {
+            "/v1/rank": dict(SCENARIO_REQUEST, config=config),
+            "/v1/batch": {"jobs": [dict(SCENARIO_REQUEST, config=config)]},
+            "/v1/sessions": {"n_objects": 5,
+                             "config": {"pipeline": config}},
+        }
+        for path, request in requests.items():
+            status, body = _post(server.url + path, request)
+            assert status == 400, path
+            assert f"unknown config field 'config.{section}.{name}'" \
+                in body["error"], path
 
     def test_non_object_body_is_400(self, server):
         status, body = _post(server.url + "/v1/rank", [1, 2, 3])

@@ -148,18 +148,18 @@ PINNED_JOBS = {
         PipelineConfig(engine="lsq"), 5), False),
 }
 
-#: Their keys, recorded before the one-key sort replaced ``np.lexsort``.
-#: Every spill file is named by such a key: a different digest here
-#: means every persisted cache entry would silently miss.
+#: Their keys under ``repro.fp/3``.  Every spill file is named by such a
+#: key: a different digest here means every persisted cache entry would
+#: silently miss.
 PINNED_DIGESTS = {
     "small":
-        "a1b1db79bf4195e71fe138fc08c08f598e3d7d80d381e0bc27fc706f251b4058",
+        "12dc0180ec87850c49e09ea8c49cf611dfb2ae84ca2b0300ecec1f12c377a96f",
     "n1000_duplicates":
-        "0bf33aa129bdeff6966a3bf59f3ca7c79badf53e4cd959ab103b33ca436f8249",
+        "b827c543687f62d81ff090167c3458f569339f6fca3a2b554be4965378f0f954",
     "negative_workers":
-        "d96a57b2b4861e75e5bf41e3b651c86a9f48d8c366be9a7a33c4d5275fe4b536",
+        "913a4efd9cb0886ff7ea5d3a5a66014b37b1ac66ca2c7ecfaf0b43ceb6ac6f37",
     "workers_near_2_62":
-        "b06507d773e7e631bbeff5ea013aab036b4bf81f37b0d3fb0f0dae59202b8784",
+        "cfd3af6f46be14464abf00f891fc6644f0c5c6bad64cd639cb18f4d5c8ff53d6",
 }
 
 
@@ -265,7 +265,7 @@ class TestFingerprintProperties:
         assert fingerprint_job(clone) == fingerprint_job(job)
 
     def test_old_scheme_spill_files_are_misses(self, tiny_votes, tmp_path):
-        """Keys are versioned (``repro.fp/2``): a spill file written
+        """Keys are versioned (``repro.fp/3``): a spill file written
         under the old JSON-of-sorted-tuples key is never looked up, so
         it reads as a plain miss, never an error."""
         job = RankingJob(job_id="a", votes=tiny_votes, seed=5)

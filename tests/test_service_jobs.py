@@ -80,7 +80,13 @@ class TestConfigCodec:
     @pytest.mark.parametrize("payload", [
         {"vote_path": "object"},
         {"saps": {"kernel": "reference"}},
-    ], ids=["vote_path", "saps.kernel"])
+        {"saps": {"init": "degree"}},
+        {"truth": {"criterion": "mean"}},
+        {"sparse": {"solver": "lsqr"}},
+        {"sparse": {"flow": "linear"}},
+        {"sparse": {"logit_clip": 0.01}},
+    ], ids=["vote_path", "saps.kernel", "saps.init", "truth.criterion",
+            "sparse.solver", "sparse.flow", "sparse.logit_clip"])
     def test_retired_fields_are_unknown(self, payload):
         with pytest.raises(DataFormatError, match="unknown config field"):
             config_from_payload(payload)

@@ -318,6 +318,39 @@ class TestSnapshotCodec:
         assert restored.votes_ingested == session.votes_ingested + 5
         assert_view_invariants(restored.view())
 
+    def test_snapshot_with_retired_pipeline_fields_restores(self):
+        """A default-config snapshot written while ``saps.init``,
+        ``truth.criterion`` and ``sparse.{solver,flow,logit_clip}``
+        existed (``tests/data/session_snapshot_fp2.json``, with the
+        views that code produced) restores to the same view and ingests
+        to the same ranking and log-preference."""
+        recorded = json.loads((Path(__file__).resolve().parent / "data"
+                               / "session_snapshot_fp2.json").read_text())
+        assert recorded["snapshot"]["config"]["saps"]["init"] == "degree"
+        restored = session_from_payload(recorded["snapshot"])
+        assert restored.config == SessionConfig()
+        assert restored.view() == recorded["restored_view"]
+        restored.ingest(votes_from_payload(recorded["next_votes"]))
+        assert restored.view() == recorded["view_after_next_votes"]
+
+    @pytest.mark.parametrize("section, name, value", [
+        ("saps", "init", "greedy"),
+        ("saps", "init", "random"),
+        ("truth", "criterion", "max"),
+        ("sparse", "solver", "cg"),
+        ("sparse", "flow", "logit"),
+    ])
+    def test_snapshot_naming_a_retired_alternative_rejected(
+            self, section, name, value):
+        """Such a snapshot ran code that is gone: restoring it would
+        silently change its answers."""
+        session, _ = self._session()
+        payload = json.loads(json.dumps(session_to_payload(session)))
+        payload["config"][section][name] = value
+        with pytest.raises(DataFormatError,
+                           match=f"config.{section}.{name}"):
+            session_from_payload(payload)
+
     def test_n_objects_past_the_addressable_matrix_rejected(self):
         session, _ = self._session()
         payload = json.loads(json.dumps(session_to_payload(session)))

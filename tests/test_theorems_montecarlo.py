@@ -11,13 +11,12 @@ import numpy as np
 import pytest
 
 from repro.graphs import (
-    PreferenceGraph,
     TaskGraph,
-    WeightedDigraph,
     count_preference_instances,
     prob_in_or_out_node,
 )
 from repro.graphs.analysis import hp_likelihood_lower_bound
+from tests.oracles import WeightedDigraph
 
 SAMPLES = 4000
 
@@ -71,7 +70,7 @@ class TestTheorem43MonteCarlo:
     """
 
     def test_no_instance_violates(self):
-        from repro.graphs.hamiltonian import _held_karp_exists
+        from tests.oracles.hamiltonian import _held_karp_exists
 
         # A path task graph: its degree-1 endpoints become in/out-nodes
         # with probability 2/3 each, so the condition fires often.
